@@ -1,4 +1,4 @@
-"""Reduced-cost arithmetic on dual solutions and the family dual programs.
+"""Reduced-cost arithmetic on dual solutions and the family dual program.
 
 A dual solution assigns a rational potential to every variable row (and value
 row, for alldiff).  The reduced cost of an edge is the slack of its dual
@@ -6,19 +6,26 @@ constraint; the exact reduced cost is the true increase of the optimum when
 the edge is forced.  The operations here produce dual solutions whose reduced
 costs are exact on whole sets of pairwise-incompatible edges at once, which
 is what the filtering loop consumes.
+
+LP solves happen only where a new dual or optimum is needed: the support LP
+(``solve_primal``), the restricted LP behind ``exact_reduced_cost``, the
+shifted LP of ``shifted_cost_dual`` and the one family dual program
+(``solve_family_dual``).  Questions with a combinatorial answer are decided
+by ``formulations.find_support``: whether a dual is optimal (complementary
+slackness), whether a reduced cost is exact, and which satisfaction edges lie
+on no solution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import formulations, lp_core
 from .formulations import Support, edge_column
 from .model import (
     ALLDIFF,
-    PATH,
     EdgeId,
     InfeasibleConstraintError,
     SatisfactionInstance,
@@ -76,7 +83,11 @@ def dual_solution(
 def from_row_duals(
     instance: WeightedInstance, row_duals: Mapping
 ) -> DualSolution:
-    """Build a DualSolution from the row duals of a primal solve."""
+    """Build a DualSolution from values keyed by primal row tag.
+
+    These are the row duals of a primal solve or the column values of a
+    family dual solve.
+    """
     u: dict[int, Fraction] = {}
     v: dict[int, Fraction] = {}
     for tag, value in row_duals.items():
@@ -131,13 +142,11 @@ def solve_primal(instance: WeightedInstance):
 def exact_reduced_cost(instance: WeightedInstance, ij: EdgeId) -> Fraction:
     """True cost increase of forcing edge ij: optimum of the restricted LP minus z*."""
     ij = EdgeId(*ij)
-    base = lp_core.solve(formulations.primal_program(instance))
-    if base.status != lp_core.OPTIMAL:
-        raise InfeasibleConstraintError(f"support LP is {base.status}")
+    z_star, _, _ = solve_primal(instance)
     forced = lp_core.solve(formulations.restricted_program(instance, ij))
     if forced.status != lp_core.OPTIMAL:
         raise InfeasibleConstraintError(f"edge {ij} lies on no support")
-    return forced.objective - base.objective
+    return forced.objective - z_star
 
 
 def exactness_certificate(
@@ -145,21 +154,25 @@ def exactness_certificate(
 ) -> ExactnessCertificate:
     """Decide whether kl's reduced cost under an optimal dual is exact.
 
-    Searches for a support through kl inside the subgraph of zero-reduced-cost
-    edges.  Finding one proves exactness; the witness's cost then equals
-    w + r_kl by construction, which is checked.
+    Both tests are support searches in the subgraph of zero-reduced-cost
+    edges.  By complementary slackness a feasible dual is optimal iff some
+    support lies inside that subgraph; the support then costs w.  A support
+    through kl inside the subgraph plus kl proves exactness; the witness's
+    cost then equals w + r_kl by construction, which is checked.
     """
     kl = EdgeId(*kl)
     if not is_dual_feasible(instance, dual):
         raise ValueError("dual solution is not feasible")
-    z_star, _, _ = solve_primal(instance)
-    if dual.w != z_star:
+    zero = {e for e in instance.edges if reduced_cost(instance, dual, e) == 0}
+    optimal = formulations.find_support(instance, zero)
+    if optimal is None:
+        if formulations.find_support(instance, instance.edges) is None:
+            raise InfeasibleConstraintError(f"support LP is {lp_core.INFEASIBLE}")
         raise ValueError("dual solution is not optimal")
+    # cost = w + sum of member reduced costs, and all of them vanish
+    assert optimal.cost == dual.w
     r_kl = reduced_cost(instance, dual, kl)
-    allowed = {
-        e for e in instance.edges if e == kl or reduced_cost(instance, dual, e) == 0
-    }
-    witness = formulations.find_support(instance, allowed, forced=kl)
+    witness = formulations.find_support(instance, zero | {kl}, forced=kl)
     if witness is None:
         return ExactnessCertificate(edge=kl, exact=False, witness=None, value=None)
     # cost = w + sum of member reduced costs, and all but kl's vanish
@@ -207,16 +220,13 @@ def big_m(instance: WeightedInstance) -> Fraction:
 
 
 def family_dual_program(
-    instance: WeightedInstance,
-    edge_set: Sequence[EdgeId],
-    mode: str = "big_m",
+    instance: WeightedInstance, edge_set: Sequence[EdgeId]
 ) -> lp_core.LinearProgram:
     """The dual program whose optima carry exact reduced costs on the whole set.
 
-    ``big_m``: maximize the dual objective plus the average reduced cost over
-    the set, with each of those reduced costs capped.  ``with_z_star``: maximize
-    the plain sum of the set's reduced costs over the optimal face of the dual
-    (requires one preliminary primal solve).
+    The dual of the support LP with its objective raised by the average
+    reduced cost over the set, each of those reduced costs capped by
+    ``big_m``.
     """
     edges = tuple(EdgeId(*e) for e in edge_set)
     if not edges:
@@ -224,84 +234,53 @@ def family_dual_program(
     for e in edges:
         if e not in instance.cost:
             raise ValueError(f"edge {e} not in the instance")
-    primal = formulations.primal_program(instance)
-    col_tags = tuple(r.tag for r in primal.rows)
-    b = {r.tag: r.rhs for r in primal.rows}
-
-    feas_rows = [
-        lp_core.row(edge_column(instance, e), lp_core.LE, instance.cost[e], e)
-        for e in instance.edges
-    ]
-
-    if mode == "big_m":
-        share = Fraction(1, len(edges))
-        objective = dict(b)
-        constant = Fraction(0)
-        for e in edges:
-            constant += share * Fraction(instance.cost[e])
-            for tag, a in edge_column(instance, e).items():
-                objective[tag] = objective.get(tag, Fraction(0)) - share * a
-        M = big_m(instance)
-        cap_rows = [
-            lp_core.row(
-                {t: -a for t, a in edge_column(instance, e).items()},
-                lp_core.LE,
-                M - instance.cost[e],
-                ("cap", e),
-            )
-            for e in edges
-        ]
-        return lp_core.LinearProgram(
-            sense=lp_core.MAX,
-            columns=col_tags,
-            objective=objective,
-            rows=tuple(feas_rows + cap_rows),
-            free=frozenset(col_tags),
-            objective_constant=constant,
+    dual = formulations.dual_program(instance)
+    share = Fraction(1, len(edges))
+    objective = dict(dual.objective)
+    constant = Fraction(0)
+    for e in edges:
+        constant += share * Fraction(instance.cost[e])
+        for tag, a in edge_column(instance, e).items():
+            objective[tag] = objective.get(tag, Fraction(0)) - share * a
+    M = big_m(instance)
+    cap_rows = tuple(
+        lp_core.row(
+            {t: -a for t, a in edge_column(instance, e).items()},
+            lp_core.LE,
+            M - instance.cost[e],
+            ("cap", e),
         )
-    if mode == "with_z_star":
-        z_star, _, _ = solve_primal(instance)
-        objective: dict = {}
-        constant = Fraction(0)
-        for e in edges:
-            constant += Fraction(instance.cost[e])
-            for tag, a in edge_column(instance, e).items():
-                objective[tag] = objective.get(tag, Fraction(0)) - a
-        opt_row = lp_core.row(b, lp_core.EQ, z_star, ("opt",))
-        return lp_core.LinearProgram(
-            sense=lp_core.MAX,
-            columns=col_tags,
-            objective=objective,
-            rows=tuple(feas_rows + [opt_row]),
-            free=frozenset(col_tags),
-            objective_constant=constant,
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+        for e in edges
+    )
+    return replace(
+        dual,
+        objective=objective,
+        rows=dual.rows + cap_rows,
+        objective_constant=constant,
+    )
 
 
 def solve_family_dual(
-    instance: WeightedInstance, edge_set: Sequence[EdgeId], mode: str = "big_m"
+    instance: WeightedInstance, edge_set: Sequence[EdgeId]
 ) -> DualSolution:
     """A dual solution with w + r_e equal to the restricted optimum for every e in the set."""
-    lp = family_dual_program(instance, edge_set, mode=mode)
-    sol = lp_core.solve(lp)
+    sol = lp_core.solve(family_dual_program(instance, edge_set))
     if sol.status != lp_core.OPTIMAL:
         # feasible duals always exist, so this means the primal side is empty
         raise InfeasibleConstraintError(f"family dual program is {sol.status}")
-    u = {tag[1]: val for tag, val in sol.primal.items() if tag[0] == "u"}
-    v = {tag[1]: val for tag, val in sol.primal.items() if tag[0] == "v"}
-    return dual_solution(instance, u, v)
+    return from_row_duals(instance, sol.primal)
 
 
 def zstar_from_family_dual(
     instance: WeightedInstance,
     edge_set: Sequence[EdgeId],
     dual: DualSolution,
-    covering: bool,
 ) -> Fraction:
-    """z* recovered from a covering set's dual: w plus the smallest reduced cost."""
-    if not covering:
-        raise ValueError("the edge set must be covering to recover z*")
+    """z* recovered from a covering set's dual: w plus the smallest reduced cost.
+
+    Only sound for a covering set (every support uses one of its edges), as
+    flagged in ``IncompatibleFamily.covering``.
+    """
     edges = tuple(EdgeId(*e) for e in edge_set)
     return dual.w + min(reduced_cost(instance, dual, e) for e in edges)
 
@@ -324,8 +303,11 @@ def averaged_satisfaction_dual(
     if z_star != 0:
         # every completion uses a non-edge: the constraint itself has no support
         raise InfeasibleConstraintError("no support exists", z_lb=z_star)
+    # an original edge is inconsistent iff no perfect matching of original
+    # edges uses it, i.e. its exact reduced cost in the encoding is positive
     inconsistent = [
-        e for e in sat.edges if exact_reduced_cost(encoded, EdgeId(*e)) > 0
+        e for e in sat.edges
+        if formulations.find_support(sat, sat.edges, forced=e) is None
     ]
     if not inconsistent:
         return encoded, base

@@ -272,23 +272,27 @@ def _path_support(
         if e in allowed:
             out[e.i].append(e)
 
-    def dfs(v: int, goal: int) -> Optional[list[EdgeId]]:
+    def dfs(v: int, goal: int, dead: set[int]) -> Optional[list[EdgeId]]:
+        # dead: vertices already known not to reach goal, so each is left once
         if v == goal:
             return []
+        if v in dead:
+            return None
         for e in out[v]:
-            rest = dfs(e.j, goal)
+            rest = dfs(e.j, goal, dead)
             if rest is not None:
                 return [e] + rest
+        dead.add(v)
         return None
 
     if forced is None:
-        p = dfs(meta.source, meta.sink)
+        p = dfs(meta.source, meta.sink, set())
         return None if p is None else tuple(p)
     # in a DAG a source->tail path and a head->sink path cannot share a vertex
-    head = dfs(meta.source, forced.i)
+    head = dfs(meta.source, forced.i, set())
     if head is None:
         return None
-    tail = dfs(forced.j, meta.sink)
+    tail = dfs(forced.j, meta.sink, set())
     if tail is None:
         return None
     return tuple(head) + (forced,) + tuple(tail)

@@ -69,9 +69,6 @@ class WeightedInstance:
         assert self.path is not None
         return tuple(v for v in self.path.topo_order if v != self.path.sink)
 
-    def total_cost(self) -> int:
-        return sum(self.cost[e] for e in self.edges)
-
 
 @dataclass(frozen=True)
 class SatisfactionInstance:
@@ -80,6 +77,13 @@ class SatisfactionInstance:
     n_vars: int
     values: tuple[int, ...]
     edges: tuple[EdgeId, ...] = field(default=())
+
+
+def _integer(x, what: str) -> int:
+    # booleans, floats and strings are rejected, never coerced
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def weighted_instance(
@@ -91,31 +95,38 @@ def weighted_instance(
     source: Optional[int] = None,
     sink: Optional[int] = None,
 ) -> WeightedInstance:
-    """Normalizing constructor: edge triples (i, j, cost), deterministic order kept."""
-    values_t = tuple(values)
+    """Normalizing constructor: edge triples (i, j, cost), deterministic order kept.
+
+    Every number must be an integer; anything else raises ValueError.
+    """
+    values_t = tuple(_integer(x, "value") for x in values)
     edge_ids = []
     cost: dict[EdgeId, int] = {}
     for i, j, c in edges:
-        e = EdgeId(int(i), int(j))
+        e = EdgeId(_integer(i, "edge endpoint"), _integer(j, "edge endpoint"))
         if e in cost:
             raise ValueError(f"duplicate edge {e}")
         edge_ids.append(e)
-        cost[e] = int(c)
+        cost[e] = _integer(c, f"cost of edge {e}")
     meta = None
     if kind == PATH:
         if source is None or sink is None:
             raise ValueError("path instances need a source and a sink")
         topo = topological_order(values_t, tuple(edge_ids))
-        meta = PathMeta(source=int(source), sink=int(sink), topo_order=topo)
+        meta = PathMeta(
+            source=_integer(source, "source"),
+            sink=_integer(sink, "sink"),
+            topo_order=topo,
+        )
     elif kind != ALLDIFF:
         raise ValueError(f"unknown kind {kind!r}")
     return WeightedInstance(
         kind=kind,
-        n_vars=int(n_vars),
+        n_vars=_integer(n_vars, "n_vars"),
         values=values_t,
         edges=tuple(edge_ids),
         cost=cost,
-        z_max=int(z_max),
+        z_max=_integer(z_max, "z_max"),
         path=meta,
     )
 
@@ -145,13 +156,6 @@ def topological_order(vertices: Sequence[int], arcs: Sequence[EdgeId]) -> tuple[
     return tuple(order)
 
 
-def edges_of_variable(instance: WeightedInstance, k: int) -> tuple[EdgeId, ...]:
-    """All edges of variable k (alldiff) or all arcs out of vertex k (path)."""
-    if k not in instance.variables():
-        raise ValueError(f"unknown variable {k}")
-    return tuple(e for e in instance.edges if e.i == k)
-
-
 def validate(instance: WeightedInstance) -> list[str]:
     """Every violated invariant, as human-readable strings; empty means valid.
 
@@ -169,7 +173,7 @@ def validate(instance: WeightedInstance) -> list[str]:
     if len(set(instance.values)) != len(instance.values):
         v.append("duplicate values")
     for e in instance.edges:
-        if instance.cost[e] < 0 or instance.cost[e] != int(instance.cost[e]):
+        if instance.cost[e] < 0:
             v.append(f"edge {e}: cost must be a non-negative integer")
 
     if instance.kind == ALLDIFF:

@@ -125,9 +125,7 @@ def ac_by_lp(
             elif kl in members:
                 marks[kl] = CONSISTENT
         if family.covering[idx]:
-            recovered = duality.zstar_from_family_dual(
-                instance, edge_set, dual, covering=True
-            )
+            recovered = duality.zstar_from_family_dual(instance, edge_set, dual)
             if z_lb is None or recovered > z_lb:
                 z_lb = recovered
             if z_lb > z_max:
@@ -156,7 +154,5 @@ def lower_bound(
     for edge_set, covering in zip(family.sets, family.covering):
         if covering and edge_set:
             dual = duality.solve_family_dual(instance, edge_set)
-            return duality.zstar_from_family_dual(
-                instance, edge_set, dual, covering=True
-            )
+            return duality.zstar_from_family_dual(instance, edge_set, dual)
     raise ValueError("family has no covering set")

@@ -21,6 +21,8 @@ from rcfilter.duality import (
 from rcfilter.formulations import bg01_encode, family
 from rcfilter.model import SatisfactionInstance, weighted_instance
 
+from corpus import alldiff_corpus, path_corpus, satisfaction_corpus
+
 
 def test_reduced_costs_under_pinned_duals_assignment(
     three_var_assignment, three_var_assignment_truth
@@ -163,42 +165,59 @@ def test_cap_constant_dominates_restricted_optima(three_var_assignment):
     assert all(M > v for v in report.z_restricted.values())
 
 
-def test_family_dual_identity_both_modes(three_var_assignment, six_vertex_dag):
+def test_family_dual_identity(three_var_assignment, six_vertex_dag):
     for inst in (three_var_assignment, six_vertex_dag):
         report = oracle.enumerate(inst)
         fam = family(inst, "domains")
         for edge_set in fam.sets:
-            for mode in ("big_m", "with_z_star"):
-                d = solve_family_dual(inst, edge_set, mode=mode)
-                assert is_dual_feasible(inst, d)
-                for e in edge_set:
-                    assert d.w + reduced_cost(inst, d, e) == report.z_restricted[e]
+            d = solve_family_dual(inst, edge_set)
+            assert is_dual_feasible(inst, d)
+            for e in edge_set:
+                assert d.w + reduced_cost(inst, d, e) == report.z_restricted[e]
 
 
 def test_family_dual_program_shapes(three_var_assignment):
     edge_set = (EdgeId(1, 0), EdgeId(1, 1), EdgeId(1, 2))
-    lp = family_dual_program(three_var_assignment, edge_set, mode="big_m")
+    lp = family_dual_program(three_var_assignment, edge_set)
     assert lp.sense == lp_core.MAX
     assert len(lp.rows) == 7 + 3  # feasibility rows plus one cap per member
     assert lp.free == frozenset(lp.columns)
-    lp2 = family_dual_program(three_var_assignment, edge_set, mode="with_z_star")
-    assert len(lp2.rows) == 7 + 1  # feasibility rows plus the optimal-value row
     with pytest.raises(ValueError):
-        family_dual_program(three_var_assignment, (), mode="big_m")
-    with pytest.raises(ValueError):
-        family_dual_program(three_var_assignment, edge_set, mode="nope")
+        family_dual_program(three_var_assignment, ())
     with pytest.raises(ValueError):
         family_dual_program(three_var_assignment, (EdgeId(7, 7),))
 
 
-def test_zstar_recovery_requires_covering(three_var_assignment):
+def test_zstar_recovery_from_covering_set(three_var_assignment):
     fam = family(three_var_assignment, "domains")
     d = solve_family_dual(three_var_assignment, fam.sets[0])
-    assert zstar_from_family_dual(
-        three_var_assignment, fam.sets[0], d, covering=True
-    ) == 0
-    with pytest.raises(ValueError, match="covering"):
-        zstar_from_family_dual(three_var_assignment, fam.sets[0], d, covering=False)
+    assert zstar_from_family_dual(three_var_assignment, fam.sets[0], d) == 0
+
+
+def test_certificate_optimality_matches_primal_optimum():
+    # complementary slackness decides optimality; it must agree with z*
+    # on optimal base duals, on family duals (optimal or not) and on
+    # feasible duals lowered below z*
+    seen = {True: 0, False: 0}
+    for inst in alldiff_corpus(40) + path_corpus(20):
+        z_star, _, base = solve_primal(inst)
+        duals = [base]
+        duals += [solve_family_dual(inst, s) for s in family(inst, "domains").sets]
+        start = inst.path.source if inst.path is not None else 0
+        lowered = dict(base.u)
+        lowered[start] -= 1
+        duals.append(dual_solution(inst, lowered, base.v))
+        for d in duals:
+            if not is_dual_feasible(inst, d):
+                continue
+            optimal = d.w == z_star
+            seen[optimal] += 1
+            if optimal:
+                exactness_certificate(inst, d, inst.edges[0])
+            else:
+                with pytest.raises(ValueError, match="not optimal"):
+                    exactness_certificate(inst, d, inst.edges[0])
+    assert seen[True] and seen[False]
 
 
 def test_averaged_dual_separates_inconsistent_edges():
@@ -214,6 +233,8 @@ def test_averaged_dual_separates_inconsistent_edges():
     )
     enc, d = averaged_satisfaction_dual(sat)
     assert d.w == 0
+    assert d.u == {0: 0, 1: 1, 2: 1}
+    assert d.v == {0: -1, 1: -1, 2: 0}
     assert is_dual_feasible(enc, d)
     report = oracle.enumerate(enc)
     for e in sat.edges:
@@ -222,6 +243,25 @@ def test_averaged_dual_separates_inconsistent_edges():
         assert (r > 0) == inconsistent
         if not inconsistent:
             assert r == 0
+
+
+def test_averaged_dual_solve_count(monkeypatch):
+    # one base solve plus three per inconsistent edge (restricted, base and
+    # shifted solves of its shifted dual); consistency is decided without LPs
+    real = lp_core.solve
+    calls = []
+
+    def spy(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(lp_core, "solve", spy)
+    for sat in satisfaction_corpus(15):
+        calls.clear()
+        enc, _ = averaged_satisfaction_dual(sat)
+        report = oracle.enumerate(enc)
+        inconsistent = [e for e in sat.edges if report.z_restricted[e] > 0]
+        assert len(calls) == 1 + 3 * len(inconsistent)
 
 
 def test_averaged_dual_all_consistent():

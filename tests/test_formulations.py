@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 
-from rcfilter import EdgeId, lp_core, weighted_instance
+from rcfilter import EdgeId, lp_core, validate, weighted_instance
 from rcfilter import oracle
 from rcfilter.formulations import (
     bg01_encode,
@@ -163,6 +164,21 @@ def test_find_support_agrees_with_oracle(five_vertex_dag):
     for e in five_vertex_dag.edges:
         found = find_support(five_vertex_dag, set(five_vertex_dag.edges), forced=e)
         assert (found is not None) == (report.z_restricted[e] is not None)
+
+
+def test_validate_is_fast_on_deep_layered_dag():
+    # width-2 layers, complete between neighbours: a search without memory
+    # of dead ends doubles its time per layer
+    depth = 40
+    layers = [[0]] + [[2 * k + 1, 2 * k + 2] for k in range(depth)] + [[2 * depth + 1]]
+    triples = [(a, b, 1) for up, down in zip(layers, layers[1:]) for a in up for b in down]
+    sink = 2 * depth + 1
+    inst = weighted_instance(
+        "path", sink, range(sink + 1), triples, z_max=depth + 1, source=0, sink=sink
+    )
+    start = time.perf_counter()
+    assert validate(inst) == []
+    assert time.perf_counter() - start < 10
 
 
 def test_satisfaction_encoding_shape():

@@ -11,7 +11,7 @@ from rcfilter import (
     validate,
     weighted_instance,
 )
-from rcfilter.model import edges_of_variable, topological_order
+from rcfilter.model import topological_order
 
 
 def test_alldiff_construction_normalizes(three_var_assignment):
@@ -48,16 +48,6 @@ def test_path_variables_are_non_sink_vertices(six_vertex_dag):
 def test_topological_order_rejects_cycles():
     with pytest.raises(ValueError, match="cycle"):
         topological_order((0, 1), (EdgeId(0, 1), EdgeId(1, 0)))
-
-
-def test_edges_of_variable(three_var_assignment):
-    assert edges_of_variable(three_var_assignment, 1) == (
-        EdgeId(1, 0),
-        EdgeId(1, 1),
-        EdgeId(1, 2),
-    )
-    with pytest.raises(ValueError, match="unknown variable"):
-        edges_of_variable(three_var_assignment, 7)
 
 
 def test_validate_clean_instances(
@@ -158,6 +148,18 @@ def test_malformed_dict_rejected():
     with pytest.raises(ValueError):  # path block missing entirely
         instance_from_dict({"kind": "path", "n_vars": 1, "values": [0, 1],
                             "edges": [[0, 1, 0]], "z_max": 0})
+
+
+def test_non_integer_numbers_rejected():
+    # truncating any of these would silently change the instance
+    good = {"kind": "alldiff", "n_vars": 1, "values": [0],
+            "edges": [[0, 0, 2]], "z_max": 1}
+    assert validate(instance_from_dict(good)) == []
+    for key, bad in (("edges", [[0, 0, 2.7]]), ("edges", [[0, 0, True]]),
+                     ("z_max", 1.9), ("z_max", True),
+                     ("n_vars", 1.5), ("n_vars", True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            instance_from_dict({**good, key: bad})
 
 
 def test_load_rejects_bad_json(tmp_path):
