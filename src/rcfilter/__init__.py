@@ -49,10 +49,8 @@ from .model import (
 )
 from .oracle import OracleReport, SizeGuardError
 from .propagation import (
-    AS_LISTED,
     CONSISTENT,
     INCONSISTENT,
-    MOST_UNMARKED,
     UNMARKED,
     FilterResult,
     ac_by_lp,
@@ -61,7 +59,6 @@ from .propagation import (
 
 __all__ = [
     "ALLDIFF",
-    "AS_LISTED",
     "CONSISTENT",
     "DualSolution",
     "EdgeId",
@@ -70,7 +67,6 @@ __all__ = [
     "INCONSISTENT",
     "IncompatibleFamily",
     "InfeasibleConstraintError",
-    "MOST_UNMARKED",
     "OracleReport",
     "PATH",
     "SatisfactionInstance",

@@ -8,12 +8,21 @@ costs are exact on whole sets of pairwise-incompatible edges at once, which
 is what the filtering loop consumes.
 
 LP solves happen only where a new dual or optimum is needed: the support LP
-(``solve_primal``), the restricted LP behind ``exact_reduced_cost``, the
-shifted LP of ``shifted_cost_dual`` and the one family dual program
+(``solve_primal``, the only place z* is computed; callers pass it down), the
+restricted LP behind ``exact_reduced_cost``, the shifted LP of
+``shifted_cost_dual`` and the one family dual program
 (``solve_family_dual``).  Questions with a combinatorial answer are decided
 by ``formulations.find_support``: whether a dual is optimal (complementary
 slackness), whether a reduced cost is exact, and which satisfaction edges lie
 on no solution.
+
+Which optimal dual a solve returns is fixed by the column numbering, since
+Bland's rule enters the lowest-numbered column (see ``lp_core``).  The
+support LP's columns are the edges in instance order, and its "=" rows, one
+per primal row tag, each get an artificial column.  The family dual
+program's columns are the primal row tags, ``("u", i)`` then ``("v", j)``,
+each free and so split into a pair; its "<=" rows, one per edge in instance
+order and then one cap per set member, each get a slack column.
 """
 
 from __future__ import annotations
@@ -139,10 +148,14 @@ def solve_primal(instance: WeightedInstance):
     return sol.objective, sol.primal, from_row_duals(instance, sol.dual)
 
 
-def exact_reduced_cost(instance: WeightedInstance, ij: EdgeId) -> Fraction:
-    """True cost increase of forcing edge ij: optimum of the restricted LP minus z*."""
+def exact_reduced_cost(
+    instance: WeightedInstance, ij: EdgeId, z_star: Fraction
+) -> Fraction:
+    """True cost increase of forcing edge ij: optimum of the restricted LP minus z*.
+
+    ``z_star`` is the optimum of the support LP, as ``solve_primal`` returns it.
+    """
     ij = EdgeId(*ij)
-    z_star, _, _ = solve_primal(instance)
     forced = lp_core.solve(formulations.restricted_program(instance, ij))
     if forced.status != lp_core.OPTIMAL:
         raise InfeasibleConstraintError(f"edge {ij} lies on no support")
@@ -180,27 +193,28 @@ def exactness_certificate(
     return ExactnessCertificate(edge=kl, exact=True, witness=witness, value=r_kl)
 
 
-def shifted_cost_dual(instance: WeightedInstance, kl: EdgeId) -> DualSolution:
+def shifted_cost_dual(
+    instance: WeightedInstance, kl: EdgeId, z_star: Fraction
+) -> DualSolution:
     """An optimal dual whose reduced cost on kl is exact.
 
     Obtained by re-solving the support LP with kl's cost lowered by its exact
     reduced cost; any optimal dual of that program is optimal for the original
-    dual and pins kl's reduced cost to the exact value.
+    dual and pins kl's reduced cost to the exact value.  ``z_star`` is the
+    optimum of the support LP; the shifted program has the same optimum, and
+    ValueError is raised when its solve disagrees (which any ``z_star`` above
+    the true optimum makes it do).
     """
     kl = EdgeId(*kl)
-    R = exact_reduced_cost(instance, kl)
+    R = exact_reduced_cost(instance, kl, z_star)
     lp = formulations.primal_program(instance)
     objective = dict(lp.objective)
-    objective[kl] = objective[kl] - R
-    shifted = lp_core.LinearProgram(
-        sense=lp.sense,
-        columns=lp.columns,
-        objective=objective,
-        rows=lp.rows,
-    )
-    sol = lp_core.solve(shifted)
+    objective[kl] -= R
+    sol = lp_core.solve(replace(lp, objective=objective))
     if sol.status != lp_core.OPTIMAL:
         raise InfeasibleConstraintError(f"support LP is {sol.status}")
+    if sol.objective != z_star:
+        raise ValueError(f"z_star {z_star} is not the support LP optimum")
     dual = from_row_duals(instance, sol.dual)
     assert is_dual_feasible(instance, dual)
     assert reduced_cost(instance, dual, kl) == R
@@ -311,7 +325,7 @@ def averaged_satisfaction_dual(
     ]
     if not inconsistent:
         return encoded, base
-    parts = [shifted_cost_dual(encoded, e) for e in inconsistent]
+    parts = [shifted_cost_dual(encoded, e, z_star) for e in inconsistent]
     k = Fraction(1, len(parts))
     u = {
         i: k * sum(p.u[i] for p in parts) for i in range(encoded.n_vars)

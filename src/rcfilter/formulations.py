@@ -48,35 +48,31 @@ class IncompatibleFamily:
 
 
 def primal_program(instance: WeightedInstance) -> LinearProgram:
-    """Min-cost support LP: rows force one value per variable / unit s-t flow."""
+    """Min-cost support LP: rows force one value per variable / unit s-t flow.
+
+    One pass over the edges; ``edge_column`` defines every coefficient.
+    """
     if instance.kind == ALLDIFF:
-        rows = []
-        for i in range(instance.n_vars):
-            coeffs = {e: 1 for e in instance.edges if e.i == i}
-            rows.append(row(coeffs, lp_core.EQ, 1, ("u", i)))
-        for j in instance.values:
-            coeffs = {e: 1 for e in instance.edges if e.j == j}
-            rows.append(row(coeffs, lp_core.EQ, 1, ("v", j)))
+        rhs = {("u", i): 1 for i in range(instance.n_vars)}
+        rhs.update({("v", j): 1 for j in instance.values})
     elif instance.kind == PATH:
         meta = instance.path
         assert meta is not None
-        rows = []
-        for v in instance.variables():
-            coeffs: dict = {}
-            for e in instance.edges:
-                if e.i == v:
-                    coeffs[e] = coeffs.get(e, 0) + 1
-                if e.j == v:
-                    coeffs[e] = coeffs.get(e, 0) - 1
-            rhs = 1 if v == meta.source else 0  # outflow 1 at s, conservation elsewhere
-            rows.append(row(coeffs, lp_core.EQ, rhs, ("u", v)))
+        # outflow 1 at s, conservation elsewhere
+        rhs = {("u", v): int(v == meta.source) for v in instance.variables()}
     else:
         raise ValueError(f"unknown kind {instance.kind!r}")
+    coeffs: dict = {tag: {} for tag in rhs}
+    for e in instance.edges:
+        for tag, a in edge_column(instance, e).items():
+            if tag not in coeffs:
+                raise ValueError(f"edge {e} meets no row of the support LP")
+            coeffs[tag][e] = a
     return LinearProgram(
         sense=lp_core.MIN,
         columns=tuple(instance.edges),
         objective={e: Fraction(instance.cost[e]) for e in instance.edges},
-        rows=tuple(rows),
+        rows=tuple(row(coeffs[t], lp_core.EQ, b, t) for t, b in rhs.items()),
     )
 
 
@@ -135,13 +131,13 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
     tail; depth strictly increases along any path, hence incompatibility.
     """
     if strategy == "domains":
+        out = _edges_by_tail(instance.edges)
         sets = []
         covering = []
         for k in instance.variables():
-            s = tuple(e for e in instance.edges if e.i == k)
-            if not s:
+            if k not in out:
                 continue  # cannot happen on a valid instance
-            sets.append(s)
+            sets.append(tuple(out[k]))
             if instance.kind == ALLDIFF:
                 covering.append(True)  # every assignment gives each variable a value
             else:
@@ -161,16 +157,25 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def _edges_by_tail(edges: Iterable[EdgeId]) -> dict[int, list[EdgeId]]:
+    """Edges grouped by variable (alldiff) or tail (path), edge order kept."""
+    out: dict[int, list[EdgeId]] = {}
+    for e in edges:
+        out.setdefault(e.i, []).append(e)
+    return out
+
+
 def _longest_path_depths(instance: WeightedInstance) -> dict[int, int]:
     meta = instance.path
     assert meta is not None
+    out = _edges_by_tail(instance.edges)
     depth = {meta.source: 0}
     for v in meta.topo_order:
-        for e in instance.edges:
-            if e.i == v and v in depth:
-                cand = depth[v] + 1
-                if depth.get(e.j, -1) < cand:
-                    depth[e.j] = cand
+        if v not in depth:
+            continue
+        for e in out.get(v, ()):
+            if depth.get(e.j, -1) < depth[v] + 1:
+                depth[e.j] = depth[v] + 1
     return depth
 
 
@@ -237,27 +242,45 @@ def _matching_support(
             adj[e.i].append(e.j)
     match_of_value: dict[int, int] = {}
     assigned: dict[int, int] = {}
+    forced_i = forced_j = None
     if forced is not None:
-        assigned[forced.i] = forced.j
-        match_of_value[forced.j] = forced.i
+        forced_i, forced_j = forced
+        assigned[forced_i] = forced_j
+        match_of_value[forced_j] = forced_i
 
-    def augment(i: int, visited: set[int]) -> bool:
-        for j in adj[i]:
-            if j in visited or (forced is not None and j == forced.j):
-                continue
-            visited.add(j)
-            holder = match_of_value.get(j)
-            if holder is None or (holder != forced_i and augment(holder, visited)):
-                match_of_value[j] = i
-                assigned[i] = j
-                return True
+    def augment(root: int) -> bool:
+        # explicit stack of (variable, value iterator); taken[k] is the value
+        # stack[k]'s variable moves to, held so far by stack[k + 1]'s variable
+        visited: set[int] = set()
+        stack = [(root, iter(adj[root]))]
+        taken: list[int] = []
+        while stack:
+            _, values = stack[-1]
+            for j in values:
+                if j in visited or j == forced_j:
+                    continue
+                visited.add(j)
+                holder = match_of_value.get(j)
+                if holder is None:
+                    taken.append(j)
+                    for (var, _), val in zip(stack, taken):
+                        match_of_value[val] = var
+                        assigned[var] = val
+                    return True
+                if holder != forced_i:
+                    taken.append(j)
+                    stack.append((holder, iter(adj[holder])))
+                    break
+            else:
+                stack.pop()
+                if taken:
+                    taken.pop()
         return False
 
-    forced_i = None if forced is None else forced.i
     for i in range(instance.n_vars):
         if i == forced_i:
             continue
-        if not augment(i, set()):
+        if not augment(i):
             return None
     return tuple(EdgeId(i, assigned[i]) for i in sorted(assigned))
 
@@ -267,32 +290,38 @@ def _path_support(
 ) -> Optional[tuple[EdgeId, ...]]:
     assert isinstance(instance, WeightedInstance) and instance.path is not None
     meta = instance.path
-    out: dict[int, list[EdgeId]] = {v: [] for v in instance.values}
-    for e in instance.edges:
-        if e in allowed:
-            out[e.i].append(e)
+    out = _edges_by_tail(e for e in instance.edges if e in allowed)
 
-    def dfs(v: int, goal: int, dead: set[int]) -> Optional[list[EdgeId]]:
-        # dead: vertices already known not to reach goal, so each is left once
-        if v == goal:
+    def dfs(start: int, goal: int) -> Optional[list[EdgeId]]:
+        # explicit stack of out-arc iterators, path[k] the arc into the
+        # vertex of stack[k + 1]; dead holds vertices already known not to
+        # reach goal, so each is left once
+        if start == goal:
             return []
-        if v in dead:
-            return None
-        for e in out[v]:
-            rest = dfs(e.j, goal, dead)
-            if rest is not None:
-                return [e] + rest
-        dead.add(v)
+        dead: set[int] = set()
+        stack = [iter(out.get(start, ()))]
+        path: list[EdgeId] = []
+        while stack:
+            for e in stack[-1]:
+                if e.j == goal:
+                    return path + [e]
+                if e.j not in dead:
+                    stack.append(iter(out.get(e.j, ())))
+                    path.append(e)
+                    break
+            else:
+                stack.pop()
+                dead.add(path.pop().j if path else start)
         return None
 
     if forced is None:
-        p = dfs(meta.source, meta.sink, set())
+        p = dfs(meta.source, meta.sink)
         return None if p is None else tuple(p)
     # in a DAG a source->tail path and a head->sink path cannot share a vertex
-    head = dfs(meta.source, forced.i, set())
+    head = dfs(meta.source, forced.i)
     if head is None:
         return None
-    tail = dfs(forced.j, meta.sink, set())
+    tail = dfs(forced.j, meta.sink)
     if tail is None:
         return None
     return tuple(head) + (forced,) + tuple(tail)

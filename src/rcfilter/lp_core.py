@@ -6,6 +6,14 @@ solutions and identical duals.  Equality rows are handled natively through
 phase-one artificials; their duals stay attached to the row tag.  Free
 columns are split internally, which does not affect row duals.
 
+Tableau columns are numbered in one pass: the program's columns in order,
+each free column followed by its negated copy; then, row by row (after a row
+with a negative right-hand side is negated), a surplus column for a ">="
+row and one unit column per row, a slack for "<=" and an artificial for "="
+and ">=".  A row's dual is read off the final reduced cost of its unit
+column.  Bland's rule enters the lowest-numbered column, so this numbering
+fixes every pivot.
+
 Dual value conventions, used by ``dual_feasible`` and asserted after every
 solve (y indexed by row tag, A_t the column of variable t, c the objective):
 
@@ -113,74 +121,41 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
         if t in lp.free:
             c_std[col_index[(t, -1)]] = -coef
 
+    # one pass, rows with a negative rhs negated; columns as in the docstring
+    flip = {LE: GE, GE: LE, EQ: EQ}
+    rels = [flip[r.rel] if r.rhs < 0 else r.rel for r in lp.rows]
     m = len(lp.rows)
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    rels: list[str] = []
-    negated: list[bool] = []
-    for r in lp.rows:
-        dense = [Fraction(0)] * n_std
+    ncols = n_std + sum(2 if rel == GE else 1 for rel in rels)
+    T: list[list[Fraction]] = []
+    unit: list[int] = []
+    artificials: set[int] = set()
+    k = n_std
+    for r, rel in zip(lp.rows, rels):
+        t_row = [Fraction(0)] * (ncols + 1)
         for t, a in r.coeffs.items():
             if (t, +1) not in col_index:
                 raise ValueError(f"row {r.tag!r} references unknown column {t!r}")
             a = Fraction(a)
-            dense[col_index[(t, +1)]] += a
+            t_row[col_index[(t, +1)]] += a
             if t in lp.free:
-                dense[col_index[(t, -1)]] -= a
-        rhs = Fraction(r.rhs)
-        rel = r.rel
-        if rhs < 0:
-            dense = [-a for a in dense]
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            negated.append(True)
-        else:
-            negated.append(False)
-        A.append(dense)
-        b.append(rhs)
-        rels.append(rel)
+                t_row[col_index[(t, -1)]] -= a
+        t_row[ncols] = Fraction(r.rhs)
+        if r.rhs < 0:
+            t_row = [-a for a in t_row]
+        if rel == GE:
+            t_row[k] = Fraction(-1)
+            k += 1
+        t_row[k] = Fraction(1)
+        if rel != LE:
+            artificials.add(k)
+        unit.append(k)
+        k += 1
+        T.append(t_row)
+    basis = list(unit)
 
-    # added columns: slack for <=, surplus for >=, artificial for >= and =
-    slack_of: dict[int, int] = {}
-    art_of: dict[int, int] = {}
-    extra: list[list[Fraction]] = [[] for _ in range(m)]  # per row, appended coeffs
-    n_extra = 0
-
-    def new_col() -> int:
-        nonlocal n_extra
-        for er in extra:
-            er.append(Fraction(0))
-        n_extra += 1
-        return n_std + n_extra - 1
-
-    artificials: set[int] = set()
-    basis: list[int] = [0] * m
-    for i in range(m):
-        if rels[i] == LE:
-            k = new_col()
-            extra[i][k - n_std] = Fraction(1)
-            slack_of[i] = k
-            basis[i] = k
-        elif rels[i] == GE:
-            k = new_col()
-            extra[i][k - n_std] = Fraction(-1)
-            a = new_col()
-            extra[i][a - n_std] = Fraction(1)
-            art_of[i] = a
-            artificials.add(a)
-            basis[i] = a
-        else:
-            a = new_col()
-            extra[i][a - n_std] = Fraction(1)
-            art_of[i] = a
-            artificials.add(a)
-            basis[i] = a
-
-    ncols = n_std + n_extra
-    T = [A[i] + extra[i] + [b[i]] for i in range(m)]
-
-    def run_phase(costs: Sequence[Fraction], barred: set[int]) -> str:
-        # z_row[j] = c_j - c_B B^-1 A_j ; optimal when all eligible >= 0
+    def run_phase(costs: Sequence[Fraction], barred: set[int]):
+        # z[j] = c_j - c_B B^-1 A_j and z[ncols] = -c_B B^-1 b, kept current
+        # by every pivot; optimal when all eligible z[j] >= 0
         z = list(costs) + [Fraction(0)]
         for i in range(m):
             cb = costs[basis[i]]
@@ -194,7 +169,7 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
                     enter = j
                     break
             if enter < 0:
-                return OPTIMAL
+                return OPTIMAL, z
             leave = -1
             best: Optional[Fraction] = None
             for i in range(m):
@@ -207,7 +182,7 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
                         best = ratio
                         leave = i
             if leave < 0:
-                return UNBOUNDED
+                return UNBOUNDED, z
             _pivot(T, z, basis, leave, enter)
         raise RuntimeError("pivot limit hit; anti-cycling rule violated")
 
@@ -215,9 +190,9 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
     c1 = [Fraction(0)] * ncols
     for a in artificials:
         c1[a] = Fraction(1)
-    status = run_phase(c1, barred=set())
+    status, z = run_phase(c1, barred=set())
     assert status == OPTIMAL, "phase one objective is bounded below by zero"
-    if sum(c1[basis[i]] * T[i][ncols] for i in range(m)) > 0:
+    if z[ncols] < 0:  # the phase-one optimum is -z[ncols]
         return LpSolution(status=INFEASIBLE, primal={}, dual={}, objective=None)
 
     # pivot leftover artificials out where the row allows it
@@ -225,23 +200,14 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
         if basis[i] in artificials:
             for j in range(ncols):
                 if j not in artificials and T[i][j] != 0:
-                    z_dummy = [Fraction(0)] * (ncols + 1)
-                    _pivot(T, z_dummy, basis, i, j)
+                    _pivot(T, z, basis, i, j)  # z is rebuilt for phase 2
                     break
             # an all-zero row is redundant; its artificial stays basic at zero
 
-    c2 = list(c_std) + [Fraction(0)] * n_extra
-    status = run_phase(c2, barred=artificials)
+    c2 = list(c_std) + [Fraction(0)] * (ncols - n_std)
+    status, z = run_phase(c2, barred=artificials)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, primal={}, dual={}, objective=None)
-
-    # final reduced-cost row for dual extraction
-    z = list(c2) + [Fraction(0)]
-    for i in range(m):
-        cb = c2[basis[i]]
-        if cb != 0:
-            for j in range(ncols + 1):
-                z[j] -= cb * T[i][j]
 
     std_val = [Fraction(0)] * ncols
     for i in range(m):
@@ -254,18 +220,15 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
         primal[t] = v
 
     dual: dict = {}
-    for i, r in enumerate(lp.rows):
-        ident = slack_of.get(i, art_of.get(i))
-        y = -z[ident]
-        if negated[i]:
+    for r, k in zip(lp.rows, unit):
+        y = -z[k]
+        if r.rhs < 0:
             y = -y
         if not minimize:
             y = -y
         dual[r.tag] = y
 
-    obj = sum(c2[basis[i]] * T[i][ncols] for i in range(m))
-    if not minimize:
-        obj = -obj
+    obj = -z[ncols] if minimize else z[ncols]
     return LpSolution(
         status=OPTIMAL, primal=primal, dual=dual, objective=obj + lp.objective_constant
     )

@@ -22,10 +22,6 @@ UNMARKED = "unmarked"
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 
-MOST_UNMARKED = "most_unmarked"
-AS_LISTED = "as_listed"
-
-
 @dataclass(frozen=True)
 class FilterResult:
     """Outcome of the filtering loop.
@@ -56,7 +52,6 @@ def _pick_next(
     family: IncompatibleFamily,
     used: set[int],
     marks: Mapping[EdgeId, str],
-    order: str,
 ) -> Optional[int]:
     best = None
     best_count = 0
@@ -64,10 +59,6 @@ def _pick_next(
         if idx in used:
             continue
         count = sum(1 for e in edge_set if marks[e] == UNMARKED)
-        if count == 0:
-            continue
-        if order == AS_LISTED:
-            return idx
         if count > best_count:
             best, best_count = idx, count
     return best
@@ -77,12 +68,11 @@ def ac_by_lp(
     instance: WeightedInstance,
     family: Optional[IncompatibleFamily] = None,
     budget: Optional[int] = None,
-    order: str = MOST_UNMARKED,
 ) -> FilterResult:
     """Classify every edge as consistent or inconsistent with the cost bound.
 
-    Walks the incompatible sets (largest unmarked count first by default,
-    recomputed per pick), solving one dual program per set.  The solve's
+    Walks the incompatible sets (largest unmarked count first, recomputed
+    per pick), solving one dual program per set.  The solve's
     reduced costs are exact on the set, classifying all of its unmarked
     edges, and any edge anywhere whose bound exceeds the threshold is marked
     inconsistent immediately.  ``budget`` caps the number of dual solves.
@@ -90,8 +80,6 @@ def ac_by_lp(
     Raises InfeasibleConstraintError when a covering set proves the optimum
     exceeds the cost bound, or when no support exists at all.
     """
-    if order not in (MOST_UNMARKED, AS_LISTED):
-        raise ValueError(f"unknown order {order!r}")
     if family is None:
         family = formulations.family(instance, "domains")
     for edge_set in family.sets:
@@ -107,7 +95,7 @@ def ac_by_lp(
     while True:
         if budget is not None and len(duals_used) >= budget:
             break
-        idx = _pick_next(family, used, marks, order)
+        idx = _pick_next(family, used, marks)
         if idx is None:
             break
         used.add(idx)

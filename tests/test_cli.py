@@ -110,7 +110,7 @@ def test_verify_reports_mismatch(monkeypatch, assignment_file, three_var_assignm
     wrong = dict(truth.marks)
     wrong[EdgeId(0, 0)] = "inconsistent"  # deliberately corrupt one mark
 
-    def fake(instance, family=None, budget=None, order="most_unmarked"):
+    def fake(instance, family=None, budget=None):
         return FilterResult(
             marks=wrong, z_lb=truth.z_lb, duals_used=truth.duals_used, complete=True
         )

@@ -87,16 +87,18 @@ def test_exact_reduced_cost_matches_oracle(
         five_vertex_dag,
     ):
         report = oracle.enumerate(inst)
+        z_star, _, _ = solve_primal(inst)
         for e in inst.edges:
-            assert exact_reduced_cost(inst, e) == report.exact_rc[e]
+            assert exact_reduced_cost(inst, e, z_star) == report.exact_rc[e]
 
 
 def test_exact_reduced_cost_no_support():
     inst = weighted_instance(
         "alldiff", 2, [0, 1], [(0, 0, 1), (0, 1, 1), (1, 0, 1)], z_max=9
     )
+    z_star, _, _ = solve_primal(inst)
     with pytest.raises(InfeasibleConstraintError, match="no support"):
-        exact_reduced_cost(inst, EdgeId(0, 0))
+        exact_reduced_cost(inst, EdgeId(0, 0), z_star)
 
 
 def test_worked_certificate_assignment(
@@ -145,8 +147,9 @@ def test_certificate_requires_optimality(three_var_assignment):
 
 def test_shifted_dual_reaches_exact_value(three_var_assignment):
     report = oracle.enumerate(three_var_assignment)
+    z_star, _, _ = solve_primal(three_var_assignment)
     for e in three_var_assignment.edges:
-        d = shifted_cost_dual(three_var_assignment, e)
+        d = shifted_cost_dual(three_var_assignment, e, z_star)
         assert is_dual_feasible(three_var_assignment, d)
         assert d.w == report.z_star
         assert reduced_cost(three_var_assignment, d, e) == report.exact_rc[e]
@@ -154,9 +157,16 @@ def test_shifted_dual_reaches_exact_value(three_var_assignment):
 
 def test_shifted_dual_on_path(five_vertex_dag):
     report = oracle.enumerate(five_vertex_dag)
+    z_star, _, _ = solve_primal(five_vertex_dag)
     for e in five_vertex_dag.edges:
-        d = shifted_cost_dual(five_vertex_dag, e)
+        d = shifted_cost_dual(five_vertex_dag, e, z_star)
         assert reduced_cost(five_vertex_dag, d, e) == report.exact_rc[e]
+
+
+def test_shifted_dual_rejects_wrong_optimum(three_var_assignment):
+    z_star, _, _ = solve_primal(three_var_assignment)
+    with pytest.raises(ValueError, match="not the support LP optimum"):
+        shifted_cost_dual(three_var_assignment, EdgeId(0, 1), z_star + 1)
 
 
 def test_cap_constant_dominates_restricted_optima(three_var_assignment):
@@ -246,8 +256,9 @@ def test_averaged_dual_separates_inconsistent_edges():
 
 
 def test_averaged_dual_solve_count(monkeypatch):
-    # one base solve plus three per inconsistent edge (restricted, base and
-    # shifted solves of its shifted dual); consistency is decided without LPs
+    # one base solve plus two per inconsistent edge (restricted and shifted
+    # solves of its shifted dual, z* passed down); consistency is decided
+    # without LPs
     real = lp_core.solve
     calls = []
 
@@ -261,7 +272,7 @@ def test_averaged_dual_solve_count(monkeypatch):
         enc, _ = averaged_satisfaction_dual(sat)
         report = oracle.enumerate(enc)
         inconsistent = [e for e in sat.edges if report.z_restricted[e] > 0]
-        assert len(calls) == 1 + 3 * len(inconsistent)
+        assert len(calls) == 1 + 2 * len(inconsistent)
 
 
 def test_averaged_dual_all_consistent():

@@ -181,6 +181,30 @@ def test_validate_is_fast_on_deep_layered_dag():
     assert time.perf_counter() - start < 10
 
 
+def test_validate_long_chain_path():
+    # one path vertex per search level: a recursive search would exceed
+    # Python's recursion limit
+    n = 1500
+    inst = weighted_instance(
+        "path", n, range(n + 1), [(k, k + 1, 1) for k in range(n)],
+        z_max=n, source=0, sink=n,
+    )
+    assert validate(inst) == []
+
+
+def test_find_support_long_augmenting_path():
+    # the last variable can only take value 0, so the only perfect matching
+    # shifts every variable to its next value: one augmenting path through
+    # all n variables
+    n = 1500
+    triples = [(i, j, 0) for i in range(n - 1) for j in (i, i + 1)]
+    triples.append((n - 1, 0, 0))
+    inst = weighted_instance("alldiff", n, range(n), triples, z_max=0)
+    s = find_support(inst, inst.edges)
+    shift = tuple(EdgeId(i, i + 1) for i in range(n - 1)) + (EdgeId(n - 1, 0),)
+    assert s is not None and s.edges == shift
+
+
 def test_satisfaction_encoding_shape():
     sat = SatisfactionInstance(
         n_vars=2, values=(0, 1), edges=(EdgeId(0, 0), EdgeId(1, 1))

@@ -6,7 +6,6 @@ from rcfilter import EdgeId, InfeasibleConstraintError, weighted_instance
 from rcfilter import oracle
 from rcfilter.formulations import family, worst_case_alldiff
 from rcfilter.propagation import (
-    AS_LISTED,
     CONSISTENT,
     INCONSISTENT,
     UNMARKED,
@@ -90,14 +89,6 @@ def test_budget_prefix_soundness(six_vertex_dag):
             if m != UNMARKED:
                 assert m == truth[e]  # anytime: all placed marks already correct
         assert (b >= full.solves) == partial.complete
-
-
-def test_listed_order_matches_greedy_marks(six_vertex_dag):
-    greedy = ac_by_lp(six_vertex_dag, order="most_unmarked")
-    listed = ac_by_lp(six_vertex_dag, order=AS_LISTED)
-    assert dict(greedy.marks) == dict(listed.marks)
-    with pytest.raises(ValueError, match="order"):
-        ac_by_lp(six_vertex_dag, order="random")
 
 
 def test_alien_family_rejected(three_var_assignment, six_vertex_dag):

@@ -6,8 +6,6 @@ loop.  Assertions mirror the bound/exactness statements the implementation is
 built on, checked against the brute-force oracle.
 """
 
-from fractions import Fraction as F
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -112,7 +110,7 @@ def test_shifted_dual_hits_exact_value(inst, data):
     report = oracle.enumerate(inst)
     candidates = [e for e in inst.edges if report.exact_rc[e] is not None]
     e = data.draw(st.sampled_from(candidates))
-    d = shifted_cost_dual(inst, e)
+    d = shifted_cost_dual(inst, e, report.z_star)
     assert is_dual_feasible(inst, d)
     assert d.w == report.z_star
     assert reduced_cost(inst, d, e) == report.exact_rc[e]
@@ -169,27 +167,33 @@ def test_anytime_marks_are_correct(inst, budget):
             assert m == truth[e]
 
 
+# small rationals, so pivots are not all units and phase one meets fractions
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
 @settings(**COMMON)
 @given(
-    n_cols=st.integers(1, 3),
+    n_cols=st.integers(1, 5),
     rows=st.lists(
         st.tuples(
-            st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+            st.lists(coefficients, min_size=5, max_size=5),
             st.sampled_from([lp_core.LE, lp_core.EQ, lp_core.GE]),
-            st.integers(-4, 4),
+            st.fractions(min_value=-4, max_value=4, max_denominator=5),
         ),
         min_size=1,
-        max_size=3,
+        max_size=4,
     ),
-    objective=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    objective=st.lists(coefficients, min_size=5, max_size=5),
+    free=st.sets(st.integers(0, 4)),
     sense=st.sampled_from([lp_core.MIN, lp_core.MAX]),
 )
-def test_solver_certifies_every_random_program(n_cols, rows, objective, sense):
+def test_solver_certifies_every_random_program(n_cols, rows, objective, free, sense):
+    # free columns are split in two inside the tableau
     cols = tuple(f"x{k}" for k in range(n_cols))
     lp = lp_core.LinearProgram(
         sense=sense,
         columns=cols,
-        objective={c: F(objective[k]) for k, c in enumerate(cols)},
+        objective={c: objective[k] for k, c in enumerate(cols)},
         rows=tuple(
             lp_core.row(
                 {c: coeffs[k] for k, c in enumerate(cols) if coeffs[k]},
@@ -199,6 +203,7 @@ def test_solver_certifies_every_random_program(n_cols, rows, objective, sense):
             )
             for pos, (coeffs, rel, rhs) in enumerate(rows)
         ),
+        free=frozenset(cols[k] for k in free if k < n_cols),
     )
     # the exact certificate inside solve() raises on any inconsistency
     sol = lp_core.solve(lp)
