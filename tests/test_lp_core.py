@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -201,6 +203,51 @@ def test_dual_feasible_checks_signs():
     assert not dual_feasible(lp, {"lo": F(2)})  # violates column constraint
     with pytest.raises(ValueError):
         dual_feasible(lp, {"other": F(0)})
+
+
+def _diet_with_loose_row():
+    # min 2a + 3b  s.t.  a + b >= 4, a <= 3, b <= 10: optimum a = 3, b = 1,
+    # duals need 3, cap -1, loose 0 (its row keeps slack 9)
+    lp = LinearProgram(
+        sense=MIN,
+        columns=("a", "b"),
+        objective={"a": F(2), "b": F(3)},
+        rows=(
+            row({"a": 1, "b": 1}, GE, 4, "need"),
+            row({"a": 1}, LE, 3, "cap"),
+            row({"b": 1}, LE, 10, "loose"),
+        ),
+    )
+    sol = solve(lp)
+    assert sol.primal == {"a": 3, "b": 1}
+    assert sol.dual == {"need": 3, "cap": -1, "loose": 0}
+    return lp, sol
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        ({"primal": {"a": F(-1), "b": F(5)}}, "negative value for column 'a'"),
+        ({"primal": {"a": F(3), "b": F(0)}}, "violates row 'need'"),
+        ({"dual": {"need": F(4), "cap": F(-1), "loose": F(0)}}, "dual solution infeasible"),
+        (
+            {"dual": {"need": F(3), "cap": F(-1), "loose": F(-1)}},
+            "complementary slackness fails on row 'loose'",
+        ),
+        (
+            {"dual": {"need": F(2), "cap": F(-1), "loose": F(0)}},
+            "complementary slackness fails on column 'a'",
+        ),
+        ({"objective": F(10)}, "reported objective inconsistent"),
+    ],
+)
+def test_certificate_check_rejects_corrupted_solution(corrupt, message):
+    # strong duality follows from the two slackness checks in exact
+    # arithmetic, so no single corruption reaches that check alone
+    lp, sol = _diet_with_loose_row()
+    lp_core._assert_certificates(lp, sol)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        lp_core._assert_certificates(lp, replace(sol, **corrupt))
 
 
 def test_strong_duality_on_mixed_program():
