@@ -308,9 +308,6 @@ def main(argv=None) -> int:
     except _Failure as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.code
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return EXIT_USAGE

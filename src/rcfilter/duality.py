@@ -84,7 +84,9 @@ def dual_solution(
     else:
         meta = instance.path
         assert meta is not None
-        u.setdefault(meta.sink, Fraction(0))
+        # the sink has no flow row, so its potential is fixed at zero
+        if u.setdefault(meta.sink, Fraction(0)) != 0:
+            raise ValueError(f"sink potential must be 0, got {u[meta.sink]}")
         w = u[meta.source]
     return DualSolution(kind=instance.kind, u=u, v=v, w=Fraction(w))
 
@@ -201,9 +203,10 @@ def shifted_cost_dual(
     Obtained by re-solving the support LP with kl's cost lowered by its exact
     reduced cost; any optimal dual of that program is optimal for the original
     dual and pins kl's reduced cost to the exact value.  ``z_star`` is the
-    optimum of the support LP; the shifted program has the same optimum, and
-    ValueError is raised when its solve disagrees (which any ``z_star`` above
-    the true optimum makes it do).
+    optimum of the support LP, which the shifted program shares.  ValueError
+    is raised when the shifted solve disagrees with it (a ``z_star`` above
+    the optimum) or when ``exactness_certificate`` finds the dual not optimal
+    or kl's reduced cost not exact (a ``z_star`` below it).
     """
     kl = EdgeId(*kl)
     R = exact_reduced_cost(instance, kl, z_star)
@@ -216,8 +219,9 @@ def shifted_cost_dual(
     if sol.objective != z_star:
         raise ValueError(f"z_star {z_star} is not the support LP optimum")
     dual = from_row_duals(instance, sol.dual)
-    assert is_dual_feasible(instance, dual)
-    assert reduced_cost(instance, dual, kl) == R
+    cert = exactness_certificate(instance, dual, kl)
+    if not (cert.exact and cert.value == R):
+        raise ValueError(f"shifted dual does not carry the exact reduced cost of {kl}")
     return dual
 
 

@@ -49,6 +49,14 @@ def test_sink_potential_defaults_to_zero(six_vertex_dag):
     assert d.u[5] == 0
 
 
+def test_nonzero_sink_potential_rejected(six_vertex_dag, six_vertex_dag_truth):
+    # the sink has no flow row; a potential there would shift the reduced
+    # cost of every arc into it away from the LP's slack
+    u = {**six_vertex_dag_truth["dual_u"], 5: 7}
+    with pytest.raises(ValueError, match="sink potential"):
+        dual_solution(six_vertex_dag, u)
+
+
 def test_reduced_cost_unknown_edge(three_var_assignment, three_var_assignment_truth):
     truth = three_var_assignment_truth
     d = dual_solution(three_var_assignment, truth["dual_u"], truth["dual_v"])
@@ -167,6 +175,13 @@ def test_shifted_dual_rejects_wrong_optimum(three_var_assignment):
     z_star, _, _ = solve_primal(three_var_assignment)
     with pytest.raises(ValueError, match="not the support LP optimum"):
         shifted_cost_dual(three_var_assignment, EdgeId(0, 1), z_star + 1)
+
+
+def test_shifted_dual_rejects_optimum_below_true_value(three_var_assignment):
+    # the shifted solve then agrees with z_star, but its dual is not optimal
+    z_star, _, _ = solve_primal(three_var_assignment)
+    with pytest.raises(ValueError, match="not optimal"):
+        shifted_cost_dual(three_var_assignment, EdgeId(0, 1), z_star - 1)
 
 
 def test_cap_constant_dominates_restricted_optima(three_var_assignment):
