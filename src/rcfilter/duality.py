@@ -110,25 +110,13 @@ def from_row_duals(
     return dual_solution(instance, u, v)
 
 
-def row_values(instance: WeightedInstance, dual: DualSolution) -> dict:
-    """Potentials keyed by primal row tag, the shape lp_core's checks expect."""
-    out: dict = {}
-    if instance.kind == ALLDIFF:
-        for i in range(instance.n_vars):
-            out[("u", i)] = dual.u[i]
-        for j in instance.values:
-            out[("v", j)] = dual.v[j]
-    else:
-        for vtx in instance.variables():
-            out[("u", vtx)] = dual.u[vtx]
-    return out
-
-
 def is_dual_feasible(instance: WeightedInstance, dual: DualSolution) -> bool:
-    """Exact feasibility of the potentials for the dual of the support LP."""
-    return lp_core.dual_feasible(
-        formulations.primal_program(instance), row_values(instance, dual)
-    )
+    """Exact feasibility of the potentials for the dual of the support LP.
+
+    The support LP has only "=" rows and non-negative columns, so its dual is
+    feasible exactly when no edge has a negative reduced cost.
+    """
+    return all(reduced_cost(instance, dual, e) >= 0 for e in instance.edges)
 
 
 def reduced_cost(instance: WeightedInstance, dual: DualSolution, ij: EdgeId) -> Fraction:
@@ -243,8 +231,8 @@ def family_dual_program(
     """The dual program whose optima carry exact reduced costs on the whole set.
 
     The dual of the support LP with its objective raised by the average
-    reduced cost over the set, each of those reduced costs capped by
-    ``big_m``.
+    reduced cost over the set, each capped by ``big_m``, less the mean edge
+    cost: a constant, which moves no optimum.
     """
     edges = tuple(EdgeId(*e) for e in edge_set)
     if not edges:
@@ -255,14 +243,12 @@ def family_dual_program(
     dual = formulations.dual_program(instance)
     share = Fraction(1, len(edges))
     objective = dict(dual.objective)
-    constant = Fraction(0)
     for e in edges:
-        constant += share * Fraction(instance.cost[e])
         for tag, a in edge_column(instance, e).items():
-            objective[tag] = objective.get(tag, Fraction(0)) - share * a
+            objective[tag] -= share * a
     M = big_m(instance)
     cap_rows = tuple(
-        lp_core.row(
+        lp_core.Row(
             {t: -a for t, a in edge_column(instance, e).items()},
             lp_core.LE,
             M - instance.cost[e],
@@ -270,12 +256,7 @@ def family_dual_program(
         )
         for e in edges
     )
-    return replace(
-        dual,
-        objective=objective,
-        rows=dual.rows + cap_rows,
-        objective_constant=constant,
-    )
+    return replace(dual, objective=objective, rows=dual.rows + cap_rows)
 
 
 def solve_family_dual(

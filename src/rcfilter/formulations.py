@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from . import lp_core
-from .lp_core import LinearProgram, row
+from .lp_core import LinearProgram, Row
 from .model import (
     ALLDIFF,
     PATH,
@@ -71,8 +71,8 @@ def primal_program(instance: WeightedInstance) -> LinearProgram:
     return LinearProgram(
         sense=lp_core.MIN,
         columns=tuple(instance.edges),
-        objective={e: Fraction(instance.cost[e]) for e in instance.edges},
-        rows=tuple(row(coeffs[t], lp_core.EQ, b, t) for t, b in rhs.items()),
+        objective=instance.cost,
+        rows=tuple(Row(coeffs[t], lp_core.EQ, b, t) for t, b in rhs.items()),
     )
 
 
@@ -94,7 +94,7 @@ def dual_program(instance: WeightedInstance) -> LinearProgram:
     col_tags = tuple(r.tag for r in primal.rows)
     rows = []
     for e in instance.edges:
-        rows.append(row(edge_column(instance, e), lp_core.LE, instance.cost[e], e))
+        rows.append(Row(edge_column(instance, e), lp_core.LE, instance.cost[e], e))
     return LinearProgram(
         sense=lp_core.MAX,
         columns=col_tags,
@@ -110,7 +110,7 @@ def restricted_program(instance: WeightedInstance, kl: EdgeId) -> LinearProgram:
     if kl not in instance.cost:
         raise ValueError(f"edge {kl} not in the instance")
     primal = primal_program(instance)
-    forced = row({kl: 1}, lp_core.EQ, 1, ("fix", kl))
+    forced = Row({kl: 1}, lp_core.EQ, 1, ("fix", kl))
     return LinearProgram(
         sense=primal.sense,
         columns=primal.columns,

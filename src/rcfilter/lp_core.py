@@ -6,6 +6,10 @@ solutions and identical duals.  Equality rows are handled natively through
 phase-one artificials; their duals stay attached to the row tag.  Free
 columns are split internally, which does not affect row duals.
 
+A program's data are made exact ``Fraction``s and checked when it is built
+(see ``Row`` and ``LinearProgram``); the solver and the certificate check
+trust them as they stand.
+
 Tableau columns are numbered in one pass: the program's columns in order,
 each free column followed by its negated copy; then, row by row (after a row
 with a negative right-hand side is negated), a surplus column for a ">="
@@ -47,22 +51,34 @@ _MAX_PIVOTS = 200_000  # Bland's rule terminates; this is a tripwire, not a tuni
 
 @dataclass(frozen=True)
 class Row:
+    """One tagged constraint; exact, with zero coefficients dropped, once built."""
+
     coeffs: Mapping[Hashable, Fraction]
     rel: str
     rhs: Fraction
     tag: Hashable
 
+    def __post_init__(self):
+        if self.rel not in (LE, EQ, GE):
+            raise ValueError(f"bad relation {self.rel!r}")
+        coeffs = {t: Fraction(a) for t, a in self.coeffs.items()}
+        object.__setattr__(self, "coeffs", {t: a for t, a in coeffs.items() if a != 0})
+        object.__setattr__(self, "rhs", Fraction(self.rhs))
+
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min/max c.x + constant subject to tagged rows; columns are >= 0 unless free."""
+    """min/max c.x subject to tagged rows; columns are >= 0 unless free.
+
+    Once built, ``objective`` holds an exact coefficient for every column, and
+    no row or objective names an unknown column.
+    """
 
     sense: str
     columns: tuple[Hashable, ...]
     objective: Mapping[Hashable, Fraction]
     rows: tuple[Row, ...]
     free: frozenset = field(default_factory=frozenset)
-    objective_constant: Fraction = Fraction(0)
 
     def __post_init__(self):
         if self.sense not in (MIN, MAX):
@@ -72,9 +88,14 @@ class LinearProgram:
         tags = [r.tag for r in self.rows]
         if len(set(tags)) != len(tags):
             raise ValueError("duplicate row tags")
+        known = set(self.columns)
         for r in self.rows:
-            if r.rel not in (LE, EQ, GE):
-                raise ValueError(f"bad relation {r.rel!r}")
+            if not known.issuperset(r.coeffs):
+                raise ValueError(f"row {r.tag!r} references unknown column(s)")
+        if not known.issuperset(self.objective):
+            raise ValueError("objective references unknown column(s)")
+        objective = {t: Fraction(self.objective.get(t, 0)) for t in self.columns}
+        object.__setattr__(self, "objective", objective)
 
 
 @dataclass(frozen=True)
@@ -83,15 +104,6 @@ class LpSolution:
     primal: dict
     dual: dict
     objective: Optional[Fraction]
-
-
-def row(coeffs: Mapping, rel: str, rhs, tag) -> Row:
-    return Row(
-        coeffs={k: Fraction(v) for k, v in coeffs.items() if Fraction(v) != 0},
-        rel=rel,
-        rhs=Fraction(rhs),
-        tag=tag,
-    )
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -116,7 +128,7 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
 
     c_std = [Fraction(0)] * n_std
     for t, coef in lp.objective.items():
-        coef = Fraction(coef) if minimize else -Fraction(coef)
+        coef = coef if minimize else -coef
         c_std[col_index[(t, +1)]] = coef
         if t in lp.free:
             c_std[col_index[(t, -1)]] = -coef
@@ -133,13 +145,10 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
     for r, rel in zip(lp.rows, rels):
         t_row = [Fraction(0)] * (ncols + 1)
         for t, a in r.coeffs.items():
-            if (t, +1) not in col_index:
-                raise ValueError(f"row {r.tag!r} references unknown column {t!r}")
-            a = Fraction(a)
             t_row[col_index[(t, +1)]] += a
             if t in lp.free:
                 t_row[col_index[(t, -1)]] -= a
-        t_row[ncols] = Fraction(r.rhs)
+        t_row[ncols] = r.rhs
         if r.rhs < 0:
             t_row = [-a for a in t_row]
         if rel == GE:
@@ -229,9 +238,7 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
         dual[r.tag] = y
 
     obj = -z[ncols] if minimize else z[ncols]
-    return LpSolution(
-        status=OPTIMAL, primal=primal, dual=dual, objective=obj + lp.objective_constant
-    )
+    return LpSolution(status=OPTIMAL, primal=primal, dual=dual, objective=obj)
 
 
 def _pivot(T: list, z: list, basis: list, r: int, enter: int) -> None:
@@ -252,6 +259,17 @@ def _pivot(T: list, z: list, basis: list, r: int, enter: int) -> None:
     basis[r] = enter
 
 
+def _column_sums(lp: LinearProgram, y: Mapping[Hashable, Fraction]) -> dict:
+    """y . A_t for every column t, in one pass over each row's nonzeros."""
+    sums = dict.fromkeys(lp.columns, Fraction(0))
+    for r in lp.rows:
+        yr = y[r.tag]
+        if yr != 0:
+            for t, a in r.coeffs.items():
+                sums[t] += a * yr
+    return sums
+
+
 def dual_feasible(lp: LinearProgram, duals: Mapping[Hashable, Fraction]) -> bool:
     """Exact feasibility of a dual vector for this program, per the conventions above."""
     tags = {r.tag for r in lp.rows}
@@ -262,17 +280,16 @@ def dual_feasible(lp: LinearProgram, duals: Mapping[Hashable, Fraction]) -> bool
             f"extra {given - tags}"
         )
     minimize = lp.sense == MIN
+    y: dict = {}
     for r in lp.rows:
-        y = Fraction(duals[r.tag])
-        if r.rel == LE and (y > 0 if minimize else y < 0):
+        # the duals come from the caller, so they are made exact here
+        y[r.tag] = yr = Fraction(duals[r.tag])
+        if r.rel == LE and (yr > 0 if minimize else yr < 0):
             return False
-        if r.rel == GE and (y < 0 if minimize else y > 0):
+        if r.rel == GE and (yr < 0 if minimize else yr > 0):
             return False
-    for t in lp.columns:
-        s = sum(
-            Fraction(r.coeffs.get(t, 0)) * Fraction(duals[r.tag]) for r in lp.rows
-        )
-        c = Fraction(lp.objective.get(t, 0))
+    for t, s in _column_sums(lp, y).items():
+        c = lp.objective[t]
         if t in lp.free:
             if s != c:
                 return False
@@ -292,7 +309,7 @@ def _assert_certificates(lp: LinearProgram, sol: LpSolution) -> None:
             raise AssertionError(f"negative value for column {t!r}")
     slack: dict = {}
     for r in lp.rows:
-        lhs = sum(Fraction(a) * sol.primal[t] for t, a in r.coeffs.items())
+        lhs = sum(a * sol.primal[t] for t, a in r.coeffs.items())
         slack[r.tag] = lhs - r.rhs
         ok = {LE: lhs <= r.rhs, EQ: lhs == r.rhs, GE: lhs >= r.rhs}[r.rel]
         if not ok:
@@ -304,15 +321,13 @@ def _assert_certificates(lp: LinearProgram, sol: LpSolution) -> None:
     for r in lp.rows:
         if slack[r.tag] * sol.dual[r.tag] != 0:
             raise AssertionError(f"complementary slackness fails on row {r.tag!r}")
+    sums = _column_sums(lp, sol.dual)
     for t in lp.columns:
-        s = sum(Fraction(r.coeffs.get(t, 0)) * sol.dual[r.tag] for r in lp.rows)
-        if (Fraction(lp.objective.get(t, 0)) - s) * sol.primal[t] != 0:
+        if (lp.objective[t] - sums[t]) * sol.primal[t] != 0:
             raise AssertionError(f"complementary slackness fails on column {t!r}")
-    primal_obj = sum(
-        Fraction(lp.objective.get(t, 0)) * sol.primal[t] for t in lp.columns
-    )
+    primal_obj = sum(lp.objective[t] * sol.primal[t] for t in lp.columns)
     dual_obj = sum(r.rhs * sol.dual[r.tag] for r in lp.rows)
     if primal_obj != dual_obj:
         raise AssertionError("strong duality fails")
-    if primal_obj + lp.objective_constant != sol.objective:
+    if primal_obj != sol.objective:
         raise AssertionError("reported objective inconsistent")

@@ -15,8 +15,8 @@ from rcfilter.lp_core import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    Row,
     dual_feasible,
-    row,
     solve,
 )
 
@@ -26,7 +26,7 @@ def test_single_variable_floor():
         sense=MIN,
         columns=("x",),
         objective={"x": F(1)},
-        rows=(row({"x": 1}, GE, 3, "lo"),),
+        rows=(Row({"x": 1}, GE, 3, "lo"),),
     )
     sol = solve(lp)
     assert sol.status == OPTIMAL
@@ -40,7 +40,7 @@ def test_empty_feasible_region_is_infeasible():
         sense=MIN,
         columns=("x",),
         objective={"x": F(1)},
-        rows=(row({"x": 1}, GE, 1, "lo"), row({"x": 1}, LE, 0, "hi")),
+        rows=(Row({"x": 1}, GE, 1, "lo"), Row({"x": 1}, LE, 0, "hi")),
     )
     assert solve(lp).status == INFEASIBLE
 
@@ -50,7 +50,7 @@ def test_unbounded_direction_detected():
         sense=MAX,
         columns=("x",),
         objective={"x": F(1)},
-        rows=(row({"x": 1}, GE, 0, "lo"),),
+        rows=(Row({"x": 1}, GE, 0, "lo"),),
     )
     assert solve(lp).status == UNBOUNDED
 
@@ -61,7 +61,7 @@ def test_two_variable_diet():
         sense=MIN,
         columns=("a", "b"),
         objective={"a": F(2), "b": F(3)},
-        rows=(row({"a": 1, "b": 1}, GE, 4, "need"), row({"a": 1}, LE, 3, "cap")),
+        rows=(Row({"a": 1, "b": 1}, GE, 4, "need"), Row({"a": 1}, LE, 3, "cap")),
     )
     sol = solve(lp)
     assert sol.status == OPTIMAL
@@ -79,7 +79,7 @@ def test_equality_rows_and_free_columns():
         sense=MIN,
         columns=("x", "y"),
         objective={"x": F(1), "y": F(1)},
-        rows=(row({"x": 1, "y": -1}, EQ, 5, "bal"),),
+        rows=(Row({"x": 1, "y": -1}, EQ, 5, "bal"),),
         free=frozenset({"y"}),
     )
     sol = solve(lp)
@@ -94,7 +94,7 @@ def test_max_sense_duals_follow_convention():
         sense=MAX,
         columns=("x", "y"),
         objective={"x": F(3), "y": F(2)},
-        rows=(row({"x": 1, "y": 1}, LE, 4, "sum"), row({"x": 1}, LE, 2, "xcap")),
+        rows=(Row({"x": 1, "y": 1}, LE, 4, "sum"), Row({"x": 1}, LE, 2, "xcap")),
     )
     sol = solve(lp)
     assert sol.status == OPTIMAL
@@ -111,9 +111,9 @@ def test_degenerate_vertex_terminates():
         columns=("x", "y"),
         objective={"x": F(-1), "y": F(-1)},
         rows=(
-            row({"x": 1, "y": 1}, LE, 2, "a"),
-            row({"x": 1, "y": 1}, LE, 2, "b"),
-            row({"x": 2, "y": 2}, LE, 4, "c"),
+            Row({"x": 1, "y": 1}, LE, 2, "a"),
+            Row({"x": 1, "y": 1}, LE, 2, "b"),
+            Row({"x": 2, "y": 2}, LE, 4, "c"),
         ),
     )
     sol = solve(lp)
@@ -126,23 +126,11 @@ def test_fractional_data_stays_exact():
         sense=MIN,
         columns=("x",),
         objective={"x": F(1, 3)},
-        rows=(row({"x": F(2, 7)}, GE, F(5, 11), "lo"),),
+        rows=(Row({"x": F(2, 7)}, GE, F(5, 11), "lo"),),
     )
     sol = solve(lp)
     assert sol.primal["x"] == F(35, 22)
     assert sol.objective == F(35, 66)
-
-
-def test_objective_constant_carried():
-    lp = LinearProgram(
-        sense=MAX,
-        columns=("x",),
-        objective={"x": F(1)},
-        rows=(row({"x": 1}, LE, 2, "cap"),),
-        objective_constant=F(10),
-    )
-    sol = solve(lp)
-    assert sol.objective == 12
 
 
 def test_redundant_equality_rows_handled():
@@ -152,8 +140,8 @@ def test_redundant_equality_rows_handled():
         columns=("x", "y"),
         objective={"x": F(1), "y": F(2)},
         rows=(
-            row({"x": 1, "y": 1}, EQ, 3, "a"),
-            row({"x": 1, "y": 1}, EQ, 3, "b"),
+            Row({"x": 1, "y": 1}, EQ, 3, "a"),
+            Row({"x": 1, "y": 1}, EQ, 3, "b"),
         ),
     )
     sol = solve(lp)
@@ -175,19 +163,31 @@ def test_duplicate_tags_rejected():
             sense=MIN,
             columns=("x",),
             objective={"x": F(1)},
-            rows=(row({"x": 1}, GE, 0, "t"), row({"x": 1}, LE, 9, "t")),
+            rows=(Row({"x": 1}, GE, 0, "t"), Row({"x": 1}, LE, 9, "t")),
         )
 
 
 def test_row_referencing_unknown_column_rejected():
-    lp = LinearProgram(
-        sense=MIN,
-        columns=("x",),
-        objective={"x": F(1)},
-        rows=(row({"ghost": 1}, GE, 0, "r"),),
-    )
     with pytest.raises(ValueError, match="unknown column"):
-        solve(lp)
+        LinearProgram(
+            sense=MIN,
+            columns=("x",),
+            objective={"x": F(1)},
+            rows=(Row({"ghost": 1}, GE, 0, "r"),),
+        )
+
+
+def test_program_data_made_exact_when_built():
+    r = Row({"x": 2, "y": 0, "z": F(1, 2)}, LE, 3, "r")
+    assert r.coeffs == {"x": 2, "z": F(1, 2)}  # the zero coefficient is dropped
+    assert all(type(a) is F for a in r.coeffs.values()) and type(r.rhs) is F
+    lp = LinearProgram(sense=MIN, columns=("x", "y", "z"), objective={"x": 1}, rows=(r,))
+    assert lp.objective == {"x": 1, "y": 0, "z": 0}
+    assert all(type(c) is F for c in lp.objective.values())
+    with pytest.raises(ValueError, match="bad relation"):
+        Row({"x": 1}, "<>", 0, "r")
+    with pytest.raises(ValueError, match="unknown column"):
+        LinearProgram(sense=MIN, columns=("x",), objective={"ghost": 1}, rows=())
 
 
 def test_dual_feasible_checks_signs():
@@ -195,7 +195,7 @@ def test_dual_feasible_checks_signs():
         sense=MIN,
         columns=("x",),
         objective={"x": F(1)},
-        rows=(row({"x": 1}, GE, 3, "lo"),),
+        rows=(Row({"x": 1}, GE, 3, "lo"),),
     )
     assert dual_feasible(lp, {"lo": F(1)})
     assert dual_feasible(lp, {"lo": F(0)})
@@ -213,9 +213,9 @@ def _diet_with_loose_row():
         columns=("a", "b"),
         objective={"a": F(2), "b": F(3)},
         rows=(
-            row({"a": 1, "b": 1}, GE, 4, "need"),
-            row({"a": 1}, LE, 3, "cap"),
-            row({"b": 1}, LE, 10, "loose"),
+            Row({"a": 1, "b": 1}, GE, 4, "need"),
+            Row({"a": 1}, LE, 3, "cap"),
+            Row({"b": 1}, LE, 10, "loose"),
         ),
     )
     sol = solve(lp)
@@ -257,9 +257,9 @@ def test_strong_duality_on_mixed_program():
         columns=("x", "y"),
         objective={"x": F(4), "y": F(5)},
         rows=(
-            row({"x": 2, "y": 1}, GE, 3, "r1"),
-            row({"x": 1, "y": 3}, GE, 4, "r2"),
-            row({"x": 1, "y": 1}, EQ, 2, "r3"),
+            Row({"x": 2, "y": 1}, GE, 3, "r1"),
+            Row({"x": 1, "y": 3}, GE, 4, "r2"),
+            Row({"x": 1, "y": 1}, EQ, 2, "r3"),
         ),
     )
     sol = solve(lp)

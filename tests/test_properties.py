@@ -195,7 +195,7 @@ def test_solver_certifies_every_random_program(n_cols, rows, objective, free, se
         columns=cols,
         objective={c: objective[k] for k, c in enumerate(cols)},
         rows=tuple(
-            lp_core.row(
+            lp_core.Row(
                 {c: coeffs[k] for k, c in enumerate(cols) if coeffs[k]},
                 rel,
                 rhs,
