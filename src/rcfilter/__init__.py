@@ -30,7 +30,6 @@ from .formulations import (
     family,
     find_support,
     primal_program,
-    restricted_program,
     worst_case_alldiff,
 )
 from .model import (
@@ -90,7 +89,6 @@ __all__ = [
     "lower_bound",
     "primal_program",
     "reduced_cost",
-    "restricted_program",
     "save_instance",
     "shifted_cost_dual",
     "solve_family_dual",

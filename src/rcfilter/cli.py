@@ -17,7 +17,7 @@ from typing import Optional
 import click
 
 from . import formulations, model, oracle, propagation
-from .model import EdgeId, InfeasibleConstraintError, WeightedInstance
+from .model import InfeasibleConstraintError, WeightedInstance
 from .oracle import SizeGuardError
 from .propagation import CONSISTENT, INCONSISTENT
 
@@ -63,10 +63,6 @@ def _family(instance: WeightedInstance, strategy: str):
 
 def _emit_json(data: dict) -> None:
     click.echo(json.dumps(data, indent=2))
-
-
-def _edge_key(e: EdgeId) -> tuple[int, int]:
-    return (e.i, e.j)
 
 
 def _dual_payload(edge_set, dual) -> dict:
@@ -133,7 +129,7 @@ def filter_cmd(instance_file, strategy, budget, emit_duals, fmt) -> int:
         return EXIT_INFEASIBLE
     marks = [
         {"edge": [e.i, e.j], "mark": result.marks[e]}
-        for e in sorted(result.marks, key=_edge_key)
+        for e in sorted(result.marks)
     ]
     if fmt == "json":
         data = {
@@ -197,7 +193,7 @@ def oracle_cmd(instance_file, fmt) -> int:
             "exact_rc": _frac(report.exact_rc[e]),
             "status": classes[e],
         }
-        for e in sorted(instance.edges, key=_edge_key)
+        for e in sorted(instance.edges)
     ]
     if fmt == "json":
         _emit_json(
@@ -253,10 +249,10 @@ def verify_cmd(instance_file, strategy, fmt) -> int:
         if not oracle_empty:
             mismatches = [
                 {"edge": [e.i, e.j], "filter": "infeasible", "oracle": "consistent"}
-                for e in sorted(oracle_ac, key=_edge_key)
+                for e in sorted(oracle_ac)
             ]
     else:
-        for e in sorted(instance.edges, key=_edge_key):
+        for e in sorted(instance.edges):
             ours = result.marks[e]
             truth = CONSISTENT if e in oracle_ac else INCONSISTENT
             if ours != truth:

@@ -9,12 +9,12 @@ is what the filtering loop consumes.
 
 LP solves happen only where a new dual or optimum is needed: the support LP
 (``solve_primal``, the only place z* is computed; callers pass it down), the
-restricted LP behind ``exact_reduced_cost``, the shifted LP of
-``shifted_cost_dual`` and the one family dual program
-(``solve_family_dual``).  Questions with a combinatorial answer are decided
-by ``formulations.find_support``: whether a dual is optimal (complementary
-slackness), whether a reduced cost is exact, and which satisfaction edges lie
-on no solution.
+shifted LP of ``shifted_cost_dual`` and the one family dual program
+(``solve_family_dual``), which also gives ``exact_reduced_cost`` its
+restricted optimum as one family-dual solve of the set {ij}.  Questions with
+a combinatorial answer are decided by ``formulations.find_support``: whether
+a dual is optimal (complementary slackness), whether a reduced cost is
+exact, and which satisfaction edges lie on no solution.
 
 Which optimal dual a solve returns is fixed by the column numbering, since
 Bland's rule enters the lowest-numbered column (see ``lp_core``).  The
@@ -106,7 +106,6 @@ def from_row_duals(
             u[tag[1]] = Fraction(value)
         elif tag[0] == "v":
             v[tag[1]] = Fraction(value)
-        # any other tag (a forcing row) has no potential attached
     return dual_solution(instance, u, v)
 
 
@@ -141,15 +140,17 @@ def solve_primal(instance: WeightedInstance):
 def exact_reduced_cost(
     instance: WeightedInstance, ij: EdgeId, z_star: Fraction
 ) -> Fraction:
-    """True cost increase of forcing edge ij: optimum of the restricted LP minus z*.
+    """True cost increase of forcing edge ij: its restricted optimum minus z*.
 
-    ``z_star`` is the optimum of the support LP, as ``solve_primal`` returns it.
+    The restricted optimum is w + r_ij under the family dual of the set
+    {ij}, so this is one family-dual solve.  ``z_star`` is the optimum of the
+    support LP, as ``solve_primal`` returns it.
     """
     ij = EdgeId(*ij)
-    forced = lp_core.solve(formulations.restricted_program(instance, ij))
-    if forced.status != lp_core.OPTIMAL:
+    if formulations.find_support(instance, instance.edges, forced=ij) is None:
         raise InfeasibleConstraintError(f"edge {ij} lies on no support")
-    return forced.objective - z_star
+    dual = solve_family_dual(instance, (ij,))
+    return dual.w + reduced_cost(instance, dual, ij) - z_star
 
 
 def exactness_certificate(
@@ -304,10 +305,7 @@ def averaged_satisfaction_dual(
         raise InfeasibleConstraintError("no support exists", z_lb=z_star)
     # an original edge is inconsistent iff no perfect matching of original
     # edges uses it, i.e. its exact reduced cost in the encoding is positive
-    inconsistent = [
-        e for e in sat.edges
-        if formulations.find_support(sat, sat.edges, forced=e) is None
-    ]
+    inconsistent = formulations.unsupported_edges(encoded, sat.edges)
     if not inconsistent:
         return encoded, base
     parts = [shifted_cost_dual(encoded, e, z_star) for e in inconsistent]

@@ -2,7 +2,7 @@
 
 Row tags are shared across the package: ``("u", i)`` for the per-variable
 rows (alldiff) or per-vertex flow rows (path, sink excluded), ``("v", j)``
-for the per-value rows (alldiff only).  Columns of the primal programs are
+for the per-value rows (alldiff only).  Columns of the primal program are
 the edges themselves.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from . import lp_core
 from .lp_core import LinearProgram, Row
@@ -22,8 +22,6 @@ from .model import (
     WeightedInstance,
     weighted_instance,
 )
-
-Instance = Union[WeightedInstance, SatisfactionInstance]
 
 
 @dataclass(frozen=True)
@@ -47,21 +45,26 @@ class IncompatibleFamily:
     strategy: str
 
 
+def _row_rhs(instance: WeightedInstance) -> dict:
+    """Right-hand side of every support-LP row, keyed by row tag, in row order."""
+    if instance.kind == ALLDIFF:
+        rhs = {("u", i): 1 for i in range(instance.n_vars)}
+        rhs.update({("v", j): 1 for j in instance.values})
+        return rhs
+    if instance.kind == PATH:
+        meta = instance.path
+        assert meta is not None
+        # outflow 1 at s, conservation elsewhere
+        return {("u", v): int(v == meta.source) for v in instance.variables()}
+    raise ValueError(f"unknown kind {instance.kind!r}")
+
+
 def primal_program(instance: WeightedInstance) -> LinearProgram:
     """Min-cost support LP: rows force one value per variable / unit s-t flow.
 
     One pass over the edges; ``edge_column`` defines every coefficient.
     """
-    if instance.kind == ALLDIFF:
-        rhs = {("u", i): 1 for i in range(instance.n_vars)}
-        rhs.update({("v", j): 1 for j in instance.values})
-    elif instance.kind == PATH:
-        meta = instance.path
-        assert meta is not None
-        # outflow 1 at s, conservation elsewhere
-        rhs = {("u", v): int(v == meta.source) for v in instance.variables()}
-    else:
-        raise ValueError(f"unknown kind {instance.kind!r}")
+    rhs = _row_rhs(instance)
     coeffs: dict = {tag: {} for tag in rhs}
     for e in instance.edges:
         for tag, a in edge_column(instance, e).items():
@@ -90,32 +93,17 @@ def edge_column(instance: WeightedInstance, e: EdgeId) -> dict:
 
 def dual_program(instance: WeightedInstance) -> LinearProgram:
     """Exact dual of the primal: one free column per row, one row per edge."""
-    primal = primal_program(instance)
-    col_tags = tuple(r.tag for r in primal.rows)
-    rows = []
-    for e in instance.edges:
-        rows.append(Row(edge_column(instance, e), lp_core.LE, instance.cost[e], e))
+    rhs = _row_rhs(instance)
+    rows = tuple(
+        Row(edge_column(instance, e), lp_core.LE, instance.cost[e], e)
+        for e in instance.edges
+    )
     return LinearProgram(
         sense=lp_core.MAX,
-        columns=col_tags,
-        objective={r.tag: r.rhs for r in primal.rows},
-        rows=tuple(rows),
-        free=frozenset(col_tags),
-    )
-
-
-def restricted_program(instance: WeightedInstance, kl: EdgeId) -> LinearProgram:
-    """The primal with edge kl forced into the solution (extra equality row)."""
-    kl = EdgeId(*kl)
-    if kl not in instance.cost:
-        raise ValueError(f"edge {kl} not in the instance")
-    primal = primal_program(instance)
-    forced = Row({kl: 1}, lp_core.EQ, 1, ("fix", kl))
-    return LinearProgram(
-        sense=primal.sense,
-        columns=primal.columns,
-        objective=primal.objective,
-        rows=primal.rows + (forced,),
+        columns=tuple(rhs),
+        objective=rhs,
+        rows=rows,
+        free=frozenset(rhs),
     )
 
 
@@ -205,7 +193,7 @@ def _on_every_path(instance: WeightedInstance, k: int) -> bool:
 
 
 def find_support(
-    instance: Instance,
+    instance: WeightedInstance,
     allowed: Iterable[EdgeId],
     forced: Optional[EdgeId] = None,
 ) -> Optional[Support]:
@@ -219,22 +207,39 @@ def find_support(
         forced = EdgeId(*forced)
         if forced not in allowed_set:
             raise ValueError("the forced edge must be allowed")
-    kind = getattr(instance, "kind", ALLDIFF)
-    if kind == ALLDIFF:
+    if instance.kind == ALLDIFF:
         edges = _matching_support(instance, allowed_set, forced)
     else:
         edges = _path_support(instance, allowed_set, forced)
     if edges is None:
         return None
-    if isinstance(instance, WeightedInstance):
-        cost = Fraction(sum(instance.cost[e] for e in edges))
-    else:
-        cost = Fraction(0)
-    return Support(edges=edges, cost=cost)
+    return Support(edges=edges, cost=Fraction(sum(instance.cost[e] for e in edges)))
+
+
+def unsupported_edges(
+    instance: WeightedInstance, allowed: Iterable[EdgeId]
+) -> list[EdgeId]:
+    """The edges of ``allowed``, in order, on no support inside ``allowed``.
+
+    An edge on a support already found needs no search of its own, so a
+    single search can settle every edge of an instance.
+    """
+    allowed = tuple(EdgeId(*e) for e in allowed)
+    covered: set[EdgeId] = set()
+    out = []
+    for e in allowed:
+        if e in covered:
+            continue
+        support = find_support(instance, allowed, forced=e)
+        if support is None:
+            out.append(e)
+        else:
+            covered.update(support.edges)
+    return out
 
 
 def _matching_support(
-    instance: Instance, allowed: set[EdgeId], forced: Optional[EdgeId]
+    instance: WeightedInstance, allowed: set[EdgeId], forced: Optional[EdgeId]
 ) -> Optional[tuple[EdgeId, ...]]:
     adj: dict[int, list[int]] = {i: [] for i in range(instance.n_vars)}
     for e in instance.edges:
@@ -286,10 +291,10 @@ def _matching_support(
 
 
 def _path_support(
-    instance: Instance, allowed: set[EdgeId], forced: Optional[EdgeId]
+    instance: WeightedInstance, allowed: set[EdgeId], forced: Optional[EdgeId]
 ) -> Optional[tuple[EdgeId, ...]]:
-    assert isinstance(instance, WeightedInstance) and instance.path is not None
     meta = instance.path
+    assert meta is not None
     out = _edges_by_tail(e for e in instance.edges if e in allowed)
 
     def dfs(start: int, goal: int) -> Optional[list[EdgeId]]:

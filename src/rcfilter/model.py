@@ -132,7 +132,9 @@ def weighted_instance(
 
 
 def topological_order(vertices: Sequence[int], arcs: Sequence[EdgeId]) -> tuple[int, ...]:
-    """Kahn's algorithm with smallest-vertex tie-break; raises on cycles."""
+    """Kahn's algorithm with smallest-vertex tie-break; raises on duplicates and cycles."""
+    if len(set(vertices)) != len(vertices):
+        raise ValueError("duplicate vertices")
     indeg = {v: 0 for v in vertices}
     out: dict[int, list[int]] = {v: [] for v in vertices}
     for a in arcs:
@@ -218,9 +220,8 @@ def validate(instance: WeightedInstance) -> list[str]:
     # structural AC: every edge on at least one support, costs ignored
     from . import formulations  # local import, formulations depends on model
 
-    for e in instance.edges:
-        if formulations.find_support(instance, set(instance.edges), forced=e) is None:
-            v.append(f"edge {e} lies on no support")
+    for e in formulations.unsupported_edges(instance, instance.edges):
+        v.append(f"edge {e} lies on no support")
     return v
 
 

@@ -150,6 +150,17 @@ def test_parse_failure_exit_code(tmp_path, capsys):
     assert "parse failure" in capsys.readouterr().err
 
 
+def test_duplicate_path_vertex_exit_code(tmp_path, capsys):
+    bad = tmp_path / "dup.json"
+    bad.write_text(json.dumps({
+        "kind": "path", "n_vars": 3, "values": [0, 1, 1, 2],
+        "edges": [[0, 1, 0], [1, 2, 0]], "z_max": 0,
+        "path": {"source": 0, "sink": 2},
+    }))
+    assert main(["filter", str(bad)]) == 1
+    assert "duplicate" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["filter", str(tmp_path / "absent.json")]) == 1
     assert "cannot read" in capsys.readouterr().err

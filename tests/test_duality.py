@@ -109,6 +109,12 @@ def test_exact_reduced_cost_no_support():
         exact_reduced_cost(inst, EdgeId(0, 0), z_star)
 
 
+def test_exact_reduced_cost_unknown_edge(three_var_assignment):
+    z_star, _, _ = solve_primal(three_var_assignment)
+    with pytest.raises(ValueError):
+        exact_reduced_cost(three_var_assignment, EdgeId(9, 9), z_star)
+
+
 def test_worked_certificate_assignment(
     three_var_assignment_alt, three_var_assignment_alt_truth
 ):
@@ -271,9 +277,9 @@ def test_averaged_dual_separates_inconsistent_edges():
 
 
 def test_averaged_dual_solve_count(monkeypatch):
-    # one base solve plus two per inconsistent edge (restricted and shifted
-    # solves of its shifted dual, z* passed down); consistency is decided
-    # without LPs
+    # one base solve plus two per inconsistent edge (the one-edge family
+    # dual behind its exact reduced cost and the shifted solve of its
+    # shifted dual, z* passed down); consistency is decided without LPs
     real = lp_core.solve
     calls = []
 

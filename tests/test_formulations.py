@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from rcfilter import EdgeId, lp_core, validate, weighted_instance
-from rcfilter import oracle
+from rcfilter import formulations, oracle
 from rcfilter.formulations import (
     bg01_encode,
     dual_program,
@@ -12,7 +12,7 @@ from rcfilter.formulations import (
     family,
     find_support,
     primal_program,
-    restricted_program,
+    unsupported_edges,
     worst_case_alldiff,
 )
 from rcfilter.model import SatisfactionInstance
@@ -61,18 +61,6 @@ def test_dual_program_mirrors_primal(three_var_assignment):
     sol_p = lp_core.solve(primal_program(three_var_assignment))
     sol_d = lp_core.solve(d)
     assert sol_p.objective == sol_d.objective  # strong duality across programs
-
-
-def test_restricted_program_pins_one_edge(three_var_assignment):
-    lp = restricted_program(three_var_assignment, EdgeId(1, 0))
-    assert len(lp.rows) == 7
-    fix = [r for r in lp.rows if r.tag == ("fix", EdgeId(1, 0))]
-    assert len(fix) == 1 and fix[0].rhs == 1
-    sol = lp_core.solve(lp)
-    assert sol.primal[EdgeId(1, 0)] == 1
-    assert sol.objective == 3  # cheapest assignment through (1,0)
-    with pytest.raises(ValueError):
-        restricted_program(three_var_assignment, EdgeId(9, 9))
 
 
 def test_domain_family_alldiff(three_var_assignment):
@@ -190,6 +178,40 @@ def test_validate_long_chain_path():
         z_max=n, source=0, sink=n,
     )
     assert validate(inst) == []
+
+
+def test_validate_long_chain_path_searches_once(monkeypatch):
+    # the first edge's support is the whole chain, which settles every edge
+    n = 1500
+    inst = weighted_instance(
+        "path", n, range(n + 1), [(k, k + 1, 1) for k in range(n)],
+        z_max=n, source=0, sink=n,
+    )
+    real = formulations.find_support
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(formulations, "find_support", spy)
+    assert validate(inst) == []
+    assert len(calls) == 1
+
+
+def test_unsupported_edges_matches_one_search_per_edge(
+    five_vertex_dag, three_var_assignment
+):
+    for inst in (five_vertex_dag, three_var_assignment):
+        for allowed in (inst.edges, inst.edges[1:], inst.edges[:-2]):
+            expected = [
+                e for e in allowed if find_support(inst, allowed, forced=e) is None
+            ]
+            assert unsupported_edges(inst, allowed) == expected
+    # dropping (0, 1) strands both arcs out of vertex 1
+    assert unsupported_edges(five_vertex_dag, five_vertex_dag.edges[1:]) == [
+        EdgeId(1, 4), EdgeId(1, 2)
+    ]
 
 
 def test_find_support_long_augmenting_path():

@@ -115,6 +115,16 @@ def test_validate_flags_dangling_arc():
     assert any("lies on no support" in p for p in validate(inst))
 
 
+def test_duplicate_path_vertices_rejected():
+    with pytest.raises(ValueError, match="duplicate vertices"):
+        weighted_instance(
+            "path", 3, [0, 1, 1, 2], [(0, 1, 0), (1, 2, 0)],
+            z_max=0, source=0, sink=2,
+        )
+    with pytest.raises(ValueError, match="duplicate vertices"):
+        topological_order((0, 1, 1), ())
+
+
 def test_self_loop_arc_is_a_cycle():
     # the constructor's topological sort already refuses it
     with pytest.raises(ValueError, match="cycle"):
