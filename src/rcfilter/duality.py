@@ -50,7 +50,6 @@ class DualSolution:
     its flow row does not exist.  ``w`` is the dual objective.
     """
 
-    kind: str
     u: Mapping[int, Fraction]
     v: Mapping[int, Fraction]
     w: Fraction
@@ -88,7 +87,7 @@ def dual_solution(
         if u.setdefault(meta.sink, Fraction(0)) != 0:
             raise ValueError(f"sink potential must be 0, got {u[meta.sink]}")
         w = u[meta.source]
-    return DualSolution(kind=instance.kind, u=u, v=v, w=Fraction(w))
+    return DualSolution(u=u, v=v, w=Fraction(w))
 
 
 def from_row_duals(

@@ -4,13 +4,17 @@ Row tags are shared across the package: ``("u", i)`` for the per-variable
 rows (alldiff) or per-vertex flow rows (path, sink excluded), ``("v", j)``
 for the per-value rows (alldiff only).  Columns of the primal program are
 the edges themselves.
+
+Every combinatorial support query (``find_support``, ``unsupported_edges``
+and the covering flags of the ``domains`` family) is one iterative
+depth-first search, ``_search``, fed by a small step function per kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 from . import lp_core
 from .lp_core import LinearProgram, Row
@@ -120,6 +124,7 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
     """
     if strategy == "domains":
         out = _edges_by_tail(instance.edges)
+        meta = instance.path
         sets = []
         covering = []
         for k in instance.variables():
@@ -129,7 +134,10 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
             if instance.kind == ALLDIFF:
                 covering.append(True)  # every assignment gives each variable a value
             else:
-                covering.append(_on_every_path(instance, k))
+                # k is on every path iff no source-sink path avoids it
+                covering.append(
+                    _arcs_between(out, meta.source, meta.sink, avoid=k) is None
+                )
         return IncompatibleFamily(tuple(sets), tuple(covering), "domains")
     if strategy == "layers":
         if instance.kind != PATH:
@@ -167,27 +175,6 @@ def _longest_path_depths(instance: WeightedInstance) -> dict[int, int]:
     return depth
 
 
-def _on_every_path(instance: WeightedInstance, k: int) -> bool:
-    # vertex k is unavoidable iff the graph minus k has no s-t path
-    meta = instance.path
-    assert meta is not None
-    if k == meta.source:
-        return True
-    out: dict[int, list[int]] = {}
-    for e in instance.edges:
-        if e.i != k and e.j != k:
-            out.setdefault(e.i, []).append(e.j)
-    seen = {meta.source}
-    stack = [meta.source]
-    while stack:
-        v = stack.pop()
-        for w in out.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return meta.sink not in seen
-
-
 # ---------------------------------------------------------------------------
 # combinatorial support search
 
@@ -199,8 +186,10 @@ def find_support(
 ) -> Optional[Support]:
     """A support using only ``allowed`` edges and containing ``forced``, or None.
 
-    alldiff: augmenting-path matching; path: depth-first s-t search through
-    the forced arc.  Both are exact and deterministic in the edge order.
+    Both kinds run the one depth-first search ``_search``. alldiff: one
+    augmenting path per variable, from variable through value to the
+    value's holder; path: source-tail and head-sink arc paths around the
+    forced arc.  Both are exact and deterministic in the edge order.
     """
     allowed_set = {EdgeId(*e) for e in allowed}
     if forced is not None:
@@ -245,49 +234,29 @@ def _matching_support(
     for e in instance.edges:
         if e in allowed:
             adj[e.i].append(e.j)
-    match_of_value: dict[int, int] = {}
-    assigned: dict[int, int] = {}
+    holder: dict[int, int] = {}  # value -> the variable matched to it
     forced_i = forced_j = None
     if forced is not None:
         forced_i, forced_j = forced
-        assigned[forced_i] = forced_j
-        match_of_value[forced_j] = forced_i
+        holder[forced_j] = forced_i
 
-    def augment(root: int) -> bool:
-        # explicit stack of (variable, value iterator); taken[k] is the value
-        # stack[k]'s variable moves to, held so far by stack[k + 1]'s variable
-        visited: set[int] = set()
-        stack = [(root, iter(adj[root]))]
-        taken: list[int] = []
-        while stack:
-            _, values = stack[-1]
-            for j in values:
-                if j in visited or j == forced_j:
-                    continue
-                visited.add(j)
-                holder = match_of_value.get(j)
-                if holder is None:
-                    taken.append(j)
-                    for (var, _), val in zip(stack, taken):
-                        match_of_value[val] = var
-                        assigned[var] = val
-                    return True
-                if holder != forced_i:
-                    taken.append(j)
-                    stack.append((holder, iter(adj[holder])))
-                    break
-            else:
-                stack.pop()
-                if taken:
-                    taken.pop()
-        return False
+    def steps(i: int):
+        # a variable is entered only through the one value it holds; a free
+        # value ends the augmenting path, and the forced value never moves
+        for j in adj[i]:
+            if j != forced_j:
+                yield j, holder.get(j)
 
     for i in range(instance.n_vars):
         if i == forced_i:
             continue
-        if not augment(i):
+        values = _search(i, steps)
+        if values is None:
             return None
-    return tuple(EdgeId(i, assigned[i]) for i in sorted(assigned))
+        var: Optional[int] = i
+        for j in values:  # each variable on the path moves to the next value
+            holder[j], var = var, holder.get(j)
+    return tuple(sorted(EdgeId(i, j) for j, i in holder.items()))
 
 
 def _path_support(
@@ -296,40 +265,54 @@ def _path_support(
     meta = instance.path
     assert meta is not None
     out = _edges_by_tail(e for e in instance.edges if e in allowed)
-
-    def dfs(start: int, goal: int) -> Optional[list[EdgeId]]:
-        # explicit stack of out-arc iterators, path[k] the arc into the
-        # vertex of stack[k + 1]; dead holds vertices already known not to
-        # reach goal, so each is left once
-        if start == goal:
-            return []
-        dead: set[int] = set()
-        stack = [iter(out.get(start, ()))]
-        path: list[EdgeId] = []
-        while stack:
-            for e in stack[-1]:
-                if e.j == goal:
-                    return path + [e]
-                if e.j not in dead:
-                    stack.append(iter(out.get(e.j, ())))
-                    path.append(e)
-                    break
-            else:
-                stack.pop()
-                dead.add(path.pop().j if path else start)
-        return None
-
     if forced is None:
-        p = dfs(meta.source, meta.sink)
+        p = _arcs_between(out, meta.source, meta.sink)
         return None if p is None else tuple(p)
     # in a DAG a source->tail path and a head->sink path cannot share a vertex
-    head = dfs(meta.source, forced.i)
-    if head is None:
-        return None
-    tail = dfs(forced.j, meta.sink)
-    if tail is None:
-        return None
-    return tuple(head) + (forced,) + tuple(tail)
+    head = _arcs_between(out, meta.source, forced.i)
+    tail = None if head is None else _arcs_between(out, forced.j, meta.sink)
+    return None if tail is None else tuple(head + [forced] + tail)
+
+
+def _arcs_between(
+    out: dict[int, list[EdgeId]], start: int, goal: int, avoid: Optional[int] = None
+) -> Optional[list[EdgeId]]:
+    """Arcs of a start-goal path over ``out`` (arcs by tail) not through ``avoid``."""
+    if start == goal:
+        return []
+
+    def steps(v: int):
+        if v != avoid:  # a path entering avoid can go no further
+            for e in out.get(v, ()):
+                yield e, (None if e.j == goal else e.j)
+
+    return _search(start, steps)
+
+
+def _search(root: Hashable, steps: Callable) -> Optional[list]:
+    """Steps of a depth-first walk from ``root`` to a goal, or None.
+
+    ``steps(node)`` yields ``(step, next_node)`` pairs in search order, with
+    ``next_node`` None when the step reaches a goal.  Each node is entered at
+    most once, on an explicit stack, so long paths need no recursion.
+    """
+    entered = {root}
+    stack = [steps(root)]
+    path: list = []  # path[k] is the step into the node of stack[k + 1]
+    while stack:
+        for step, node in stack[-1]:
+            if node is None:
+                return path + [step]
+            if node not in entered:
+                entered.add(node)
+                stack.append(steps(node))
+                path.append(step)
+                break
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-from fractions import Fraction as F
-
 import pytest
 
 from rcfilter import EdgeId, InfeasibleConstraintError, lp_core
@@ -18,7 +16,7 @@ from rcfilter.duality import (
     solve_primal,
     zstar_from_family_dual,
 )
-from rcfilter.formulations import bg01_encode, family
+from rcfilter.formulations import family
 from rcfilter.model import SatisfactionInstance, weighted_instance
 
 from corpus import alldiff_corpus, path_corpus, satisfaction_corpus

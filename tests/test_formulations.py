@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction as F
 
@@ -16,6 +17,10 @@ from rcfilter.formulations import (
     worst_case_alldiff,
 )
 from rcfilter.model import SatisfactionInstance
+
+from corpus import alldiff_corpus, path_corpus
+
+CORPUS = alldiff_corpus(200) + path_corpus(100)
 
 
 def test_assignment_program_shape(three_var_assignment):
@@ -152,6 +157,58 @@ def test_find_support_agrees_with_oracle(five_vertex_dag):
     for e in five_vertex_dag.edges:
         found = find_support(five_vertex_dag, set(five_vertex_dag.edges), forced=e)
         assert (found is not None) == (report.z_restricted[e] is not None)
+
+
+def test_find_support_agrees_with_oracle_on_corpora():
+    rng = random.Random(7)
+    for inst in CORPUS:
+        supports = [frozenset(s) for s in oracle.all_supports(inst)]
+        subsets = [[e for e in inst.edges if rng.random() < p] for p in (0.7, 0.5)]
+        for allowed in [list(inst.edges)] + subsets:
+            inside = [s for s in supports if s <= set(allowed)]
+            free = find_support(inst, allowed)
+            assert (free is None) == (not inside)
+            for e in allowed:
+                found = find_support(inst, allowed, forced=e)
+                if not any(e in s for s in inside):
+                    assert found is None
+                    continue
+                assert found is not None and e in found.edges
+                assert frozenset(found.edges) in inside
+                assert len(found.edges) == len(set(found.edges))
+                assert found.cost == sum(inst.cost[x] for x in found.edges)
+
+
+def test_covering_flags_agree_with_oracle_on_corpora():
+    checked = 0
+    for inst in CORPUS:
+        supports = oracle.all_supports(inst)
+        strategies = ("domains", "layers") if inst.kind == "path" else ("domains",)
+        for strategy in strategies:
+            fam = family(inst, strategy)
+            for edge_set, flag in zip(fam.sets, fam.covering):
+                met = all(set(edge_set).intersection(s) for s in supports)
+                if strategy == "domains":
+                    assert flag == met
+                else:
+                    assert met or not flag  # a flag is only ever safe
+                checked += 1
+    assert checked == 1441
+
+
+def test_domain_covering_is_fast_on_wide_dag():
+    # source -> every middle vertex -> sink: only the source is on every
+    # path, and a flag that rebuilds the graph per vertex is quadratic
+    width = 3000
+    sink = width + 1
+    triples = [(0, m, 1) for m in range(1, sink)] + [(m, sink, 1) for m in range(1, sink)]
+    inst = weighted_instance(
+        "path", sink, range(sink + 1), triples, z_max=2, source=0, sink=sink
+    )
+    start = time.perf_counter()
+    fam = family(inst, "domains")
+    assert time.perf_counter() - start < 2
+    assert fam.covering == (True,) + (False,) * width
 
 
 def test_validate_is_fast_on_deep_layered_dag():

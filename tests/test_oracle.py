@@ -1,5 +1,3 @@
-from fractions import Fraction as F
-
 import pytest
 
 from rcfilter import EdgeId, InfeasibleConstraintError, weighted_instance

@@ -1,12 +1,9 @@
-from fractions import Fraction as F
-
 import pytest
 
 from rcfilter import EdgeId, InfeasibleConstraintError, weighted_instance
 from rcfilter import oracle
 from rcfilter.formulations import family, worst_case_alldiff
 from rcfilter.propagation import (
-    CONSISTENT,
     INCONSISTENT,
     UNMARKED,
     ac_by_lp,

@@ -6,11 +6,10 @@ loop.  Assertions mirror the bound/exactness statements the implementation is
 built on, checked against the brute-force oracle.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rcfilter import EdgeId, InfeasibleConstraintError, lp_core, weighted_instance
+from rcfilter import InfeasibleConstraintError, lp_core, weighted_instance
 from rcfilter import oracle
 from rcfilter.duality import (
     exactness_certificate,
@@ -21,7 +20,7 @@ from rcfilter.duality import (
     solve_primal,
 )
 from rcfilter.formulations import family
-from rcfilter.propagation import CONSISTENT, INCONSISTENT, UNMARKED, ac_by_lp
+from rcfilter.propagation import UNMARKED, ac_by_lp
 
 COMMON = dict(
     deadline=None,
