@@ -7,7 +7,9 @@ the edges themselves.
 
 Every combinatorial support query (``find_support``, ``unsupported_edges``
 and the covering flags of the ``domains`` family) is one iterative
-depth-first search, ``_search``, fed by a small step function per kind.
+depth-first search, ``_search``, fed by a small step function per kind.  Both
+kinds search one map of the allowed arcs by tail (alldiff: edges by variable),
+built once per ``find_support`` call and once per ``unsupported_edges`` call.
 """
 
 from __future__ import annotations
@@ -122,8 +124,8 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
     ``layers`` (path only): arcs grouped by the longest-path depth of their
     tail; depth strictly increases along any path, hence incompatibility.
     """
+    out = _edges_by_tail(instance, instance.edges)
     if strategy == "domains":
-        out = _edges_by_tail(instance.edges)
         meta = instance.path
         sets = []
         covering = []
@@ -142,7 +144,7 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
     if strategy == "layers":
         if instance.kind != PATH:
             raise ValueError("the layers strategy only applies to path instances")
-        depth = _longest_path_depths(instance)
+        depth = _longest_path_depths(instance, out)
         grouped: dict[int, list[EdgeId]] = {}
         for e in instance.edges:
             grouped.setdefault(depth[e.i], []).append(e)
@@ -153,18 +155,22 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _edges_by_tail(edges: Iterable[EdgeId]) -> dict[int, list[EdgeId]]:
-    """Edges grouped by variable (alldiff) or tail (path), edge order kept."""
+def _edges_by_tail(instance: WeightedInstance, allowed: Iterable[EdgeId]) -> dict:
+    """Allowed edges by variable (alldiff) or tail (path), in instance order."""
+    allowed_set = {EdgeId(*e) for e in allowed}
+    stray = allowed_set.difference(instance.cost)
+    if stray:
+        raise ValueError(f"edge {min(stray)} not in the instance")
     out: dict[int, list[EdgeId]] = {}
-    for e in edges:
-        out.setdefault(e.i, []).append(e)
+    for e in instance.edges:
+        if e in allowed_set:
+            out.setdefault(e.i, []).append(e)
     return out
 
 
-def _longest_path_depths(instance: WeightedInstance) -> dict[int, int]:
+def _longest_path_depths(instance: WeightedInstance, out: dict) -> dict[int, int]:
     meta = instance.path
     assert meta is not None
-    out = _edges_by_tail(instance.edges)
     depth = {meta.source: 0}
     for v in meta.topo_order:
         if v not in depth:
@@ -186,20 +192,18 @@ def find_support(
 ) -> Optional[Support]:
     """A support using only ``allowed`` edges and containing ``forced``, or None.
 
-    Both kinds run the one depth-first search ``_search``. alldiff: one
+    Both kinds run ``_search`` on the allowed edges by tail. alldiff: one
     augmenting path per variable, from variable through value to the
     value's holder; path: source-tail and head-sink arc paths around the
     forced arc.  Both are exact and deterministic in the edge order.
     """
-    allowed_set = {EdgeId(*e) for e in allowed}
+    out = _edges_by_tail(instance, allowed)
     if forced is not None:
         forced = EdgeId(*forced)
-        if forced not in allowed_set:
+        if forced not in out.get(forced.i, ()):
             raise ValueError("the forced edge must be allowed")
-    if instance.kind == ALLDIFF:
-        edges = _matching_support(instance, allowed_set, forced)
-    else:
-        edges = _path_support(instance, allowed_set, forced)
+    search = _matching_support if instance.kind == ALLDIFF else _path_support
+    edges = search(instance, out, forced)
     if edges is None:
         return None
     return Support(edges=edges, cost=Fraction(sum(instance.cost[e] for e in edges)))
@@ -214,26 +218,24 @@ def unsupported_edges(
     single search can settle every edge of an instance.
     """
     allowed = tuple(EdgeId(*e) for e in allowed)
+    out = _edges_by_tail(instance, allowed)
+    search = _matching_support if instance.kind == ALLDIFF else _path_support
     covered: set[EdgeId] = set()
-    out = []
+    unsupported = []
     for e in allowed:
         if e in covered:
             continue
-        support = find_support(instance, allowed, forced=e)
-        if support is None:
-            out.append(e)
+        edges = search(instance, out, e)
+        if edges is None:
+            unsupported.append(e)
         else:
-            covered.update(support.edges)
-    return out
+            covered.update(edges)
+    return unsupported
 
 
 def _matching_support(
-    instance: WeightedInstance, allowed: set[EdgeId], forced: Optional[EdgeId]
+    instance: WeightedInstance, out: dict, forced: Optional[EdgeId]
 ) -> Optional[tuple[EdgeId, ...]]:
-    adj: dict[int, list[int]] = {i: [] for i in range(instance.n_vars)}
-    for e in instance.edges:
-        if e in allowed:
-            adj[e.i].append(e.j)
     holder: dict[int, int] = {}  # value -> the variable matched to it
     forced_i = forced_j = None
     if forced is not None:
@@ -243,9 +245,9 @@ def _matching_support(
     def steps(i: int):
         # a variable is entered only through the one value it holds; a free
         # value ends the augmenting path, and the forced value never moves
-        for j in adj[i]:
-            if j != forced_j:
-                yield j, holder.get(j)
+        for e in out.get(i, ()):
+            if e.j != forced_j:
+                yield e.j, holder.get(e.j)
 
     for i in range(instance.n_vars):
         if i == forced_i:
@@ -260,11 +262,10 @@ def _matching_support(
 
 
 def _path_support(
-    instance: WeightedInstance, allowed: set[EdgeId], forced: Optional[EdgeId]
+    instance: WeightedInstance, out: dict, forced: Optional[EdgeId]
 ) -> Optional[tuple[EdgeId, ...]]:
     meta = instance.path
     assert meta is not None
-    out = _edges_by_tail(e for e in instance.edges if e in allowed)
     if forced is None:
         p = _arcs_between(out, meta.source, meta.sink)
         return None if p is None else tuple(p)

@@ -16,6 +16,7 @@ quantity downstream is an exact rational, so no tolerances exist anywhere.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,17 +143,15 @@ def topological_order(vertices: Sequence[int], arcs: Sequence[EdgeId]) -> tuple[
             raise ValueError(f"arc {a} uses a vertex outside the vertex list")
         indeg[a.j] += 1
         out[a.i].append(a.j)
-    ready = sorted(v for v, d in indeg.items() if d == 0)
+    ready = sorted(v for v, d in indeg.items() if d == 0)  # a sorted list is a heap
     order: list[int] = []
     while ready:
-        v = ready.pop(0)
+        v = heapq.heappop(ready)
         order.append(v)
         for w in out[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                # insert keeping 'ready' sorted; vertex counts are tiny
-                ready.append(w)
-                ready.sort()
+                heapq.heappush(ready, w)
     if len(order) != len(vertices):
         raise ValueError("arc set contains a cycle")
     return tuple(order)
@@ -188,8 +187,9 @@ def validate(instance: WeightedInstance) -> list[str]:
                 v.append(f"edge {e}: variable index out of range")
             if e.j not in value_set:
                 v.append(f"edge {e}: value not in the value list")
+        tails = {e.i for e in instance.edges}
         for k in range(instance.n_vars):
-            if not any(e.i == k for e in instance.edges):
+            if k not in tails:
                 v.append(f"variable {k} has an empty domain")
     else:
         meta = instance.path

@@ -211,6 +211,20 @@ def test_domain_covering_is_fast_on_wide_dag():
     assert fam.covering == (True,) + (False,) * width
 
 
+def test_validate_is_fast_on_wide_dag():
+    # 3,000 searches, one per middle vertex: rebuilding the allowed edges
+    # for each of them is quadratic in the arc count
+    width = 3000
+    sink = width + 1
+    triples = [(0, m, 1) for m in range(1, sink)] + [(m, sink, 1) for m in range(1, sink)]
+    inst = weighted_instance(
+        "path", sink, range(sink + 1), triples, z_max=2, source=0, sink=sink
+    )
+    start = time.perf_counter()
+    assert validate(inst) == []
+    assert time.perf_counter() - start < 2
+
+
 def test_validate_is_fast_on_deep_layered_dag():
     # width-2 layers, complete between neighbours: a search without memory
     # of dead ends doubles its time per layer
@@ -244,14 +258,14 @@ def test_validate_long_chain_path_searches_once(monkeypatch):
         "path", n, range(n + 1), [(k, k + 1, 1) for k in range(n)],
         z_max=n, source=0, sink=n,
     )
-    real = formulations.find_support
+    real = formulations._path_support
     calls = []
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(formulations, "find_support", spy)
+    monkeypatch.setattr(formulations, "_path_support", spy)
     assert validate(inst) == []
     assert len(calls) == 1
 
@@ -259,16 +273,38 @@ def test_validate_long_chain_path_searches_once(monkeypatch):
 def test_unsupported_edges_matches_one_search_per_edge(
     five_vertex_dag, three_var_assignment
 ):
-    for inst in (five_vertex_dag, three_var_assignment):
-        for allowed in (inst.edges, inst.edges[1:], inst.edges[:-2]):
-            expected = [
-                e for e in allowed if find_support(inst, allowed, forced=e) is None
-            ]
-            assert unsupported_edges(inst, allowed) == expected
+    rng = random.Random(11)
+    cases = [
+        (inst, allowed)
+        for inst in (five_vertex_dag, three_var_assignment)
+        for allowed in (inst.edges, inst.edges[1:], inst.edges[:-2])
+    ]
+    for inst in CORPUS:
+        cases.append((inst, inst.edges))
+        for _ in range(3):
+            cases.append((inst, tuple(e for e in inst.edges if rng.random() < 0.7)))
+    for inst, allowed in cases:
+        expected = [
+            e for e in allowed if find_support(inst, allowed, forced=e) is None
+        ]
+        assert unsupported_edges(inst, allowed) == expected
     # dropping (0, 1) strands both arcs out of vertex 1
     assert unsupported_edges(five_vertex_dag, five_vertex_dag.edges[1:]) == [
         EdgeId(1, 4), EdgeId(1, 2)
     ]
+
+
+def test_support_queries_reject_edges_outside_the_instance():
+    inst = weighted_instance(
+        "path", 2, range(3), [(0, 1, 1), (1, 2, 1)], z_max=2, source=0, sink=2
+    )
+    allowed = [(0, 1), (1, 2), (0, 2)]
+    with pytest.raises(ValueError, match="not in the instance"):
+        find_support(inst, allowed, forced=(0, 2))
+    with pytest.raises(ValueError, match="not in the instance"):
+        find_support(inst, allowed)
+    with pytest.raises(ValueError, match="not in the instance"):
+        unsupported_edges(inst, allowed)
 
 
 def test_find_support_long_augmenting_path():

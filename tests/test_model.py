@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -12,6 +13,8 @@ from rcfilter import (
     weighted_instance,
 )
 from rcfilter.model import topological_order
+
+from corpus import path_corpus
 
 
 def test_alldiff_construction_normalizes(three_var_assignment):
@@ -48,6 +51,39 @@ def test_path_variables_are_non_sink_vertices(six_vertex_dag):
 def test_topological_order_rejects_cycles():
     with pytest.raises(ValueError, match="cycle"):
         topological_order((0, 1), (EdgeId(0, 1), EdgeId(1, 0)))
+
+
+def _naive_topological_order(vertices, arcs):
+    # repeatedly place the smallest vertex whose predecessors are all placed
+    order, placed = [], set()
+    while len(order) < len(vertices):
+        v = min(
+            v for v in vertices
+            if v not in placed and all(a.i in placed for a in arcs if a.j == v)
+        )
+        order.append(v)
+        placed.add(v)
+    return tuple(order)
+
+
+def test_topological_order_matches_naive_reference():
+    cases = [(inst.values, inst.edges) for inst in path_corpus(100)]
+    rng = random.Random(5)
+    for _ in range(200):
+        n = rng.randint(1, 15)
+        labels = rng.sample(range(40), n)  # a hidden order, labels not sorted
+        arcs = [
+            EdgeId(labels[a], labels[b])
+            for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3
+        ]
+        rng.shuffle(arcs)
+        vertices = list(labels)
+        rng.shuffle(vertices)
+        cases.append((tuple(vertices), tuple(arcs)))
+    for vertices, arcs in cases:
+        assert topological_order(vertices, arcs) == _naive_topological_order(
+            vertices, arcs
+        )
 
 
 def test_validate_clean_instances(
