@@ -131,7 +131,7 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
         covering = []
         for k in instance.variables():
             if k not in out:
-                continue  # cannot happen on a valid instance
+                continue  # an isolated path vertex, which validate allows
             sets.append(tuple(out[k]))
             if instance.kind == ALLDIFF:
                 covering.append(True)  # every assignment gives each variable a value

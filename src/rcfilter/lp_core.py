@@ -18,6 +18,10 @@ and ">=".  A row's dual is read off the final reduced cost of its unit
 column.  Bland's rule enters the lowest-numbered column, so this numbering
 fixes every pivot.
 
+The reduced costs of the current phase are the last tableau row, updated by
+the same pivot as every other row; each phase prices out its starting basis
+with that pivot, on each basic column whose cost is non-zero.
+
 Dual value conventions, used by ``dual_feasible`` and asserted after every
 solve (y indexed by row tag, A_t the column of variable t, c the objective):
 
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Mapping, Optional, Sequence
+from typing import Hashable, Mapping, Optional
 
 MIN = "min"
 MAX = "max"
@@ -117,40 +121,36 @@ def solve(lp: LinearProgram) -> LpSolution:
 def _solve_std(lp: LinearProgram) -> LpSolution:
     minimize = lp.sense == MIN
 
-    # split free columns into a difference of two non-negative ones
-    std_cols: list[tuple[Hashable, int]] = []
+    # the program's columns first, a free column's negated copy right after it
+    col: dict = {}
+    n_std = 0
     for t in lp.columns:
-        std_cols.append((t, +1))
-        if t in lp.free:
-            std_cols.append((t, -1))
-    col_index = {tc: k for k, tc in enumerate(std_cols)}
-    n_std = len(std_cols)
+        col[t] = n_std
+        n_std += 2 if t in lp.free else 1
 
-    c_std = [Fraction(0)] * n_std
-    for t, coef in lp.objective.items():
-        coef = coef if minimize else -coef
-        c_std[col_index[(t, +1)]] = coef
-        if t in lp.free:
-            c_std[col_index[(t, -1)]] = -coef
-
-    # one pass, rows with a negative rhs negated; columns as in the docstring
     flip = {LE: GE, GE: LE, EQ: EQ}
     rels = [flip[r.rel] if r.rhs < 0 else r.rel for r in lp.rows]
     m = len(lp.rows)
     ncols = n_std + sum(2 if rel == GE else 1 for rel in rels)
+
+    def dense(coeffs: Mapping[Hashable, Fraction], rhs: Fraction, negate: bool) -> list:
+        # a tableau row over the program's columns, optionally negated
+        row = [Fraction(0)] * (ncols + 1)
+        for t, a in coeffs.items():
+            a = -a if negate else a
+            row[col[t]] = a
+            if t in lp.free:
+                row[col[t] + 1] = -a
+        row[ncols] = -rhs if negate else rhs
+        return row
+
+    # one pass, rows with a negative rhs negated; columns as in the docstring
     T: list[list[Fraction]] = []
     unit: list[int] = []
     artificials: set[int] = set()
     k = n_std
     for r, rel in zip(lp.rows, rels):
-        t_row = [Fraction(0)] * (ncols + 1)
-        for t, a in r.coeffs.items():
-            t_row[col_index[(t, +1)]] += a
-            if t in lp.free:
-                t_row[col_index[(t, -1)]] -= a
-        t_row[ncols] = r.rhs
-        if r.rhs < 0:
-            t_row = [-a for a in t_row]
+        t_row = dense(r.coeffs, r.rhs, r.rhs < 0)
         if rel == GE:
             t_row[k] = Fraction(-1)
             k += 1
@@ -160,25 +160,25 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
         unit.append(k)
         k += 1
         T.append(t_row)
+    T.append([])  # the reduced-cost row T[m], set by each phase
     basis = list(unit)
 
-    def run_phase(costs: Sequence[Fraction], barred: set[int]):
-        # z[j] = c_j - c_B B^-1 A_j and z[ncols] = -c_B B^-1 b, kept current
-        # by every pivot; optimal when all eligible z[j] >= 0
-        z = list(costs) + [Fraction(0)]
+    def run_phase(costs: list[Fraction], barred: set[int]) -> str:
+        # T[m][j] = c_j - c_B B^-1 A_j and T[m][ncols] = -c_B B^-1 b, kept
+        # current by every pivot; optimal when all eligible T[m][j] >= 0.
+        # Pivoting on a basic unit column prices it out; a zero cost needs none.
+        T[m] = costs
         for i in range(m):
-            cb = costs[basis[i]]
-            if cb != 0:
-                for j in range(ncols + 1):
-                    z[j] -= cb * T[i][j]
+            if costs[basis[i]] != 0:
+                _pivot(T, basis, i, basis[i])
         for _ in range(_MAX_PIVOTS):
             enter = -1
             for j in range(ncols):
-                if j not in barred and z[j] < 0:
+                if j not in barred and T[m][j] < 0:
                     enter = j
                     break
             if enter < 0:
-                return OPTIMAL, z
+                return OPTIMAL
             leave = -1
             best: Optional[Fraction] = None
             for i in range(m):
@@ -191,17 +191,17 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
                         best = ratio
                         leave = i
             if leave < 0:
-                return UNBOUNDED, z
-            _pivot(T, z, basis, leave, enter)
+                return UNBOUNDED
+            _pivot(T, basis, leave, enter)
         raise RuntimeError("pivot limit hit; anti-cycling rule violated")
 
     # phase 1: drive the artificials to zero
-    c1 = [Fraction(0)] * ncols
+    c1 = [Fraction(0)] * (ncols + 1)
     for a in artificials:
         c1[a] = Fraction(1)
-    status, z = run_phase(c1, barred=set())
+    status = run_phase(c1, barred=set())
     assert status == OPTIMAL, "phase one objective is bounded below by zero"
-    if z[ncols] < 0:  # the phase-one optimum is -z[ncols]
+    if T[m][ncols] < 0:  # the phase-one optimum is -T[m][ncols]
         return LpSolution(status=INFEASIBLE, primal={}, dual={}, objective=None)
 
     # pivot leftover artificials out where the row allows it
@@ -209,12 +209,11 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
         if basis[i] in artificials:
             for j in range(ncols):
                 if j not in artificials and T[i][j] != 0:
-                    _pivot(T, z, basis, i, j)  # z is rebuilt for phase 2
+                    _pivot(T, basis, i, j)  # T[m] is set anew for phase 2
                     break
             # an all-zero row is redundant; its artificial stays basic at zero
 
-    c2 = list(c_std) + [Fraction(0)] * (ncols - n_std)
-    status, z = run_phase(c2, barred=artificials)
+    status = run_phase(dense(lp.objective, Fraction(0), not minimize), barred=artificials)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, primal={}, dual={}, objective=None)
 
@@ -223,11 +222,12 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
         std_val[basis[i]] = T[i][ncols]
     primal: dict = {}
     for t in lp.columns:
-        v = std_val[col_index[(t, +1)]]
+        v = std_val[col[t]]
         if t in lp.free:
-            v -= std_val[col_index[(t, -1)]]
+            v -= std_val[col[t] + 1]
         primal[t] = v
 
+    z = T[m]  # the phase-2 reduced costs
     dual: dict = {}
     for r, k in zip(lp.rows, unit):
         y = -z[k]
@@ -241,21 +241,16 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
     return LpSolution(status=OPTIMAL, primal=primal, dual=dual, objective=obj)
 
 
-def _pivot(T: list, z: list, basis: list, r: int, enter: int) -> None:
-    ncols = len(z) - 1
+def _pivot(T: list, basis: list, r: int, enter: int) -> None:
+    """Eliminate column ``enter`` from every row but ``r``, the reduced costs included."""
     piv = T[r][enter]
     if piv != 1:
         T[r] = [a / piv for a in T[r]]
-    for i in range(len(T)):
-        if i != r and T[i][enter] != 0:
-            f = T[i][enter]
-            Ti, Tr = T[i], T[r]
-            T[i] = [Ti[j] - f * Tr[j] for j in range(ncols + 1)]
-    if z[enter] != 0:
-        f = z[enter]
-        Tr = T[r]
-        for j in range(ncols + 1):
-            z[j] -= f * Tr[j]
+    Tr = T[r]
+    for i, Ti in enumerate(T):
+        if i != r and Ti[enter] != 0:
+            f = Ti[enter]
+            T[i] = [a - f * b for a, b in zip(Ti, Tr)]
     basis[r] = enter
 
 

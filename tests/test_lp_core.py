@@ -203,6 +203,20 @@ def test_dual_feasible_checks_signs():
     assert not dual_feasible(lp, {"lo": F(2)})  # violates column constraint
     with pytest.raises(ValueError):
         dual_feasible(lp, {"other": F(0)})
+    capped = replace(lp, rows=(Row({"x": 1}, LE, 5, "hi"),))
+    assert dual_feasible(capped, {"hi": F(-1)})
+    assert not dual_feasible(capped, {"hi": F(1)})  # <=-row dual must be <= 0 (min)
+    free = replace(lp, free=frozenset({"x"}))
+    assert dual_feasible(free, {"lo": F(1)})
+    assert not dual_feasible(free, {"lo": F(1, 2)})  # free column needs y . A_x == c_x
+    most = LinearProgram(
+        sense=MAX,
+        columns=("x",),
+        objective={"x": F(1)},
+        rows=(Row({"x": 1}, LE, 4, "hi"),),
+    )
+    assert dual_feasible(most, {"hi": F(1)})
+    assert not dual_feasible(most, {"hi": F(1, 2)})  # max needs y . A_x >= c_x
 
 
 def _diet_with_loose_row():

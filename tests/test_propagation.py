@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from rcfilter import EdgeId, InfeasibleConstraintError, weighted_instance
+from rcfilter import EdgeId, InfeasibleConstraintError, validate, weighted_instance
 from rcfilter import oracle
 from rcfilter.formulations import family, worst_case_alldiff
 from rcfilter.propagation import (
@@ -9,6 +11,8 @@ from rcfilter.propagation import (
     ac_by_lp,
     lower_bound,
 )
+
+from corpus import path_corpus
 
 
 def _oracle_marks(inst):
@@ -114,6 +118,40 @@ def test_infeasible_path_without_covering_first():
     )
     with pytest.raises(InfeasibleConstraintError):
         ac_by_lp(inst)
+
+
+def test_full_wipe_before_the_covering_set_is_solved():
+    # z* = 25; the layers family solves a larger, non-covering layer first,
+    # and under a low bound that solve marks every arc inconsistent, so the
+    # loop ends before the covering depth-0 layer is solved
+    inst = path_corpus(100)[9]
+    fam = family(inst, "layers")
+    assert fam.covering[0] and not any(fam.covering[1:])
+    for z_max in (0, 8):
+        with pytest.raises(InfeasibleConstraintError) as err:
+            ac_by_lp(replace(inst, z_max=z_max), fam)
+        assert str(err.value) == f"no support within the cost bound {z_max}"
+        assert err.value.z_lb is None
+    for z_max in (9, 24):
+        with pytest.raises(InfeasibleConstraintError) as err:
+            ac_by_lp(replace(inst, z_max=z_max), fam)
+        assert str(err.value) == f"optimum 25 exceeds the cost bound {z_max}"
+        assert err.value.z_lb == 25
+
+
+def test_isolated_path_vertex_changes_nothing():
+    # vertex 9 has no arcs at all: validate accepts it, and both families
+    # skip it, so marks, solve counts and sets match the instance without it
+    arcs = [(0, 1, 0), (1, 3, 1), (0, 3, 2)]
+    plain = weighted_instance("path", 2, [0, 1, 3], arcs, 1, source=0, sink=3)
+    isolated = weighted_instance("path", 3, [0, 1, 3, 9], arcs, 1, source=0, sink=3)
+    assert validate(isolated) == []
+    for strategy in ("domains", "layers"):
+        fam = family(isolated, strategy)
+        assert fam == family(plain, strategy)
+        result, reference = ac_by_lp(isolated, fam), ac_by_lp(plain, fam)
+        assert result.marks == reference.marks
+        assert result.solves == reference.solves
 
 
 def test_worst_case_needs_one_solve_per_variable():
