@@ -5,6 +5,7 @@ import pytest
 
 from rcfilter import EdgeId, propagation, save_instance, weighted_instance
 from rcfilter.cli import main
+from rcfilter.model import InfeasibleConstraintError
 from rcfilter.propagation import FilterResult
 
 
@@ -30,6 +31,17 @@ def costly_file(tmp_path):
     )
     p = tmp_path / "costly.json"
     save_instance(inst, p)
+    return str(p)
+
+
+@pytest.fixture
+def arcless_file(tmp_path):
+    # valid, yet no arc joins the source to the sink: no support at all
+    p = tmp_path / "arcless.json"
+    p.write_text(json.dumps({
+        "kind": "path", "n_vars": 1, "values": [0, 1], "edges": [], "z_max": 5,
+        "path": {"source": 0, "sink": 1},
+    }))
     return str(p)
 
 
@@ -204,3 +216,125 @@ def test_negative_budget_rejected(assignment_file, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "filter" in capsys.readouterr().out
+
+
+def test_filter_infeasible_text_report(costly_file, capsys):
+    assert main(["filter", costly_file, "--format", "text"]) == 3
+    assert capsys.readouterr().out == (
+        "infeasible: no support within the cost bound (z_lb = 10)\n"
+    )
+
+
+def test_oracle_infeasible_exit_code(arcless_file, capsys):
+    assert main(["oracle", arcless_file]) == 3
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"command": "oracle", "status": "infeasible", "z_lb": None}
+
+
+def test_verify_size_guard_exit_code(tmp_path, capsys):
+    # a 13-vertex chain: the filter runs, the oracle refuses to enumerate
+    chain = weighted_instance(
+        "path", 12, range(13), [(k, k + 1, 0) for k in range(12)],
+        z_max=0, source=0, sink=12,
+    )
+    p = tmp_path / "chain.json"
+    save_instance(chain, p)
+    assert main(["verify", str(p)]) == 5
+    assert "capped" in capsys.readouterr().err
+
+
+def _corrupted_filter(monkeypatch, three_var_assignment):
+    truth = propagation.ac_by_lp(three_var_assignment)
+    wrong = dict(truth.marks)
+    wrong[EdgeId(0, 0)] = "inconsistent"
+    wrong[EdgeId(0, 1)] = "consistent"
+
+    def fake(instance, family=None, budget=None):
+        return FilterResult(
+            marks=wrong, z_lb=truth.z_lb, duals_used=truth.duals_used, complete=True
+        )
+
+    monkeypatch.setattr(propagation, "ac_by_lp", fake)
+
+
+def test_verify_text_lists_mismatches(monkeypatch, assignment_file, three_var_assignment, capsys):
+    _corrupted_filter(monkeypatch, three_var_assignment)
+    assert main(["verify", assignment_file, "--format", "text"]) == 4
+    assert capsys.readouterr().out == (
+        "MISMATCH (0,0): filter=inconsistent oracle=consistent\n"
+        "MISMATCH (0,1): filter=consistent oracle=inconsistent\n"
+    )
+
+
+def test_verify_reports_a_wrongly_infeasible_filter(monkeypatch, assignment_file, capsys):
+    def fake(instance, family=None, budget=None):
+        raise InfeasibleConstraintError("wrongly infeasible", z_lb=None)
+
+    monkeypatch.setattr(propagation, "ac_by_lp", fake)
+    assert main(["verify", assignment_file]) == 4
+    data = json.loads(capsys.readouterr().out)
+    assert data["match"] is False
+    assert data["mismatches"] == [
+        {"edge": [k, k], "filter": "infeasible", "oracle": "consistent"}
+        for k in range(3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["filter", "{file}", "--family", "bogus"],
+        ["filter", "{file}", "--format", "xml"],
+        ["filter", "{file}", "--budget", "abc"],
+        ["filter", "{file}", "--fam", "layers"],  # options are never abbreviated
+        ["verify", "{file}", "--fam", "layers"],
+        ["oracle", "{file}", "--form", "text"],
+        ["filter", "{dir}"],
+        [],
+        ["filter"],
+        ["nonsense", "{file}"],
+    ],
+)
+def test_usage_errors_exit_one(argv, dag_file, tmp_path, capsys):
+    argv = [a.format(file=dag_file, dir=tmp_path) for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_command_help_exits_zero(capsys):
+    assert main(["filter", "--help"]) == 0
+    out = capsys.readouterr().out
+    for option in ("--family", "--budget", "--emit-duals", "--format"):
+        assert option in out
+
+
+def _alldiff(n_vars, values, edges):
+    return {"kind": "alldiff", "n_vars": n_vars, "values": values,
+            "edges": edges, "z_max": 0}
+
+
+def _path(n_vars, values, edges, source, sink):
+    return {"kind": "path", "n_vars": n_vars, "values": values, "edges": edges,
+            "z_max": 0, "path": {"source": source, "sink": sink}}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (_alldiff(0, [], []), "n_vars must be >= 1"),
+        (_alldiff(2, [0, 0], [[0, 0, 0], [1, 0, 0]]), "duplicate values"),
+        (_alldiff(1, [0], [[0, 0, 0], [1, 0, 0]]), "variable index out of range"),
+        (_alldiff(1, [0], [[0, 0, 0], [0, 5, 0]]), "value not in the value list"),
+        (_path(1, [0, 1], [[0, 1, 0]], 0, 7), "source or sink not among the vertices"),
+        (_path(1, [0, 1], [[0, 1, 0]], 0, 0), "source equals sink"),
+        (_path(3, [0, 1], [[0, 1, 0]], 0, 1),
+         "path instances must have n_vars = number of vertices - 1"),
+    ],
+)
+def test_validate_messages_exit_two(data, message, tmp_path, capsys):
+    p = tmp_path / "invalid.json"
+    p.write_text(json.dumps(data))
+    assert main(["filter", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid instance: ")
+    assert message in err

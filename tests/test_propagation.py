@@ -108,16 +108,19 @@ def test_infeasible_bound_is_distinct_outcome():
     assert err.value.z_lb == 10
 
 
-def test_infeasible_path_without_covering_first():
-    # domains family on a path: a non-covering set may be solved first, the
-    # wipe must still surface as the infeasible outcome
+def test_infeasible_path_exits_through_the_covering_set():
+    # the domains family solves the covering source set first (two unmarked
+    # arcs against one in each other set), so the loop stops at the covering
+    # check with z* = 6 and never reaches the wipe check
     inst = weighted_instance(
         "path", 3, [0, 1, 2, 3],
         [(0, 1, 3), (0, 2, 3), (1, 3, 3), (2, 3, 3)],
         z_max=1, source=0, sink=3,
     )
-    with pytest.raises(InfeasibleConstraintError):
+    with pytest.raises(InfeasibleConstraintError) as err:
         ac_by_lp(inst)
+    assert str(err.value) == "optimum 6 exceeds the cost bound 1"
+    assert err.value.z_lb == 6
 
 
 def test_full_wipe_before_the_covering_set_is_solved():
