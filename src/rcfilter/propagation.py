@@ -121,9 +121,10 @@ def ac_by_lp(
                     f"optimum {z_lb} exceeds the cost bound {z_max}", z_lb=z_lb
                 )
 
-    if marks and all(m == INCONSISTENT for m in marks.values()):
-        # a full wipe proves the optimum itself exceeds the bound: any edge of
-        # an optimal support has restricted optimum equal to z*
+    if all(m == INCONSISTENT for m in marks.values()):
+        # no edge left proves there is no support within the bound: any edge
+        # of an optimal support has restricted optimum equal to z*, and an
+        # instance without edges has no support at all
         raise InfeasibleConstraintError(
             f"no support within the cost bound {z_max}", z_lb=z_lb
         )
@@ -136,7 +137,13 @@ def ac_by_lp(
 def lower_bound(
     instance: WeightedInstance, family: Optional[IncompatibleFamily] = None
 ) -> Fraction:
-    """The optimum of the support LP, recovered from one covering set's dual."""
+    """The optimum of the support LP, recovered from one covering set's dual.
+
+    Raises InfeasibleConstraintError on an instance without edges, which has
+    no support.
+    """
+    if not instance.edges:
+        raise InfeasibleConstraintError("no support: the instance has no edge")
     if family is None:
         family = formulations.family(instance, "domains")
     for edge_set, covering in zip(family.sets, family.covering):

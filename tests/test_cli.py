@@ -338,3 +338,15 @@ def test_validate_messages_exit_two(data, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid instance: ")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "command, code", [("filter", 3), ("bound", 3), ("oracle", 3), ("verify", 0)]
+)
+def test_arcless_instance_is_infeasible(command, code, arcless_file, capsys):
+    assert main([command, arcless_file, "--format", "text"]) == code
+    out = capsys.readouterr().out
+    if command == "verify":
+        assert out == "marks identical\n"
+    else:
+        assert out == "infeasible: no support within the cost bound\n"
