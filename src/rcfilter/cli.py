@@ -9,12 +9,12 @@ Exit statuses: 0 ok, 1 usage or parse failure, 2 invalid instance,
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
-
-import click
 
 from . import formulations, model, oracle, propagation
 from .model import InfeasibleConstraintError, WeightedInstance
@@ -62,7 +62,7 @@ def _family(instance: WeightedInstance, strategy: str):
 
 
 def _emit_json(data: dict) -> None:
-    click.echo(json.dumps(data, indent=2))
+    print(json.dumps(data, indent=2))
 
 
 def _dual_payload(edge_set, dual) -> dict:
@@ -85,53 +85,27 @@ def _emit_infeasible(fmt: str, command: str, z_lb) -> None:
         )
     else:
         suffix = "" if z_lb is None else f" (z_lb = {_frac(z_lb)})"
-        click.echo(f"infeasible: no support within the cost bound{suffix}")
+        print(f"infeasible: no support within the cost bound{suffix}")
 
 
-@click.group()
-def cli() -> None:
-    """Cost-based filtering for weighted constraints via exact dual solves."""
-
-
-_instance_arg = click.argument("instance_file", type=click.Path(dir_okay=False))
-_family_opt = click.option(
-    "--family",
-    "strategy",
-    type=click.Choice(["domains", "layers"]),
-    default="domains",
-    show_default=True,
-    help="How to split the edges into pairwise-incompatible sets.",
-)
-_format_opt = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["json", "text"]),
-    default="json",
-    show_default=True,
-    help="Report format.",
-)
-
-
-@cli.command("filter")
-@_instance_arg
-@_family_opt
-@click.option("--budget", type=click.IntRange(min=0), default=None, help="Max dual solves.")
-@click.option("--emit-duals", is_flag=True, help="Include every dual solution in the report.")
-@_format_opt
-def filter_cmd(instance_file, strategy, budget, emit_duals, fmt) -> int:
+def filter_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
     """Classify every edge as consistent or inconsistent with the cost bound."""
-    instance = _load_instance(instance_file)
-    fam = _family(instance, strategy)
+    fam = _family(instance, args.strategy)
     try:
-        result = propagation.ac_by_lp(instance, fam, budget=budget)
+        result = propagation.ac_by_lp(instance, fam, budget=args.budget)
     except InfeasibleConstraintError as exc:
-        _emit_infeasible(fmt, "filter", exc.z_lb)
+        _emit_infeasible(args.fmt, "filter", exc.z_lb)
         return EXIT_INFEASIBLE
     marks = [
         {"edge": [e.i, e.j], "mark": result.marks[e]}
         for e in sorted(result.marks)
     ]
-    if fmt == "json":
+    duals = (
+        [_dual_payload(edge_set, dual) for edge_set, dual in result.duals_used]
+        if args.emit_duals
+        else []
+    )
+    if args.fmt == "json":
         data = {
             "command": "filter",
             "kind": instance.kind,
@@ -142,48 +116,40 @@ def filter_cmd(instance_file, strategy, budget, emit_duals, fmt) -> int:
             "z_lb": _frac(result.z_lb),
             "marks": marks,
         }
-        if emit_duals:
-            data["duals"] = [
-                _dual_payload(edge_set, dual) for edge_set, dual in result.duals_used
-            ]
+        if args.emit_duals:
+            data["duals"] = duals
         _emit_json(data)
     else:
-        click.echo(
+        print(
             f"filter {instance.kind} family={fam.strategy} z_max={_frac(instance.z_max)}"
         )
-        click.echo(f"z_lb = {_frac(result.z_lb)}")
-        click.echo(f"solves = {result.solves}")
-        click.echo(f"complete = {'yes' if result.complete else 'no'}")
+        print(f"z_lb = {_frac(result.z_lb)}")
+        print(f"solves = {result.solves}")
+        print(f"complete = {'yes' if result.complete else 'no'}")
         for label in (CONSISTENT, INCONSISTENT, "unmarked"):
             members = " ".join(
                 f"({m['edge'][0]},{m['edge'][1]})" for m in marks if m["mark"] == label
             )
-            click.echo(f"{label}: {members if members else '-'}")
-        if emit_duals:
-            for pos, (edge_set, dual) in enumerate(result.duals_used, start=1):
-                parts = [f"dual {pos}:"]
-                parts.append("set=" + ",".join(f"({e.i},{e.j})" for e in edge_set))
-                parts.append(f"w={_frac(dual.w)}")
-                for k in sorted(dual.u):
-                    parts.append(f"u[{k}]={_frac(dual.u[k])}")
-                for k in sorted(dual.v):
-                    parts.append(f"v[{k}]={_frac(dual.v[k])}")
-                click.echo(" ".join(parts))
+            print(f"{label}: {members if members else '-'}")
+        for pos, d in enumerate(duals, start=1):
+            print(" ".join([
+                f"dual {pos}:",
+                "set=" + ",".join(f"({i},{j})" for i, j in d["set"]),
+                f"w={d['w']}",
+                *(f"u[{k}]={x}" for k, x in d["u"].items()),
+                *(f"v[{k}]={x}" for k, x in d["v"].items()),
+            ]))
     return EXIT_OK
 
 
-@cli.command("oracle")
-@_instance_arg
-@_format_opt
-def oracle_cmd(instance_file, fmt) -> int:
+def oracle_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
     """Exhaustive ground truth: supports, restricted optima, exact AC classes."""
-    instance = _load_instance(instance_file)
     try:
         report = oracle.enumerate(instance)
     except SizeGuardError as exc:
         raise _Failure(EXIT_SIZE, str(exc))
     except InfeasibleConstraintError:
-        _emit_infeasible(fmt, "oracle", None)
+        _emit_infeasible(args.fmt, "oracle", None)
         return EXIT_INFEASIBLE
     classes = report.classification()
     rows = [
@@ -195,7 +161,7 @@ def oracle_cmd(instance_file, fmt) -> int:
         }
         for e in sorted(instance.edges)
     ]
-    if fmt == "json":
+    if args.fmt == "json":
         _emit_json(
             {
                 "command": "oracle",
@@ -207,109 +173,133 @@ def oracle_cmd(instance_file, fmt) -> int:
             }
         )
     else:
-        click.echo(
+        print(
             f"oracle {instance.kind} z* = {_frac(report.z_star)}"
             f" z_max = {_frac(report.z_max)} supports = {len(report.supports)}"
         )
         for r in rows:
             restricted = r["restricted"] if r["restricted"] is not None else "none"
-            click.echo(
+            print(
                 f"({r['edge'][0]},{r['edge'][1]}) restricted={restricted}"
                 f" status={r['status']}"
             )
     return EXIT_OK
 
 
-@cli.command("verify")
-@_instance_arg
-@_family_opt
-@_format_opt
-def verify_cmd(instance_file, strategy, fmt) -> int:
+def verify_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
     """Run the filter and the oracle and compare their classifications."""
-    instance = _load_instance(instance_file)
-    fam = _family(instance, strategy)
-    filter_infeasible = False
-    result = None
+    fam = _family(instance, args.strategy)
     try:
-        result = propagation.ac_by_lp(instance, fam)
+        marks = propagation.ac_by_lp(instance, fam).marks
     except InfeasibleConstraintError:
-        filter_infeasible = True
+        marks = None
     try:
-        report = oracle.enumerate(instance)
-        oracle_ac = set(report.ac_set)
-        oracle_empty = not oracle_ac
+        oracle_ac = set(oracle.enumerate(instance).ac_set)
     except SizeGuardError as exc:
         raise _Failure(EXIT_SIZE, str(exc))
     except InfeasibleConstraintError:
         oracle_ac = set()
-        oracle_empty = True
 
-    mismatches = []
-    if filter_infeasible:
-        if not oracle_empty:
-            mismatches = [
-                {"edge": [e.i, e.j], "filter": "infeasible", "oracle": "consistent"}
-                for e in sorted(oracle_ac)
-            ]
+    if marks is None:
+        mismatches = [
+            {"edge": [e.i, e.j], "filter": "infeasible", "oracle": CONSISTENT}
+            for e in sorted(oracle_ac)
+        ]
     else:
+        mismatches = []
         for e in sorted(instance.edges):
-            ours = result.marks[e]
             truth = CONSISTENT if e in oracle_ac else INCONSISTENT
-            if ours != truth:
-                mismatches.append(
-                    {"edge": [e.i, e.j], "filter": ours, "oracle": truth}
-                )
+            if marks[e] != truth:
+                mismatches.append({"edge": [e.i, e.j], "filter": marks[e], "oracle": truth})
     match = not mismatches
-    if fmt == "json":
+    if args.fmt == "json":
         _emit_json({"command": "verify", "match": match, "mismatches": mismatches})
     elif match:
-        click.echo("marks identical")
+        print("marks identical")
     else:
         for m in mismatches:
-            click.echo(
+            print(
                 f"MISMATCH ({m['edge'][0]},{m['edge'][1]}):"
                 f" filter={m['filter']} oracle={m['oracle']}"
             )
     return EXIT_OK if match else EXIT_MISMATCH
 
 
-@cli.command("bound")
-@_instance_arg
-@_family_opt
-@_format_opt
-def bound_cmd(instance_file, strategy, fmt) -> int:
+def bound_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
     """Recover the exact optimum from one covering set's dual solution."""
-    instance = _load_instance(instance_file)
-    fam = _family(instance, strategy)
+    fam = _family(instance, args.strategy)
     try:
         z_star = propagation.lower_bound(instance, fam)
     except InfeasibleConstraintError as exc:
-        _emit_infeasible(fmt, "bound", exc.z_lb)
+        _emit_infeasible(args.fmt, "bound", exc.z_lb)
         return EXIT_INFEASIBLE
     except ValueError as exc:
         raise _Failure(EXIT_USAGE, str(exc))
-    if fmt == "json":
+    if args.fmt == "json":
         _emit_json(
             {"command": "bound", "family": fam.strategy, "z_star": _frac(z_star)}
         )
     else:
-        click.echo(f"z* = {_frac(z_star)}")
+        print(f"z* = {_frac(z_star)}")
     return EXIT_OK
+
+
+def _budget(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False on every parser: no option is matched by a prefix
+    parser = argparse.ArgumentParser(
+        prog="rcfilter",
+        description="Cost-based filtering for weighted constraints via exact dual solves.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, run in (("filter", filter_cmd), ("oracle", oracle_cmd),
+                      ("verify", verify_cmd), ("bound", bound_cmd)):
+        sub = commands.add_parser(
+            name, help=run.__doc__, description=run.__doc__, allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        sub.add_argument("instance_file", metavar="INSTANCE_FILE")
+        if run is not oracle_cmd:
+            sub.add_argument(
+                "--family", dest="strategy", choices=["domains", "layers"],
+                default="domains",
+                help="How to split the edges into pairwise-incompatible sets"
+                " (default: %(default)s).",
+            )
+        if run is filter_cmd:
+            sub.add_argument("--budget", type=_budget, help="Max dual solves.")
+            sub.add_argument(
+                "--emit-duals", action="store_true",
+                help="Include every dual solution in the report.",
+            )
+        sub.add_argument(
+            "--format", dest="fmt", choices=["json", "text"], default="json",
+            help="Report format (default: %(default)s).",
+        )
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
     """Entry point returning the exit status (suitable for console_scripts)."""
     try:
-        rv = cli.main(args=argv, standalone_mode=False)
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (status 0) or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    try:
+        return args.run(_load_instance(args.instance_file), args)
     except _Failure as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return EXIT_USAGE
-    except click.exceptions.Abort:
-        return EXIT_USAGE
-    return int(rv) if rv is not None else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -139,8 +139,7 @@ def lower_bound(
 ) -> Fraction:
     """The optimum of the support LP, recovered from one covering set's dual.
 
-    Raises InfeasibleConstraintError on an instance without edges, which has
-    no support.
+    An instance without edges has no support: InfeasibleConstraintError.
     """
     if not instance.edges:
         raise InfeasibleConstraintError("no support: the instance has no edge")

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -350,3 +354,17 @@ def test_arcless_instance_is_infeasible(command, code, arcless_file, capsys):
         assert out == "marks identical\n"
     else:
         assert out == "infeasible: no support within the cost bound\n"
+
+
+def test_cli_imports_without_click():
+    # a fresh interpreter: this process may have loaded anything already
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys, rcfilter.cli\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'click'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout == "[]\n"
