@@ -210,7 +210,9 @@ def verify_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
         for e in sorted(instance.edges):
             truth = CONSISTENT if e in oracle_ac else INCONSISTENT
             if marks[e] != truth:
-                mismatches.append({"edge": [e.i, e.j], "filter": marks[e], "oracle": truth})
+                mismatches.append(
+                    {"edge": [e.i, e.j], "filter": marks[e], "oracle": truth}
+                )
     match = not mismatches
     if args.fmt == "json":
         _emit_json({"command": "verify", "match": match, "mismatches": mismatches})

@@ -122,9 +122,9 @@ def ac_by_lp(
                 )
 
     if all(m == INCONSISTENT for m in marks.values()):
-        # no edge left proves there is no support within the bound: any edge
-        # of an optimal support has restricted optimum equal to z*, and an
-        # instance without edges has no support at all
+        # a full wipe proves no support lies within the bound: any edge of an
+        # optimal support has restricted optimum equal to z*; an instance
+        # without edges has no support at all
         raise InfeasibleConstraintError(
             f"no support within the cost bound {z_max}", z_lb=z_lb
         )

@@ -121,10 +121,11 @@ def test_verify_match(dag_file, capsys):
     assert "marks identical" in capsys.readouterr().out
 
 
-def test_verify_reports_mismatch(monkeypatch, assignment_file, three_var_assignment, capsys):
+def _corrupted_filter(monkeypatch, three_var_assignment):
     truth = propagation.ac_by_lp(three_var_assignment)
     wrong = dict(truth.marks)
-    wrong[EdgeId(0, 0)] = "inconsistent"  # deliberately corrupt one mark
+    wrong[EdgeId(0, 0)] = "inconsistent"  # deliberately corrupt two marks
+    wrong[EdgeId(0, 1)] = "consistent"
 
     def fake(instance, family=None, budget=None):
         return FilterResult(
@@ -132,12 +133,26 @@ def test_verify_reports_mismatch(monkeypatch, assignment_file, three_var_assignm
         )
 
     monkeypatch.setattr(propagation, "ac_by_lp", fake)
+
+
+def test_verify_reports_mismatch(monkeypatch, assignment_file, three_var_assignment, capsys):
+    _corrupted_filter(monkeypatch, three_var_assignment)
     assert main(["verify", assignment_file]) == 4
     data = json.loads(capsys.readouterr().out)
     assert data["match"] is False
     assert data["mismatches"] == [
-        {"edge": [0, 0], "filter": "inconsistent", "oracle": "consistent"}
+        {"edge": [0, 0], "filter": "inconsistent", "oracle": "consistent"},
+        {"edge": [0, 1], "filter": "consistent", "oracle": "inconsistent"},
     ]
+
+
+def test_verify_text_lists_mismatches(monkeypatch, assignment_file, three_var_assignment, capsys):
+    _corrupted_filter(monkeypatch, three_var_assignment)
+    assert main(["verify", assignment_file, "--format", "text"]) == 4
+    assert capsys.readouterr().out == (
+        "MISMATCH (0,0): filter=inconsistent oracle=consistent\n"
+        "MISMATCH (0,1): filter=consistent oracle=inconsistent\n"
+    )
 
 
 def test_verify_infeasible_agreement(costly_file, capsys):
@@ -245,29 +260,6 @@ def test_verify_size_guard_exit_code(tmp_path, capsys):
     save_instance(chain, p)
     assert main(["verify", str(p)]) == 5
     assert "capped" in capsys.readouterr().err
-
-
-def _corrupted_filter(monkeypatch, three_var_assignment):
-    truth = propagation.ac_by_lp(three_var_assignment)
-    wrong = dict(truth.marks)
-    wrong[EdgeId(0, 0)] = "inconsistent"
-    wrong[EdgeId(0, 1)] = "consistent"
-
-    def fake(instance, family=None, budget=None):
-        return FilterResult(
-            marks=wrong, z_lb=truth.z_lb, duals_used=truth.duals_used, complete=True
-        )
-
-    monkeypatch.setattr(propagation, "ac_by_lp", fake)
-
-
-def test_verify_text_lists_mismatches(monkeypatch, assignment_file, three_var_assignment, capsys):
-    _corrupted_filter(monkeypatch, three_var_assignment)
-    assert main(["verify", assignment_file, "--format", "text"]) == 4
-    assert capsys.readouterr().out == (
-        "MISMATCH (0,0): filter=inconsistent oracle=consistent\n"
-        "MISMATCH (0,1): filter=consistent oracle=inconsistent\n"
-    )
 
 
 def test_verify_reports_a_wrongly_infeasible_filter(monkeypatch, assignment_file, capsys):
