@@ -4,7 +4,8 @@ Reports are deterministic: the same command on the same file produces byte
 identical output.  All rationals are printed exactly (p/q, never floats).
 
 Exit statuses: 0 ok, 1 usage or parse failure, 2 invalid instance,
-3 infeasible constraint, 4 verify mismatch, 5 size guard.
+3 infeasible constraint, 4 verify mismatch, 5 size guard.  ``main`` owns this
+mapping: the commands return 0 or 4 and raise every other failure.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
 from . import formulations, model, oracle, propagation
+from .formulations import IncompatibleFamily
 from .model import InfeasibleConstraintError, WeightedInstance
 from .oracle import SizeGuardError
 from .propagation import CONSISTENT, INCONSISTENT
@@ -29,36 +30,8 @@ EXIT_MISMATCH = 4
 EXIT_SIZE = 5
 
 
-class _Failure(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _frac(x) -> Optional[str]:
     return None if x is None else str(Fraction(x))
-
-
-def _load_instance(path: str) -> WeightedInstance:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _Failure(EXIT_USAGE, f"cannot read {path}: {exc}")
-    try:
-        instance = model.instance_from_dict(json.loads(text))
-    except ValueError as exc:
-        raise _Failure(EXIT_USAGE, f"parse failure: {exc}")
-    problems = model.validate(instance)
-    if problems:
-        raise _Failure(EXIT_INVALID, "invalid instance: " + "; ".join(problems))
-    return instance
-
-
-def _family(instance: WeightedInstance, strategy: str):
-    try:
-        return formulations.family(instance, strategy)
-    except ValueError as exc:
-        raise _Failure(EXIT_USAGE, str(exc))
 
 
 def _emit_json(data: dict) -> None:
@@ -88,14 +61,10 @@ def _emit_infeasible(fmt: str, command: str, z_lb) -> None:
         print(f"infeasible: no support within the cost bound{suffix}")
 
 
-def filter_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
+def filter_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
+               args: argparse.Namespace) -> int:
     """Classify every edge as consistent or inconsistent with the cost bound."""
-    fam = _family(instance, args.strategy)
-    try:
-        result = propagation.ac_by_lp(instance, fam, budget=args.budget)
-    except InfeasibleConstraintError as exc:
-        _emit_infeasible(args.fmt, "filter", exc.z_lb)
-        return EXIT_INFEASIBLE
+    result = propagation.ac_by_lp(instance, fam, budget=args.budget)
     marks = [
         {"edge": [e.i, e.j], "mark": result.marks[e]}
         for e in sorted(result.marks)
@@ -142,15 +111,10 @@ def filter_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def oracle_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
+def oracle_cmd(instance: WeightedInstance, fam: None,
+               args: argparse.Namespace) -> int:
     """Exhaustive ground truth: supports, restricted optima, exact AC classes."""
-    try:
-        report = oracle.enumerate(instance)
-    except SizeGuardError as exc:
-        raise _Failure(EXIT_SIZE, str(exc))
-    except InfeasibleConstraintError:
-        _emit_infeasible(args.fmt, "oracle", None)
-        return EXIT_INFEASIBLE
+    report = oracle.enumerate(instance)
     classes = report.classification()
     rows = [
         {
@@ -186,19 +150,18 @@ def oracle_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def verify_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
+def verify_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
+               args: argparse.Namespace) -> int:
     """Run the filter and the oracle and compare their classifications."""
-    fam = _family(instance, args.strategy)
+    # the oracle first: its size guard stops an instance above the cap before any solve
+    try:
+        oracle_ac = set(oracle.enumerate(instance).ac_set)
+    except InfeasibleConstraintError:
+        oracle_ac = set()
     try:
         marks = propagation.ac_by_lp(instance, fam).marks
     except InfeasibleConstraintError:
         marks = None
-    try:
-        oracle_ac = set(oracle.enumerate(instance).ac_set)
-    except SizeGuardError as exc:
-        raise _Failure(EXIT_SIZE, str(exc))
-    except InfeasibleConstraintError:
-        oracle_ac = set()
 
     if marks is None:
         mismatches = [
@@ -227,16 +190,10 @@ def verify_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
     return EXIT_OK if match else EXIT_MISMATCH
 
 
-def bound_cmd(instance: WeightedInstance, args: argparse.Namespace) -> int:
+def bound_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
+              args: argparse.Namespace) -> int:
     """Recover the exact optimum from one covering set's dual solution."""
-    fam = _family(instance, args.strategy)
-    try:
-        z_star = propagation.lower_bound(instance, fam)
-    except InfeasibleConstraintError as exc:
-        _emit_infeasible(args.fmt, "bound", exc.z_lb)
-        return EXIT_INFEASIBLE
-    except ValueError as exc:
-        raise _Failure(EXIT_USAGE, str(exc))
+    z_star = propagation.lower_bound(instance, fam)
     if args.fmt == "json":
         _emit_json(
             {"command": "bound", "family": fam.strategy, "z_star": _frac(z_star)}
@@ -265,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(
             name, help=run.__doc__, description=run.__doc__, allow_abbrev=False
         )
-        sub.set_defaults(run=run)
+        sub.set_defaults(command=name, run=run)
         sub.add_argument("instance_file", metavar="INSTANCE_FILE")
         if run is not oracle_cmd:
             sub.add_argument(
@@ -290,6 +247,11 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _error(code: int, message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     """Entry point returning the exit status (suitable for console_scripts)."""
     try:
@@ -298,10 +260,27 @@ def main(argv=None) -> int:
         # argparse has printed the help (status 0) or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        return args.run(_load_instance(args.instance_file), args)
-    except _Failure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        instance = model.load_instance(args.instance_file)
+    except OSError as exc:
+        return _error(EXIT_USAGE, f"cannot read {args.instance_file}: {exc}")
+    except ValueError as exc:
+        return _error(EXIT_USAGE, f"parse failure: {exc}")
+    problems = model.validate(instance)
+    if problems:
+        return _error(EXIT_INVALID, "invalid instance: " + "; ".join(problems))
+    fam = None
+    if args.run is not oracle_cmd:
+        try:
+            fam = formulations.family(instance, args.strategy)
+        except ValueError as exc:
+            return _error(EXIT_USAGE, str(exc))
+    try:
+        return args.run(instance, fam, args)
+    except InfeasibleConstraintError as exc:
+        _emit_infeasible(args.fmt, args.command, exc.z_lb)
+        return EXIT_INFEASIBLE
+    except SizeGuardError as exc:
+        return _error(EXIT_SIZE, str(exc))
 
 
 if __name__ == "__main__":

@@ -203,12 +203,7 @@ def validate(instance: WeightedInstance) -> list[str]:
         if instance.n_vars != len(instance.values) - 1:
             # one successor variable per vertex except the sink
             v.append("path instances must have n_vars = number of vertices - 1")
-        for e in instance.edges:
-            if e.i not in vertex_set or e.j not in vertex_set:
-                v.append(f"arc {e}: endpoint outside the vertex list")
-            if e.i == e.j:
-                v.append(f"arc {e}: self-loops are not part of the arc set")
-        try:
+        try:  # rejects an arc outside the vertex list, and a self-loop as a cycle
             topological_order(instance.values, instance.edges)
         except ValueError as exc:
             v.append(str(exc))
@@ -242,15 +237,25 @@ def instance_to_dict(instance: WeightedInstance) -> dict:
     return d
 
 
+def _edge_triple(e) -> tuple:
+    if len(e) != 3:
+        raise ValueError(f"edge {e!r} is not [i, j, cost]")
+    return tuple(e)
+
+
 def instance_from_dict(d: Mapping) -> WeightedInstance:
+    if not isinstance(d, Mapping):
+        raise ValueError(f"an instance must be a JSON object, not {type(d).__name__}")
     try:
         kind = d["kind"]
         path = d.get("path")
+        if path is not None and kind != PATH:
+            raise ValueError('"path" is only for path instances')
         return weighted_instance(
             kind=kind,
             n_vars=d["n_vars"],
             values=d["values"],
-            edges=[(e[0], e[1], e[2]) for e in d["edges"]],
+            edges=[_edge_triple(e) for e in d["edges"]],
             z_max=d["z_max"],
             source=None if path is None else path["source"],
             sink=None if path is None else path["sink"],
@@ -260,11 +265,16 @@ def instance_from_dict(d: Mapping) -> WeightedInstance:
 
 
 def load_instance(path: Union[str, Path]) -> WeightedInstance:
+    """Read an instance file: OSError if it cannot be read, ValueError if malformed."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"not UTF-8: {exc}") from exc
+        except RecursionError as exc:
+            raise ValueError("JSON nested too deeply") from exc
     return instance_from_dict(raw)
 
 

@@ -250,14 +250,19 @@ def test_oracle_infeasible_exit_code(arcless_file, capsys):
     assert data == {"command": "oracle", "status": "infeasible", "z_lb": None}
 
 
-def test_verify_size_guard_exit_code(tmp_path, capsys):
-    # a 13-vertex chain: the filter runs, the oracle refuses to enumerate
+def test_verify_size_guard_exit_code(monkeypatch, tmp_path, capsys):
+    # a 13-vertex chain: the oracle refuses to enumerate it before the filter runs
     chain = weighted_instance(
         "path", 12, range(13), [(k, k + 1, 0) for k in range(12)],
         z_max=0, source=0, sink=12,
     )
     p = tmp_path / "chain.json"
     save_instance(chain, p)
+
+    def no_solve(instance, family=None, budget=None):
+        raise AssertionError("verify solved an instance above the enumeration cap")
+
+    monkeypatch.setattr(propagation, "ac_by_lp", no_solve)
     assert main(["verify", str(p)]) == 5
     assert "capped" in capsys.readouterr().err
 
@@ -336,30 +341,22 @@ def test_validate_messages_exit_two(data, message, tmp_path, capsys):
     assert message in err
 
 
-_FAILS_BEFORE_THE_LOADER_FIX = pytest.mark.xfail(strict=True)
-
-
 @pytest.mark.parametrize(
     "content, message",
     [
-        pytest.param(b'{"kind": "\xff"}', "not UTF-8", id="not-utf8",
-                     marks=_FAILS_BEFORE_THE_LOADER_FIX),
-        pytest.param(b"[" * 200_000, "nested too deeply", id="deep-nesting",
-                     marks=_FAILS_BEFORE_THE_LOADER_FIX),
+        pytest.param(b'{"kind": "\xff"}', "not UTF-8", id="not-utf8"),
+        pytest.param(b"[" * 200_000, "nested too deeply", id="deep-nesting"),
         pytest.param(json.dumps(_path(2, [0, 1, 2], [[0, 1, 0], [1, 7, 0]], 0, 2)),
                      "outside the vertex list", id="arc-to-unlisted-vertex"),
         pytest.param(json.dumps(_path(2, [0, 1, 2], [[0, 1, 0], [1, 0, 0], [1, 2, 0]],
                                       0, 2)),
                      "cycle", id="cyclic-path"),
-        pytest.param("[]", "must be a JSON object", id="top-level-array",
-                     marks=_FAILS_BEFORE_THE_LOADER_FIX),
+        pytest.param("[]", "must be a JSON object", id="top-level-array"),
         pytest.param(json.dumps(_alldiff(1, [0], [[0, 0, 1, 99]])),
-                     "is not [i, j, cost]", id="four-number-edge",
-                     marks=_FAILS_BEFORE_THE_LOADER_FIX),
+                     "is not [i, j, cost]", id="four-number-edge"),
         pytest.param(json.dumps({**_alldiff(1, [0], [[0, 0, 0]]),
                                  "path": {"source": 0, "sink": 1}}),
-                     '"path" is only for path instances', id="alldiff-with-path",
-                     marks=_FAILS_BEFORE_THE_LOADER_FIX),
+                     '"path" is only for path instances', id="alldiff-with-path"),
     ],
 )
 def test_ingest_failures_exit_one(content, message, tmp_path, capsys):

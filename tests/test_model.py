@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -159,6 +160,21 @@ def test_duplicate_path_vertices_rejected():
         )
     with pytest.raises(ValueError, match="duplicate vertices"):
         topological_order((0, 1, 1), ())
+
+
+@pytest.mark.parametrize(
+    "arc, problem",
+    [(EdgeId(2, 2), "cycle"), (EdgeId(4, 9), "outside the vertex list")],
+)
+def test_validate_flags_arcs_built_around_the_constructor(six_vertex_dag, arc, problem):
+    # weighted_instance refuses both arcs; validate still catches them when
+    # an instance is assembled directly
+    bad = dataclasses.replace(
+        six_vertex_dag,
+        edges=six_vertex_dag.edges + (arc,),
+        cost={**six_vertex_dag.cost, arc: 0},
+    )
+    assert any(problem in p for p in validate(bad))
 
 
 def test_self_loop_arc_is_a_cycle():
