@@ -3,9 +3,14 @@
 Reports are deterministic: the same command on the same file produces byte
 identical output.  All rationals are printed exactly (p/q, never floats).
 
+Each command is ``run(instance, family, args) -> (exit_code, report)`` and
+prints nothing.  ``main`` owns the exit codes and the rendering: it prints the
+report as JSON, or as text through the command's renderer, which reads only
+the report.
+
 Exit statuses: 0 ok, 1 usage or parse failure, 2 invalid instance,
-3 infeasible constraint, 4 verify mismatch, 5 size guard.  ``main`` owns this
-mapping: the commands return 0 or 4 and raise every other failure.
+3 infeasible constraint, 4 verify mismatch, 5 size guard.  The commands
+return 0 or 4 and raise every other failure.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from . import formulations, model, oracle, propagation
 from .formulations import IncompatibleFamily
 from .model import InfeasibleConstraintError, WeightedInstance
 from .oracle import SizeGuardError
-from .propagation import CONSISTENT, INCONSISTENT
+from .propagation import CONSISTENT, INCONSISTENT, UNMARKED
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,10 +39,6 @@ def _frac(x) -> Optional[str]:
     return None if x is None else str(Fraction(x))
 
 
-def _emit_json(data: dict) -> None:
-    print(json.dumps(data, indent=2))
-
-
 def _dual_payload(edge_set, dual) -> dict:
     return {
         "set": [[e.i, e.j] for e in edge_set],
@@ -47,111 +48,93 @@ def _dual_payload(edge_set, dual) -> dict:
     }
 
 
-def _emit_infeasible(fmt: str, command: str, z_lb) -> None:
-    if fmt == "json":
-        _emit_json(
-            {
-                "command": command,
-                "status": "infeasible",
-                "z_lb": _frac(z_lb),
-            }
-        )
-    else:
-        suffix = "" if z_lb is None else f" (z_lb = {_frac(z_lb)})"
-        print(f"infeasible: no support within the cost bound{suffix}")
-
-
 def filter_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
-               args: argparse.Namespace) -> int:
+               args: argparse.Namespace) -> tuple[int, dict]:
     """Classify every edge as consistent or inconsistent with the cost bound."""
     result = propagation.ac_by_lp(instance, fam, budget=args.budget)
-    marks = [
-        {"edge": [e.i, e.j], "mark": result.marks[e]}
-        for e in sorted(result.marks)
+    report = {
+        "command": "filter",
+        "kind": instance.kind,
+        "family": fam.strategy,
+        "z_max": _frac(instance.z_max),
+        "complete": result.complete,
+        "solves": result.solves,
+        "z_lb": _frac(result.z_lb),
+        "marks": [
+            {"edge": [e.i, e.j], "mark": result.marks[e]}
+            for e in sorted(result.marks)
+        ],
+    }
+    if args.emit_duals:
+        report["duals"] = [
+            _dual_payload(edge_set, dual) for edge_set, dual in result.duals_used
+        ]
+    return EXIT_OK, report
+
+
+def _filter_text(report: dict) -> str:
+    lines = [
+        f"filter {report['kind']} family={report['family']} z_max={report['z_max']}",
+        f"z_lb = {report['z_lb']}",
+        f"solves = {report['solves']}",
+        f"complete = {'yes' if report['complete'] else 'no'}",
     ]
-    duals = (
-        [_dual_payload(edge_set, dual) for edge_set, dual in result.duals_used]
-        if args.emit_duals
-        else []
-    )
-    if args.fmt == "json":
-        data = {
-            "command": "filter",
-            "kind": instance.kind,
-            "family": fam.strategy,
-            "z_max": _frac(instance.z_max),
-            "complete": result.complete,
-            "solves": result.solves,
-            "z_lb": _frac(result.z_lb),
-            "marks": marks,
-        }
-        if args.emit_duals:
-            data["duals"] = duals
-        _emit_json(data)
-    else:
-        print(
-            f"filter {instance.kind} family={fam.strategy} z_max={_frac(instance.z_max)}"
+    for label in (CONSISTENT, INCONSISTENT, UNMARKED):
+        members = " ".join(
+            f"({m['edge'][0]},{m['edge'][1]})"
+            for m in report["marks"] if m["mark"] == label
         )
-        print(f"z_lb = {_frac(result.z_lb)}")
-        print(f"solves = {result.solves}")
-        print(f"complete = {'yes' if result.complete else 'no'}")
-        for label in (CONSISTENT, INCONSISTENT, "unmarked"):
-            members = " ".join(
-                f"({m['edge'][0]},{m['edge'][1]})" for m in marks if m["mark"] == label
-            )
-            print(f"{label}: {members if members else '-'}")
-        for pos, d in enumerate(duals, start=1):
-            print(" ".join([
-                f"dual {pos}:",
-                "set=" + ",".join(f"({i},{j})" for i, j in d["set"]),
-                f"w={d['w']}",
-                *(f"u[{k}]={x}" for k, x in d["u"].items()),
-                *(f"v[{k}]={x}" for k, x in d["v"].items()),
-            ]))
-    return EXIT_OK
+        lines.append(f"{label}: {members if members else '-'}")
+    for pos, d in enumerate(report.get("duals", []), start=1):
+        lines.append(" ".join([
+            f"dual {pos}:",
+            "set=" + ",".join(f"({i},{j})" for i, j in d["set"]),
+            f"w={d['w']}",
+            *(f"u[{k}]={x}" for k, x in d["u"].items()),
+            *(f"v[{k}]={x}" for k, x in d["v"].items()),
+        ]))
+    return "\n".join(lines)
 
 
 def oracle_cmd(instance: WeightedInstance, fam: None,
-               args: argparse.Namespace) -> int:
+               args: argparse.Namespace) -> tuple[int, dict]:
     """Exhaustive ground truth: supports, restricted optima, exact AC classes."""
     report = oracle.enumerate(instance)
     classes = report.classification()
-    rows = [
-        {
-            "edge": [e.i, e.j],
-            "restricted": _frac(report.z_restricted[e]),
-            "exact_rc": _frac(report.exact_rc[e]),
-            "status": classes[e],
-        }
-        for e in sorted(instance.edges)
-    ]
-    if args.fmt == "json":
-        _emit_json(
+    return EXIT_OK, {
+        "command": "oracle",
+        "kind": instance.kind,
+        "z_star": _frac(report.z_star),
+        "z_max": _frac(report.z_max),
+        "supports": len(report.supports),
+        "edges": [
             {
-                "command": "oracle",
-                "kind": instance.kind,
-                "z_star": _frac(report.z_star),
-                "z_max": _frac(report.z_max),
-                "supports": len(report.supports),
-                "edges": rows,
+                "edge": [e.i, e.j],
+                "restricted": _frac(report.z_restricted[e]),
+                "exact_rc": _frac(report.exact_rc[e]),
+                "status": classes[e],
             }
+            for e in sorted(instance.edges)
+        ],
+    }
+
+
+def _oracle_text(report: dict) -> str:
+    lines = [
+        f"oracle {report['kind']} z* = {report['z_star']}"
+        f" z_max = {report['z_max']} supports = {report['supports']}"
+    ]
+    for r in report["edges"]:
+        restricted = r["restricted"] if r["restricted"] is not None else "none"
+        lines.append(
+            f"({r['edge'][0]},{r['edge'][1]}) restricted={restricted}"
+            f" status={r['status']}"
         )
-    else:
-        print(
-            f"oracle {instance.kind} z* = {_frac(report.z_star)}"
-            f" z_max = {_frac(report.z_max)} supports = {len(report.supports)}"
-        )
-        for r in rows:
-            restricted = r["restricted"] if r["restricted"] is not None else "none"
-            print(
-                f"({r['edge'][0]},{r['edge'][1]}) restricted={restricted}"
-                f" status={r['status']}"
-            )
-    return EXIT_OK
+    return "\n".join(lines)
 
 
 def verify_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
-               args: argparse.Namespace) -> int:
+               args: argparse.Namespace) -> tuple[int, dict]:
     """Run the filter and the oracle and compare their classifications."""
     # the oracle first: its size guard stops an instance above the cap before any solve
     try:
@@ -177,30 +160,35 @@ def verify_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
                     {"edge": [e.i, e.j], "filter": marks[e], "oracle": truth}
                 )
     match = not mismatches
-    if args.fmt == "json":
-        _emit_json({"command": "verify", "match": match, "mismatches": mismatches})
-    elif match:
-        print("marks identical")
-    else:
-        for m in mismatches:
-            print(
-                f"MISMATCH ({m['edge'][0]},{m['edge'][1]}):"
-                f" filter={m['filter']} oracle={m['oracle']}"
-            )
-    return EXIT_OK if match else EXIT_MISMATCH
+    return (EXIT_OK if match else EXIT_MISMATCH), {
+        "command": "verify", "match": match, "mismatches": mismatches,
+    }
+
+
+def _verify_text(report: dict) -> str:
+    if report["match"]:
+        return "marks identical"
+    return "\n".join(
+        f"MISMATCH ({m['edge'][0]},{m['edge'][1]}):"
+        f" filter={m['filter']} oracle={m['oracle']}"
+        for m in report["mismatches"]
+    )
 
 
 def bound_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
-              args: argparse.Namespace) -> int:
+              args: argparse.Namespace) -> tuple[int, dict]:
     """Recover the exact optimum from one covering set's dual solution."""
     z_star = propagation.lower_bound(instance, fam)
-    if args.fmt == "json":
-        _emit_json(
-            {"command": "bound", "family": fam.strategy, "z_star": _frac(z_star)}
-        )
-    else:
-        print(f"z* = {_frac(z_star)}")
-    return EXIT_OK
+    return EXIT_OK, {"command": "bound", "family": fam.strategy, "z_star": _frac(z_star)}
+
+
+def _bound_text(report: dict) -> str:
+    return f"z* = {report['z_star']}"
+
+
+def _infeasible_text(report: dict) -> str:
+    suffix = "" if report["z_lb"] is None else f" (z_lb = {report['z_lb']})"
+    return f"infeasible: no support within the cost bound{suffix}"
 
 
 def _budget(text: str) -> int:
@@ -217,12 +205,14 @@ def _build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
-    for name, run in (("filter", filter_cmd), ("oracle", oracle_cmd),
-                      ("verify", verify_cmd), ("bound", bound_cmd)):
+    for name, run, render in (("filter", filter_cmd, _filter_text),
+                              ("oracle", oracle_cmd, _oracle_text),
+                              ("verify", verify_cmd, _verify_text),
+                              ("bound", bound_cmd, _bound_text)):
         sub = commands.add_parser(
             name, help=run.__doc__, description=run.__doc__, allow_abbrev=False
         )
-        sub.set_defaults(command=name, run=run)
+        sub.set_defaults(command=name, run=run, render=render)
         sub.add_argument("instance_file", metavar="INSTANCE_FILE")
         if run is not oracle_cmd:
             sub.add_argument(
@@ -274,13 +264,16 @@ def main(argv=None) -> int:
             fam = formulations.family(instance, args.strategy)
         except ValueError as exc:
             return _error(EXIT_USAGE, str(exc))
+    render = args.render
     try:
-        return args.run(instance, fam, args)
+        code, report = args.run(instance, fam, args)
     except InfeasibleConstraintError as exc:
-        _emit_infeasible(args.fmt, args.command, exc.z_lb)
-        return EXIT_INFEASIBLE
+        code, render = EXIT_INFEASIBLE, _infeasible_text
+        report = {"command": args.command, "status": "infeasible", "z_lb": _frac(exc.z_lb)}
     except SizeGuardError as exc:
         return _error(EXIT_SIZE, str(exc))
+    print(json.dumps(report, indent=2) if args.fmt == "json" else render(report))
+    return code
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ costs are exact on whole sets of pairwise-incompatible edges at once, which
 is what the filtering loop consumes.
 
 LP solves happen only where a new dual or optimum is needed: the support LP
-(``solve_primal``, the only place z* is computed; callers pass it down), the
+(``solve_primal``, the only solve of that LP; callers pass its z* down, and
+``propagation`` recovers z* from a covering set's family dual instead), the
 shifted LP of ``shifted_cost_dual`` and the one family dual program
 (``solve_family_dual``), which also gives ``exact_reduced_cost`` its
 restricted optimum as one family-dual solve of the set {ij}.  Questions with

@@ -27,8 +27,9 @@ class FilterResult:
     """Outcome of the filtering loop.
 
     ``marks`` classifies every edge; ``complete`` says whether any edge was
-    left unmarked (only possible under a solve budget).  ``z_lb`` is the best
-    optimum recovered from covering sets, None if no covering set was solved.
+    left unmarked (only possible under a solve budget).  ``z_lb`` is the optimum
+    recovered from the first covering set solved, None if no covering set was
+    solved.
     ``duals_used`` records (edge set, dual solution) per solve, in order.
     """
 
@@ -112,10 +113,9 @@ def ac_by_lp(
                 marks[kl] = INCONSISTENT
             elif kl in members:
                 marks[kl] = CONSISTENT
-        if family.covering[idx]:
-            recovered = duality.zstar_from_family_dual(instance, edge_set, dual)
-            if z_lb is None or recovered > z_lb:
-                z_lb = recovered
+        if z_lb is None and family.covering[idx]:
+            # every covering set's dual recovers z* exactly, so the first suffices
+            z_lb = duality.zstar_from_family_dual(instance, edge_set, dual)
             if z_lb > z_max:
                 raise InfeasibleConstraintError(
                     f"optimum {z_lb} exceeds the cost bound {z_max}", z_lb=z_lb

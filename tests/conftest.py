@@ -1,14 +1,19 @@
 """Shared fixtures: the four hand-checked instances and their frozen tables.
 
-The expected numbers (optima, restricted optima, exact reduced costs, AC sets)
-were derived by hand-enumerating all supports; the oracle tests pin them.
+Each instance is read from its committed file under ``instances/``.  The
+expected numbers (optima, restricted optima, exact reduced costs, AC sets)
+were derived by hand-enumerating all supports; the oracle tests pin them, and
+so check the committed files directly.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from rcfilter import EdgeId, weighted_instance
+from rcfilter import EdgeId, load_instance
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def _e(pairs):
@@ -18,13 +23,7 @@ def _e(pairs):
 @pytest.fixture
 def three_var_assignment():
     """3-variable assignment, 7 edges, z_max 1; optimum 0 on the diagonal."""
-    return weighted_instance(
-        "alldiff",
-        3,
-        [0, 1, 2],
-        [(0, 0, 0), (0, 1, 1), (1, 0, 2), (1, 1, 0), (1, 2, 1), (2, 1, 2), (2, 2, 0)],
-        z_max=1,
-    )
+    return load_instance(INSTANCES / "assignment3.json")
 
 
 @pytest.fixture
@@ -56,21 +55,7 @@ def three_var_assignment_truth():
 @pytest.fixture
 def six_vertex_dag():
     """DAG on vertices 0..5 (source 0, sink 5), 8 arcs, z_max 1; optimum 0."""
-    return weighted_instance(
-        "path",
-        5,
-        [0, 1, 2, 3, 4, 5],
-        [
-            (0, 1, 0), (0, 2, 2), (0, 3, 1),
-            (1, 5, 2), (1, 2, 0),
-            (3, 4, 0),
-            (2, 5, 0),
-            (4, 5, 1),
-        ],
-        z_max=1,
-        source=0,
-        sink=5,
-    )
+    return load_instance(INSTANCES / "dag6.json")
 
 
 @pytest.fixture
@@ -107,17 +92,7 @@ def six_vertex_dag_truth():
 @pytest.fixture
 def three_var_assignment_alt():
     """3-variable assignment, 8 edges; carries the worked exactness witness."""
-    return weighted_instance(
-        "alldiff",
-        3,
-        [0, 1, 2],
-        [
-            (0, 0, 0), (0, 1, 2), (0, 2, 0),
-            (1, 0, 1), (1, 1, 0), (1, 2, 1),
-            (2, 1, 1), (2, 2, 0),
-        ],
-        z_max=1,
-    )
+    return load_instance(INSTANCES / "assignment3_alt.json")
 
 
 @pytest.fixture
@@ -151,20 +126,7 @@ def three_var_assignment_alt_truth():
 @pytest.fixture
 def five_vertex_dag():
     """DAG on vertices 0..4 (source 0, sink 4), 7 arcs; worked path witness."""
-    return weighted_instance(
-        "path",
-        4,
-        [0, 1, 2, 3, 4],
-        [
-            (0, 1, 1), (0, 2, 2), (0, 3, 0),
-            (1, 4, 1), (1, 2, 0),
-            (2, 4, 1),
-            (3, 4, 0),
-        ],
-        z_max=1,
-        source=0,
-        sink=4,
-    )
+    return load_instance(INSTANCES / "dag5.json")
 
 
 @pytest.fixture

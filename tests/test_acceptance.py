@@ -146,13 +146,15 @@ def test_criterion_4_filter_matches_oracle_everywhere(
             run_start = time.perf_counter()
             try:
                 result = ac_by_lp(inst)
-            except InfeasibleConstraintError:
+            except InfeasibleConstraintError as exc:
                 assert report.ac_set == (), inst
+                assert exc.z_lb in (None, report.z_star), inst
                 assert time.perf_counter() - run_start < 1.0
                 continue
             assert time.perf_counter() - run_start < 1.0
             assert result.complete
             assert dict(result.marks) == truth, inst
+            assert result.z_lb in (None, report.z_star), inst
         assert time.perf_counter() - suite_start < 60.0
 
 

@@ -7,24 +7,24 @@ from pathlib import Path
 
 import pytest
 
-from rcfilter import EdgeId, propagation, save_instance, weighted_instance
+from rcfilter import (
+    EdgeId, cli, formulations, model, propagation, save_instance, weighted_instance,
+)
 from rcfilter.cli import main
 from rcfilter.model import InfeasibleConstraintError
 from rcfilter.propagation import FilterResult
 
-
-@pytest.fixture
-def assignment_file(three_var_assignment, tmp_path):
-    p = tmp_path / "assignment.json"
-    save_instance(three_var_assignment, p)
-    return str(p)
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 @pytest.fixture
-def dag_file(six_vertex_dag, tmp_path):
-    p = tmp_path / "dag.json"
-    save_instance(six_vertex_dag, p)
-    return str(p)
+def assignment_file():
+    return str(INSTANCES / "assignment3.json")
+
+
+@pytest.fixture
+def dag_file():
+    return str(INSTANCES / "dag6.json")
 
 
 @pytest.fixture
@@ -172,6 +172,21 @@ def test_filter_infeasible_exit_code(costly_file, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["status"] == "infeasible"
     assert data["z_lb"] == "10"
+
+
+def test_commands_return_reports_without_printing(assignment_file, dag_file, capsys):
+    for path, options in ((assignment_file, []), (dag_file, ["--family", "layers"])):
+        for argv in (["filter", path, "--emit-duals", *options], ["oracle", path],
+                     ["verify", path, *options], ["bound", path, *options]):
+            args = cli._PARSER.parse_args(argv)
+            instance = model.load_instance(path)
+            fam = None
+            if args.command != "oracle":
+                fam = formulations.family(instance, args.strategy)
+            code, report = args.run(instance, fam, args)
+            assert capsys.readouterr().out == "", argv
+            assert main([*argv, "--format", "json"]) == code
+            assert json.loads(capsys.readouterr().out) == report, argv
 
 
 def test_parse_failure_exit_code(tmp_path, capsys):
