@@ -1,10 +1,11 @@
 """Exact-arithmetic linear programming: the only place pivoting happens.
 
-A dense two-phase simplex over ``fractions.Fraction`` with Bland's rule, so
-every solve terminates and identical inputs give identical pivots, identical
-solutions and identical duals.  Equality rows are handled natively through
-phase-one artificials; their duals stay attached to the row tag.  Free
-columns are split internally, which does not affect row duals.
+A two-phase simplex on a dense tableau over ``fractions.Fraction`` with
+Bland's rule, so every solve terminates and identical inputs give identical
+pivots, identical solutions and identical duals.  A pivot touches only the
+columns where the pivot row is non-zero.  Equality rows are handled natively
+through phase-one artificials; their duals stay attached to the row tag.
+Free columns are split internally, which does not affect row duals.
 
 A program's data are made exact ``Fraction``s and checked when it is built
 (see ``Row`` and ``LinearProgram``); the solver and the certificate check
@@ -242,15 +243,23 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
 
 
 def _pivot(T: list, basis: list, r: int, enter: int) -> None:
-    """Eliminate column ``enter`` from every row but ``r``, the reduced costs included."""
+    """Eliminate column ``enter`` from every row but ``r``, the reduced costs included.
+
+    Each other row changes only where the pivot row is non-zero, and is
+    updated there in place.  That is safe because no two rows share a list:
+    every row is built fresh (by ``dense``, as the phase-one costs or by the
+    division below), and the pivot row is only read.
+    """
     piv = T[r][enter]
     if piv != 1:
         T[r] = [a / piv for a in T[r]]
     Tr = T[r]
+    nonzero = [(j, b) for j, b in enumerate(Tr) if b]
     for i, Ti in enumerate(T):
-        if i != r and Ti[enter] != 0:
-            f = Ti[enter]
-            T[i] = [a - f * b for a, b in zip(Ti, Tr)]
+        f = Ti[enter]
+        if i != r and f:
+            for j, b in nonzero:
+                Ti[j] -= f * b
     basis[r] = enter
 
 

@@ -193,7 +193,7 @@ def test_criterion_6_family_size_and_solve_counts(capfd, six_vertex_dag):
         "layered path family finishes in 3 solves versus 5 for domains"
     )
     with _criterion(capfd, 6, desc):
-        for n in (3, 4, 5, 6):
+        for n in range(3, 9):
             inst, cycle = worst_case_alldiff(n)
             result = ac_by_lp(inst)
             assert result.complete

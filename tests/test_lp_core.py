@@ -1,3 +1,4 @@
+import random
 import re
 from dataclasses import replace
 from fractions import Fraction as F
@@ -289,3 +290,51 @@ def test_strong_duality_on_mixed_program():
 
 def test_pivot_guard_constant_exists():
     assert lp_core._MAX_PIVOTS > 1000
+
+
+def _dense_pivot(T, basis, r, enter):
+    # the elimination _pivot replaced: every affected row rebuilt over all columns
+    piv = T[r][enter]
+    if piv != 1:
+        T[r] = [a / piv for a in T[r]]
+    Tr = T[r]
+    for i, Ti in enumerate(T):
+        if i != r and Ti[enter] != 0:
+            f = Ti[enter]
+            T[i] = [a - f * b for a, b in zip(Ti, Tr)]
+    basis[r] = enter
+
+
+def test_pivot_matches_dense_elimination():
+    # Seeded random rational tableaux, about half their entries zero, the last
+    # row standing for the reduced costs; both eliminations pivot step by step.
+    rng = random.Random(12)
+    seen = {"pivot not +-1": 0, "zero in pivot row": 0, "zero in entering column": 0}
+    for _ in range(150):
+        m, ncols = rng.randint(1, 6), rng.randint(2, 9)
+        sparse = [
+            [
+                F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.5 else F(0)
+                for _ in range(ncols + 1)
+            ]
+            for _ in range(m + 1)
+        ]
+        dense = [list(row) for row in sparse]
+        basis_sparse, basis_dense = [-1] * m, [-1] * m
+        for _ in range(6):
+            r = rng.randrange(m)
+            candidates = [j for j in range(ncols) if sparse[r][j] != 0]
+            if not candidates:
+                continue
+            enter = rng.choice(candidates)
+            seen["pivot not +-1"] += abs(sparse[r][enter]) != 1
+            seen["zero in pivot row"] += 0 in sparse[r]
+            seen["zero in entering column"] += any(
+                row[enter] == 0 for i, row in enumerate(sparse) if i != r
+            )
+            lp_core._pivot(sparse, basis_sparse, r, enter)
+            _dense_pivot(dense, basis_dense, r, enter)
+            assert sparse == dense
+            assert basis_sparse == basis_dense
+            assert len({id(row) for row in sparse}) == len(sparse)
+    assert all(seen.values()), seen
