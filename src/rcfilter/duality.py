@@ -23,7 +23,7 @@ support LP's columns are the edges in instance order, and its "=" rows, one
 per primal row tag, each get an artificial column.  The family dual
 program's columns are the primal row tags, ``("u", i)`` then ``("v", j)``,
 each free and so split into a pair; its "<=" rows, one per edge in instance
-order and then one cap per set member, each get a slack column.
+order, each get a slack column.
 """
 
 from __future__ import annotations
@@ -218,22 +218,16 @@ def shifted_cost_dual(
 # one dual solution per incompatible set
 
 
-def big_m(instance: WeightedInstance) -> Fraction:
-    # any support costs at most the sum of the positive costs, so this
-    # strictly dominates every restricted optimum
-    return Fraction(1) + sum(
-        Fraction(c) for c in instance.cost.values() if c > 0
-    )
-
-
 def family_dual_program(
     instance: WeightedInstance, edge_set: Sequence[EdgeId]
 ) -> lp_core.LinearProgram:
     """The dual program whose optima carry exact reduced costs on the whole set.
 
     The dual of the support LP with its objective raised by the average
-    reduced cost over the set, each capped by ``big_m``, less the mean edge
-    cost: a constant, which moves no optimum.
+    reduced cost over the set, less the mean edge cost: a constant, which
+    moves no optimum.  By LP duality the program is bounded exactly when
+    every member of the set lies on some support, which ``model.validate``
+    requires of every edge.
     """
     edges = tuple(EdgeId(*e) for e in edge_set)
     if not edges:
@@ -247,26 +241,23 @@ def family_dual_program(
     for e in edges:
         for tag, a in edge_column(instance, e).items():
             objective[tag] -= share * a
-    M = big_m(instance)
-    cap_rows = tuple(
-        lp_core.Row(
-            {t: -a for t, a in edge_column(instance, e).items()},
-            lp_core.LE,
-            M - instance.cost[e],
-            ("cap", e),
-        )
-        for e in edges
-    )
-    return replace(dual, objective=objective, rows=dual.rows + cap_rows)
+    return replace(dual, objective=objective)
 
 
 def solve_family_dual(
     instance: WeightedInstance, edge_set: Sequence[EdgeId]
 ) -> DualSolution:
-    """A dual solution with w + r_e equal to the restricted optimum for every e in the set."""
+    """A dual solution with w + r_e equal to the restricted optimum for every e in the set.
+
+    Raises ValueError when the program is unbounded, i.e. some member of the
+    set lies on no support: that member has no restricted optimum to carry.
+    """
     sol = lp_core.solve(family_dual_program(instance, edge_set))
+    if sol.status == lp_core.UNBOUNDED:
+        raise ValueError("an edge of the set lies on no support")
     if sol.status != lp_core.OPTIMAL:
-        # feasible duals always exist, so this means the primal side is empty
+        # no potentials are feasible: only a negative-cost cycle, which
+        # validate rejects, can do that
         raise InfeasibleConstraintError(f"family dual program is {sol.status}")
     return from_row_duals(instance, sol.primal)
 

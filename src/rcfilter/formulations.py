@@ -147,6 +147,8 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
         depth = _longest_path_depths(instance, out)
         grouped: dict[int, list[EdgeId]] = {}
         for e in instance.edges:
+            if e.i not in depth:
+                raise ValueError(f"arc {e} leaves a vertex the source cannot reach")
             grouped.setdefault(depth[e.i], []).append(e)
         depths = sorted(grouped)
         sets = tuple(tuple(grouped[d]) for d in depths)

@@ -79,7 +79,9 @@ def ac_by_lp(
     inconsistent immediately.  ``budget`` caps the number of dual solves.
 
     Raises InfeasibleConstraintError when a covering set proves the optimum
-    exceeds the cost bound, or when no support exists at all.
+    exceeds the cost bound, when every edge ends up inconsistent, or when
+    the instance has no edge.  Raises ValueError when a solved set has a
+    member on no support, an instance ``model.validate`` rejects.
     """
     if family is None:
         family = formulations.family(instance, "domains")

@@ -4,7 +4,6 @@ from rcfilter import EdgeId, InfeasibleConstraintError, lp_core
 from rcfilter import oracle
 from rcfilter.duality import (
     averaged_satisfaction_dual,
-    big_m,
     dual_solution,
     exact_reduced_cost,
     exactness_certificate,
@@ -188,12 +187,6 @@ def test_shifted_dual_rejects_optimum_below_true_value(three_var_assignment):
         shifted_cost_dual(three_var_assignment, EdgeId(0, 1), z_star - 1)
 
 
-def test_cap_constant_dominates_restricted_optima(three_var_assignment):
-    report = oracle.enumerate(three_var_assignment)
-    M = big_m(three_var_assignment)
-    assert all(M > v for v in report.z_restricted.values())
-
-
 def test_family_dual_identity(three_var_assignment, six_vertex_dag):
     for inst in (three_var_assignment, six_vertex_dag):
         report = oracle.enumerate(inst)
@@ -209,7 +202,7 @@ def test_family_dual_program_shapes(three_var_assignment):
     edge_set = (EdgeId(1, 0), EdgeId(1, 1), EdgeId(1, 2))
     lp = family_dual_program(three_var_assignment, edge_set)
     assert lp.sense == lp_core.MAX
-    assert len(lp.rows) == 7 + 3  # feasibility rows plus one cap per member
+    assert len(lp.rows) == 7  # one row per edge
     assert lp.free == frozenset(lp.columns)
     with pytest.raises(ValueError):
         family_dual_program(three_var_assignment, ())

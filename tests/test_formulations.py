@@ -109,6 +109,16 @@ def test_layers_only_for_paths(three_var_assignment):
         family(three_var_assignment, "layers")
 
 
+def test_layers_reject_an_arc_the_source_cannot_reach():
+    # vertex 1 has no arc in, so arc (1, 2) has no depth
+    inst = weighted_instance(
+        "path", 3, [0, 1, 2, 3], [(0, 2, 1), (1, 2, 1), (2, 3, 1)],
+        z_max=5, source=0, sink=3,
+    )
+    with pytest.raises(ValueError, match=r"arc EdgeId\(i=1, j=2\) leaves a vertex"):
+        family(inst, "layers")
+
+
 def test_unknown_strategy(three_var_assignment):
     with pytest.raises(ValueError):
         family(three_var_assignment, "rainbow")

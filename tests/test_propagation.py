@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -6,6 +7,7 @@ from rcfilter import EdgeId, InfeasibleConstraintError, validate, weighted_insta
 from rcfilter import oracle
 from rcfilter.formulations import family, worst_case_alldiff
 from rcfilter.propagation import (
+    CONSISTENT,
     INCONSISTENT,
     UNMARKED,
     ac_by_lp,
@@ -155,6 +157,47 @@ def test_isolated_path_vertex_changes_nothing():
         result, reference = ac_by_lp(isolated, fam), ac_by_lp(plain, fam)
         assert result.marks == reference.marks
         assert result.solves == reference.solves
+
+
+def _unvalidated_instance(rng):
+    """A small alldiff or DAG instance with random edges, often failing validate."""
+    if rng.random() < 0.5:
+        n = rng.randint(2, 4)
+        edges = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.7]
+        triples = [(i, j, rng.randint(0, 6)) for i, j in edges]
+        return weighted_instance("alldiff", n, range(n), triples, z_max=rng.randint(0, 12))
+    m = rng.randint(3, 6)
+    arcs = [(i, j) for i in range(m) for j in range(i + 1, m) if rng.random() < 0.6]
+    triples = [(i, j, rng.randint(0, 6)) for i, j in arcs]
+    return weighted_instance(
+        "path", m - 1, range(m), triples, z_max=rng.randint(0, 12), source=0, sink=m - 1
+    )
+
+
+def test_unsupported_edges_are_rejected_never_mislabelled():
+    # an edge on no support has no restricted optimum, so the loop must
+    # refuse the instance rather than mark from an unbounded family dual
+    rng = random.Random(20261018)
+    valid = rejected = 0
+    for _ in range(400):
+        inst = _unvalidated_instance(rng)
+        problems = validate(inst)
+        valid += not problems
+        try:
+            truth = _oracle_marks(inst)
+        except InfeasibleConstraintError:
+            truth = None  # no support at all
+        try:
+            marks = ac_by_lp(inst).marks
+        except ValueError:
+            assert problems
+            rejected += 1
+            continue
+        except InfeasibleConstraintError:
+            assert truth is None or CONSISTENT not in truth.values()
+            continue
+        assert marks == truth
+    assert rejected and valid
 
 
 def test_worst_case_needs_one_solve_per_variable():
