@@ -144,11 +144,10 @@ def exact_reduced_cost(
 
     The restricted optimum is w + r_ij under the family dual of the set
     {ij}, so this is one family-dual solve.  ``z_star`` is the optimum of the
-    support LP, as ``solve_primal`` returns it.
+    support LP, as ``solve_primal`` returns it.  Raises ValueError when ij
+    lies on no support or a cycle has negative cost (see ``solve_family_dual``).
     """
     ij = EdgeId(*ij)
-    if formulations.find_support(instance, instance.edges, forced=ij) is None:
-        raise InfeasibleConstraintError(f"edge {ij} lies on no support")
     dual = solve_family_dual(instance, (ij,))
     return dual.w + reduced_cost(instance, dual, ij) - z_star
 
@@ -249,16 +248,16 @@ def solve_family_dual(
 ) -> DualSolution:
     """A dual solution with w + r_e equal to the restricted optimum for every e in the set.
 
-    Raises ValueError when the program is unbounded, i.e. some member of the
-    set lies on no support: that member has no restricted optimum to carry.
+    Raises ValueError on input ``model.validate`` rejects: the program is
+    unbounded when a member of the set lies on no support (it has no
+    restricted optimum to carry), infeasible when a cycle has negative cost.
     """
     sol = lp_core.solve(family_dual_program(instance, edge_set))
-    if sol.status == lp_core.UNBOUNDED:
-        raise ValueError("an edge of the set lies on no support")
     if sol.status != lp_core.OPTIMAL:
-        # no potentials are feasible: only a negative-cost cycle, which
-        # validate rejects, can do that
-        raise InfeasibleConstraintError(f"family dual program is {sol.status}")
+        raise ValueError(
+            f"family dual program is {sol.status}: an edge of the set lies on"
+            " no support, or a cycle has negative cost"
+        )
     return from_row_duals(instance, sol.primal)
 
 

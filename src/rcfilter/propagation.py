@@ -1,9 +1,9 @@
 """The filtering loop: arc consistency by a sequence of dual solves.
 
 One dual solve per incompatible set classifies every edge of that set exactly
-and may knock out arbitrary other edges along the way.  Edges are never
-revisited once marked, so the number of solves is bounded by the number of
-sets actually touched.  Requires every edge to lie on at least one support
+and may knock out arbitrary other edges along the way.  A set is picked only
+while it has an unmarked edge, and its solve marks all of them, so no set is
+solved twice.  Requires every edge to lie on at least one support
 (``model.validate`` enforces this).
 """
 
@@ -50,15 +50,11 @@ class FilterResult:
 
 
 def _pick_next(
-    family: IncompatibleFamily,
-    used: set[int],
-    marks: Mapping[EdgeId, str],
+    family: IncompatibleFamily, marks: Mapping[EdgeId, str]
 ) -> Optional[int]:
     best = None
     best_count = 0
     for idx, edge_set in enumerate(family.sets):
-        if idx in used:
-            continue
         count = sum(1 for e in edge_set if marks[e] == UNMARKED)
         if count > best_count:
             best, best_count = idx, count
@@ -80,8 +76,8 @@ def ac_by_lp(
 
     Raises InfeasibleConstraintError when a covering set proves the optimum
     exceeds the cost bound, when every edge ends up inconsistent, or when
-    the instance has no edge.  Raises ValueError when a solved set has a
-    member on no support, an instance ``model.validate`` rejects.
+    the instance has no edge.  Raises ValueError on an instance
+    ``model.validate`` rejects, as ``duality.solve_family_dual`` does.
     """
     if family is None:
         family = formulations.family(instance, "domains")
@@ -93,15 +89,13 @@ def ac_by_lp(
     marks: dict[EdgeId, str] = {e: UNMARKED for e in instance.edges}
     duals_used: list[tuple[tuple[EdgeId, ...], DualSolution]] = []
     z_lb: Optional[Fraction] = None
-    used: set[int] = set()
 
     while True:
         if budget is not None and len(duals_used) >= budget:
             break
-        idx = _pick_next(family, used, marks)
+        idx = _pick_next(family, marks)
         if idx is None:
             break
-        used.add(idx)
         edge_set = family.sets[idx]
         dual = duality.solve_family_dual(instance, edge_set)
         duals_used.append((edge_set, dual))

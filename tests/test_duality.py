@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from rcfilter import EdgeId, InfeasibleConstraintError, lp_core
@@ -102,8 +104,21 @@ def test_exact_reduced_cost_no_support():
         "alldiff", 2, [0, 1], [(0, 0, 1), (0, 1, 1), (1, 0, 1)], z_max=9
     )
     z_star, _, _ = solve_primal(inst)
-    with pytest.raises(InfeasibleConstraintError, match="no support"):
+    with pytest.raises(ValueError, match="no support"):
         exact_reduced_cost(inst, EdgeId(0, 0), z_star)
+
+
+def test_family_dual_rejects_a_negative_cycle(six_vertex_dag):
+    # validate rejects any cycle; past it, a negative one leaves no feasible
+    # potentials, so the family dual program is infeasible
+    back = EdgeId(2, 1)  # closes 1 -> 2 -> 1 at total cost -1
+    cyclic = replace(
+        six_vertex_dag,
+        edges=six_vertex_dag.edges + (back,),
+        cost={**six_vertex_dag.cost, back: -1},
+    )
+    with pytest.raises(ValueError, match="infeasible"):
+        solve_family_dual(cyclic, (EdgeId(1, 2),))
 
 
 def test_exact_reduced_cost_unknown_edge(three_var_assignment):

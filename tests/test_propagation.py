@@ -14,7 +14,7 @@ from rcfilter.propagation import (
     lower_bound,
 )
 
-from corpus import path_corpus
+from corpus import alldiff_corpus, path_corpus
 
 
 def _oracle_marks(inst):
@@ -198,6 +198,35 @@ def test_unsupported_edges_are_rejected_never_mislabelled():
             continue
         assert marks == truth
     assert rejected and valid
+
+
+def test_repeated_and_one_edge_sets_are_solved_at_most_once():
+    # a set is picked only while it has an unmarked edge and its solve marks
+    # all of them, so neither a repeated set nor a set another solve already
+    # marked is ever solved again
+    rng = random.Random(20261019)
+    for inst in alldiff_corpus(60) + path_corpus(40):
+        fam = family(inst, "domains")
+        k = rng.randrange(len(fam.sets))
+        fam = replace(
+            fam,
+            sets=fam.sets + (fam.sets[k], (rng.choice(inst.edges),)),
+            covering=fam.covering + (fam.covering[k], False),
+        )
+        try:
+            truth = _oracle_marks(inst)
+        except InfeasibleConstraintError:
+            truth = None
+        for budget in (None, 1, 2):
+            try:
+                result = ac_by_lp(inst, fam, budget)
+            except InfeasibleConstraintError:
+                assert truth is None or CONSISTENT not in truth.values()
+                continue
+            solved = [frozenset(edge_set) for edge_set, _ in result.duals_used]
+            assert len(set(solved)) == len(solved)
+            if result.complete:
+                assert dict(result.marks) == truth
 
 
 def test_worst_case_needs_one_solve_per_variable():
