@@ -1,11 +1,31 @@
 """Exact-arithmetic linear programming: the only place pivoting happens.
 
-A two-phase simplex on a dense tableau over ``fractions.Fraction`` with
-Bland's rule, so every solve terminates and identical inputs give identical
-pivots, identical solutions and identical duals.  A pivot touches only the
-columns where the pivot row is non-zero.  Equality rows are handled natively
-through phase-one artificials; their duals stay attached to the row tag.
-Free columns are split internally, which does not affect row duals.
+A two-phase simplex with Bland's rule, so every solve terminates and
+identical inputs give identical pivots, identical solutions and identical
+duals.  Equality rows are handled natively through phase-one artificials;
+their duals stay attached to the row tag.  Free columns are split
+internally, which does not affect row duals.
+
+The tableau is integer and fraction-free (Edmonds; Bareiss): an integer
+matrix M over one common denominator d > 0, standing for M / d, with d = 1
+at the start.  Each row's coefficients and right-hand side are multiplied by
+s, the lcm of their denominators, negated when the right-hand side is
+negative; its slack, surplus and artificial keep the entries 1 and -1.  That
+is the same program with those three measured in units of 1/|s|, so phase
+one costs each artificial 1/|s| times one common integer.  Phase two costs
+the objective times the lcm of its denominators (negated for max) times d.
+
+Every basic column of M holds d in its row, so M / d is the tableau of the
+scaled program.  It differs from the ``Fraction`` tableau of the unscaled
+program only by positive factors on rows and on the scaled columns, and its
+reduced costs only by positive factors on those columns.  Hence Bland's
+entering test M[m][j] < 0, the ratio test compared crosswise over integers
+and the phase-one test M[m][ncols] < 0 take the same signs as over
+``Fraction``s, and every pivot and tie-break is the same.  Only the answers
+are ``Fraction``s: a primal value is M[i][ncols] / d, and the duals and the
+objective are read off the reduced costs and scaled back.  A pivot equal to
+d touches only the columns where the pivot row is non-zero; that is every
+pivot on the package's network programs, where d stays 1.
 
 A program's data are made exact ``Fraction``s and checked when it is built
 (see ``Row`` and ``LinearProgram``); the solver and the certificate check
@@ -39,7 +59,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Mapping, Optional
+from math import lcm
+from typing import Container, Hashable, Mapping, Optional
 
 MIN = "min"
 MAX = "max"
@@ -120,8 +141,6 @@ def solve(lp: LinearProgram) -> LpSolution:
 
 
 def _solve_std(lp: LinearProgram) -> LpSolution:
-    minimize = lp.sense == MIN
-
     # the program's columns first, a free column's negated copy right after it
     col: dict = {}
     n_std = 0
@@ -134,203 +153,239 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
     m = len(lp.rows)
     ncols = n_std + sum(2 if rel == GE else 1 for rel in rels)
 
-    def dense(coeffs: Mapping[Hashable, Fraction], rhs: Fraction, negate: bool) -> list:
-        # a tableau row over the program's columns, optionally negated
-        row = [Fraction(0)] * (ncols + 1)
+    def dense(coeffs: Mapping[Hashable, Fraction], rhs: Fraction, scale: int) -> list:
+        # ``scale`` times a tableau row over the program's columns; every
+        # denominator divides ``scale``, so the row is integral
+        row = [0] * (ncols + 1)
         for t, a in coeffs.items():
-            a = -a if negate else a
+            a = a.numerator * (scale // a.denominator)
             row[col[t]] = a
             if t in lp.free:
                 row[col[t] + 1] = -a
-        row[ncols] = -rhs if negate else rhs
+        row[ncols] = rhs.numerator * (scale // rhs.denominator)
         return row
 
-    # one pass, rows with a negative rhs negated; columns as in the docstring
-    T: list[list[Fraction]] = []
+    # one pass, each row scaled to integers (negated when its rhs is
+    # negative); columns as in the docstring
+    M: list[list[int]] = []
+    scales: list[int] = []
     unit: list[int] = []
-    artificials: set[int] = set()
+    artificials: dict[int, int] = {}  # column -> |scale| of its row
     k = n_std
     for r, rel in zip(lp.rows, rels):
-        t_row = dense(r.coeffs, r.rhs, r.rhs < 0)
+        s = lcm(r.rhs.denominator, *(a.denominator for a in r.coeffs.values()))
+        if r.rhs < 0:
+            s = -s
+        t_row = dense(r.coeffs, r.rhs, s)
         if rel == GE:
-            t_row[k] = Fraction(-1)
+            t_row[k] = -1
             k += 1
-        t_row[k] = Fraction(1)
+        t_row[k] = 1
         if rel != LE:
-            artificials.add(k)
+            artificials[k] = abs(s)
         unit.append(k)
+        scales.append(s)
         k += 1
-        T.append(t_row)
-    T.append([])  # the reduced-cost row T[m], set by each phase
+        M.append(t_row)
+    M.append([])  # the reduced-cost row M[m], set by each phase
     basis = list(unit)
+    d = 1  # the common denominator: the tableau is M / d
 
-    def run_phase(costs: list[Fraction], barred: set[int]) -> str:
-        # T[m][j] = c_j - c_B B^-1 A_j and T[m][ncols] = -c_B B^-1 b, kept
-        # current by every pivot; optimal when all eligible T[m][j] >= 0.
-        # Pivoting on a basic unit column prices it out; a zero cost needs none.
-        T[m] = costs
+    def run_phase(costs: list[int], barred: Container[int]) -> str:
+        # M[m][j] is a positive multiple of the unscaled program's
+        # c_j - c_B B^-1 A_j and M[m][ncols] of -c_B B^-1 b, kept current by
+        # every pivot; optimal when all eligible M[m][j] >= 0.  Pivoting on a basic unit column
+        # prices it out; a zero cost needs none.
+        nonlocal d
+        M[m] = costs
         for i in range(m):
-            if costs[basis[i]] != 0:
-                _pivot(T, basis, i, basis[i])
+            if M[m][basis[i]] != 0:
+                d = _pivot(M, basis, i, basis[i], d)
         for _ in range(_MAX_PIVOTS):
+            z = M[m]
             enter = -1
             for j in range(ncols):
-                if j not in barred and T[m][j] < 0:
+                if j not in barred and z[j] < 0:
                     enter = j
                     break
             if enter < 0:
                 return OPTIMAL
-            leave = -1
-            best: Optional[Fraction] = None
+            # the least ratio M[i][ncols] / M[i][enter], compared crosswise
+            leave, num, den = -1, 0, 1
             for i in range(m):
-                a = T[i][enter]
+                a = M[i][enter]
                 if a > 0:
-                    ratio = T[i][ncols] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
+                    b = M[i][ncols]
+                    if leave < 0 or b * den < num * a or (
+                        b * den == num * a and basis[i] < basis[leave]
                     ):
-                        best = ratio
-                        leave = i
+                        leave, num, den = i, b, a
             if leave < 0:
                 return UNBOUNDED
-            _pivot(T, basis, leave, enter)
+            d = _pivot(M, basis, leave, enter, d)
         raise RuntimeError("pivot limit hit; anti-cycling rule violated")
 
-    # phase 1: drive the artificials to zero
-    c1 = [Fraction(0)] * (ncols + 1)
-    for a in artificials:
-        c1[a] = Fraction(1)
+    # phase 1: drive the artificials to zero.  A scaled row measures its
+    # artificial in units of 1/|s|, so that artificial costs 1/|s|, times
+    # the lcm of those |s| to keep the costs integral.
+    c1_scale = lcm(*artificials.values())
+    c1 = [0] * (ncols + 1)
+    for a, s in artificials.items():
+        c1[a] = c1_scale // s
     status = run_phase(c1, barred=set())
     assert status == OPTIMAL, "phase one objective is bounded below by zero"
-    if T[m][ncols] < 0:  # the phase-one optimum is -T[m][ncols]
+    if M[m][ncols] < 0:  # the phase-one optimum is -M[m][ncols] / d
         return LpSolution(status=INFEASIBLE, primal={}, dual={}, objective=None)
 
     # pivot leftover artificials out where the row allows it
     for i in range(m):
         if basis[i] in artificials:
             for j in range(ncols):
-                if j not in artificials and T[i][j] != 0:
-                    _pivot(T, basis, i, j)  # T[m] is set anew for phase 2
+                if j not in artificials and M[i][j] != 0:
+                    d = _pivot(M, basis, i, j, d)  # M[m] is set anew for phase 2
                     break
             # an all-zero row is redundant; its artificial stays basic at zero
 
-    status = run_phase(dense(lp.objective, Fraction(0), not minimize), barred=artificials)
+    # phase 2 minimizes cost_scale * c.x: the objective made integral, negated for max
+    cost_scale = lcm(*(c.denominator for c in lp.objective.values()))
+    if lp.sense == MAX:
+        cost_scale = -cost_scale
+    status = run_phase(dense(lp.objective, Fraction(0), cost_scale * d), barred=artificials)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, primal={}, dual={}, objective=None)
 
-    std_val = [Fraction(0)] * ncols
+    std_val = [0] * ncols
     for i in range(m):
-        std_val[basis[i]] = T[i][ncols]
+        std_val[basis[i]] = M[i][ncols]
     primal: dict = {}
     for t in lp.columns:
         v = std_val[col[t]]
         if t in lp.free:
             v -= std_val[col[t] + 1]
-        primal[t] = v
+        primal[t] = Fraction(v, d)
 
-    z = T[m]  # the phase-2 reduced costs
-    dual: dict = {}
-    for r, k in zip(lp.rows, unit):
-        y = -z[k]
-        if r.rhs < 0:
-            y = -y
-        if not minimize:
-            y = -y
-        dual[r.tag] = y
-
-    obj = -z[ncols] if minimize else z[ncols]
-    return LpSolution(status=OPTIMAL, primal=primal, dual=dual, objective=obj)
+    # a row's dual scales back by its own scale; the objective by the cost's
+    z = M[m]  # the phase-2 reduced costs, times d * cost_scale
+    dual = {
+        r.tag: Fraction(-z[k] * s, d * cost_scale)
+        for r, k, s in zip(lp.rows, unit, scales)
+    }
+    return LpSolution(
+        status=OPTIMAL, primal=primal, dual=dual, objective=Fraction(-z[ncols], d * cost_scale)
+    )
 
 
-def _pivot(T: list, basis: list, r: int, enter: int) -> None:
-    """Eliminate column ``enter`` from every row but ``r``, the reduced costs included.
+def _pivot(M: list, basis: list, r: int, enter: int, d: int) -> int:
+    """Pivot the integer tableau M / d on (r, enter); return the new denominator.
 
-    Each other row changes only where the pivot row is non-zero, and is
-    updated there in place.  That is safe because no two rows share a list:
-    every row is built fresh (by ``dense``, as the phase-one costs or by the
-    division below), and the pivot row is only read.
+    A negative pivot first negates row r, so the pivot p and the denominator
+    stay positive.  Row r itself is kept as it is.  Every other row, the
+    reduced costs included, becomes (p * a - f * b) / d, with a its entry, f
+    its entry in column ``enter`` and b the pivot row's entry; the new
+    denominator is p.  The division is exact (Bareiss): started from integer
+    rows with d = 1, every entry of M is, up to sign, a minor of the scaled
+    program matrix (bordered by the cost row) and d the minor of the current
+    basis.
+
+    * p == d: each other row changes only where the pivot row is non-zero, by
+      f * b / d, in place.  That is safe because no two rows share a list:
+      every row is built fresh (by ``dense``, as the phase-one costs or in
+      this function), and the pivot row is only read.  On totally unimodular
+      programs, the package's networks, every pivot takes this branch.
+    * p != d: every other row is rebuilt.
     """
-    piv = T[r][enter]
-    if piv != 1:
-        T[r] = [a / piv for a in T[r]]
-    Tr = T[r]
-    nonzero = [(j, b) for j, b in enumerate(Tr) if b]
-    for i, Ti in enumerate(T):
-        f = Ti[enter]
-        if i != r and f:
-            for j, b in nonzero:
-                Ti[j] -= f * b
+    p = M[r][enter]
+    if p < 0:
+        M[r] = [-b for b in M[r]]
+        p = -p
+    Mr = M[r]
+    if p == d:
+        nonzero = [(j, b) for j, b in enumerate(Mr) if b]
+        for i, Mi in enumerate(M):
+            f = Mi[enter]
+            if i != r and f:
+                for j, b in nonzero:
+                    Mi[j] -= f * b // d
+    else:
+        for i, Mi in enumerate(M):
+            if i != r:
+                f = Mi[enter]
+                M[i] = [(p * a - f * b) // d for a, b in zip(Mi, Mr)]
     basis[r] = enter
+    return p
 
 
-def _column_sums(lp: LinearProgram, y: Mapping[Hashable, Fraction]) -> dict:
-    """y . A_t for every column t, in one pass over each row's nonzeros."""
-    sums = dict.fromkeys(lp.columns, Fraction(0))
-    for r in lp.rows:
-        yr = y[r.tag]
-        if yr != 0:
-            for t, a in r.coeffs.items():
-                sums[t] += a * yr
-    return sums
+def _feasible_sums(lp: LinearProgram, y: Mapping[Hashable, Fraction]) -> Optional[dict]:
+    """y . A_t for every column t if the exact duals y are feasible, else None.
 
-
-def dual_feasible(lp: LinearProgram, duals: Mapping[Hashable, Fraction]) -> bool:
-    """Exact feasibility of a dual vector for this program, per the conventions above."""
+    The sums come from one pass over each row's nonzeros with a non-zero dual.
+    """
     tags = {r.tag for r in lp.rows}
-    given = set(duals)
+    given = set(y)
     if tags != given:
         raise ValueError(
             f"dual vector does not match the rows: missing {tags - given}, "
             f"extra {given - tags}"
         )
     minimize = lp.sense == MIN
-    y: dict = {}
+    sums = dict.fromkeys(lp.columns, 0)
     for r in lp.rows:
-        # the duals come from the caller, so they are made exact here
-        y[r.tag] = yr = Fraction(duals[r.tag])
+        yr = y[r.tag]
         if r.rel == LE and (yr > 0 if minimize else yr < 0):
-            return False
+            return None
         if r.rel == GE and (yr < 0 if minimize else yr > 0):
-            return False
-    for t, s in _column_sums(lp, y).items():
+            return None
+        if yr:
+            for t, a in r.coeffs.items():
+                sums[t] += a * yr
+    for t, s in sums.items():
         c = lp.objective[t]
         if t in lp.free:
             if s != c:
-                return False
+                return None
         elif minimize:
             if s > c:
-                return False
+                return None
         else:
             if s < c:
-                return False
-    return True
+                return None
+    return sums
+
+
+def dual_feasible(lp: LinearProgram, duals: Mapping[Hashable, Fraction]) -> bool:
+    """Exact feasibility of a dual vector for this program, per the conventions above."""
+    # the duals come from the caller, so they are made exact here
+    return _feasible_sums(lp, {tag: Fraction(yr) for tag, yr in duals.items()}) is not None
 
 
 def _assert_certificates(lp: LinearProgram, sol: LpSolution) -> None:
+    if set(sol.primal) != set(lp.columns):
+        raise AssertionError("primal solution does not cover exactly the program's columns")
+    # only non-zero primal values contribute to a sum or a slackness product
+    x = {t: v for t in lp.columns if (v := sol.primal[t])}
     # primal feasibility
-    for t in lp.columns:
-        if t not in lp.free and sol.primal[t] < 0:
+    for t, v in x.items():
+        if v < 0 and t not in lp.free:
             raise AssertionError(f"negative value for column {t!r}")
     slack: dict = {}
     for r in lp.rows:
-        lhs = sum(a * sol.primal[t] for t, a in r.coeffs.items())
+        lhs = sum(a * x[t] for t, a in r.coeffs.items() if t in x)
         slack[r.tag] = lhs - r.rhs
-        ok = {LE: lhs <= r.rhs, EQ: lhs == r.rhs, GE: lhs >= r.rhs}[r.rel]
-        if not ok:
+        if not (lhs <= r.rhs if r.rel == LE else lhs >= r.rhs if r.rel == GE else lhs == r.rhs):
             raise AssertionError(f"primal solution violates row {r.tag!r}")
     # dual feasibility
-    if not dual_feasible(lp, sol.dual):
+    sums = _feasible_sums(lp, sol.dual)
+    if sums is None:
         raise AssertionError("dual solution infeasible")
     # complementary slackness and strong duality
     for r in lp.rows:
-        if slack[r.tag] * sol.dual[r.tag] != 0:
+        if slack[r.tag] and sol.dual[r.tag]:
             raise AssertionError(f"complementary slackness fails on row {r.tag!r}")
-    sums = _column_sums(lp, sol.dual)
-    for t in lp.columns:
-        if (lp.objective[t] - sums[t]) * sol.primal[t] != 0:
+    for t in x:
+        if lp.objective[t] != sums[t]:
             raise AssertionError(f"complementary slackness fails on column {t!r}")
-    primal_obj = sum(lp.objective[t] * sol.primal[t] for t in lp.columns)
-    dual_obj = sum(r.rhs * sol.dual[r.tag] for r in lp.rows)
+    primal_obj = sum(lp.objective[t] * v for t, v in x.items())
+    dual_obj = sum(r.rhs * sol.dual[r.tag] for r in lp.rows if r.rhs)
     if primal_obj != dual_obj:
         raise AssertionError("strong duality fails")
     if primal_obj != sol.objective:

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from dataclasses import replace
@@ -254,6 +255,11 @@ def _diet_with_loose_row():
             "complementary slackness fails on column 'a'",
         ),
         ({"objective": F(10)}, "reported objective inconsistent"),
+        ({"primal": {"a": F(3)}}, "primal solution does not cover exactly"),
+        (
+            {"primal": {"a": F(3), "b": F(1), "c": F(0)}},
+            "primal solution does not cover exactly",
+        ),
     ],
 )
 def test_certificate_check_rejects_corrupted_solution(corrupt, message):
@@ -288,6 +294,30 @@ def test_strong_duality_on_mixed_program():
     )
 
 
+def test_phase_one_prices_each_artificial_by_its_row_scale(monkeypatch):
+    # Row "b" is scaled by -3 to integers, so its artificial counts three
+    # times its unscaled value and costs 1/3 in phase one.  Costed 1, x would
+    # price out at 1 - (3 - 3) = 0 and never enter; the unscaled program
+    # prices it at 1 - (3 - 1) = -1 and enters it.  These are the pivots of
+    # that program: the two artificials priced out, then x entering row 0.
+    pivots = []
+    pivot = lp_core._pivot
+
+    def logged(M, basis, r, enter, d):
+        pivots.append((r, enter))
+        return pivot(M, basis, r, enter, d)
+
+    monkeypatch.setattr(lp_core, "_pivot", logged)
+    lp = LinearProgram(
+        sense=MAX,
+        columns=("x",),
+        objective={"x": F(-2)},
+        rows=(Row({"x": 3}, GE, 1, "a"), Row({"x": 1}, EQ, F(-1, 3), "b")),
+    )
+    assert solve(lp).status == INFEASIBLE
+    assert pivots == [(0, 2), (1, 3), (0, 0)]
+
+
 def test_pivot_guard_constant_exists():
     assert lp_core._MAX_PIVOTS > 1000
 
@@ -307,34 +337,51 @@ def _dense_pivot(T, basis, r, enter):
 
 def test_pivot_matches_dense_elimination():
     # Seeded random rational tableaux, about half their entries zero, the last
-    # row standing for the reduced costs; both eliminations pivot step by step.
+    # row standing for the reduced costs.  Each row is scaled to integers, as
+    # the solver scales its rows; the integer pivot on M / d and the Fraction
+    # elimination then pivot step by step and must agree entry by entry.
     rng = random.Random(12)
-    seen = {"pivot not +-1": 0, "zero in pivot row": 0, "zero in entering column": 0}
+    seen = {
+        "p == d": 0,
+        "p != d": 0,
+        "negative pivot": 0,
+        "zero in pivot row": 0,
+        "zero in entering column": 0,
+    }
     for _ in range(150):
         m, ncols = rng.randint(1, 6), rng.randint(2, 9)
-        sparse = [
+        rational = [
             [
                 F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.5 else F(0)
                 for _ in range(ncols + 1)
             ]
             for _ in range(m + 1)
         ]
-        dense = [list(row) for row in sparse]
-        basis_sparse, basis_dense = [-1] * m, [-1] * m
+        M = []
+        for row in rational:
+            s = math.lcm(*(a.denominator for a in row))
+            M.append([int(a * s) for a in row])
+        T = [[F(a) for a in row] for row in M]
+        d = 1
+        basis_int, basis_dense = [-1] * m, [-1] * m
         for _ in range(6):
             r = rng.randrange(m)
-            candidates = [j for j in range(ncols) if sparse[r][j] != 0]
+            candidates = [j for j in range(ncols) if M[r][j] != 0]
             if not candidates:
                 continue
             enter = rng.choice(candidates)
-            seen["pivot not +-1"] += abs(sparse[r][enter]) != 1
-            seen["zero in pivot row"] += 0 in sparse[r]
+            p = M[r][enter]
+            seen["p == d" if abs(p) == d else "p != d"] += 1
+            seen["negative pivot"] += p < 0
+            seen["zero in pivot row"] += 0 in M[r]
             seen["zero in entering column"] += any(
-                row[enter] == 0 for i, row in enumerate(sparse) if i != r
+                row[enter] == 0 for i, row in enumerate(M) if i != r
             )
-            lp_core._pivot(sparse, basis_sparse, r, enter)
-            _dense_pivot(dense, basis_dense, r, enter)
-            assert sparse == dense
-            assert basis_sparse == basis_dense
-            assert len({id(row) for row in sparse}) == len(sparse)
+            d = lp_core._pivot(M, basis_int, r, enter, d)
+            _dense_pivot(T, basis_dense, r, enter)
+            assert d > 0
+            assert all(type(a) is int for row in M for a in row)
+            assert [[F(a, d) for a in row] for row in M] == T
+            assert basis_int == basis_dense
+            assert len({id(row) for row in M}) == len(M)
     assert all(seen.values()), seen

@@ -163,27 +163,26 @@ def test_anytime_marks_are_correct(inst, budget):
             assert m == truth[e]
 
 
-# small rationals, so pivots are not all units and phase one meets fractions
-coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=5)
-
-
-@settings(**COMMON)
-@given(
-    n_cols=st.integers(1, 5),
-    rows=st.lists(
-        st.tuples(
-            st.lists(coefficients, min_size=5, max_size=5),
-            st.sampled_from([lp_core.LE, lp_core.EQ, lp_core.GE]),
-            st.fractions(min_value=-4, max_value=4, max_denominator=5),
+def random_programs(coefficient, rhs):
+    """Strategies for the arguments of ``_solve_and_certify``."""
+    return dict(
+        n_cols=st.integers(1, 5),
+        rows=st.lists(
+            st.tuples(
+                st.lists(coefficient, min_size=5, max_size=5),
+                st.sampled_from([lp_core.LE, lp_core.EQ, lp_core.GE]),
+                rhs,
+            ),
+            min_size=1,
+            max_size=4,
         ),
-        min_size=1,
-        max_size=4,
-    ),
-    objective=st.lists(coefficients, min_size=5, max_size=5),
-    free=st.sets(st.integers(0, 4)),
-    sense=st.sampled_from([lp_core.MIN, lp_core.MAX]),
-)
-def test_solver_certifies_every_random_program(n_cols, rows, objective, free, sense):
+        objective=st.lists(coefficient, min_size=5, max_size=5),
+        free=st.sets(st.integers(0, 4)),
+        sense=st.sampled_from([lp_core.MIN, lp_core.MAX]),
+    )
+
+
+def _solve_and_certify(n_cols, rows, objective, free, sense):
     # free columns are split in two inside the tableau
     cols = tuple(f"x{k}" for k in range(n_cols))
     lp = lp_core.LinearProgram(
@@ -206,3 +205,26 @@ def test_solver_certifies_every_random_program(n_cols, rows, objective, free, se
     assert sol.status in (lp_core.OPTIMAL, lp_core.INFEASIBLE, lp_core.UNBOUNDED)
     if sol.status == lp_core.OPTIMAL:
         assert lp_core.dual_feasible(lp, sol.dual)
+
+
+# small rationals, so pivots are not all units and phase one meets fractions
+@settings(**COMMON)
+@given(
+    **random_programs(
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        st.fractions(min_value=-4, max_value=4, max_denominator=5),
+    )
+)
+def test_solver_certifies_every_random_program(n_cols, rows, objective, free, sense):
+    _solve_and_certify(n_cols, rows, objective, free, sense)
+
+
+# wide rationals: rows scaled by large lcms, negative right-hand sides, and
+# integer tableau entries that grow between pivots other than the denominator
+wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+@settings(**COMMON)
+@given(**random_programs(wide, wide))
+def test_solver_certifies_every_wide_rational_program(n_cols, rows, objective, free, sense):
+    _solve_and_certify(n_cols, rows, objective, free, sense)
