@@ -103,10 +103,10 @@ def from_row_duals(
     v: dict[int, Fraction] = {}
     for tag, value in row_duals.items():
         if tag[0] == "u":
-            u[tag[1]] = Fraction(value)
+            u[tag[1]] = value
         elif tag[0] == "v":
-            v[tag[1]] = Fraction(value)
-    return dual_solution(instance, u, v)
+            v[tag[1]] = value
+    return dual_solution(instance, u, v)  # which makes the values Fractions
 
 
 def is_dual_feasible(instance: WeightedInstance, dual: DualSolution) -> bool:

@@ -88,12 +88,12 @@ def primal_program(instance: WeightedInstance) -> LinearProgram:
 def edge_column(instance: WeightedInstance, e: EdgeId) -> dict:
     """Row coefficients of edge e's primal column, keyed by row tag."""
     if instance.kind == ALLDIFF:
-        return {("u", e.i): Fraction(1), ("v", e.j): Fraction(1)}
+        return {("u", e.i): 1, ("v", e.j): 1}
     meta = instance.path
     assert meta is not None
-    col = {("u", e.i): Fraction(1)}
+    col = {("u", e.i): 1}
     if e.j != meta.sink:
-        col[("u", e.j)] = Fraction(-1)  # no flow row (and no dual) for the sink
+        col[("u", e.j)] = -1  # no flow row (and no dual) for the sink
     return col
 
 

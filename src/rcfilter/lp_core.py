@@ -27,9 +27,11 @@ objective are read off the reduced costs and scaled back.  A pivot equal to
 d touches only the columns where the pivot row is non-zero; that is every
 pivot on the package's network programs, where d stays 1.
 
-A program's data are made exact ``Fraction``s and checked when it is built
-(see ``Row`` and ``LinearProgram``); the solver and the certificate check
-trust them as they stand.
+A program's data are made exact and checked when it is built (see ``Row``
+and ``LinearProgram``): an integral value is held as an ``int``, any other
+as a ``Fraction``.  The solver and the certificate check read only their
+``numerator`` and ``denominator`` and trust them as they stand.  The
+certificate check compares integers only (see ``_assert_certificates``).
 
 Tableau columns are numbered in one pass: the program's columns in order,
 each free column followed by its negated copy; then, row by row (after a row
@@ -60,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Container, Hashable, Mapping, Optional
+from typing import Container, Hashable, Mapping, Optional, Union
 
 MIN = "min"
 MAX = "max"
@@ -75,21 +77,32 @@ UNBOUNDED = "unbounded"
 _MAX_PIVOTS = 200_000  # Bland's rule terminates; this is a tripwire, not a tuning knob
 
 
+Number = Union[int, Fraction]  # exact: an int when integral, else a Fraction
+
+
+def _exact(x) -> Number:
+    """x as an exact number: an ``int`` when it is integral, else a ``Fraction``."""
+    if type(x) is int:
+        return x
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 @dataclass(frozen=True)
 class Row:
     """One tagged constraint; exact, with zero coefficients dropped, once built."""
 
-    coeffs: Mapping[Hashable, Fraction]
+    coeffs: Mapping[Hashable, Number]
     rel: str
-    rhs: Fraction
+    rhs: Number
     tag: Hashable
 
     def __post_init__(self):
         if self.rel not in (LE, EQ, GE):
             raise ValueError(f"bad relation {self.rel!r}")
-        coeffs = {t: Fraction(a) for t, a in self.coeffs.items()}
+        coeffs = {t: _exact(a) for t, a in self.coeffs.items()}
         object.__setattr__(self, "coeffs", {t: a for t, a in coeffs.items() if a != 0})
-        object.__setattr__(self, "rhs", Fraction(self.rhs))
+        object.__setattr__(self, "rhs", _exact(self.rhs))
 
 
 @dataclass(frozen=True)
@@ -102,7 +115,7 @@ class LinearProgram:
 
     sense: str
     columns: tuple[Hashable, ...]
-    objective: Mapping[Hashable, Fraction]
+    objective: Mapping[Hashable, Number]
     rows: tuple[Row, ...]
     free: frozenset = field(default_factory=frozenset)
 
@@ -120,8 +133,13 @@ class LinearProgram:
                 raise ValueError(f"row {r.tag!r} references unknown column(s)")
         if not known.issuperset(self.objective):
             raise ValueError("objective references unknown column(s)")
-        objective = {t: Fraction(self.objective.get(t, 0)) for t in self.columns}
+        objective = {t: _exact(self.objective.get(t, 0)) for t in self.columns}
         object.__setattr__(self, "objective", objective)
+
+
+def _row_scale(r: Row) -> int:
+    """The lcm of the denominators of a row's data: s times the row is integral."""
+    return lcm(r.rhs.denominator, *(a.denominator for a in r.coeffs.values()))
 
 
 @dataclass(frozen=True)
@@ -153,7 +171,7 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
     m = len(lp.rows)
     ncols = n_std + sum(2 if rel == GE else 1 for rel in rels)
 
-    def dense(coeffs: Mapping[Hashable, Fraction], rhs: Fraction, scale: int) -> list:
+    def dense(coeffs: Mapping[Hashable, Number], rhs: Number, scale: int) -> list:
         # ``scale`` times a tableau row over the program's columns; every
         # denominator divides ``scale``, so the row is integral
         row = [0] * (ncols + 1)
@@ -173,7 +191,7 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
     artificials: dict[int, int] = {}  # column -> |scale| of its row
     k = n_std
     for r, rel in zip(lp.rows, rels):
-        s = lcm(r.rhs.denominator, *(a.denominator for a in r.coeffs.values()))
+        s = _row_scale(r)
         if r.rhs < 0:
             s = -s
         t_row = dense(r.coeffs, r.rhs, s)
@@ -250,7 +268,7 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
     cost_scale = lcm(*(c.denominator for c in lp.objective.values()))
     if lp.sense == MAX:
         cost_scale = -cost_scale
-    status = run_phase(dense(lp.objective, Fraction(0), cost_scale * d), barred=artificials)
+    status = run_phase(dense(lp.objective, 0, cost_scale * d), barred=artificials)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, primal={}, dual={}, objective=None)
 
@@ -315,10 +333,21 @@ def _pivot(M: list, basis: list, r: int, enter: int, d: int) -> int:
     return p
 
 
-def _feasible_sums(lp: LinearProgram, y: Mapping[Hashable, Fraction]) -> Optional[dict]:
-    """y . A_t for every column t if the exact duals y are feasible, else None.
+def _over_one_denominator(values: Mapping[Hashable, Number]) -> tuple[dict, int]:
+    """Exact values as integers over their least common denominator, and that denominator."""
+    den = lcm(*(v.denominator for v in values.values()))
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}, den
 
-    The sums come from one pass over each row's nonzeros with a non-zero dual.
+
+def _feasible_sums(lp: LinearProgram, y: Mapping[Hashable, int], den: int) -> Optional[dict]:
+    """A positive multiple of y . A_t - c_t per column t if the duals are feasible, else None.
+
+    Integers throughout: the duals are y_r / den, with den > 0.  The rows with
+    a non-zero dual are scaled by S, the lcm of their coefficients'
+    denominators, and the objective by C, the lcm of its own.  The value for
+    column t is S * C * den times y . A_t - c_t, so it has that sign and is
+    zero exactly when that is.  The sums come from one pass over each row's
+    nonzeros with a non-zero dual.
     """
     tags = {r.tag for r in lp.rows}
     given = set(y)
@@ -328,7 +357,7 @@ def _feasible_sums(lp: LinearProgram, y: Mapping[Hashable, Fraction]) -> Optiona
             f"extra {given - tags}"
         )
     minimize = lp.sense == MIN
-    sums = dict.fromkeys(lp.columns, 0)
+    active = []  # (row, y_r) for every non-zero dual
     for r in lp.rows:
         yr = y[r.tag]
         if r.rel == LE and (yr > 0 if minimize else yr < 0):
@@ -336,57 +365,80 @@ def _feasible_sums(lp: LinearProgram, y: Mapping[Hashable, Fraction]) -> Optiona
         if r.rel == GE and (yr < 0 if minimize else yr > 0):
             return None
         if yr:
-            for t, a in r.coeffs.items():
-                sums[t] += a * yr
-    for t, s in sums.items():
-        c = lp.objective[t]
+            active.append((r, yr))
+    S = lcm(*(a.denominator for r, _ in active for a in r.coeffs.values()))
+    sums = dict.fromkeys(lp.columns, 0)
+    for r, yr in active:
+        for t, a in r.coeffs.items():
+            sums[t] += a.numerator * (S // a.denominator) * yr
+    C = lcm(*(c.denominator for c in lp.objective.values()))
+    scale = S * den
+    for t, c in lp.objective.items():
+        # S * den * y . A_t becomes S * C * den * (y . A_t - c_t)
+        g = sums[t] = sums[t] * C - c.numerator * (C // c.denominator) * scale
         if t in lp.free:
-            if s != c:
+            if g:
                 return None
         elif minimize:
-            if s > c:
+            if g > 0:
                 return None
         else:
-            if s < c:
+            if g < 0:
                 return None
     return sums
 
 
-def dual_feasible(lp: LinearProgram, duals: Mapping[Hashable, Fraction]) -> bool:
+def dual_feasible(lp: LinearProgram, duals: Mapping[Hashable, Number]) -> bool:
     """Exact feasibility of a dual vector for this program, per the conventions above."""
     # the duals come from the caller, so they are made exact here
-    return _feasible_sums(lp, {tag: Fraction(yr) for tag, yr in duals.items()}) is not None
+    y, den = _over_one_denominator({tag: _exact(yr) for tag, yr in duals.items()})
+    return _feasible_sums(lp, y, den) is not None
 
 
 def _assert_certificates(lp: LinearProgram, sol: LpSolution) -> None:
+    """Check an optimal solution exactly, over integers; raise AssertionError if it fails.
+
+    The non-zero primal values, the only ones that contribute to a sum or a
+    slackness product, are put over their common denominator D, and the duals
+    over theirs, E.  Each row is scaled by s_r (see ``_row_scale``) and the
+    objective by C, the lcm of its own denominators.  Every comparison is then
+    between integers carrying the same positive factor on both sides.
+    """
     if set(sol.primal) != set(lp.columns):
         raise AssertionError("primal solution does not cover exactly the program's columns")
-    # only non-zero primal values contribute to a sum or a slackness product
-    x = {t: v for t in lp.columns if (v := sol.primal[t])}
-    # primal feasibility
+    x, D = _over_one_denominator({t: v for t in lp.columns if (v := sol.primal[t])})
+    y, E = _over_one_denominator(sol.dual)
+    # primal feasibility; each row's two sides times s_r * D
     for t, v in x.items():
         if v < 0 and t not in lp.free:
             raise AssertionError(f"negative value for column {t!r}")
     slack: dict = {}
     for r in lp.rows:
-        lhs = sum(a * x[t] for t, a in r.coeffs.items() if t in x)
-        slack[r.tag] = lhs - r.rhs
-        if not (lhs <= r.rhs if r.rel == LE else lhs >= r.rhs if r.rel == GE else lhs == r.rhs):
+        s = _row_scale(r)
+        lhs = sum(a.numerator * (s // a.denominator) * x[t] for t, a in r.coeffs.items() if t in x)
+        rhs = r.rhs.numerator * (s // r.rhs.denominator) * D
+        slack[r.tag] = lhs != rhs
+        if not (lhs <= rhs if r.rel == LE else lhs >= rhs if r.rel == GE else lhs == rhs):
             raise AssertionError(f"primal solution violates row {r.tag!r}")
     # dual feasibility
-    sums = _feasible_sums(lp, sol.dual)
-    if sums is None:
+    gaps = _feasible_sums(lp, y, E)
+    if gaps is None:
         raise AssertionError("dual solution infeasible")
-    # complementary slackness and strong duality
+    # complementary slackness
     for r in lp.rows:
-        if slack[r.tag] and sol.dual[r.tag]:
+        if slack[r.tag] and y[r.tag]:
             raise AssertionError(f"complementary slackness fails on row {r.tag!r}")
     for t in x:
-        if lp.objective[t] != sums[t]:
+        if gaps[t]:
             raise AssertionError(f"complementary slackness fails on column {t!r}")
-    primal_obj = sum(lp.objective[t] * v for t, v in x.items())
-    dual_obj = sum(r.rhs * sol.dual[r.tag] for r in lp.rows if r.rhs)
-    if primal_obj != dual_obj:
+    # strong duality: c . x = P / (C * D) and b . y = Q / (B * E)
+    C = lcm(*(c.denominator for c in lp.objective.values()))
+    P = sum(c.numerator * (C // c.denominator) * x[t] for t in x if (c := lp.objective[t]))
+    terms = [(r.rhs, yr) for r in lp.rows if r.rhs and (yr := y[r.tag])]
+    B = lcm(*(b.denominator for b, _ in terms))
+    Q = sum(b.numerator * (B // b.denominator) * yr for b, yr in terms)
+    if P * B * E != Q * C * D:
         raise AssertionError("strong duality fails")
-    if primal_obj != sol.objective:
+    z = sol.objective
+    if P * z.denominator != z.numerator * C * D:
         raise AssertionError("reported objective inconsistent")

@@ -356,6 +356,21 @@ def test_validate_messages_exit_two(data, message, tmp_path, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize("n_vars", [10**6, 10**30], ids=["1e6", "1e30"])
+@pytest.mark.parametrize("kind", ["alldiff", "path"])
+def test_hostile_n_vars_exits_two_with_a_short_message(kind, n_vars, tmp_path, capsys):
+    # n_vars is checked against the values before any loop over the variables,
+    # so the work and the message stay bounded by the file's size
+    data = (_alldiff(n_vars, [0, 1, 2], [[0, 0, 0]]) if kind == "alldiff"
+            else _path(n_vars, [0, 1, 2], [[0, 1, 0], [1, 2, 0]], 0, 2))
+    p = tmp_path / "hostile.json"
+    p.write_text(json.dumps(data))
+    assert main(["filter", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert "n_vars" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "content, message",
     [

@@ -1,0 +1,84 @@
+"""Seeded mutation fuzz of the command line over the committed instances.
+
+Each case mutates one of ``instances/*.json`` (a value swapped for a hostile
+one, an entry deleted or duplicated, the text truncated or a byte changed)
+and runs it through ``cli.main`` for every command.  Whatever the file says,
+the program must answer with an exit status from the table in ``cli`` and a
+message, never a traceback, and its stderr must stay within a fixed multiple
+of the file's size: no input makes the work of reporting it unbounded.
+"""
+
+import json
+import random
+from pathlib import Path
+
+from rcfilter.cli import main
+
+INSTANCES = sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
+COMMANDS = ("filter", "oracle", "verify", "bound")
+EXIT_CODES = {0, 1, 2, 3, 4, 5}
+CASES = 600
+STDERR_PER_BYTE = 16  # stderr bytes allowed per byte of the file, beyond a fixed allowance
+STDERR_ALLOWANCE = 512
+
+NUMBERS = (0, 1, 2, -1, 7, 10**6, 10**30, -(10**30))
+NOT_NUMBERS = (1.5, True, None, "0", [], {}, [0, 0, 0])
+
+
+def _slots(node, out):
+    """Every (container, key) pair below node, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        out.append((node, key))
+        if isinstance(child, (dict, list)):
+            _slots(child, out)
+    return out
+
+
+def _mutate(rng: random.Random, text: str) -> bytes:
+    if rng.random() < 0.2:
+        raw = bytearray(text.encode())
+        if rng.random() < 0.5:
+            return bytes(raw[: rng.randrange(len(raw))])
+        raw[rng.randrange(len(raw))] = rng.randrange(256)
+        return bytes(raw)
+    data = json.loads(text)
+    for _ in range(rng.randint(1, 3)):
+        slots = _slots(data, [])
+        if not slots:
+            break
+        # half the time a top-level field, such as n_vars, z_max or the sink
+        top = [(node, key) for node, key in slots if node is data or node is data.get("path")]
+        node, key = rng.choice(top if rng.random() < 0.5 else slots)
+        action = rng.random()
+        if action < 0.5 and isinstance(node[key], int):
+            node[key] = rng.choice((node[key] + 1, node[key] - 1, *NUMBERS))
+        elif action < 0.6:
+            node[key] = rng.choice(NUMBERS + NOT_NUMBERS)
+        elif action < 0.8 and isinstance(node, list):
+            del node[key]
+        elif isinstance(node, list):
+            node.insert(key, json.loads(json.dumps(node[key])))
+        elif action < 0.9:
+            del node[key]
+    return json.dumps(data).encode()
+
+
+def test_mutated_instances_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(2022)
+    texts = [p.read_text() for p in INSTANCES]
+    path = tmp_path / "mutated.json"
+    codes = set()
+    for case in range(CASES):
+        content = _mutate(rng, rng.choice(texts))
+        path.write_bytes(content)
+        for command in COMMANDS:
+            code = main([command, str(path)])
+            err = capsys.readouterr().err
+            where = f"case {case}, {command}: {content[:300]!r}"
+            assert code in EXIT_CODES, where
+            assert "Traceback" not in err, where
+            assert len(err.encode()) <= STDERR_PER_BYTE * len(content) + STDERR_ALLOWANCE, where
+            codes.add(code)
+    # the mutations reach the parser, validate and the solver paths alike
+    assert {0, 1, 2, 3} <= codes, codes

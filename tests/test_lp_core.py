@@ -180,12 +180,18 @@ def test_row_referencing_unknown_column_rejected():
 
 
 def test_program_data_made_exact_when_built():
-    r = Row({"x": 2, "y": 0, "z": F(1, 2)}, LE, 3, "r")
-    assert r.coeffs == {"x": 2, "z": F(1, 2)}  # the zero coefficient is dropped
-    assert all(type(a) is F for a in r.coeffs.values()) and type(r.rhs) is F
-    lp = LinearProgram(sense=MIN, columns=("x", "y", "z"), objective={"x": 1}, rows=(r,))
-    assert lp.objective == {"x": 1, "y": 0, "z": 0}
-    assert all(type(c) is F for c in lp.objective.values())
+    # integral data are held as int, the rest as Fraction; floats and strings
+    # are made exact, and zero coefficients are dropped
+    r = Row({"x": 2, "y": 0, "z": F(1, 2), "w": F(4, 2), "v": "-3/9"}, LE, 3.0, "r")
+    assert r.coeffs == {"x": 2, "z": F(1, 2), "w": 2, "v": F(-1, 3)}
+    assert [type(a) for a in r.coeffs.values()] == [int, F, int, F]
+    assert type(r.rhs) is int and r.rhs == 3
+    assert Row({"x": 1}, GE, 0.1, "r").rhs == F(3602879701896397, 36028797018963968)
+    lp = LinearProgram(
+        sense=MIN, columns=("x", "y", "z", "w", "v"), objective={"x": F(6, 3), "z": 0.5}, rows=(r,)
+    )
+    assert lp.objective == {"x": 2, "y": 0, "z": F(1, 2), "w": 0, "v": 0}
+    assert [type(c) for c in lp.objective.values()] == [int, int, F, int, int]
     with pytest.raises(ValueError, match="bad relation"):
         Row({"x": 1}, "<>", 0, "r")
     with pytest.raises(ValueError, match="unknown column"):

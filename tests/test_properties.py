@@ -6,7 +6,10 @@ loop.  Assertions mirror the bound/exactness statements the implementation is
 built on, checked against the brute-force oracle.
 """
 
-from hypothesis import HealthCheck, given, settings
+from dataclasses import replace
+from fractions import Fraction
+
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from rcfilter import InfeasibleConstraintError, lp_core, weighted_instance
@@ -182,10 +185,10 @@ def random_programs(coefficient, rhs):
     )
 
 
-def _solve_and_certify(n_cols, rows, objective, free, sense):
+def _program(n_cols, rows, objective, free, sense):
     # free columns are split in two inside the tableau
     cols = tuple(f"x{k}" for k in range(n_cols))
-    lp = lp_core.LinearProgram(
+    return lp_core.LinearProgram(
         sense=sense,
         columns=cols,
         objective={c: objective[k] for k, c in enumerate(cols)},
@@ -200,6 +203,10 @@ def _solve_and_certify(n_cols, rows, objective, free, sense):
         ),
         free=frozenset(cols[k] for k in free if k < n_cols),
     )
+
+
+def _solve_and_certify(n_cols, rows, objective, free, sense):
+    lp = _program(n_cols, rows, objective, free, sense)
     # the exact certificate inside solve() raises on any inconsistency
     sol = lp_core.solve(lp)
     assert sol.status in (lp_core.OPTIMAL, lp_core.INFEASIBLE, lp_core.UNBOUNDED)
@@ -228,3 +235,100 @@ wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 @given(**random_programs(wide, wide))
 def test_solver_certifies_every_wide_rational_program(n_cols, rows, objective, free, sense):
     _solve_and_certify(n_cols, rows, objective, free, sense)
+
+
+def _fraction_feasible_sums(lp, y):
+    # lp_core._feasible_sums as it was in Fraction arithmetic: y . A_t for
+    # every column t if the duals y are feasible, else None
+    tags = {r.tag for r in lp.rows}
+    given = set(y)
+    if tags != given:
+        raise ValueError(
+            f"dual vector does not match the rows: missing {tags - given}, "
+            f"extra {given - tags}"
+        )
+    minimize = lp.sense == lp_core.MIN
+    sums = dict.fromkeys(lp.columns, 0)
+    for r in lp.rows:
+        yr = y[r.tag]
+        if r.rel == lp_core.LE and (yr > 0 if minimize else yr < 0):
+            return None
+        if r.rel == lp_core.GE and (yr < 0 if minimize else yr > 0):
+            return None
+        if yr:
+            for t, a in r.coeffs.items():
+                sums[t] += a * yr
+    for t, s in sums.items():
+        c = lp.objective[t]
+        if t in lp.free:
+            if s != c:
+                return None
+        elif minimize:
+            if s > c:
+                return None
+        else:
+            if s < c:
+                return None
+    return sums
+
+
+def _fraction_certificates(lp, sol):
+    # lp_core._assert_certificates as it was in Fraction arithmetic: the
+    # reference the integer check must agree with, message for message
+    if set(sol.primal) != set(lp.columns):
+        raise AssertionError("primal solution does not cover exactly the program's columns")
+    x = {t: v for t in lp.columns if (v := sol.primal[t])}
+    for t, v in x.items():
+        if v < 0 and t not in lp.free:
+            raise AssertionError(f"negative value for column {t!r}")
+    slack = {}
+    for r in lp.rows:
+        lhs = sum(a * x[t] for t, a in r.coeffs.items() if t in x)
+        slack[r.tag] = lhs - r.rhs
+        if not (lhs <= r.rhs if r.rel == lp_core.LE else lhs >= r.rhs if r.rel == lp_core.GE
+                else lhs == r.rhs):
+            raise AssertionError(f"primal solution violates row {r.tag!r}")
+    sums = _fraction_feasible_sums(lp, sol.dual)
+    if sums is None:
+        raise AssertionError("dual solution infeasible")
+    for r in lp.rows:
+        if slack[r.tag] and sol.dual[r.tag]:
+            raise AssertionError(f"complementary slackness fails on row {r.tag!r}")
+    for t in x:
+        if lp.objective[t] != sums[t]:
+            raise AssertionError(f"complementary slackness fails on column {t!r}")
+    primal_obj = sum(lp.objective[t] * v for t, v in x.items())
+    dual_obj = sum(r.rhs * sol.dual[r.tag] for r in lp.rows if r.rhs)
+    if primal_obj != dual_obj:
+        raise AssertionError("strong duality fails")
+    if primal_obj != sol.objective:
+        raise AssertionError("reported objective inconsistent")
+
+
+def _verdict(check, lp, sol):
+    try:
+        check(lp, sol)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+# a certified wide-rational solution with one primal value, one dual or the
+# objective moved by 1/q either way: rows are scaled by large lcms, so a
+# scaling slip in the integer check changes its verdict on some move
+@settings(**COMMON, derandomize=True)
+@given(**random_programs(wide, wide), q=st.integers(1, 10**6))
+def test_integer_certificate_check_agrees_with_fraction_reference(
+    n_cols, rows, objective, free, sense, q
+):
+    lp = _program(n_cols, rows, objective, free, sense)
+    sol = lp_core.solve(lp)
+    assume(sol.status == lp_core.OPTIMAL)
+    assert _verdict(_fraction_certificates, lp, sol) is None
+    for step in (Fraction(1, q), Fraction(-1, q)):
+        moved = [replace(sol, objective=sol.objective + step)]
+        moved += [replace(sol, primal={**sol.primal, t: v + step}) for t, v in sol.primal.items()]
+        moved += [replace(sol, dual={**sol.dual, t: y + step}) for t, y in sol.dual.items()]
+        for wrong in moved:
+            expected = _verdict(_fraction_certificates, lp, wrong)
+            assert _verdict(lp_core._assert_certificates, lp, wrong) == expected
