@@ -26,7 +26,6 @@ from .formulations import (
     IncompatibleFamily,
     Support,
     bg01_encode,
-    dual_program,
     family,
     find_support,
     primal_program,
@@ -76,7 +75,6 @@ __all__ = [
     "ac_by_lp",
     "averaged_satisfaction_dual",
     "bg01_encode",
-    "dual_program",
     "dual_solution",
     "exact_reduced_cost",
     "exactness_certificate",

@@ -23,12 +23,13 @@ support LP's columns are the edges in instance order, and its "=" rows, one
 per primal row tag, each get an artificial column.  The family dual
 program's columns are the primal row tags, ``("u", i)`` then ``("v", j)``,
 each free and so split into a pair; its "<=" rows, one per edge in instance
-order, each get a slack column.
+order, each get a slack column.  Each program is built once, with its final
+(shifted) objective, from ``formulations.row_rhs`` and ``edge_column``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -131,7 +132,7 @@ def reduced_cost(instance: WeightedInstance, dual: DualSolution, ij: EdgeId) -> 
 
 def solve_primal(instance: WeightedInstance):
     """Solve the support LP; returns (z*, primal values, optimal DualSolution)."""
-    sol = lp_core.solve(formulations.primal_program(instance))
+    sol = lp_core.solve(formulations.primal_program(instance, instance.cost))
     if sol.status != lp_core.OPTIMAL:
         raise InfeasibleConstraintError(f"support LP is {sol.status}")
     return sol.objective, sol.primal, from_row_duals(instance, sol.dual)
@@ -198,10 +199,9 @@ def shifted_cost_dual(
     """
     kl = EdgeId(*kl)
     R = exact_reduced_cost(instance, kl, z_star)
-    lp = formulations.primal_program(instance)
-    objective = dict(lp.objective)
-    objective[kl] -= R
-    sol = lp_core.solve(replace(lp, objective=objective))
+    cost = dict(instance.cost)
+    cost[kl] -= R
+    sol = lp_core.solve(formulations.primal_program(instance, cost))
     if sol.status != lp_core.OPTIMAL:
         raise InfeasibleConstraintError(f"support LP is {sol.status}")
     if sol.objective != z_star:
@@ -226,21 +226,30 @@ def family_dual_program(
     reduced cost over the set, less the mean edge cost: a constant, which
     moves no optimum.  By LP duality the program is bounded exactly when
     every member of the set lies on some support, which ``model.validate``
-    requires of every edge.
+    requires of every edge.  Built in one pass, with the objective
+    ``b - (1/|S|) * sum of A_e over e in S`` (b the support LP's rhs).
     """
     edges = tuple(EdgeId(*e) for e in edge_set)
     if not edges:
         raise ValueError("empty edge set")
+    rhs = formulations.row_rhs(instance)
+    objective = dict(rhs)
+    share = Fraction(1, len(edges))
     for e in edges:
         if e not in instance.cost:
             raise ValueError(f"edge {e} not in the instance")
-    dual = formulations.dual_program(instance)
-    share = Fraction(1, len(edges))
-    objective = dict(dual.objective)
-    for e in edges:
         for tag, a in edge_column(instance, e).items():
             objective[tag] -= share * a
-    return replace(dual, objective=objective)
+    return lp_core.LinearProgram(
+        sense=lp_core.MAX,
+        columns=tuple(rhs),
+        objective=objective,
+        rows=tuple(
+            lp_core.Row(edge_column(instance, e), lp_core.LE, instance.cost[e], e)
+            for e in instance.edges
+        ),
+        free=frozenset(rhs),
+    )
 
 
 def solve_family_dual(

@@ -1,9 +1,10 @@
-"""Builders for the assignment/path linear programs and their edge families.
+"""The support LP, the edge families, and combinatorial support search.
 
 Row tags are shared across the package: ``("u", i)`` for the per-variable
 rows (alldiff) or per-vertex flow rows (path, sink excluded), ``("v", j)``
-for the per-value rows (alldiff only).  Columns of the primal program are
-the edges themselves.
+for the per-value rows (alldiff only).  Columns of the support LP
+(``primal_program``) are the edges themselves.  ``row_rhs`` and
+``edge_column`` define it, and ``duality.family_dual_program`` its dual.
 
 Every combinatorial support query (``find_support``, ``unsupported_edges``
 and the covering flags of the ``domains`` family) is one iterative
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from . import lp_core
 from .lp_core import LinearProgram, Row
@@ -51,7 +52,7 @@ class IncompatibleFamily:
     strategy: str
 
 
-def _row_rhs(instance: WeightedInstance) -> dict:
+def row_rhs(instance: WeightedInstance) -> dict:
     """Right-hand side of every support-LP row, keyed by row tag, in row order."""
     if instance.kind == ALLDIFF:
         rhs = {("u", i): 1 for i in range(instance.n_vars)}
@@ -65,12 +66,13 @@ def _row_rhs(instance: WeightedInstance) -> dict:
     raise ValueError(f"unknown kind {instance.kind!r}")
 
 
-def primal_program(instance: WeightedInstance) -> LinearProgram:
+def primal_program(instance: WeightedInstance, cost: Mapping) -> LinearProgram:
     """Min-cost support LP: rows force one value per variable / unit s-t flow.
 
+    ``cost`` is the objective by edge: ``instance.cost``, or a shifted copy.
     One pass over the edges; ``edge_column`` defines every coefficient.
     """
-    rhs = _row_rhs(instance)
+    rhs = row_rhs(instance)
     coeffs: dict = {tag: {} for tag in rhs}
     for e in instance.edges:
         for tag, a in edge_column(instance, e).items():
@@ -80,7 +82,7 @@ def primal_program(instance: WeightedInstance) -> LinearProgram:
     return LinearProgram(
         sense=lp_core.MIN,
         columns=tuple(instance.edges),
-        objective=instance.cost,
+        objective=cost,
         rows=tuple(Row(coeffs[t], lp_core.EQ, b, t) for t, b in rhs.items()),
     )
 
@@ -95,22 +97,6 @@ def edge_column(instance: WeightedInstance, e: EdgeId) -> dict:
     if e.j != meta.sink:
         col[("u", e.j)] = -1  # no flow row (and no dual) for the sink
     return col
-
-
-def dual_program(instance: WeightedInstance) -> LinearProgram:
-    """Exact dual of the primal: one free column per row, one row per edge."""
-    rhs = _row_rhs(instance)
-    rows = tuple(
-        Row(edge_column(instance, e), lp_core.LE, instance.cost[e], e)
-        for e in instance.edges
-    )
-    return LinearProgram(
-        sense=lp_core.MAX,
-        columns=tuple(rhs),
-        objective=rhs,
-        rows=rows,
-        free=frozenset(rhs),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from rcfilter import EdgeId, InfeasibleConstraintError, lp_core
+from rcfilter import EdgeId, InfeasibleConstraintError, ac_by_lp, lp_core
 from rcfilter import oracle
 from rcfilter.duality import (
     averaged_satisfaction_dual,
@@ -17,7 +17,7 @@ from rcfilter.duality import (
     solve_primal,
     zstar_from_family_dual,
 )
-from rcfilter.formulations import family
+from rcfilter.formulations import bg01_encode, family, primal_program
 from rcfilter.model import SatisfactionInstance, weighted_instance
 
 from corpus import alldiff_corpus, path_corpus, satisfaction_corpus
@@ -217,8 +217,11 @@ def test_family_dual_program_shapes(three_var_assignment):
     edge_set = (EdgeId(1, 0), EdgeId(1, 1), EdgeId(1, 2))
     lp = family_dual_program(three_var_assignment, edge_set)
     assert lp.sense == lp_core.MAX
-    assert len(lp.rows) == 7  # one row per edge
+    primal = primal_program(three_var_assignment, three_var_assignment.cost)
+    # one column per primal row, in row order; equality rows give free duals
+    assert lp.columns == tuple(r.tag for r in primal.rows)
     assert lp.free == frozenset(lp.columns)
+    assert [r.tag for r in lp.rows] == list(three_var_assignment.edges)  # one row per edge
     with pytest.raises(ValueError):
         family_dual_program(three_var_assignment, ())
     with pytest.raises(ValueError):
@@ -300,6 +303,43 @@ def test_averaged_dual_solve_count(monkeypatch):
         report = oracle.enumerate(enc)
         inconsistent = [e for e in sat.edges if report.z_restricted[e] > 0]
         assert len(calls) == 1 + 2 * len(inconsistent)
+
+
+def test_each_solve_gets_the_only_program_built_for_it(monkeypatch):
+    # every LP is built once, with its final objective, and then solved:
+    # the programs handed to lp_core.solve are the programs built, in order
+    built, solved = [], []
+    real_post_init = lp_core.LinearProgram.__post_init__
+    real_solve = lp_core.solve
+
+    def post_init(lp):
+        built.append(lp)
+        real_post_init(lp)
+
+    def spy(lp):
+        solved.append(lp)
+        return real_solve(lp)
+
+    monkeypatch.setattr(lp_core.LinearProgram, "__post_init__", post_init)
+    monkeypatch.setattr(lp_core, "solve", spy)
+    jobs = [(inst, "domains") for inst in alldiff_corpus(6)]
+    jobs += [(inst, s) for inst in path_corpus(6) for s in ("domains", "layers")]
+    for inst, strategy in jobs:
+        try:
+            ac_by_lp(inst, family(inst, strategy))
+        except InfeasibleConstraintError:
+            pass
+    for sat in satisfaction_corpus(6):
+        try:
+            averaged_satisfaction_dual(sat)
+        except InfeasibleConstraintError:
+            pass
+        enc = bg01_encode(sat)
+        z_star, _, _ = solve_primal(enc)
+        shifted_cost_dual(enc, sat.edges[0], z_star)
+    assert len(solved) > len(jobs)
+    assert len(built) == len(solved)
+    assert all(b is s for b, s in zip(built, solved))
 
 
 def test_averaged_dual_all_consistent():

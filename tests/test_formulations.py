@@ -8,7 +8,6 @@ from rcfilter import EdgeId, lp_core, validate, weighted_instance
 from rcfilter import formulations, oracle
 from rcfilter.formulations import (
     bg01_encode,
-    dual_program,
     edge_column,
     family,
     find_support,
@@ -24,7 +23,7 @@ CORPUS = alldiff_corpus(200) + path_corpus(100)
 
 
 def test_assignment_program_shape(three_var_assignment):
-    lp = primal_program(three_var_assignment)
+    lp = primal_program(three_var_assignment, three_var_assignment.cost)
     assert lp.sense == lp_core.MIN
     assert len(lp.columns) == 7
     assert len(lp.rows) == 6  # one row per variable, one per value
@@ -34,7 +33,7 @@ def test_assignment_program_shape(three_var_assignment):
 
 
 def test_path_program_shape(six_vertex_dag):
-    lp = primal_program(six_vertex_dag)
+    lp = primal_program(six_vertex_dag, six_vertex_dag.cost)
     assert len(lp.columns) == 8
     assert len(lp.rows) == 5  # all vertices except the sink
     by_tag = {r.tag: r for r in lp.rows}
@@ -50,22 +49,11 @@ def test_path_program_shape(six_vertex_dag):
 
 def test_edge_column_matches_rows(three_var_assignment, six_vertex_dag):
     for inst in (three_var_assignment, six_vertex_dag):
-        lp = primal_program(inst)
+        lp = primal_program(inst, inst.cost)
         for e in inst.edges:
             col = edge_column(inst, e)
             for r in lp.rows:
                 assert r.coeffs.get(e, F(0)) == col.get(r.tag, F(0))
-
-
-def test_dual_program_mirrors_primal(three_var_assignment):
-    d = dual_program(three_var_assignment)
-    assert d.sense == lp_core.MAX
-    assert set(d.columns) == {r.tag for r in primal_program(three_var_assignment).rows}
-    assert d.free == frozenset(d.columns)  # equality rows give free duals
-    assert len(d.rows) == 7
-    sol_p = lp_core.solve(primal_program(three_var_assignment))
-    sol_d = lp_core.solve(d)
-    assert sol_p.objective == sol_d.objective  # strong duality across programs
 
 
 def test_domain_family_alldiff(three_var_assignment):

@@ -4,8 +4,9 @@ Each case mutates one of ``instances/*.json`` (a value swapped for a hostile
 one, an entry deleted or duplicated, the text truncated or a byte changed)
 and runs it through ``cli.main`` for every command.  Whatever the file says,
 the program must answer with an exit status from the table in ``cli`` and a
-message, never a traceback, and its stderr must stay within a fixed multiple
-of the file's size: no input makes the work of reporting it unbounded.
+message, never a traceback, and its stdout and its stderr must each stay
+within a fixed multiple of the file's size: no input makes the work of
+reporting it unbounded.
 """
 
 import json
@@ -18,8 +19,8 @@ INSTANCES = sorted((Path(__file__).resolve().parent.parent / "instances").glob("
 COMMANDS = ("filter", "oracle", "verify", "bound")
 EXIT_CODES = {0, 1, 2, 3, 4, 5}
 CASES = 600
-STDERR_PER_BYTE = 16  # stderr bytes allowed per byte of the file, beyond a fixed allowance
-STDERR_ALLOWANCE = 512
+OUTPUT_PER_BYTE = 16  # output bytes allowed per byte of the file, beyond a fixed allowance
+OUTPUT_ALLOWANCE = 512
 
 NUMBERS = (0, 1, 2, -1, 7, 10**6, 10**30, -(10**30))
 NOT_NUMBERS = (1.5, True, None, "0", [], {}, [0, 0, 0])
@@ -74,11 +75,13 @@ def test_mutated_instances_exit_cleanly(tmp_path, capsys):
         path.write_bytes(content)
         for command in COMMANDS:
             code = main([command, str(path)])
-            err = capsys.readouterr().err
+            out, err = capsys.readouterr()
             where = f"case {case}, {command}: {content[:300]!r}"
             assert code in EXIT_CODES, where
             assert "Traceback" not in err, where
-            assert len(err.encode()) <= STDERR_PER_BYTE * len(content) + STDERR_ALLOWANCE, where
+            limit = OUTPUT_PER_BYTE * len(content) + OUTPUT_ALLOWANCE
+            assert len(out.encode()) <= limit, where
+            assert len(err.encode()) <= limit, where
             codes.add(code)
     # the mutations reach the parser, validate and the solver paths alike
     assert {0, 1, 2, 3} <= codes, codes

@@ -9,7 +9,7 @@ built on, checked against the brute-force oracle.
 from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from rcfilter import InfeasibleConstraintError, lp_core, weighted_instance
@@ -30,6 +30,9 @@ COMMON = dict(
     max_examples=30,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# every phase but shrinking: the same examples and assertions, but a failing
+# wide-rational program is reported as drawn, where shrinking it took minutes
+NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
 @st.composite
@@ -231,7 +234,7 @@ def test_solver_certifies_every_random_program(n_cols, rows, objective, free, se
 wide = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
 
 
-@settings(**COMMON)
+@settings(**COMMON, phases=NO_SHRINK)
 @given(**random_programs(wide, wide))
 def test_solver_certifies_every_wide_rational_program(n_cols, rows, objective, free, sense):
     _solve_and_certify(n_cols, rows, objective, free, sense)
@@ -316,7 +319,7 @@ def _verdict(check, lp, sol):
 # a certified wide-rational solution with one primal value, one dual or the
 # objective moved by 1/q either way: rows are scaled by large lcms, so a
 # scaling slip in the integer check changes its verdict on some move
-@settings(**COMMON, derandomize=True)
+@settings(**COMMON, derandomize=True, phases=NO_SHRINK)
 @given(**random_programs(wide, wide), q=st.integers(1, 10**6))
 def test_integer_certificate_check_agrees_with_fraction_reference(
     n_cols, rows, objective, free, sense, q
