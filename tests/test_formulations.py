@@ -1,11 +1,17 @@
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from rcfilter import EdgeId, lp_core, validate, weighted_instance
 from rcfilter import formulations, oracle
+from rcfilter.duality import (
+    family_dual_program,
+    solve_family_dual,
+    zstar_from_family_dual,
+)
 from rcfilter.formulations import (
     bg01_encode,
     edge_column,
@@ -54,6 +60,25 @@ def test_edge_column_matches_rows(three_var_assignment, six_vertex_dag):
             col = edge_column(inst, e)
             for r in lp.rows:
                 assert r.coeffs.get(e, F(0)) == col.get(r.tag, F(0))
+
+
+def test_dual_program_mirrors_primal(three_var_assignment):
+    inst = three_var_assignment
+    primal = primal_program(inst, inst.cost)
+    edge_set = (EdgeId(1, 0), EdgeId(1, 1), EdgeId(1, 2))  # every support uses one
+    d = family_dual_program(inst, edge_set)
+    assert d.sense == lp_core.MAX
+    assert d.columns == tuple(r.tag for r in primal.rows)
+    assert d.free == frozenset(d.columns)  # equality rows give free duals
+    assert len(d.rows) == 7
+    for row in d.rows:  # one row per edge: its primal column, bounded by its cost
+        assert row.coeffs == edge_column(inst, row.tag)
+        assert row.rhs == inst.cost[row.tag]
+    sol_p = lp_core.solve(primal)
+    sol_d = lp_core.solve(replace(d, objective=formulations.row_rhs(inst)))
+    assert sol_p.objective == sol_d.objective  # strong duality across programs
+    dual = solve_family_dual(inst, edge_set)
+    assert zstar_from_family_dual(inst, edge_set, dual) == sol_p.objective
 
 
 def test_domain_family_alldiff(three_var_assignment):
