@@ -24,7 +24,8 @@ per primal row tag, each get an artificial column.  The family dual
 program's columns are the primal row tags, ``("u", i)`` then ``("v", j)``,
 each free and so split into a pair; its "<=" rows, one per edge in instance
 order, each get a slack column.  Each program is built once, with its final
-(shifted) objective, from ``formulations.row_rhs`` and ``edge_column``.
+(shifted) objective, from ``formulations.row_rhs`` and ``edge_column``, and
+is integral: the family dual's objective is scaled by |S| to integers.
 """
 
 from __future__ import annotations
@@ -227,19 +228,20 @@ def family_dual_program(
     moves no optimum.  By LP duality the program is bounded exactly when
     every member of the set lies on some support, which ``model.validate``
     requires of every edge.  Built in one pass, with the objective
-    ``b - (1/|S|) * sum of A_e over e in S`` (b the support LP's rhs).
+    ``|S| * b - sum of A_e over e in S`` (b the support LP's rhs), which is
+    |S| times ``b - (1/|S|) * sum of A_e``: integral, with the same optima
+    and pivots.
     """
     edges = tuple(EdgeId(*e) for e in edge_set)
     if not edges:
         raise ValueError("empty edge set")
     rhs = formulations.row_rhs(instance)
-    objective = dict(rhs)
-    share = Fraction(1, len(edges))
+    objective = {tag: len(edges) * b for tag, b in rhs.items()}
     for e in edges:
         if e not in instance.cost:
             raise ValueError(f"edge {e} not in the instance")
         for tag, a in edge_column(instance, e).items():
-            objective[tag] -= share * a
+            objective[tag] -= a
     return lp_core.LinearProgram(
         sense=lp_core.MAX,
         columns=tuple(rhs),

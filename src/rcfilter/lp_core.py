@@ -9,23 +9,24 @@ internally, which does not affect row duals.
 The tableau is integer and fraction-free (Edmonds; Bareiss): an integer
 matrix M over one common denominator d > 0, standing for M / d, with d = 1
 at the start.  Each row's coefficients and right-hand side are multiplied by
-s, the lcm of their denominators, negated when the right-hand side is
-negative; its slack, surplus and artificial keep the entries 1 and -1.  That
-is the same program with those three measured in units of 1/|s|, so phase
-one costs each artificial 1/|s| times one common integer.  Phase two costs
-the objective times the lcm of its denominators (negated for max) times d.
+its ``scale`` s, negated when the right-hand side is negative; its slack,
+surplus and artificial keep the entries 1 and -1.  That is the scaled
+program: the same constraints, with those three measured in units of 1/|s|.
+Phase one costs every artificial 1; phase two costs the objective times its
+``cost_scale`` C (negated for max) times d.  Both scales are fixed once,
+when the program is built (see ``Row`` and ``LinearProgram``).
 
 Every basic column of M holds d in its row, so M / d is the tableau of the
-scaled program.  It differs from the ``Fraction`` tableau of the unscaled
-program only by positive factors on rows and on the scaled columns, and its
-reduced costs only by positive factors on those columns.  Hence Bland's
-entering test M[m][j] < 0, the ratio test compared crosswise over integers
-and the phase-one test M[m][ncols] < 0 take the same signs as over
-``Fraction``s, and every pivot and tie-break is the same.  Only the answers
-are ``Fraction``s: a primal value is M[i][ncols] / d, and the duals and the
-objective are read off the reduced costs and scaled back.  A pivot equal to
-d touches only the columns where the pivot row is non-zero; that is every
-pivot on the package's network programs, where d stays 1.
+scaled program, its phase-two reduced costs times C.  Hence Bland's entering
+test M[m][j] < 0, the ratio test compared crosswise over integers and the
+phase-one test M[m][ncols] < 0 take the same signs as in a ``Fraction``
+simplex on the scaled program, and every pivot and tie-break is the same.
+Every program the package builds is integral (s = C = 1), so there the
+scaled program is the program itself.  Only the answers are ``Fraction``s:
+a primal value is M[i][ncols] / d, and the duals and the objective are read
+off the reduced costs and scaled back.  A pivot equal to d touches only the
+columns where the pivot row is non-zero; that is every pivot on the
+package's network programs, where d stays 1.
 
 A program's data are made exact and checked when it is built (see ``Row``
 and ``LinearProgram``): an integral value is held as an ``int``, any other
@@ -96,6 +97,7 @@ class Row:
     rel: str
     rhs: Number
     tag: Hashable
+    scale: int = field(init=False, repr=False, compare=False)  # lcm of the data's denominators
 
     def __post_init__(self):
         if self.rel not in (LE, EQ, GE):
@@ -103,6 +105,8 @@ class Row:
         coeffs = {t: _exact(a) for t, a in self.coeffs.items()}
         object.__setattr__(self, "coeffs", {t: a for t, a in coeffs.items() if a != 0})
         object.__setattr__(self, "rhs", _exact(self.rhs))
+        denominators = (a.denominator for a in self.coeffs.values())
+        object.__setattr__(self, "scale", lcm(self.rhs.denominator, *denominators))
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,7 @@ class LinearProgram:
     objective: Mapping[Hashable, Number]
     rows: tuple[Row, ...]
     free: frozenset = field(default_factory=frozenset)
+    cost_scale: int = field(init=False, repr=False, compare=False)  # lcm of c's denominators
 
     def __post_init__(self):
         if self.sense not in (MIN, MAX):
@@ -135,11 +140,7 @@ class LinearProgram:
             raise ValueError("objective references unknown column(s)")
         objective = {t: _exact(self.objective.get(t, 0)) for t in self.columns}
         object.__setattr__(self, "objective", objective)
-
-
-def _row_scale(r: Row) -> int:
-    """The lcm of the denominators of a row's data: s times the row is integral."""
-    return lcm(r.rhs.denominator, *(a.denominator for a in r.coeffs.values()))
+        object.__setattr__(self, "cost_scale", lcm(*(c.denominator for c in objective.values())))
 
 
 @dataclass(frozen=True)
@@ -188,19 +189,17 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
     M: list[list[int]] = []
     scales: list[int] = []
     unit: list[int] = []
-    artificials: dict[int, int] = {}  # column -> |scale| of its row
+    artificials: set[int] = set()
     k = n_std
     for r, rel in zip(lp.rows, rels):
-        s = _row_scale(r)
-        if r.rhs < 0:
-            s = -s
+        s = -r.scale if r.rhs < 0 else r.scale
         t_row = dense(r.coeffs, r.rhs, s)
         if rel == GE:
             t_row[k] = -1
             k += 1
         t_row[k] = 1
         if rel != LE:
-            artificials[k] = abs(s)
+            artificials.add(k)
         unit.append(k)
         scales.append(s)
         k += 1
@@ -243,13 +242,8 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
             d = _pivot(M, basis, leave, enter, d)
         raise RuntimeError("pivot limit hit; anti-cycling rule violated")
 
-    # phase 1: drive the artificials to zero.  A scaled row measures its
-    # artificial in units of 1/|s|, so that artificial costs 1/|s|, times
-    # the lcm of those |s| to keep the costs integral.
-    c1_scale = lcm(*artificials.values())
-    c1 = [0] * (ncols + 1)
-    for a, s in artificials.items():
-        c1[a] = c1_scale // s
+    # phase 1: drive the artificials to zero, each costed 1
+    c1 = [int(j in artificials) for j in range(ncols + 1)]
     status = run_phase(c1, barred=set())
     assert status == OPTIMAL, "phase one objective is bounded below by zero"
     if M[m][ncols] < 0:  # the phase-one optimum is -M[m][ncols] / d
@@ -265,9 +259,7 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
             # an all-zero row is redundant; its artificial stays basic at zero
 
     # phase 2 minimizes cost_scale * c.x: the objective made integral, negated for max
-    cost_scale = lcm(*(c.denominator for c in lp.objective.values()))
-    if lp.sense == MAX:
-        cost_scale = -cost_scale
+    cost_scale = -lp.cost_scale if lp.sense == MAX else lp.cost_scale
     status = run_phase(dense(lp.objective, 0, cost_scale * d), barred=artificials)
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, primal={}, dual={}, objective=None)
@@ -343,10 +335,10 @@ def _feasible_sums(lp: LinearProgram, y: Mapping[Hashable, int], den: int) -> Op
     """A positive multiple of y . A_t - c_t per column t if the duals are feasible, else None.
 
     Integers throughout: the duals are y_r / den, with den > 0.  The rows with
-    a non-zero dual are scaled by S, the lcm of their coefficients'
-    denominators, and the objective by C, the lcm of its own.  The value for
-    column t is S * C * den times y . A_t - c_t, so it has that sign and is
-    zero exactly when that is.  The sums come from one pass over each row's
+    a non-zero dual are scaled by S, the lcm of their ``scale``s, and the
+    objective by C, its ``cost_scale``.  The value for column t is
+    S * C * den times y . A_t - c_t, so it has that sign and is zero exactly
+    when that is.  The sums come from one pass over each row's
     nonzeros with a non-zero dual.
     """
     tags = {r.tag for r in lp.rows}
@@ -366,12 +358,12 @@ def _feasible_sums(lp: LinearProgram, y: Mapping[Hashable, int], den: int) -> Op
             return None
         if yr:
             active.append((r, yr))
-    S = lcm(*(a.denominator for r, _ in active for a in r.coeffs.values()))
+    S = lcm(*(r.scale for r, _ in active))
     sums = dict.fromkeys(lp.columns, 0)
     for r, yr in active:
         for t, a in r.coeffs.items():
             sums[t] += a.numerator * (S // a.denominator) * yr
-    C = lcm(*(c.denominator for c in lp.objective.values()))
+    C = lp.cost_scale
     scale = S * den
     for t, c in lp.objective.items():
         # S * den * y . A_t becomes S * C * den * (y . A_t - c_t)
@@ -400,9 +392,9 @@ def _assert_certificates(lp: LinearProgram, sol: LpSolution) -> None:
 
     The non-zero primal values, the only ones that contribute to a sum or a
     slackness product, are put over their common denominator D, and the duals
-    over theirs, E.  Each row is scaled by s_r (see ``_row_scale``) and the
-    objective by C, the lcm of its own denominators.  Every comparison is then
-    between integers carrying the same positive factor on both sides.
+    over theirs, E.  Each row is scaled by its ``scale`` s_r and the objective
+    by its ``cost_scale`` C.  Every comparison is then between integers
+    carrying the same positive factor on both sides.
     """
     if set(sol.primal) != set(lp.columns):
         raise AssertionError("primal solution does not cover exactly the program's columns")
@@ -414,7 +406,7 @@ def _assert_certificates(lp: LinearProgram, sol: LpSolution) -> None:
             raise AssertionError(f"negative value for column {t!r}")
     slack: dict = {}
     for r in lp.rows:
-        s = _row_scale(r)
+        s = r.scale
         lhs = sum(a.numerator * (s // a.denominator) * x[t] for t, a in r.coeffs.items() if t in x)
         rhs = r.rhs.numerator * (s // r.rhs.denominator) * D
         slack[r.tag] = lhs != rhs
@@ -432,11 +424,11 @@ def _assert_certificates(lp: LinearProgram, sol: LpSolution) -> None:
         if gaps[t]:
             raise AssertionError(f"complementary slackness fails on column {t!r}")
     # strong duality: c . x = P / (C * D) and b . y = Q / (B * E)
-    C = lcm(*(c.denominator for c in lp.objective.values()))
+    C = lp.cost_scale
     P = sum(c.numerator * (C // c.denominator) * x[t] for t in x if (c := lp.objective[t]))
-    terms = [(r.rhs, yr) for r in lp.rows if r.rhs and (yr := y[r.tag])]
-    B = lcm(*(b.denominator for b, _ in terms))
-    Q = sum(b.numerator * (B // b.denominator) * yr for b, yr in terms)
+    terms = [(r, yr) for r in lp.rows if r.rhs and (yr := y[r.tag])]
+    B = lcm(*(r.scale for r, _ in terms))
+    Q = sum(r.rhs.numerator * (B // r.rhs.denominator) * yr for r, yr in terms)
     if P * B * E != Q * C * D:
         raise AssertionError("strong duality fails")
     z = sol.objective

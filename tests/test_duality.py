@@ -307,7 +307,8 @@ def test_averaged_dual_solve_count(monkeypatch):
 
 def test_each_solve_gets_the_only_program_built_for_it(monkeypatch):
     # every LP is built once, with its final objective, and then solved:
-    # the programs handed to lp_core.solve are the programs built, in order
+    # the programs handed to lp_core.solve are the programs built, in order,
+    # and each is integral
     built, solved = [], []
     real_post_init = lp_core.LinearProgram.__post_init__
     real_solve = lp_core.solve
@@ -340,6 +341,13 @@ def test_each_solve_gets_the_only_program_built_for_it(monkeypatch):
     assert len(solved) > len(jobs)
     assert len(built) == len(solved)
     assert all(b is s for b, s in zip(built, solved))
+    # and every program the package builds is integral, so each scale is 1
+    for lp in built:
+        numbers = [*lp.objective.values()]
+        for r in lp.rows:
+            numbers += [r.rhs, *r.coeffs.values()]
+        assert all(x.denominator == 1 for x in numbers), lp
+        assert lp.cost_scale == 1 and all(r.scale == 1 for r in lp.rows), lp
 
 
 def test_averaged_dual_all_consistent():

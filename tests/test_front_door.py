@@ -1,8 +1,11 @@
-"""Seeded mutation fuzz of the command line over the committed instances.
+"""Seeded mutation fuzz of the command line over instance files.
 
-Each case mutates one of ``instances/*.json`` (a value swapped for a hostile
-one, an entry deleted or duplicated, the text truncated or a byte changed)
-and runs it through ``cli.main`` for every command.  Whatever the file says,
+Each case mutates one instance file (a value swapped for a hostile one, an
+entry deleted or duplicated, the text truncated or a byte changed) and runs
+it through ``cli.main`` for every command.  The files are the committed
+``instances/*.json``, and then the largest instances of the seeded corpora in
+``corpus.py`` plus one alldiff above the oracle's enumeration cap, so the
+size guard's exit 5 is fuzzed too.  Whatever the file says,
 the program must answer with an exit status from the table in ``cli`` and a
 message, never a traceback, and its stdout and its stderr must each stay
 within a fixed multiple of the file's size: no input makes the work of
@@ -13,12 +16,18 @@ import json
 import random
 from pathlib import Path
 
-from rcfilter.cli import main
+from rcfilter import weighted_instance
+from rcfilter.cli import EXIT_SIZE, main
+from rcfilter.model import instance_to_dict
+from rcfilter.oracle import MAX_ALLDIFF_VARS
+
+from corpus import alldiff_corpus, path_corpus
 
 INSTANCES = sorted((Path(__file__).resolve().parent.parent / "instances").glob("*.json"))
 COMMANDS = ("filter", "oracle", "verify", "bound")
 EXIT_CODES = {0, 1, 2, 3, 4, 5}
 CASES = 600
+GENERATED_CASES = 400
 OUTPUT_PER_BYTE = 16  # output bytes allowed per byte of the file, beyond a fixed allowance
 OUTPUT_ALLOWANCE = 512
 
@@ -65,12 +74,10 @@ def _mutate(rng: random.Random, text: str) -> bytes:
     return json.dumps(data).encode()
 
 
-def test_mutated_instances_exit_cleanly(tmp_path, capsys):
-    rng = random.Random(2022)
-    texts = [p.read_text() for p in INSTANCES]
-    path = tmp_path / "mutated.json"
+def _fuzz(rng: random.Random, texts: list, cases: int, path: Path, capsys) -> set:
+    """Run ``cases`` mutations of the texts through every command; the exit codes seen."""
     codes = set()
-    for case in range(CASES):
+    for case in range(cases):
         content = _mutate(rng, rng.choice(texts))
         path.write_bytes(content)
         for command in COMMANDS:
@@ -83,5 +90,33 @@ def test_mutated_instances_exit_cleanly(tmp_path, capsys):
             assert len(out.encode()) <= limit, where
             assert len(err.encode()) <= limit, where
             codes.add(code)
+    return codes
+
+
+def test_mutated_instances_exit_cleanly(tmp_path, capsys):
+    texts = [p.read_text() for p in INSTANCES]
+    codes = _fuzz(random.Random(2022), texts, CASES, tmp_path / "mutated.json", capsys)
     # the mutations reach the parser, validate and the solver paths alike
     assert {0, 1, 2, 3} <= codes, codes
+
+
+def _above_cap_alldiff(rng: random.Random):
+    # a union of three permutations, so every edge lies on a support
+    n = MAX_ALLDIFF_VARS + 1
+    edges = set()
+    for _ in range(3):
+        p = list(range(n))
+        rng.shuffle(p)
+        edges.update(enumerate(p))
+    triples = [(i, j, rng.randint(0, 9)) for i, j in sorted(edges)]
+    return weighted_instance("alldiff", n, range(n), triples, z_max=n * 3)
+
+
+def test_mutated_generated_instances_exit_cleanly(tmp_path, capsys):
+    rng = random.Random(2023)
+    alldiff = [i for i in alldiff_corpus(200) if i.n_vars == 5][:3]
+    paths = sorted(path_corpus(100), key=lambda i: -len(i.edges))[:3]
+    instances = alldiff + paths + [_above_cap_alldiff(rng)]
+    texts = [json.dumps(instance_to_dict(i)) for i in instances]
+    codes = _fuzz(rng, texts, GENERATED_CASES, tmp_path / "mutated.json", capsys)
+    assert {0, 1, 2, 3, EXIT_SIZE} <= codes, codes

@@ -192,6 +192,21 @@ def test_program_data_made_exact_when_built():
     )
     assert lp.objective == {"x": 2, "y": 0, "z": F(1, 2), "w": 0, "v": 0}
     assert [type(c) for c in lp.objective.values()] == [int, int, F, int, int]
+    # the integer scales are fixed here too, and rebuilt by replace
+    assert r.scale == math.lcm(r.rhs.denominator, *(a.denominator for a in r.coeffs.values())) == 6
+    assert lp.cost_scale == math.lcm(*(c.denominator for c in lp.objective.values())) == 2
+    r2 = replace(r, coeffs={"x": F(1, 5)}, rhs=F(3, 4))
+    assert r2.scale == 20
+    lp2 = replace(lp, objective={"y": F(2, 7)}, rows=(r2,))
+    assert lp2.cost_scale == 7
+    assert replace(lp2, objective={"y": 1}).cost_scale == 1
+    # derived, so neither a constructor argument nor part of repr or equality
+    assert "scale" not in repr(r2) and "cost_scale" not in repr(lp2)
+    assert r2 == Row({"x": F(1, 5)}, LE, F(3, 4), "r")
+    with pytest.raises(TypeError):
+        Row({"x": 1}, LE, 0, "r", scale=1)
+    with pytest.raises(TypeError):
+        LinearProgram(sense=MIN, columns=(), objective={}, rows=(), cost_scale=1)
     with pytest.raises(ValueError, match="bad relation"):
         Row({"x": 1}, "<>", 0, "r")
     with pytest.raises(ValueError, match="unknown column"):
@@ -300,28 +315,18 @@ def test_strong_duality_on_mixed_program():
     )
 
 
-def test_phase_one_prices_each_artificial_by_its_row_scale(monkeypatch):
-    # Row "b" is scaled by -3 to integers, so its artificial counts three
-    # times its unscaled value and costs 1/3 in phase one.  Costed 1, x would
-    # price out at 1 - (3 - 3) = 0 and never enter; the unscaled program
-    # prices it at 1 - (3 - 1) = -1 and enters it.  These are the pivots of
-    # that program: the two artificials priced out, then x entering row 0.
-    pivots = []
-    pivot = lp_core._pivot
-
-    def logged(M, basis, r, enter, d):
-        pivots.append((r, enter))
-        return pivot(M, basis, r, enter, d)
-
-    monkeypatch.setattr(lp_core, "_pivot", logged)
+def test_phase_one_finds_a_scaled_row_infeasible():
+    # Row "b" is scaled by -3 to integers; phase one costs its artificial 1,
+    # like every other, and its optimum stays positive: 3x >= 1 and x = -1/3
+    # have no solution with x >= 0.
     lp = LinearProgram(
         sense=MAX,
         columns=("x",),
         objective={"x": F(-2)},
         rows=(Row({"x": 3}, GE, 1, "a"), Row({"x": 1}, EQ, F(-1, 3), "b")),
     )
+    assert [r.scale for r in lp.rows] == [1, 3]
     assert solve(lp).status == INFEASIBLE
-    assert pivots == [(0, 2), (1, 3), (0, 0)]
 
 
 def test_pivot_guard_constant_exists():

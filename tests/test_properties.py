@@ -31,7 +31,7 @@ COMMON = dict(
     suppress_health_check=[HealthCheck.too_slow],
 )
 # every phase but shrinking: the same examples and assertions, but a failing
-# wide-rational program is reported as drawn, where shrinking it took minutes
+# random program is reported as drawn, where shrinking it took minutes
 NO_SHRINK = tuple(p for p in Phase if p is not Phase.shrink)
 
 
@@ -218,7 +218,7 @@ def _solve_and_certify(n_cols, rows, objective, free, sense):
 
 
 # small rationals, so pivots are not all units and phase one meets fractions
-@settings(**COMMON)
+@settings(**COMMON, phases=NO_SHRINK)
 @given(
     **random_programs(
         st.fractions(min_value=-3, max_value=3, max_denominator=5),
