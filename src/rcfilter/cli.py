@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import formulations, model, oracle, propagation
@@ -36,7 +35,7 @@ EXIT_SIZE = 5
 
 
 def _frac(x) -> Optional[str]:
-    return None if x is None else str(Fraction(x))
+    return None if x is None else str(x)
 
 
 def _dual_payload(edge_set, dual) -> dict:

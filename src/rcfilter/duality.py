@@ -1,11 +1,12 @@
 """Reduced-cost arithmetic on dual solutions and the family dual program.
 
-A dual solution assigns a rational potential to every variable row (and value
-row, for alldiff).  The reduced cost of an edge is the slack of its dual
-constraint; the exact reduced cost is the true increase of the optimum when
-the edge is forced.  The operations here produce dual solutions whose reduced
-costs are exact on whole sets of pairwise-incompatible edges at once, which
-is what the filtering loop consumes.
+A dual solution assigns an exact potential to every variable row (and value
+row, for alldiff), and every value computed from it is exact: an ``int``
+when integral, else a ``Fraction`` (``lp_core.exact``).  The reduced cost of
+an edge is the slack of its dual constraint; the exact reduced cost is the
+true increase of the optimum when the edge is forced.  The operations here
+produce dual solutions whose reduced costs are exact on whole sets of
+pairwise-incompatible edges at once, which is what the filtering loop consumes.
 
 LP solves happen only where a new dual or optimum is needed: the support LP
 (``solve_primal``, the only solve of that LP; callers pass its z* down, and
@@ -36,6 +37,7 @@ from typing import Mapping, Optional, Sequence
 
 from . import formulations, lp_core
 from .formulations import Support, edge_column
+from .lp_core import Number, exact
 from .model import (
     ALLDIFF,
     EdgeId,
@@ -50,12 +52,13 @@ class DualSolution:
     """Potentials per variable (u) and per value (v; empty for path instances).
 
     For path instances ``u`` covers every vertex, the sink pinned to 0 since
-    its flow row does not exist.  ``w`` is the dual objective.
+    its flow row does not exist.  ``w`` is the dual objective.  Every value
+    is exact, an ``int`` when it is integral.
     """
 
-    u: Mapping[int, Fraction]
-    v: Mapping[int, Fraction]
-    w: Fraction
+    u: Mapping[int, Number]
+    v: Mapping[int, Number]
+    w: Number
 
 
 @dataclass(frozen=True)
@@ -70,27 +73,27 @@ class ExactnessCertificate:
     edge: EdgeId
     exact: bool
     witness: Optional[Support]
-    value: Optional[Fraction]
+    value: Optional[Number]
 
 
 def dual_solution(
     instance: WeightedInstance,
-    u: Mapping[int, Fraction],
-    v: Optional[Mapping[int, Fraction]] = None,
+    u: Mapping[int, Number],
+    v: Optional[Mapping[int, Number]] = None,
 ) -> DualSolution:
-    """Package potentials, computing the dual objective from the components."""
-    u = {k: Fraction(x) for k, x in u.items()}
-    v = {} if v is None else {k: Fraction(x) for k, x in v.items()}
+    """Package potentials, made exact, computing the dual objective from the components."""
+    u = {k: exact(x) for k, x in u.items()}
+    v = {} if v is None else {k: exact(x) for k, x in v.items()}
     if instance.kind == ALLDIFF:
         w = sum(u.values()) + sum(v.values())
     else:
         meta = instance.path
         assert meta is not None
         # the sink has no flow row, so its potential is fixed at zero
-        if u.setdefault(meta.sink, Fraction(0)) != 0:
+        if u.setdefault(meta.sink, 0) != 0:
             raise ValueError(f"sink potential must be 0, got {u[meta.sink]}")
         w = u[meta.source]
-    return DualSolution(u=u, v=v, w=Fraction(w))
+    return DualSolution(u=u, v=v, w=exact(w))
 
 
 def from_row_duals(
@@ -101,14 +104,14 @@ def from_row_duals(
     These are the row duals of a primal solve or the column values of a
     family dual solve.
     """
-    u: dict[int, Fraction] = {}
-    v: dict[int, Fraction] = {}
+    u: dict[int, Number] = {}
+    v: dict[int, Number] = {}
     for tag, value in row_duals.items():
         if tag[0] == "u":
             u[tag[1]] = value
         elif tag[0] == "v":
             v[tag[1]] = value
-    return dual_solution(instance, u, v)  # which makes the values Fractions
+    return dual_solution(instance, u, v)
 
 
 def is_dual_feasible(instance: WeightedInstance, dual: DualSolution) -> bool:
@@ -120,15 +123,15 @@ def is_dual_feasible(instance: WeightedInstance, dual: DualSolution) -> bool:
     return all(reduced_cost(instance, dual, e) >= 0 for e in instance.edges)
 
 
-def reduced_cost(instance: WeightedInstance, dual: DualSolution, ij: EdgeId) -> Fraction:
+def reduced_cost(instance: WeightedInstance, dual: DualSolution, ij: EdgeId) -> Number:
     """Slack of edge ij's dual constraint: c - u_i - v_j, or c - u_i + u_j on arcs."""
     ij = EdgeId(*ij)
     if ij not in instance.cost:
         raise ValueError(f"edge {ij} not in the instance")
-    c = Fraction(instance.cost[ij])
+    c = instance.cost[ij]
     if instance.kind == ALLDIFF:
-        return c - dual.u[ij.i] - dual.v[ij.j]
-    return c - dual.u[ij.i] + dual.u[ij.j]
+        return exact(c - dual.u[ij.i] - dual.v[ij.j])
+    return exact(c - dual.u[ij.i] + dual.u[ij.j])
 
 
 def solve_primal(instance: WeightedInstance):
@@ -140,8 +143,8 @@ def solve_primal(instance: WeightedInstance):
 
 
 def exact_reduced_cost(
-    instance: WeightedInstance, ij: EdgeId, z_star: Fraction
-) -> Fraction:
+    instance: WeightedInstance, ij: EdgeId, z_star: Number
+) -> Number:
     """True cost increase of forcing edge ij: its restricted optimum minus z*.
 
     The restricted optimum is w + r_ij under the family dual of the set
@@ -151,7 +154,7 @@ def exact_reduced_cost(
     """
     ij = EdgeId(*ij)
     dual = solve_family_dual(instance, (ij,))
-    return dual.w + reduced_cost(instance, dual, ij) - z_star
+    return exact(dual.w + reduced_cost(instance, dual, ij) - z_star)
 
 
 def exactness_certificate(
@@ -186,7 +189,7 @@ def exactness_certificate(
 
 
 def shifted_cost_dual(
-    instance: WeightedInstance, kl: EdgeId, z_star: Fraction
+    instance: WeightedInstance, kl: EdgeId, z_star: Number
 ) -> DualSolution:
     """An optimal dual whose reduced cost on kl is exact.
 
@@ -276,14 +279,14 @@ def zstar_from_family_dual(
     instance: WeightedInstance,
     edge_set: Sequence[EdgeId],
     dual: DualSolution,
-) -> Fraction:
+) -> Number:
     """z* recovered from a covering set's dual: w plus the smallest reduced cost.
 
     Only sound for a covering set (every support uses one of its edges), as
     flagged in ``IncompatibleFamily.covering``.
     """
     edges = tuple(EdgeId(*e) for e in edge_set)
-    return dual.w + min(reduced_cost(instance, dual, e) for e in edges)
+    return exact(dual.w + min(reduced_cost(instance, dual, e) for e in edges))
 
 
 # ---------------------------------------------------------------------------

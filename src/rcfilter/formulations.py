@@ -16,7 +16,6 @@ built once per ``find_support`` call and once per ``unsupported_edges`` call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from . import lp_core
@@ -36,7 +35,7 @@ class Support:
     """Edges of one feasible solution: a perfect matching or an s-t path."""
 
     edges: tuple[EdgeId, ...]
-    cost: Fraction
+    cost: lp_core.Number
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def find_support(
     edges = search(instance, out, forced)
     if edges is None:
         return None
-    return Support(edges=edges, cost=Fraction(sum(instance.cost[e] for e in edges)))
+    return Support(edges=edges, cost=sum(instance.cost[e] for e in edges))
 
 
 def unsupported_edges(

@@ -22,15 +22,16 @@ test M[m][j] < 0, the ratio test compared crosswise over integers and the
 phase-one test M[m][ncols] < 0 take the same signs as in a ``Fraction``
 simplex on the scaled program, and every pivot and tie-break is the same.
 Every program the package builds is integral (s = C = 1), so there the
-scaled program is the program itself.  Only the answers are ``Fraction``s:
-a primal value is M[i][ncols] / d, and the duals and the objective are read
-off the reduced costs and scaled back.  A pivot equal to d touches only the
-columns where the pivot row is non-zero; that is every pivot on the
-package's network programs, where d stays 1.
+scaled program is the program itself.  A primal value is M[i][ncols] / d,
+and the duals and the objective are read off the reduced costs and scaled
+back.  A pivot equal to d touches only the columns where the pivot row is
+non-zero; that is every pivot on the package's network programs, where d
+stays 1, so there every answer is an integer.
 
 A program's data are made exact and checked when it is built (see ``Row``
-and ``LinearProgram``): an integral value is held as an ``int``, any other
-as a ``Fraction``.  The solver and the certificate check read only their
+and ``LinearProgram``), and its answers take the same form (``exact``): an
+integral value is an ``int``, any other a ``Fraction``, and both compare and
+print alike.  The solver and the certificate check read only their
 ``numerator`` and ``denominator`` and trust them as they stand.  The
 certificate check compares integers only (see ``_assert_certificates``).
 
@@ -81,12 +82,18 @@ _MAX_PIVOTS = 200_000  # Bland's rule terminates; this is a tripwire, not a tuni
 Number = Union[int, Fraction]  # exact: an int when integral, else a Fraction
 
 
-def _exact(x) -> Number:
+def exact(x) -> Number:
     """x as an exact number: an ``int`` when it is integral, else a ``Fraction``."""
     if type(x) is int:
         return x
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(n: int, d: int) -> Number:
+    """n / d as an exact number, for integers n and d != 0 of either sign."""
+    q, r = divmod(n, d)
+    return q if r == 0 else Fraction(n, d)
 
 
 @dataclass(frozen=True)
@@ -102,9 +109,9 @@ class Row:
     def __post_init__(self):
         if self.rel not in (LE, EQ, GE):
             raise ValueError(f"bad relation {self.rel!r}")
-        coeffs = {t: _exact(a) for t, a in self.coeffs.items()}
+        coeffs = {t: exact(a) for t, a in self.coeffs.items()}
         object.__setattr__(self, "coeffs", {t: a for t, a in coeffs.items() if a != 0})
-        object.__setattr__(self, "rhs", _exact(self.rhs))
+        object.__setattr__(self, "rhs", exact(self.rhs))
         denominators = (a.denominator for a in self.coeffs.values())
         object.__setattr__(self, "scale", lcm(self.rhs.denominator, *denominators))
 
@@ -138,7 +145,7 @@ class LinearProgram:
                 raise ValueError(f"row {r.tag!r} references unknown column(s)")
         if not known.issuperset(self.objective):
             raise ValueError("objective references unknown column(s)")
-        objective = {t: _exact(self.objective.get(t, 0)) for t in self.columns}
+        objective = {t: exact(self.objective.get(t, 0)) for t in self.columns}
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "cost_scale", lcm(*(c.denominator for c in objective.values())))
 
@@ -148,7 +155,7 @@ class LpSolution:
     status: str
     primal: dict
     dual: dict
-    objective: Optional[Fraction]
+    objective: Optional[Number]
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -272,16 +279,16 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
         v = std_val[col[t]]
         if t in lp.free:
             v -= std_val[col[t] + 1]
-        primal[t] = Fraction(v, d)
+        primal[t] = _quotient(v, d)
 
     # a row's dual scales back by its own scale; the objective by the cost's
     z = M[m]  # the phase-2 reduced costs, times d * cost_scale
     dual = {
-        r.tag: Fraction(-z[k] * s, d * cost_scale)
+        r.tag: _quotient(-z[k] * s, d * cost_scale)
         for r, k, s in zip(lp.rows, unit, scales)
     }
     return LpSolution(
-        status=OPTIMAL, primal=primal, dual=dual, objective=Fraction(-z[ncols], d * cost_scale)
+        status=OPTIMAL, primal=primal, dual=dual, objective=_quotient(-z[ncols], d * cost_scale)
     )
 
 
@@ -383,7 +390,7 @@ def _feasible_sums(lp: LinearProgram, y: Mapping[Hashable, int], den: int) -> Op
 def dual_feasible(lp: LinearProgram, duals: Mapping[Hashable, Number]) -> bool:
     """Exact feasibility of a dual vector for this program, per the conventions above."""
     # the duals come from the caller, so they are made exact here
-    y, den = _over_one_denominator({tag: _exact(yr) for tag, yr in duals.items()})
+    y, den = _over_one_denominator({tag: exact(yr) for tag, yr in duals.items()})
     return _feasible_sums(lp, y, den) is not None
 
 

@@ -10,10 +10,9 @@ solved twice.  Requires every edge to lie on at least one support
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional
 
-from . import duality, formulations
+from . import duality, formulations, lp_core
 from .duality import DualSolution
 from .formulations import IncompatibleFamily
 from .model import EdgeId, InfeasibleConstraintError, WeightedInstance
@@ -34,7 +33,7 @@ class FilterResult:
     """
 
     marks: Mapping[EdgeId, str]
-    z_lb: Optional[Fraction]
+    z_lb: Optional[lp_core.Number]
     duals_used: tuple[tuple[tuple[EdgeId, ...], DualSolution], ...]
     complete: bool
 
@@ -85,10 +84,10 @@ def ac_by_lp(
         for e in edge_set:
             if e not in instance.cost:
                 raise ValueError(f"family edge {e} not in the instance")
-    z_max = Fraction(instance.z_max)
+    z_max = instance.z_max
     marks: dict[EdgeId, str] = {e: UNMARKED for e in instance.edges}
     duals_used: list[tuple[tuple[EdgeId, ...], DualSolution]] = []
-    z_lb: Optional[Fraction] = None
+    z_lb: Optional[lp_core.Number] = None
 
     while True:
         if budget is not None and len(duals_used) >= budget:
@@ -132,7 +131,7 @@ def ac_by_lp(
 
 def lower_bound(
     instance: WeightedInstance, family: Optional[IncompatibleFamily] = None
-) -> Fraction:
+) -> lp_core.Number:
     """The optimum of the support LP, recovered from one covering set's dual.
 
     An instance without edges has no support: InfeasibleConstraintError.

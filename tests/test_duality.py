@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from rcfilter.duality import (
     solve_primal,
     zstar_from_family_dual,
 )
-from rcfilter.formulations import bg01_encode, family, primal_program
+from rcfilter.formulations import bg01_encode, family, find_support, primal_program
 from rcfilter.model import SatisfactionInstance, weighted_instance
 
 from corpus import alldiff_corpus, path_corpus, satisfaction_corpus
@@ -366,3 +367,36 @@ def test_averaged_dual_infeasible_constraint():
     )
     with pytest.raises(InfeasibleConstraintError):
         averaged_satisfaction_dual(sat)
+
+
+def _normal_form(x):
+    # an exact answer: an int when integral, else a Fraction that is not
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
+def _assert_dual_normal(inst, d):
+    values = [*d.u.values(), *d.v.values(), d.w]
+    values += [reduced_cost(inst, d, e) for e in inst.edges]
+    assert all(map(_normal_form, values))
+
+
+def test_answers_are_int_when_integral():
+    # the filter's duals are integral on these networks; the averaged
+    # satisfaction duals are not, and both must be in the one normal form
+    for inst in alldiff_corpus(60) + path_corpus(40):
+        assert type(find_support(inst, inst.edges).cost) is int
+        for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
+            try:
+                result = ac_by_lp(inst, family(inst, strategy))
+            except InfeasibleConstraintError as exc:
+                assert exc.z_lb is None or _normal_form(exc.z_lb)
+                continue
+            assert result.z_lb is None or _normal_form(result.z_lb)
+            for _, d in result.duals_used:
+                _assert_dual_normal(inst, d)
+    fractional = 0
+    for sat in satisfaction_corpus(30):
+        enc, d = averaged_satisfaction_dual(sat)
+        _assert_dual_normal(enc, d)
+        fractional += any(type(x) is Fraction for x in d.u.values())
+    assert fractional

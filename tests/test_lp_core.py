@@ -135,6 +135,34 @@ def test_fractional_data_stays_exact():
     assert sol.objective == F(35, 66)
 
 
+def test_quotient_matches_fraction_for_every_sign():
+    # an int exactly when the divisor divides, a Fraction otherwise
+    cases = [(6, 3), (-6, 3), (6, -3), (-6, -3), (7, 3), (-7, 3), (7, -3), (-7, -3), (0, -5)]
+    for n, d in cases:
+        q = lp_core._quotient(n, d)
+        assert q == F(n, d)
+        assert type(q) is (int if n % d == 0 else F)
+
+
+def test_max_program_with_negative_fractional_optimum():
+    # max -x/3 - y s.t. 2x >= 3, y >= 2: the phase-two costs are the
+    # objective times -cost_scale = -3, so the duals and the objective are
+    # read back over a negative divisor
+    lp = LinearProgram(
+        sense=MAX,
+        columns=("x", "y"),
+        objective={"x": F(-1, 3), "y": -1},
+        rows=(Row({"x": 2}, GE, 3, "lo"), Row({"y": 1}, GE, 2, "floor")),
+    )
+    sol = solve(lp)
+    assert sol.status == OPTIMAL
+    assert sol.primal == {"x": F(3, 2), "y": 2}
+    assert sol.dual == {"lo": F(-1, 6), "floor": -1}
+    assert sol.objective == F(-5, 2)
+    assert [type(x) for x in (sol.primal["x"], sol.primal["y"])] == [F, int]
+    assert [type(x) for x in (sol.dual["lo"], sol.dual["floor"], sol.objective)] == [F, int, F]
+
+
 def test_redundant_equality_rows_handled():
     # second equality is a copy: phase 1 leaves an artificial basic at zero
     lp = LinearProgram(

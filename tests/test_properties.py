@@ -208,6 +208,11 @@ def _program(n_cols, rows, objective, free, sense):
     )
 
 
+def _normal_form(x):
+    # an exact answer: an int when integral, else a Fraction that is not
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+
 def _solve_and_certify(n_cols, rows, objective, free, sense):
     lp = _program(n_cols, rows, objective, free, sense)
     # the exact certificate inside solve() raises on any inconsistency
@@ -215,6 +220,8 @@ def _solve_and_certify(n_cols, rows, objective, free, sense):
     assert sol.status in (lp_core.OPTIMAL, lp_core.INFEASIBLE, lp_core.UNBOUNDED)
     if sol.status == lp_core.OPTIMAL:
         assert lp_core.dual_feasible(lp, sol.dual)
+        answers = [*sol.primal.values(), *sol.dual.values(), sol.objective]
+        assert all(map(_normal_form, answers))
 
 
 # small rationals, so pivots are not all units and phase one meets fractions
