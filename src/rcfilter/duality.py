@@ -13,10 +13,13 @@ LP solves happen only where a new dual or optimum is needed: the support LP
 ``propagation`` recovers z* from a covering set's family dual instead), the
 shifted LP of ``shifted_cost_dual`` and the one family dual program
 (``solve_family_dual``), which also gives ``exact_reduced_cost`` its
-restricted optimum as one family-dual solve of the set {ij}.  Questions with
-a combinatorial answer are decided by ``formulations.find_support``: whether
-a dual is optimal (complementary slackness), whether a reduced cost is
-exact, and which satisfaction edges lie on no solution.
+restricted optimum as one family-dual solve of the set {ij}.  An averaged
+satisfaction dual makes one solve when no original edge is inconsistent and
+two per inconsistent edge otherwise: z* = 0 is known without a solve then.
+Questions with a combinatorial answer are decided by
+``formulations.find_support``: whether a dual is optimal (complementary
+slackness), whether a reduced cost is exact, and which satisfaction edges
+lie on no solution.
 
 Which optimal dual a solve returns is fixed by the column numbering, since
 Bland's rule enters the lowest-numbered column (see ``lp_core``).  The
@@ -26,7 +29,9 @@ program's columns are the primal row tags, ``("u", i)`` then ``("v", j)``,
 each free and so split into a pair; its "<=" rows, one per edge in instance
 order, each get a slack column.  Each program is built once, with its final
 (shifted) objective, from ``formulations.row_rhs`` and ``edge_column``, and
-is integral: the family dual's objective is scaled by |S| to integers.
+is integral: the family dual's objective is scaled by |S| to integers.  The
+rows of either program depend only on the instance, and are reused while
+the instance stays the same (``formulations.last_instance_memo``).
 """
 
 from __future__ import annotations
@@ -249,11 +254,18 @@ def family_dual_program(
         sense=lp_core.MAX,
         columns=tuple(rhs),
         objective=objective,
-        rows=tuple(
-            lp_core.Row(edge_column(instance, e), lp_core.LE, instance.cost[e], e)
-            for e in instance.edges
-        ),
+        rows=_family_dual_rows(instance),
         free=frozenset(rhs),
+    )
+
+
+@formulations.last_instance_memo
+def _family_dual_rows(instance: WeightedInstance) -> tuple[lp_core.Row, ...]:
+    # one "<=" row per edge, the same for every set: the sets of one
+    # ``ac_by_lp`` run share them
+    return tuple(
+        lp_core.Row(edge_column(instance, e), lp_core.LE, instance.cost[e], e)
+        for e in instance.edges
     )
 
 
@@ -300,24 +312,29 @@ def averaged_satisfaction_dual(
 
     Averages one exactness-carrying dual per inconsistent original edge; the
     average is still optimal and keeps every one of those reduced costs
-    strictly positive, while consistent original edges stay at zero.
+    strictly positive, while consistent original edges stay at zero.  The
+    support LP is solved only when its dual is the answer (no original edge
+    is inconsistent) or its optimum is (none is consistent: the constraint
+    has no support, and ``InfeasibleConstraintError`` carries z*).
     """
     encoded = formulations.bg01_encode(sat)
+    # an original edge is inconsistent iff no perfect matching of original
+    # edges uses it, i.e. its exact reduced cost in the encoding is positive
+    inconsistent = formulations.unsupported_edges(encoded, sat.edges)
+    if inconsistent and len(inconsistent) < len(sat.edges):
+        # a consistent edge lies on a perfect matching of original edges,
+        # which costs 0, and no cost is negative: z* = 0 with no solve
+        parts = [shifted_cost_dual(encoded, e, 0) for e in inconsistent]
+        k = Fraction(1, len(parts))
+        u = {
+            i: k * sum(p.u[i] for p in parts) for i in range(encoded.n_vars)
+        }
+        v = {
+            j: k * sum(p.v[j] for p in parts) for j in encoded.values
+        }
+        return encoded, dual_solution(encoded, u, v)
     z_star, _, base = solve_primal(encoded)
     if z_star != 0:
         # every completion uses a non-edge: the constraint itself has no support
         raise InfeasibleConstraintError("no support exists", z_lb=z_star)
-    # an original edge is inconsistent iff no perfect matching of original
-    # edges uses it, i.e. its exact reduced cost in the encoding is positive
-    inconsistent = formulations.unsupported_edges(encoded, sat.edges)
-    if not inconsistent:
-        return encoded, base
-    parts = [shifted_cost_dual(encoded, e, z_star) for e in inconsistent]
-    k = Fraction(1, len(parts))
-    u = {
-        i: k * sum(p.u[i] for p in parts) for i in range(encoded.n_vars)
-    }
-    v = {
-        j: k * sum(p.v[j] for p in parts) for j in encoded.values
-    }
-    return encoded, dual_solution(encoded, u, v)
+    return encoded, base

@@ -65,12 +65,28 @@ def row_rhs(instance: WeightedInstance) -> dict:
     raise ValueError(f"unknown kind {instance.kind!r}")
 
 
-def primal_program(instance: WeightedInstance, cost: Mapping) -> LinearProgram:
-    """Min-cost support LP: rows force one value per variable / unit s-t flow.
+def last_instance_memo(build: Callable[[WeightedInstance], tuple]) -> Callable:
+    """``build(instance)``, kept for the last instance passed, matched by ``is``.
 
-    ``cost`` is the objective by edge: ``instance.cost``, or a shifted copy.
-    One pass over the edges; ``edge_column`` defines every coefficient.
+    For the rows of a program kind, which depend only on the instance: the
+    programs built for one instance then share one ``rows`` tuple.  The
+    memo holds the instance itself, so its identity cannot be reused, and
+    relies on instances being immutable, their ``cost`` maps included.
     """
+    last: tuple = (None, ())
+
+    def cached(instance: WeightedInstance) -> tuple:
+        nonlocal last
+        if last[0] is not instance:
+            last = (instance, build(instance))
+        return last[1]
+
+    return cached
+
+
+@last_instance_memo
+def _support_rows(instance: WeightedInstance) -> tuple[Row, ...]:
+    # one pass over the edges; ``edge_column`` defines every coefficient
     rhs = row_rhs(instance)
     coeffs: dict = {tag: {} for tag in rhs}
     for e in instance.edges:
@@ -78,11 +94,20 @@ def primal_program(instance: WeightedInstance, cost: Mapping) -> LinearProgram:
             if tag not in coeffs:
                 raise ValueError(f"edge {e} meets no row of the support LP")
             coeffs[tag][e] = a
+    return tuple(Row(coeffs[t], lp_core.EQ, b, t) for t, b in rhs.items())
+
+
+def primal_program(instance: WeightedInstance, cost: Mapping) -> LinearProgram:
+    """Min-cost support LP: rows force one value per variable / unit s-t flow.
+
+    ``cost`` is the objective by edge: ``instance.cost``, or a shifted copy.
+    The rows do not depend on it, so the programs of one instance share them.
+    """
     return LinearProgram(
         sense=lp_core.MIN,
         columns=tuple(instance.edges),
         objective=cost,
-        rows=tuple(Row(coeffs[t], lp_core.EQ, b, t) for t, b in rhs.items()),
+        rows=_support_rows(instance),
     )
 
 

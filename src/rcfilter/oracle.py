@@ -8,9 +8,9 @@ cleverness is allowed to creep in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
+from .lp_core import Number, exact
 from .model import (
     ALLDIFF,
     PATH,
@@ -33,13 +33,14 @@ class OracleReport:
     """Exhaustive enumeration results; the reference for every other module.
 
     ``z_restricted[e]`` is the cheapest support through e, or None when e lies
-    on no support at all (an explicit sentinel, never a large number).
+    on no support at all (an explicit sentinel, never a large number).  Every
+    value is exact, in the package's one form: an ``int`` when integral.
     """
 
-    supports: tuple[tuple[tuple[EdgeId, ...], Fraction], ...]
-    z_star: Fraction
-    z_restricted: dict[EdgeId, Optional[Fraction]]
-    exact_rc: dict[EdgeId, Optional[Fraction]]
+    supports: tuple[tuple[tuple[EdgeId, ...], Number], ...]
+    z_star: Number
+    z_restricted: dict[EdgeId, Optional[Number]]
+    exact_rc: dict[EdgeId, Optional[Number]]
     ac_set: tuple[EdgeId, ...]
     z_max: int
 
@@ -126,17 +127,18 @@ def enumerate(instance: WeightedInstance) -> OracleReport:
     if not supports:
         raise InfeasibleConstraintError("no support exists")
     costed = tuple(
-        (s, Fraction(sum(instance.cost[e] for e in s))) for s in supports
+        (s, exact(sum(instance.cost[e] for e in s))) for s in supports
     )
     z_star = min(c for _, c in costed)
-    z_restricted: dict[EdgeId, Optional[Fraction]] = {e: None for e in instance.edges}
+    z_restricted: dict[EdgeId, Optional[Number]] = {e: None for e in instance.edges}
     for s, c in costed:
         for e in s:
             prev = z_restricted[e]
             if prev is None or c < prev:
                 z_restricted[e] = c
     exact_rc = {
-        e: (None if zr is None else zr - z_star) for e, zr in z_restricted.items()
+        e: (None if zr is None else exact(zr - z_star))
+        for e, zr in z_restricted.items()
     }
     ac_set = tuple(
         e

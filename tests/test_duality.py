@@ -287,9 +287,10 @@ def test_averaged_dual_separates_inconsistent_edges():
 
 
 def test_averaged_dual_solve_count(monkeypatch):
-    # one base solve plus two per inconsistent edge (the one-edge family
-    # dual behind its exact reduced cost and the shifted solve of its
-    # shifted dual, z* passed down); consistency is decided without LPs
+    # the base solve alone when no edge is inconsistent; otherwise two per
+    # inconsistent edge (the one-edge family dual behind its exact reduced
+    # cost and the shifted solve of its shifted dual) and no base solve, as
+    # a consistent edge fixes z* = 0; consistency is decided without LPs
     real = lp_core.solve
     calls = []
 
@@ -298,12 +299,60 @@ def test_averaged_dual_solve_count(monkeypatch):
         return real(lp)
 
     monkeypatch.setattr(lp_core, "solve", spy)
+    seen = set()
     for sat in satisfaction_corpus(15):
         calls.clear()
         enc, _ = averaged_satisfaction_dual(sat)
         report = oracle.enumerate(enc)
         inconsistent = [e for e in sat.edges if report.z_restricted[e] > 0]
-        assert len(calls) == 1 + 2 * len(inconsistent)
+        assert len(calls) == (2 * len(inconsistent) if inconsistent else 1)
+        seen.add(bool(inconsistent))
+    assert seen == {True, False}
+
+
+def test_every_solve_is_certified_and_shares_its_rows(monkeypatch):
+    # skipped solves and shared rows skip no certificate: every solve runs
+    # the certificate check once, on the program it solved, and the
+    # programs of one kind built in one ac_by_lp run or one averaged dual
+    # share a single rows tuple
+    real_solve, real_check = lp_core.solve, lp_core._assert_certificates
+    solved, checked = [], []
+
+    def solve(lp):
+        solved.append(lp)
+        sol = real_solve(lp)
+        assert sol.status == lp_core.OPTIMAL
+        return sol
+
+    def check(lp, sol):
+        checked.append(lp)
+        real_check(lp, sol)
+
+    monkeypatch.setattr(lp_core, "solve", solve)
+    monkeypatch.setattr(lp_core, "_assert_certificates", check)
+    jobs = [(ac_by_lp, inst, family(inst, "domains")) for inst in alldiff_corpus(20)]
+    jobs += [
+        (ac_by_lp, inst, family(inst, s))
+        for inst in path_corpus(20)
+        for s in ("domains", "layers")
+    ]
+    jobs += [(averaged_satisfaction_dual, sat) for sat in satisfaction_corpus(20)]
+    shared = {lp_core.MIN: 0, lp_core.MAX: 0}
+    for run, *args in jobs:
+        solved.clear()
+        checked.clear()
+        try:
+            run(*args)
+        except InfeasibleConstraintError:
+            pass
+        assert solved
+        assert len(checked) == len(solved)
+        assert all(c is s for c, s in zip(checked, solved))
+        for sense in shared:
+            kind = [lp for lp in solved if lp.sense == sense]
+            assert all(lp.rows is kind[0].rows for lp in kind)
+            shared[sense] += len(kind) > 1
+    assert shared[lp_core.MIN] and shared[lp_core.MAX]
 
 
 def test_each_solve_gets_the_only_program_built_for_it(monkeypatch):
@@ -362,11 +411,19 @@ def test_averaged_dual_all_consistent():
 
 
 def test_averaged_dual_infeasible_constraint():
+    # no original edge is consistent, so the support LP is solved and its
+    # optimum is the bound: the oracle's z* of the encoding
     sat = SatisfactionInstance(
         n_vars=2, values=(0, 1), edges=(EdgeId(0, 0), EdgeId(1, 0))
     )
-    with pytest.raises(InfeasibleConstraintError):
+    with pytest.raises(InfeasibleConstraintError) as exc:
         averaged_satisfaction_dual(sat)
+    assert exc.value.z_lb == oracle.enumerate(bg01_encode(sat)).z_star == 1
+    # with no original edge at all every variable takes a non-edge: z* = n
+    empty = SatisfactionInstance(n_vars=3, values=(0, 1, 2))
+    with pytest.raises(InfeasibleConstraintError) as exc:
+        averaged_satisfaction_dual(empty)
+    assert exc.value.z_lb == 3
 
 
 def _normal_form(x):

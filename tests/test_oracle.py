@@ -1,8 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from rcfilter import EdgeId, InfeasibleConstraintError, weighted_instance
 from rcfilter import oracle
 from rcfilter.oracle import SizeGuardError, check_incompatible
+
+from corpus import alldiff_corpus, path_corpus
 
 
 def test_three_var_assignment_tables(three_var_assignment, three_var_assignment_truth):
@@ -124,3 +128,20 @@ def test_edge_on_no_support_gets_none_sentinel():
     assert report.exact_rc[EdgeId(0, 0)] is None
     assert EdgeId(0, 0) not in report.ac_set
     assert report.z_restricted[EdgeId(0, 1)] == 2
+
+
+def test_answers_are_int_when_integral():
+    # the oracle's numbers take the package's one exact form, so they
+    # compare and print like the filter's
+    def normal(x):
+        return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+
+    for inst in alldiff_corpus(60) + path_corpus(40):
+        try:
+            report = oracle.enumerate(inst)
+        except InfeasibleConstraintError:
+            continue
+        values = [report.z_star, *(c for _, c in report.supports)]
+        values += [x for x in report.z_restricted.values() if x is not None]
+        values += [x for x in report.exact_rc.values() if x is not None]
+        assert all(map(normal, values)), inst
