@@ -10,7 +10,6 @@ every optimum is certified against its dual before being believed.
 
 from .duality import (
     DualSolution,
-    ExactnessCertificate,
     averaged_satisfaction_dual,
     dual_solution,
     exact_reduced_cost,
@@ -60,7 +59,6 @@ __all__ = [
     "CONSISTENT",
     "DualSolution",
     "EdgeId",
-    "ExactnessCertificate",
     "FilterResult",
     "INCONSISTENT",
     "IncompatibleFamily",

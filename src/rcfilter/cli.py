@@ -54,7 +54,7 @@ def filter_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
     report = {
         "command": "filter",
         "kind": instance.kind,
-        "family": fam.strategy,
+        "family": args.strategy,
         "z_max": _frac(instance.z_max),
         "complete": result.complete,
         "solves": result.solves,
@@ -178,7 +178,7 @@ def bound_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
               args: argparse.Namespace) -> tuple[int, dict]:
     """Recover the exact optimum from one covering set's dual solution."""
     z_star = propagation.lower_bound(instance, fam)
-    return EXIT_OK, {"command": "bound", "family": fam.strategy, "z_star": _frac(z_star)}
+    return EXIT_OK, {"command": "bound", "family": args.strategy, "z_star": _frac(z_star)}
 
 
 def _bound_text(report: dict) -> str:

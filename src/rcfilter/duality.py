@@ -66,21 +66,6 @@ class DualSolution:
     w: Number
 
 
-@dataclass(frozen=True)
-class ExactnessCertificate:
-    """Outcome of the exactness test for one edge under one optimal dual.
-
-    When ``exact`` the witness is a support through the edge whose other
-    members all have zero reduced cost, and ``value`` is the exact reduced
-    cost (equal to the edge's reduced cost under the tested dual).
-    """
-
-    edge: EdgeId
-    exact: bool
-    witness: Optional[Support]
-    value: Optional[Number]
-
-
 def dual_solution(
     instance: WeightedInstance,
     u: Mapping[int, Number],
@@ -164,14 +149,14 @@ def exact_reduced_cost(
 
 def exactness_certificate(
     instance: WeightedInstance, dual: DualSolution, kl: EdgeId
-) -> ExactnessCertificate:
-    """Decide whether kl's reduced cost under an optimal dual is exact.
+) -> Optional[Support]:
+    """The witness that kl's reduced cost under an optimal dual is exact, or None.
 
     Both tests are support searches in the subgraph of zero-reduced-cost
     edges.  By complementary slackness a feasible dual is optimal iff some
     support lies inside that subgraph; the support then costs w.  A support
-    through kl inside the subgraph plus kl proves exactness; the witness's
-    cost then equals w + r_kl by construction, which is checked.
+    through kl inside the subgraph plus kl is the witness that r_kl is
+    exact; its cost then equals w + r_kl by construction, which is checked.
     """
     kl = EdgeId(*kl)
     if not is_dual_feasible(instance, dual):
@@ -184,13 +169,11 @@ def exactness_certificate(
         raise ValueError("dual solution is not optimal")
     # cost = w + sum of member reduced costs, and all of them vanish
     assert optimal.cost == dual.w
-    r_kl = reduced_cost(instance, dual, kl)
     witness = formulations.find_support(instance, zero | {kl}, forced=kl)
-    if witness is None:
-        return ExactnessCertificate(edge=kl, exact=False, witness=None, value=None)
-    # cost = w + sum of member reduced costs, and all but kl's vanish
-    assert witness.cost == dual.w + r_kl
-    return ExactnessCertificate(edge=kl, exact=True, witness=witness, value=r_kl)
+    if witness is not None:
+        # cost = w + sum of member reduced costs, and all but kl's vanish
+        assert witness.cost == dual.w + reduced_cost(instance, dual, kl)
+    return witness
 
 
 def shifted_cost_dual(
@@ -216,8 +199,8 @@ def shifted_cost_dual(
     if sol.objective != z_star:
         raise ValueError(f"z_star {z_star} is not the support LP optimum")
     dual = from_row_duals(instance, sol.dual)
-    cert = exactness_certificate(instance, dual, kl)
-    if not (cert.exact and cert.value == R):
+    if (exactness_certificate(instance, dual, kl) is None
+            or reduced_cost(instance, dual, kl) != R):
         raise ValueError(f"shifted dual does not carry the exact reduced cost of {kl}")
     return dual
 

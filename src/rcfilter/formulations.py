@@ -48,7 +48,6 @@ class IncompatibleFamily:
 
     sets: tuple[tuple[EdgeId, ...], ...]
     covering: tuple[bool, ...]
-    strategy: str
 
 
 def row_rhs(instance: WeightedInstance) -> dict:
@@ -71,7 +70,8 @@ def last_instance_memo(build: Callable[[WeightedInstance], tuple]) -> Callable:
     For the rows of a program kind, which depend only on the instance: the
     programs built for one instance then share one ``rows`` tuple.  The
     memo holds the instance itself, so its identity cannot be reused, and
-    relies on instances being immutable, their ``cost`` maps included.
+    instances are immutable: ``WeightedInstance`` makes its ``cost`` map
+    read-only, so a kept result never goes stale.
     """
     last: tuple = (None, ())
 
@@ -150,7 +150,7 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
                 covering.append(
                     _arcs_between(out, meta.source, meta.sink, avoid=k) is None
                 )
-        return IncompatibleFamily(tuple(sets), tuple(covering), "domains")
+        return IncompatibleFamily(tuple(sets), tuple(covering))
     if strategy == "layers":
         if instance.kind != PATH:
             raise ValueError("the layers strategy only applies to path instances")
@@ -163,7 +163,7 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
         depths = sorted(grouped)
         sets = tuple(tuple(grouped[d]) for d in depths)
         covering = tuple(d == 0 for d in depths)  # every path starts with a depth-0 arc
-        return IncompatibleFamily(sets, covering, "layers")
+        return IncompatibleFamily(sets, covering)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

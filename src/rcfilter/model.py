@@ -20,6 +20,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 ALLDIFF = "alldiff"
@@ -52,7 +53,11 @@ class PathMeta:
 
 @dataclass(frozen=True)
 class WeightedInstance:
-    """A weighted constraint: graph, assignment costs and the cost bound z_max."""
+    """A weighted constraint: graph, assignment costs and the cost bound z_max.
+
+    ``cost`` is a read-only view of a copy of the map given, so what is built
+    once per instance (``formulations.last_instance_memo``) stays true to it.
+    """
 
     kind: str
     n_vars: int
@@ -61,6 +66,9 @@ class WeightedInstance:
     cost: Mapping[EdgeId, int]
     z_max: int
     path: Optional[PathMeta] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "cost", MappingProxyType(dict(self.cost)))
 
     def variables(self) -> tuple[int, ...]:
         # alldiff: variable indices; path: every vertex except the sink,
@@ -80,10 +88,11 @@ class SatisfactionInstance:
     edges: tuple[EdgeId, ...] = field(default=())
 
 
-def _integer(x, what: str) -> int:
-    # booleans, floats and strings are rejected, never coerced
+def _integer(x, what: str, *args) -> int:
+    # booleans, floats and strings are rejected, never coerced; ``what`` is
+    # formatted with ``args`` only then
     if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
+        raise ValueError(f"{what.format(*args)} must be an integer, got {x!r}")
     return x
 
 
@@ -108,7 +117,7 @@ def weighted_instance(
         if e in cost:
             raise ValueError(f"duplicate edge {e}")
         edge_ids.append(e)
-        cost[e] = _integer(c, f"cost of edge {e}")
+        cost[e] = _integer(c, "cost of edge {}", e)
     meta = None
     if kind == PATH:
         if source is None or sink is None:

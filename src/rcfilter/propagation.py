@@ -25,21 +25,23 @@ INCONSISTENT = "inconsistent"
 class FilterResult:
     """Outcome of the filtering loop.
 
-    ``marks`` classifies every edge; ``complete`` says whether any edge was
-    left unmarked (only possible under a solve budget).  ``z_lb`` is the optimum
-    recovered from the first covering set solved, None if no covering set was
-    solved.
+    ``marks`` classifies every edge.  ``z_lb`` is the optimum recovered from
+    the first covering set solved, None if no covering set was solved.
     ``duals_used`` records (edge set, dual solution) per solve, in order.
     """
 
     marks: Mapping[EdgeId, str]
     z_lb: Optional[lp_core.Number]
     duals_used: tuple[tuple[tuple[EdgeId, ...], DualSolution], ...]
-    complete: bool
 
     @property
     def solves(self) -> int:
         return len(self.duals_used)
+
+    @property
+    def complete(self) -> bool:
+        """No edge left unmarked (only possible under a solve budget)."""
+        return all(m != UNMARKED for m in self.marks.values())
 
     def consistent_edges(self) -> tuple[EdgeId, ...]:
         return tuple(e for e, m in self.marks.items() if m == CONSISTENT)
@@ -123,10 +125,7 @@ def ac_by_lp(
         raise InfeasibleConstraintError(
             f"no support within the cost bound {z_max}", z_lb=z_lb
         )
-    complete = all(m != UNMARKED for m in marks.values())
-    return FilterResult(
-        marks=marks, z_lb=z_lb, duals_used=tuple(duals_used), complete=complete
-    )
+    return FilterResult(marks=marks, z_lb=z_lb, duals_used=tuple(duals_used))
 
 
 def lower_bound(

@@ -128,9 +128,7 @@ def _corrupted_filter(monkeypatch, three_var_assignment):
     wrong[EdgeId(0, 1)] = "consistent"
 
     def fake(instance, family=None, budget=None):
-        return FilterResult(
-            marks=wrong, z_lb=truth.z_lb, duals_used=truth.duals_used, complete=True
-        )
+        return FilterResult(marks=wrong, z_lb=truth.z_lb, duals_used=truth.duals_used)
 
     monkeypatch.setattr(propagation, "ac_by_lp", fake)
 

@@ -133,22 +133,23 @@ def test_worked_certificate_assignment(
 ):
     truth = three_var_assignment_alt_truth
     d = dual_solution(three_var_assignment_alt, truth["dual_u"], truth["dual_v"])
-    cert = exactness_certificate(
-        three_var_assignment_alt, d, truth["certificate_edge"]
-    )
-    assert cert.exact
-    assert set(cert.witness.edges) == truth["certificate_witness"]
-    assert cert.value == truth["certificate_value"]
-    assert cert.witness.cost == d.w + cert.value
+    edge = truth["certificate_edge"]
+    witness = exactness_certificate(three_var_assignment_alt, d, edge)
+    assert witness is not None
+    assert set(witness.edges) == truth["certificate_witness"]
+    value = reduced_cost(three_var_assignment_alt, d, edge)
+    assert value == truth["certificate_value"]
+    assert witness.cost == d.w + value
 
 
 def test_worked_certificate_path(five_vertex_dag, five_vertex_dag_truth):
     truth = five_vertex_dag_truth
     d = dual_solution(five_vertex_dag, truth["dual_u"])
-    cert = exactness_certificate(five_vertex_dag, d, truth["certificate_edge"])
-    assert cert.exact
-    assert set(cert.witness.edges) == truth["certificate_witness"]
-    assert cert.value == truth["certificate_value"]
+    edge = truth["certificate_edge"]
+    witness = exactness_certificate(five_vertex_dag, d, edge)
+    assert witness is not None
+    assert set(witness.edges) == truth["certificate_witness"]
+    assert reduced_cost(five_vertex_dag, d, edge) == truth["certificate_value"]
 
 
 def test_certificate_detects_inexact_edge(
@@ -157,12 +158,10 @@ def test_certificate_detects_inexact_edge(
     # under the pinned dual, (0,1) carries r = 2 but its true increase is 3
     truth = three_var_assignment_truth
     d = dual_solution(three_var_assignment, truth["dual_u"], truth["dual_v"])
-    cert = exactness_certificate(three_var_assignment, d, EdgeId(0, 1))
-    assert not cert.exact
-    assert cert.witness is None and cert.value is None
+    assert exactness_certificate(three_var_assignment, d, EdgeId(0, 1)) is None
     # (1,2) carries r = 3 = exact increase
-    cert2 = exactness_certificate(three_var_assignment, d, EdgeId(1, 2))
-    assert cert2.exact and cert2.value == 3
+    assert exactness_certificate(three_var_assignment, d, EdgeId(1, 2)) is not None
+    assert reduced_cost(three_var_assignment, d, EdgeId(1, 2)) == 3
 
 
 def test_certificate_requires_optimality(three_var_assignment):

@@ -83,7 +83,6 @@ def test_dual_program_mirrors_primal(three_var_assignment):
 
 def test_domain_family_alldiff(three_var_assignment):
     fam = family(three_var_assignment, "domains")
-    assert fam.strategy == "domains"
     assert [len(s) for s in fam.sets] == [2, 3, 2]
     assert all(fam.covering)  # every assignment uses every variable
     for s in fam.sets:

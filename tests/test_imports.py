@@ -1,4 +1,4 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every name it exports is bound.
 
 The scan is ``scripts/check_imports.py``, which CI also runs on its own.
 """
@@ -22,6 +22,23 @@ def test_unused_imports_lists_each_unread_name():
     assert check_imports.unused_imports(source) == [(2, "g")]
 
 
+def test_unbound_exports_lists_each_unbound_name():
+    source = (
+        "from m import f\n"
+        "def g(): pass\n"
+        "class H: pass\n"
+        "k: int = 1\n"
+        "try:\n    import x.y as y\nexcept ImportError:\n    y = None\n"
+        "def inner():\n    gone = 1\n"
+        "__all__ = [\n    'f', 'g', 'H', 'k', 'y',\n    'gone', 'ExactnessCertificate',\n]\n"
+    )
+    assert check_imports.unbound_exports(source) == [
+        (13, "ExactnessCertificate"), (13, "gone"),
+    ]
+    # a star import may bind anything, so nothing is reported
+    assert check_imports.unbound_exports("from m import *\n__all__ = ['z']\n") == []
+
+
 def test_no_unused_imports():
     found = check_imports.report([ROOT / d for d in check_imports.DEFAULT_DIRS])
-    assert found == [], "unused imports:\n" + "\n".join(found)
+    assert found == [], "unused imports or unbound exports:\n" + "\n".join(found)

@@ -28,6 +28,18 @@ def test_alldiff_construction_normalizes(three_var_assignment):
     assert list(inst.variables()) == [0, 1, 2]
 
 
+def test_cost_is_read_only(three_var_assignment):
+    # rows built once per instance would go stale if its costs could change
+    with pytest.raises(TypeError):
+        three_var_assignment.cost[EdgeId(0, 1)] = 0
+    # the map given is copied, so changing it afterwards changes no instance
+    cost = dict(three_var_assignment.cost)
+    changed = dataclasses.replace(three_var_assignment, cost=cost)
+    cost[EdgeId(0, 1)] = 0
+    assert changed.cost[EdgeId(0, 1)] == 1
+    assert changed == three_var_assignment
+
+
 def test_duplicate_edges_rejected():
     with pytest.raises(ValueError, match="duplicate"):
         weighted_instance("alldiff", 2, [0, 1], [(0, 0, 1), (0, 0, 2)], z_max=0)

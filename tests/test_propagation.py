@@ -3,7 +3,14 @@ from dataclasses import replace
 
 import pytest
 
-from rcfilter import EdgeId, InfeasibleConstraintError, validate, weighted_instance
+from rcfilter import (
+    EdgeId,
+    InfeasibleConstraintError,
+    instance_from_dict,
+    instance_to_dict,
+    validate,
+    weighted_instance,
+)
 from rcfilter import oracle
 from rcfilter.formulations import family, worst_case_alldiff
 from rcfilter.propagation import (
@@ -83,15 +90,59 @@ def test_budget_zero_untouched(three_var_assignment):
 
 
 def test_budget_prefix_soundness(six_vertex_dag):
-    full = ac_by_lp(six_vertex_dag)
-    truth = _oracle_marks(six_vertex_dag)
-    for b in range(0, full.solves + 1):
-        partial = ac_by_lp(six_vertex_dag, budget=b)
-        assert partial.solves == min(b, full.solves)
-        for e, m in partial.marks.items():
-            if m != UNMARKED:
-                assert m == truth[e]  # anytime: all placed marks already correct
-        assert (b >= full.solves) == partial.complete
+    checked = 0
+    for inst in [six_vertex_dag] + alldiff_corpus(30) + path_corpus(20):
+        try:
+            full = ac_by_lp(inst)
+        except InfeasibleConstraintError:
+            continue
+        truth = _oracle_marks(inst)
+        for b in range(0, full.solves + 1):
+            partial = ac_by_lp(inst, budget=b)
+            assert partial.solves == min(b, full.solves)
+            for e, m in partial.marks.items():
+                if m != UNMARKED:
+                    assert m == truth[e]  # anytime: all placed marks already correct
+            assert (b >= full.solves) == partial.complete
+            assert partial.complete == all(
+                m != UNMARKED for m in partial.marks.values()
+            )
+        checked += 1
+    assert checked >= 10
+
+
+def _fresh(inst):
+    # an equal instance that is a new object, so nothing kept for inst applies
+    return instance_from_dict(instance_to_dict(inst))
+
+
+def _outcome(inst):
+    try:
+        return ac_by_lp(inst)
+    except InfeasibleConstraintError as exc:
+        return exc.z_lb
+
+
+def test_alternating_instances_filter_like_fresh_ones(three_var_assignment, six_vertex_dag):
+    a = three_var_assignment
+    for b in [six_vertex_dag] + alldiff_corpus(3) + path_corpus(3):
+        fresh = [_outcome(_fresh(inst)) for inst in (a, b, a)]
+        assert [_outcome(inst) for inst in (a, b, a)] == fresh
+
+
+def test_replaced_costs_filter_like_a_fresh_instance(three_var_assignment):
+    inst = three_var_assignment
+    ac_by_lp(inst)  # its rows are kept for the next run on it
+    cost = {**inst.cost, EdgeId(0, 1): 0, EdgeId(1, 0): 0}
+    changed = replace(inst, cost=cost)
+    fresh = weighted_instance(
+        "alldiff", 3, [0, 1, 2], [(e.i, e.j, cost[e]) for e in inst.edges],
+        z_max=inst.z_max,
+    )
+    result = ac_by_lp(changed)
+    assert result == ac_by_lp(fresh)
+    assert dict(result.marks) == _oracle_marks(fresh)
+    assert result.marks[EdgeId(0, 1)] == CONSISTENT  # inconsistent under inst
 
 
 def test_alien_family_rejected(three_var_assignment, six_vertex_dag):
@@ -278,8 +329,6 @@ def test_lower_bound_equals_oracle_optimum():
 
 def test_lower_bound_needs_covering_set(six_vertex_dag):
     fam = family(six_vertex_dag, "domains")
-    stripped = type(fam)(
-        sets=fam.sets[1:], covering=fam.covering[1:], strategy=fam.strategy
-    )
+    stripped = type(fam)(sets=fam.sets[1:], covering=fam.covering[1:])
     with pytest.raises(ValueError, match="covering"):
         lower_bound(six_vertex_dag, stripped)
