@@ -3,7 +3,7 @@
 Reports are deterministic: the same command on the same file produces byte
 identical output.  All rationals are printed exactly (p/q, never floats).
 
-Each command is ``run(instance, family, args) -> (exit_code, report)`` and
+Each command is ``run(instance, args) -> (exit_code, report)`` and
 prints nothing.  ``main`` owns the exit codes and the rendering: it prints the
 report as JSON, or as text through the command's renderer, which reads only
 the report.
@@ -20,8 +20,7 @@ import json
 import sys
 from typing import Optional
 
-from . import formulations, model, oracle, propagation
-from .formulations import IncompatibleFamily
+from . import model, oracle, propagation
 from .model import InfeasibleConstraintError, WeightedInstance
 from .oracle import SizeGuardError
 from .propagation import CONSISTENT, INCONSISTENT, UNMARKED
@@ -47,10 +46,9 @@ def _dual_payload(edge_set, dual) -> dict:
     }
 
 
-def filter_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
-               args: argparse.Namespace) -> tuple[int, dict]:
+def filter_cmd(instance: WeightedInstance, args: argparse.Namespace) -> tuple[int, dict]:
     """Classify every edge as consistent or inconsistent with the cost bound."""
-    result = propagation.ac_by_lp(instance, fam, budget=args.budget)
+    result = propagation.ac_by_lp(instance, args.strategy, args.budget)
     report = {
         "command": "filter",
         "kind": instance.kind,
@@ -95,8 +93,7 @@ def _filter_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def oracle_cmd(instance: WeightedInstance, fam: None,
-               args: argparse.Namespace) -> tuple[int, dict]:
+def oracle_cmd(instance: WeightedInstance, args: argparse.Namespace) -> tuple[int, dict]:
     """Exhaustive ground truth: supports, restricted optima, exact AC classes."""
     report = oracle.enumerate(instance)
     classes = report.classification()
@@ -132,8 +129,7 @@ def _oracle_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def verify_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
-               args: argparse.Namespace) -> tuple[int, dict]:
+def verify_cmd(instance: WeightedInstance, args: argparse.Namespace) -> tuple[int, dict]:
     """Run the filter and the oracle and compare their classifications."""
     # the oracle first: its size guard stops an instance above the cap before any solve
     try:
@@ -141,7 +137,7 @@ def verify_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
     except InfeasibleConstraintError:
         oracle_ac = set()
     try:
-        marks = propagation.ac_by_lp(instance, fam).marks
+        marks = propagation.ac_by_lp(instance, args.strategy).marks
     except InfeasibleConstraintError:
         marks = None
 
@@ -174,10 +170,9 @@ def _verify_text(report: dict) -> str:
     )
 
 
-def bound_cmd(instance: WeightedInstance, fam: IncompatibleFamily,
-              args: argparse.Namespace) -> tuple[int, dict]:
+def bound_cmd(instance: WeightedInstance, args: argparse.Namespace) -> tuple[int, dict]:
     """Recover the exact optimum from one covering set's dual solution."""
-    z_star = propagation.lower_bound(instance, fam)
+    z_star = propagation.lower_bound(instance, args.strategy)
     return EXIT_OK, {"command": "bound", "family": args.strategy, "z_star": _frac(z_star)}
 
 
@@ -257,20 +252,17 @@ def main(argv=None) -> int:
     problems = model.validate(instance)
     if problems:
         return _error(EXIT_INVALID, "invalid instance: " + "; ".join(problems))
-    fam = None
-    if args.run is not oracle_cmd:
-        try:
-            fam = formulations.family(instance, args.strategy)
-        except ValueError as exc:
-            return _error(EXIT_USAGE, str(exc))
     render = args.render
     try:
-        code, report = args.run(instance, fam, args)
+        code, report = args.run(instance, args)
     except InfeasibleConstraintError as exc:
         code, render = EXIT_INFEASIBLE, _infeasible_text
         report = {"command": args.command, "status": "infeasible", "z_lb": _frac(exc.z_lb)}
     except SizeGuardError as exc:
         return _error(EXIT_SIZE, str(exc))
+    except ValueError as exc:
+        # validate has passed: the one input left to reject is a --family its kind lacks
+        return _error(EXIT_USAGE, str(exc))
     print(json.dumps(report, indent=2) if args.fmt == "json" else render(report))
     return code
 

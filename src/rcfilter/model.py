@@ -182,8 +182,13 @@ def validate(instance: WeightedInstance) -> list[str]:
         v.append("z_max must be >= 0")
     if len(set(instance.values)) != len(instance.values):
         v.append("duplicate values")
-    for e in instance.edges:
-        if instance.cost[e] < 0:
+    edge_set = set(instance.edges)
+    if len(edge_set) != len(instance.edges):
+        v.append("duplicate edges")
+    if edge_set != instance.cost.keys():
+        v.append("the edges must be exactly the keys of cost")
+    for e, c in instance.cost.items():
+        if c < 0:
             v.append(f"edge {e}: cost must be a non-negative integer")
 
     if instance.kind == ALLDIFF:
@@ -220,6 +225,10 @@ def validate(instance: WeightedInstance) -> list[str]:
         except ValueError as exc:
             v.append(str(exc))
             return v
+        rank = {x: k for k, x in enumerate(meta.topo_order)}
+        if sorted(meta.topo_order) != sorted(instance.values) or any(
+                rank[e.i] >= rank[e.j] for e in instance.edges):
+            v.append("path.topo_order is not a topological order of the arcs")
 
     if v:
         return v

@@ -5,6 +5,8 @@ and may knock out arbitrary other edges along the way.  A set is picked only
 while it has an unmarked edge, and its solve marks all of them, so no set is
 solved twice.  Requires every edge to lie on at least one support
 (``model.validate`` enforces this).
+The sets come from ``formulations.family``, by strategy name: only its sets
+are known to be pairwise incompatible and flagged covering truthfully.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Mapping, Optional
 
 from . import duality, formulations, lp_core
 from .duality import DualSolution
-from .formulations import IncompatibleFamily
 from .model import EdgeId, InfeasibleConstraintError, WeightedInstance
 
 UNMARKED = "unmarked"
@@ -51,7 +52,7 @@ class FilterResult:
 
 
 def _pick_next(
-    family: IncompatibleFamily, marks: Mapping[EdgeId, str]
+    family: formulations.IncompatibleFamily, marks: Mapping[EdgeId, str]
 ) -> Optional[int]:
     best = None
     best_count = 0
@@ -64,28 +65,24 @@ def _pick_next(
 
 def ac_by_lp(
     instance: WeightedInstance,
-    family: Optional[IncompatibleFamily] = None,
+    strategy: str = "domains",
     budget: Optional[int] = None,
 ) -> FilterResult:
     """Classify every edge as consistent or inconsistent with the cost bound.
 
-    Walks the incompatible sets (largest unmarked count first, recomputed
-    per pick), solving one dual program per set.  The solve's
-    reduced costs are exact on the set, classifying all of its unmarked
-    edges, and any edge anywhere whose bound exceeds the threshold is marked
-    inconsistent immediately.  ``budget`` caps the number of dual solves.
+    Walks the sets of ``formulations.family(instance, strategy)`` (largest
+    unmarked count first, recomputed per pick), solving one dual program per
+    set.  The solve's reduced costs are exact on the set, classifying all of
+    its unmarked edges, and any edge anywhere whose bound exceeds the
+    threshold is marked inconsistent immediately.  ``budget`` caps the number of dual solves.
 
     Raises InfeasibleConstraintError when a covering set proves the optimum
     exceeds the cost bound, when every edge ends up inconsistent, or when
-    the instance has no edge.  Raises ValueError on an instance
-    ``model.validate`` rejects, as ``duality.solve_family_dual`` does.
+    the instance has no edge.  Raises ValueError for a strategy
+    ``formulations.family`` rejects, and on an instance ``model.validate``
+    rejects, as ``duality.solve_family_dual`` does.
     """
-    if family is None:
-        family = formulations.family(instance, "domains")
-    for edge_set in family.sets:
-        for e in edge_set:
-            if e not in instance.cost:
-                raise ValueError(f"family edge {e} not in the instance")
+    family = formulations.family(instance, strategy)
     z_max = instance.z_max
     marks: dict[EdgeId, str] = {e: UNMARKED for e in instance.edges}
     duals_used: list[tuple[tuple[EdgeId, ...], DualSolution]] = []
@@ -128,19 +125,15 @@ def ac_by_lp(
     return FilterResult(marks=marks, z_lb=z_lb, duals_used=tuple(duals_used))
 
 
-def lower_bound(
-    instance: WeightedInstance, family: Optional[IncompatibleFamily] = None
-) -> lp_core.Number:
-    """The optimum of the support LP, recovered from one covering set's dual.
+def lower_bound(instance: WeightedInstance, strategy: str = "domains") -> lp_core.Number:
+    """The optimum of the support LP, from the dual of the family's first covering set.
 
-    An instance without edges has no support: InfeasibleConstraintError.
+    ValueError as in ``ac_by_lp``.  An instance without edges has no support:
+    InfeasibleConstraintError.
     """
+    family = formulations.family(instance, strategy)
     if not instance.edges:
         raise InfeasibleConstraintError("no support: the instance has no edge")
-    if family is None:
-        family = formulations.family(instance, "domains")
-    for edge_set, covering in zip(family.sets, family.covering):
-        if covering and edge_set:
-            dual = duality.solve_family_dual(instance, edge_set)
-            return duality.zstar_from_family_dual(instance, edge_set, dual)
-    raise ValueError("family has no covering set")
+    edge_set = family.sets[family.covering.index(True)]
+    dual = duality.solve_family_dual(instance, edge_set)
+    return duality.zstar_from_family_dual(instance, edge_set, dual)

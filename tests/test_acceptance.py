@@ -207,8 +207,8 @@ def test_criterion_6_family_size_and_solve_counts(capfd, six_vertex_dag):
                 ]
                 assert len(exact_on_cycle) <= 1
         dag = six_vertex_dag
-        layered = ac_by_lp(dag, family=make_family(dag, "layers"))
-        by_domain = ac_by_lp(dag, family=make_family(dag, "domains"))
+        layered = ac_by_lp(dag, "layers")
+        by_domain = ac_by_lp(dag, "domains")
         assert layered.complete and by_domain.complete
         assert layered.solves == 3
         assert by_domain.solves == 5

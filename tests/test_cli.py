@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from rcfilter import (
-    EdgeId, cli, formulations, model, propagation, save_instance, weighted_instance,
+    EdgeId, cli, model, propagation, save_instance, weighted_instance,
 )
 from rcfilter.cli import main
 from rcfilter.model import InfeasibleConstraintError
@@ -127,7 +127,7 @@ def _corrupted_filter(monkeypatch, three_var_assignment):
     wrong[EdgeId(0, 0)] = "inconsistent"  # deliberately corrupt two marks
     wrong[EdgeId(0, 1)] = "consistent"
 
-    def fake(instance, family=None, budget=None):
+    def fake(instance, strategy="domains", budget=None):
         return FilterResult(marks=wrong, z_lb=truth.z_lb, duals_used=truth.duals_used)
 
     monkeypatch.setattr(propagation, "ac_by_lp", fake)
@@ -177,11 +177,7 @@ def test_commands_return_reports_without_printing(assignment_file, dag_file, cap
         for argv in (["filter", path, "--emit-duals", *options], ["oracle", path],
                      ["verify", path, *options], ["bound", path, *options]):
             args = cli._PARSER.parse_args(argv)
-            instance = model.load_instance(path)
-            fam = None
-            if args.command != "oracle":
-                fam = formulations.family(instance, args.strategy)
-            code, report = args.run(instance, fam, args)
+            code, report = args.run(model.load_instance(path), args)
             assert capsys.readouterr().out == "", argv
             assert main([*argv, "--format", "json"]) == code
             assert json.loads(capsys.readouterr().out) == report, argv
@@ -221,8 +217,13 @@ def test_invalid_instance_exit_code(tmp_path, capsys):
 
 
 def test_layers_on_assignment_is_usage_error(assignment_file, capsys):
-    assert main(["filter", assignment_file, "--family", "layers"]) == 1
-    assert "path" in capsys.readouterr().err
+    for command in ("filter", "verify", "bound"):
+        assert main([command, assignment_file, "--family", "layers"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the layers strategy only applies to path instances\n"
+        )
 
 
 def test_size_guard_exit_code(tmp_path, capsys):
@@ -234,6 +235,10 @@ def test_size_guard_exit_code(tmp_path, capsys):
     p = tmp_path / "big.json"
     save_instance(big, p)
     assert main(["oracle", str(p)]) == 5
+    assert "capped" in capsys.readouterr().err
+    # verify runs the oracle first, so its size guard stops the instance
+    # before the filter would reject the layers strategy on an alldiff
+    assert main(["verify", str(p), "--family", "layers"]) == 5
     assert "capped" in capsys.readouterr().err
 
 
@@ -272,7 +277,7 @@ def test_verify_size_guard_exit_code(monkeypatch, tmp_path, capsys):
     p = tmp_path / "chain.json"
     save_instance(chain, p)
 
-    def no_solve(instance, family=None, budget=None):
+    def no_solve(instance, strategy="domains", budget=None):
         raise AssertionError("verify solved an instance above the enumeration cap")
 
     monkeypatch.setattr(propagation, "ac_by_lp", no_solve)
@@ -281,7 +286,7 @@ def test_verify_size_guard_exit_code(monkeypatch, tmp_path, capsys):
 
 
 def test_verify_reports_a_wrongly_infeasible_filter(monkeypatch, assignment_file, capsys):
-    def fake(instance, family=None, budget=None):
+    def fake(instance, strategy="domains", budget=None):
         raise InfeasibleConstraintError("wrongly infeasible", z_lb=None)
 
     monkeypatch.setattr(propagation, "ac_by_lp", fake)

@@ -329,9 +329,9 @@ def test_every_solve_is_certified_and_shares_its_rows(monkeypatch):
 
     monkeypatch.setattr(lp_core, "solve", solve)
     monkeypatch.setattr(lp_core, "_assert_certificates", check)
-    jobs = [(ac_by_lp, inst, family(inst, "domains")) for inst in alldiff_corpus(20)]
+    jobs = [(ac_by_lp, inst, "domains") for inst in alldiff_corpus(20)]
     jobs += [
-        (ac_by_lp, inst, family(inst, s))
+        (ac_by_lp, inst, s)
         for inst in path_corpus(20)
         for s in ("domains", "layers")
     ]
@@ -376,7 +376,7 @@ def test_each_solve_gets_the_only_program_built_for_it(monkeypatch):
     jobs += [(inst, s) for inst in path_corpus(6) for s in ("domains", "layers")]
     for inst, strategy in jobs:
         try:
-            ac_by_lp(inst, family(inst, strategy))
+            ac_by_lp(inst, strategy)
         except InfeasibleConstraintError:
             pass
     for sat in satisfaction_corpus(6):
@@ -443,7 +443,7 @@ def test_answers_are_int_when_integral():
         assert type(find_support(inst, inst.edges).cost) is int
         for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
             try:
-                result = ac_by_lp(inst, family(inst, strategy))
+                result = ac_by_lp(inst, strategy)
             except InfeasibleConstraintError as exc:
                 assert exc.z_lb is None or _normal_form(exc.z_lb)
                 continue

@@ -208,7 +208,10 @@ def test_covering_flags_agree_with_oracle_on_corpora():
         strategies = ("domains", "layers") if inst.kind == "path" else ("domains",)
         for strategy in strategies:
             fam = family(inst, strategy)
+            # the sets partition the edges, and no support meets a set twice
+            assert sorted(e for edge_set in fam.sets for e in edge_set) == sorted(inst.edges)
             for edge_set, flag in zip(fam.sets, fam.covering):
+                assert all(len(set(edge_set).intersection(s)) <= 1 for s in supports)
                 met = all(set(edge_set).intersection(s) for s in supports)
                 if strategy == "domains":
                     assert flag == met

@@ -13,7 +13,9 @@ from rcfilter import (
     validate,
     weighted_instance,
 )
+from rcfilter import oracle
 from rcfilter.model import topological_order
+from rcfilter.propagation import INCONSISTENT, ac_by_lp
 
 from corpus import path_corpus
 
@@ -187,6 +189,47 @@ def test_validate_flags_arcs_built_around_the_constructor(six_vertex_dag, arc, p
         cost={**six_vertex_dag.cost, arc: 0},
     )
     assert any(problem in p for p in validate(bad))
+
+
+def test_validate_flags_stale_topo_order():
+    # a chain's order kept under another DAG's arcs: (3,1) runs backwards in
+    # it, and the layers family built along it put (1,4) and (4,5), which lie
+    # on one path, into one set, marking (4,5) consistent against the oracle
+    chain = weighted_instance(
+        "path", 5, range(6), [(k, k + 1, 0) for k in range(5)],
+        z_max=5, source=0, sink=5,
+    )
+    arcs = [(0, 3, 0), (0, 4, 4), (1, 4, 2), (2, 4, 2), (3, 1, 3), (3, 2, 5),
+            (3, 4, 4), (3, 5, 5), (4, 5, 2)]
+    fresh = weighted_instance("path", 5, range(6), arcs, z_max=5, source=0, sink=5)
+    stale = dataclasses.replace(chain, edges=fresh.edges, cost=dict(fresh.cost))
+    assert validate(stale) == ["path.topo_order is not a topological order of the arcs"]
+    assert validate(fresh) == []
+    marks = ac_by_lp(fresh, "layers").marks
+    assert marks[EdgeId(4, 5)] == INCONSISTENT
+    assert dict(marks) == oracle.enumerate(fresh).classification()
+    # any topological order will do, not only the constructor's
+    assert fresh.path.topo_order == (0, 3, 1, 2, 4, 5)
+    swapped = dataclasses.replace(
+        fresh, path=dataclasses.replace(fresh.path, topo_order=(0, 3, 2, 1, 4, 5))
+    )
+    assert validate(swapped) == []
+    # and an order must list every vertex once
+    short = dataclasses.replace(
+        fresh, path=dataclasses.replace(fresh.path, topo_order=(0, 3, 1, 2, 5))
+    )
+    assert validate(short) == ["path.topo_order is not a topological order of the arcs"]
+
+
+def test_validate_reports_edges_that_do_not_match_the_costs(three_var_assignment):
+    inst = three_var_assignment
+    assert EdgeId(0, 2) not in inst.cost
+    uncosted = dataclasses.replace(inst, edges=inst.edges + (EdgeId(0, 2),))
+    assert validate(uncosted) == ["the edges must be exactly the keys of cost"]
+    unlisted = dataclasses.replace(inst, edges=inst.edges[1:])
+    assert validate(unlisted) == ["the edges must be exactly the keys of cost"]
+    repeated = dataclasses.replace(inst, edges=inst.edges + inst.edges[:1])
+    assert validate(repeated) == ["duplicate edges"]
 
 
 def test_self_loop_arc_is_a_cycle():

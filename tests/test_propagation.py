@@ -43,7 +43,7 @@ def test_full_filtering_assignment(three_var_assignment):
 def test_full_filtering_dag_both_families(six_vertex_dag):
     truth = _oracle_marks(six_vertex_dag)
     for strategy in ("domains", "layers"):
-        result = ac_by_lp(six_vertex_dag, family(six_vertex_dag, strategy))
+        result = ac_by_lp(six_vertex_dag, strategy)
         assert result.complete
         assert dict(result.marks) == truth
         assert result.z_lb == 0
@@ -56,8 +56,8 @@ def test_full_filtering_dag_both_families(six_vertex_dag):
 
 
 def test_layer_count_versus_domain_count(six_vertex_dag):
-    layers = ac_by_lp(six_vertex_dag, family(six_vertex_dag, "layers"))
-    domains = ac_by_lp(six_vertex_dag, family(six_vertex_dag, "domains"))
+    layers = ac_by_lp(six_vertex_dag, "layers")
+    domains = ac_by_lp(six_vertex_dag, "domains")
     assert layers.solves == 3
     assert domains.solves == 5
 
@@ -145,10 +145,15 @@ def test_replaced_costs_filter_like_a_fresh_instance(three_var_assignment):
     assert result.marks[EdgeId(0, 1)] == CONSISTENT  # inconsistent under inst
 
 
-def test_alien_family_rejected(three_var_assignment, six_vertex_dag):
-    fam = family(six_vertex_dag, "domains")
-    with pytest.raises(ValueError, match="not in the instance"):
-        ac_by_lp(three_var_assignment, fam)
+def test_unknown_or_inapplicable_strategy_rejected(three_var_assignment):
+    for strategy, message in (("layers", "only applies to path instances"),
+                              ("rainbow", "unknown strategy 'rainbow'")):
+        with pytest.raises(ValueError, match=message):
+            ac_by_lp(three_var_assignment, strategy)
+        with pytest.raises(ValueError, match=message):
+            ac_by_lp(three_var_assignment, strategy, budget=0)
+        with pytest.raises(ValueError, match=message):
+            lower_bound(three_var_assignment, strategy)
 
 
 def test_infeasible_bound_is_distinct_outcome():
@@ -185,12 +190,12 @@ def test_full_wipe_before_the_covering_set_is_solved():
     assert fam.covering[0] and not any(fam.covering[1:])
     for z_max in (0, 8):
         with pytest.raises(InfeasibleConstraintError) as err:
-            ac_by_lp(replace(inst, z_max=z_max), fam)
+            ac_by_lp(replace(inst, z_max=z_max), "layers")
         assert str(err.value) == f"no support within the cost bound {z_max}"
         assert err.value.z_lb is None
     for z_max in (9, 24):
         with pytest.raises(InfeasibleConstraintError) as err:
-            ac_by_lp(replace(inst, z_max=z_max), fam)
+            ac_by_lp(replace(inst, z_max=z_max), "layers")
         assert str(err.value) == f"optimum 25 exceeds the cost bound {z_max}"
         assert err.value.z_lb == 25
 
@@ -205,7 +210,7 @@ def test_isolated_path_vertex_changes_nothing():
     for strategy in ("domains", "layers"):
         fam = family(isolated, strategy)
         assert fam == family(plain, strategy)
-        result, reference = ac_by_lp(isolated, fam), ac_by_lp(plain, fam)
+        result, reference = ac_by_lp(isolated, strategy), ac_by_lp(plain, strategy)
         assert result.marks == reference.marks
         assert result.solves == reference.solves
 
@@ -251,40 +256,32 @@ def test_unsupported_edges_are_rejected_never_mislabelled():
     assert rejected and valid
 
 
-def test_repeated_and_one_edge_sets_are_solved_at_most_once():
+def test_no_set_is_solved_twice():
     # a set is picked only while it has an unmarked edge and its solve marks
-    # all of them, so neither a repeated set nor a set another solve already
-    # marked is ever solved again
-    rng = random.Random(20261019)
+    # all of them, so a set another solve already marked is never solved again
     for inst in alldiff_corpus(60) + path_corpus(40):
-        fam = family(inst, "domains")
-        k = rng.randrange(len(fam.sets))
-        fam = replace(
-            fam,
-            sets=fam.sets + (fam.sets[k], (rng.choice(inst.edges),)),
-            covering=fam.covering + (fam.covering[k], False),
-        )
         try:
             truth = _oracle_marks(inst)
         except InfeasibleConstraintError:
             truth = None
-        for budget in (None, 1, 2):
-            try:
-                result = ac_by_lp(inst, fam, budget)
-            except InfeasibleConstraintError:
-                assert truth is None or CONSISTENT not in truth.values()
-                continue
-            solved = [frozenset(edge_set) for edge_set, _ in result.duals_used]
-            assert len(set(solved)) == len(solved)
-            if result.complete:
-                assert dict(result.marks) == truth
+        for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
+            for budget in (None, 1, 2):
+                try:
+                    result = ac_by_lp(inst, strategy, budget)
+                except InfeasibleConstraintError:
+                    assert truth is None or CONSISTENT not in truth.values()
+                    continue
+                solved = [frozenset(edge_set) for edge_set, _ in result.duals_used]
+                assert len(set(solved)) == len(solved)
+                if result.complete:
+                    assert dict(result.marks) == truth
 
 
 def test_worst_case_needs_one_solve_per_variable():
     for n in (2, 3, 4):
         inst, cycle = worst_case_alldiff(n)
         fam = family(inst, "domains")
-        result = ac_by_lp(inst, fam)
+        result = ac_by_lp(inst)
         assert result.solves == len(fam.sets) == n + 1
         assert result.complete
         assert not result.inconsistent_edges()
@@ -304,7 +301,7 @@ def test_marks_never_flip(six_vertex_dag):
 def test_lower_bound_examples(three_var_assignment, five_vertex_dag, six_vertex_dag):
     assert lower_bound(three_var_assignment) == 0
     assert lower_bound(five_vertex_dag) == 0
-    assert lower_bound(six_vertex_dag, family(six_vertex_dag, "layers")) == 0
+    assert lower_bound(six_vertex_dag, "layers") == 0
 
 
 def test_lower_bound_shifts_with_uniform_variable_shift(three_var_assignment):
@@ -326,9 +323,3 @@ def test_lower_bound_equals_oracle_optimum():
     )
     assert lower_bound(inst) == oracle.enumerate(inst).z_star
 
-
-def test_lower_bound_needs_covering_set(six_vertex_dag):
-    fam = family(six_vertex_dag, "domains")
-    stripped = type(fam)(sets=fam.sets[1:], covering=fam.covering[1:])
-    with pytest.raises(ValueError, match="covering"):
-        lower_bound(six_vertex_dag, stripped)
