@@ -140,7 +140,7 @@ def exact_reduced_cost(
     The restricted optimum is w + r_ij under the family dual of the set
     {ij}, so this is one family-dual solve.  ``z_star`` is the optimum of the
     support LP, as ``solve_primal`` returns it.  Raises ValueError when ij
-    lies on no support or a cycle has negative cost (see ``solve_family_dual``).
+    lies on no support (see ``solve_family_dual``).
     """
     ij = EdgeId(*ij)
     dual = solve_family_dual(instance, (ij,))
@@ -257,15 +257,14 @@ def solve_family_dual(
 ) -> DualSolution:
     """A dual solution with w + r_e equal to the restricted optimum for every e in the set.
 
-    Raises ValueError on input ``model.validate`` rejects: the program is
-    unbounded when a member of the set lies on no support (it has no
-    restricted optimum to carry), infeasible when a cycle has negative cost.
+    Raises ValueError when a member of the set lies on no support (``validate``
+    rejects it; the program is unbounded).  Never infeasible: no cycle builds,
+    and an assignment or a DAG has feasible potentials under any costs.
     """
     sol = lp_core.solve(family_dual_program(instance, edge_set))
     if sol.status != lp_core.OPTIMAL:
         raise ValueError(
-            f"family dual program is {sol.status}: an edge of the set lies on"
-            " no support, or a cycle has negative cost"
+            f"family dual program is {sol.status}: an edge of the set lies on no support"
         )
     return from_row_duals(instance, sol.primal)
 

@@ -181,10 +181,8 @@ def _edges_by_tail(instance: WeightedInstance, allowed: Iterable[EdgeId]) -> dic
 
 
 def _longest_path_depths(instance: WeightedInstance, out: dict) -> dict[int, int]:
-    meta = instance.path
-    assert meta is not None
-    depth = {meta.source: 0}
-    for v in meta.topo_order:
+    depth = {instance.path.source: 0}
+    for v in instance.topo_order:
         if v not in depth:
             continue
         for e in out.get(v, ()):

@@ -12,6 +12,7 @@ Two constraint kinds are supported:
 Domains are extensional: the edge set IS the domains, removing a value
 means removing an edge.  Costs are non-negative integers, every derived
 quantity downstream is an exact rational, so no tolerances exist anywhere.
+An instance derives its edge list and a path's topological order on every build.
 """
 
 from __future__ import annotations
@@ -44,31 +45,40 @@ class InfeasibleConstraintError(Exception):
 
 @dataclass(frozen=True)
 class PathMeta:
-    """Source, sink and a fixed topological order of the DAG's vertices."""
+    """Source and sink of the DAG."""
 
     source: int
     sink: int
-    topo_order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class WeightedInstance:
     """A weighted constraint: graph, assignment costs and the cost bound z_max.
 
-    ``cost`` is a read-only view of a copy of the map given, so what is built
-    once per instance (``formulations.last_instance_memo``) stays true to it.
+    ``cost`` is a read-only view of a copy of the map given, keyed by EdgeId,
+    so what is built once per instance (``formulations.last_instance_memo``)
+    stays true to it.  Every build, ``replace`` too, derives ``edges`` (its
+    keys, in LP column order) and a path's ``topo_order``, or raises ValueError.
     """
 
     kind: str
     n_vars: int
     values: tuple[int, ...]
-    edges: tuple[EdgeId, ...]
+    edges: tuple[EdgeId, ...] = field(init=False)
     cost: Mapping[EdgeId, int]
     z_max: int
     path: Optional[PathMeta] = None
+    topo_order: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "cost", MappingProxyType(dict(self.cost)))
+        cost = dict(self.cost)
+        if not all(type(e) is EdgeId for e in cost):
+            cost = {EdgeId(*e): c for e, c in cost.items()}
+        edges = tuple(cost)
+        topo = topological_order(self.values, edges) if self.kind == PATH else ()
+        object.__setattr__(self, "cost", MappingProxyType(cost))
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "topo_order", topo)
 
     def variables(self) -> tuple[int, ...]:
         # alldiff: variable indices; path: every vertex except the sink,
@@ -76,7 +86,7 @@ class WeightedInstance:
         if self.kind == ALLDIFF:
             return tuple(range(self.n_vars))
         assert self.path is not None
-        return tuple(v for v in self.path.topo_order if v != self.path.sink)
+        return tuple(v for v in self.topo_order if v != self.path.sink)
 
 
 @dataclass(frozen=True)
@@ -110,31 +120,23 @@ def weighted_instance(
     Every number must be an integer; anything else raises ValueError.
     """
     values_t = tuple(_integer(x, "value") for x in values)
-    edge_ids = []
     cost: dict[EdgeId, int] = {}
     for i, j, c in edges:
         e = EdgeId(_integer(i, "edge endpoint"), _integer(j, "edge endpoint"))
         if e in cost:
             raise ValueError(f"duplicate edge {e}")
-        edge_ids.append(e)
         cost[e] = _integer(c, "cost of edge {}", e)
     meta = None
     if kind == PATH:
         if source is None or sink is None:
             raise ValueError("path instances need a source and a sink")
-        topo = topological_order(values_t, tuple(edge_ids))
-        meta = PathMeta(
-            source=_integer(source, "source"),
-            sink=_integer(sink, "sink"),
-            topo_order=topo,
-        )
+        meta = PathMeta(source=_integer(source, "source"), sink=_integer(sink, "sink"))
     elif kind != ALLDIFF:
         raise ValueError(f"unknown kind {kind!r}")
     return WeightedInstance(
         kind=kind,
         n_vars=_integer(n_vars, "n_vars"),
         values=values_t,
-        edges=tuple(edge_ids),
         cost=cost,
         z_max=_integer(z_max, "z_max"),
         path=meta,
@@ -182,11 +184,6 @@ def validate(instance: WeightedInstance) -> list[str]:
         v.append("z_max must be >= 0")
     if len(set(instance.values)) != len(instance.values):
         v.append("duplicate values")
-    edge_set = set(instance.edges)
-    if len(edge_set) != len(instance.edges):
-        v.append("duplicate edges")
-    if edge_set != instance.cost.keys():
-        v.append("the edges must be exactly the keys of cost")
     for e, c in instance.cost.items():
         if c < 0:
             v.append(f"edge {e}: cost must be a non-negative integer")
@@ -220,15 +217,6 @@ def validate(instance: WeightedInstance) -> list[str]:
         if instance.n_vars != len(instance.values) - 1:
             # one successor variable per vertex except the sink
             v.append("path instances must have n_vars = number of vertices - 1")
-        try:  # rejects an arc outside the vertex list, and a self-loop as a cycle
-            topological_order(instance.values, instance.edges)
-        except ValueError as exc:
-            v.append(str(exc))
-            return v
-        rank = {x: k for k, x in enumerate(meta.topo_order)}
-        if sorted(meta.topo_order) != sorted(instance.values) or any(
-                rank[e.i] >= rank[e.j] for e in instance.edges):
-            v.append("path.topo_order is not a topological order of the arcs")
 
     if v:
         return v
@@ -285,11 +273,21 @@ def instance_from_dict(d: Mapping) -> WeightedInstance:
         raise ValueError(f"malformed instance: {exc}") from exc
 
 
+def _json_object(pairs: list) -> dict:
+    # json.load alone would keep the last of a repeated key
+    d = {}
+    for k, v in pairs:
+        if k in d:
+            raise ValueError(f"duplicate key {k!r}")
+        d[k] = v
+    return d
+
+
 def load_instance(path: Union[str, Path]) -> WeightedInstance:
-    """Read an instance file: OSError if it cannot be read, ValueError if malformed."""
+    """Read an instance file: OSError if unreadable, ValueError if malformed or a key repeats."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_json_object)
         except json.JSONDecodeError as exc:
             raise ValueError(f"not valid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:

@@ -78,10 +78,12 @@ def ac_by_lp(
 
     Raises InfeasibleConstraintError when a covering set proves the optimum
     exceeds the cost bound, when every edge ends up inconsistent, or when
-    the instance has no edge.  Raises ValueError for a strategy
-    ``formulations.family`` rejects, and on an instance ``model.validate``
+    the instance has no edge.  Raises ValueError for a negative budget, a
+    strategy ``formulations.family`` rejects, or an instance ``model.validate``
     rejects, as ``duality.solve_family_dual`` does.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     family = formulations.family(instance, strategy)
     z_max = instance.z_max
     marks: dict[EdgeId, str] = {e: UNMARKED for e in instance.edges}

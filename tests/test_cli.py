@@ -390,6 +390,11 @@ def test_hostile_n_vars_exits_two_with_a_short_message(kind, n_vars, tmp_path, c
         pytest.param(json.dumps({**_alldiff(1, [0], [[0, 0, 0]]),
                                  "path": {"source": 0, "sink": 1}}),
                      '"path" is only for path instances', id="alldiff-with-path"),
+        # json.load alone keeps the last of a repeated key: z_max would be 10
+        pytest.param(json.dumps(_alldiff(1, [0], [[0, 0, 0]]))[:-1] + ', "z_max": 10}',
+                     "duplicate key 'z_max'", id="repeated-key"),
+        pytest.param(json.dumps(_path(1, [0, 1], [[0, 1, 0]], 0, 1))[:-2] + ', "sink": 0}}',
+                     "duplicate key 'sink'", id="repeated-key-in-path"),
     ],
 )
 def test_ingest_failures_exit_one(content, message, tmp_path, capsys):

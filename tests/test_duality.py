@@ -19,7 +19,7 @@ from rcfilter.duality import (
     zstar_from_family_dual,
 )
 from rcfilter.formulations import bg01_encode, family, find_support, primal_program
-from rcfilter.model import SatisfactionInstance, weighted_instance
+from rcfilter.model import SatisfactionInstance, validate, weighted_instance
 
 from corpus import alldiff_corpus, path_corpus, satisfaction_corpus
 
@@ -109,17 +109,22 @@ def test_exact_reduced_cost_no_support():
         exact_reduced_cost(inst, EdgeId(0, 0), z_star)
 
 
-def test_family_dual_rejects_a_negative_cycle(six_vertex_dag):
-    # validate rejects any cycle; past it, a negative one leaves no feasible
-    # potentials, so the family dual program is infeasible
-    back = EdgeId(2, 1)  # closes 1 -> 2 -> 1 at total cost -1
-    cyclic = replace(
-        six_vertex_dag,
-        edges=six_vertex_dag.edges + (back,),
-        cost={**six_vertex_dag.cost, back: -1},
-    )
-    with pytest.raises(ValueError, match="infeasible"):
-        solve_family_dual(cyclic, (EdgeId(1, 2),))
+def test_family_dual_is_feasible_on_every_buildable_instance(
+    six_vertex_dag, three_var_assignment
+):
+    # a negative cycle would leave no feasible potentials, but no cycle can be
+    # built: replace derives the topological order and raises as the
+    # constructor does
+    back = EdgeId(2, 1)  # would close 1 -> 2 -> 1 at total cost -1
+    with pytest.raises(ValueError, match="cycle"):
+        replace(six_vertex_dag, cost={**six_vertex_dag.cost, back: -1})
+    # an assignment or a DAG has potentials under any costs, negative ones
+    # too (validate rejects those, the family dual need not)
+    for inst, e in ((six_vertex_dag, EdgeId(1, 2)), (three_var_assignment, EdgeId(1, 0))):
+        negative = replace(inst, cost={**inst.cost, e: -9})
+        assert validate(negative) == [f"edge {e}: cost must be a non-negative integer"]
+        for f in negative.edges:
+            solve_family_dual(negative, (f,))
 
 
 def test_exact_reduced_cost_unknown_edge(three_var_assignment):

@@ -47,20 +47,27 @@ def test_duplicate_edges_rejected():
         weighted_instance("alldiff", 2, [0, 1], [(0, 0, 1), (0, 0, 2)], z_max=0)
 
 
-def test_unknown_kind_rejected():
+def test_unknown_kind_rejected(three_var_assignment):
     with pytest.raises(ValueError, match="unknown kind"):
         weighted_instance("sudoku", 2, [0, 1], [], z_max=0)
+    # built around the constructor, validate still says so
+    assert validate(dataclasses.replace(three_var_assignment, kind="x")) == [
+        "unknown kind 'x'"
+    ]
 
 
-def test_path_needs_endpoints():
+def test_path_needs_endpoints(six_vertex_dag):
     with pytest.raises(ValueError, match="source and a sink"):
         weighted_instance("path", 1, [0, 1], [(0, 1, 0)], z_max=0)
+    assert validate(dataclasses.replace(six_vertex_dag, path=None)) == [
+        "path instance without source/sink metadata"
+    ]
 
 
 def test_path_variables_are_non_sink_vertices(six_vertex_dag):
     # one successor decision per vertex except the sink
     assert list(six_vertex_dag.variables()) == [0, 1, 2, 3, 4]
-    assert six_vertex_dag.path.topo_order == (0, 1, 2, 3, 4, 5)
+    assert six_vertex_dag.topo_order == (0, 1, 2, 3, 4, 5)
 
 
 def test_topological_order_rejects_cycles():
@@ -174,27 +181,29 @@ def test_duplicate_path_vertices_rejected():
         )
     with pytest.raises(ValueError, match="duplicate vertices"):
         topological_order((0, 1, 1), ())
+    # replace derives the order too, so it refuses them as well
+    dag = weighted_instance("path", 2, [0, 1, 2], [(0, 1, 0), (1, 2, 0)],
+                            z_max=0, source=0, sink=2)
+    with pytest.raises(ValueError, match="duplicate vertices"):
+        dataclasses.replace(dag, values=(0, 1, 1, 2))
 
 
 @pytest.mark.parametrize(
     "arc, problem",
     [(EdgeId(2, 2), "cycle"), (EdgeId(4, 9), "outside the vertex list")],
 )
-def test_validate_flags_arcs_built_around_the_constructor(six_vertex_dag, arc, problem):
-    # weighted_instance refuses both arcs; validate still catches them when
-    # an instance is assembled directly
-    bad = dataclasses.replace(
-        six_vertex_dag,
-        edges=six_vertex_dag.edges + (arc,),
-        cost={**six_vertex_dag.cost, arc: 0},
-    )
-    assert any(problem in p for p in validate(bad))
+def test_replace_rejects_arcs_the_constructor_rejects(six_vertex_dag, arc, problem):
+    # the topological order is derived on every build, so an instance cannot
+    # be assembled around weighted_instance's check
+    with pytest.raises(ValueError, match=problem):
+        dataclasses.replace(six_vertex_dag, cost={**six_vertex_dag.cost, arc: 0})
 
 
-def test_validate_flags_stale_topo_order():
-    # a chain's order kept under another DAG's arcs: (3,1) runs backwards in
-    # it, and the layers family built along it put (1,4) and (4,5), which lie
-    # on one path, into one set, marking (4,5) consistent against the oracle
+def test_replace_rederives_edges_and_topo_order():
+    # replacing a chain's arcs must re-derive the order: (3,1) runs backwards
+    # in the chain's, and a layers family built along it would put (1,4) and
+    # (4,5), which lie on one path, into one set, marking (4,5) consistent
+    # against the oracle
     chain = weighted_instance(
         "path", 5, range(6), [(k, k + 1, 0) for k in range(5)],
         z_max=5, source=0, sink=5,
@@ -202,34 +211,32 @@ def test_validate_flags_stale_topo_order():
     arcs = [(0, 3, 0), (0, 4, 4), (1, 4, 2), (2, 4, 2), (3, 1, 3), (3, 2, 5),
             (3, 4, 4), (3, 5, 5), (4, 5, 2)]
     fresh = weighted_instance("path", 5, range(6), arcs, z_max=5, source=0, sink=5)
-    stale = dataclasses.replace(chain, edges=fresh.edges, cost=dict(fresh.cost))
-    assert validate(stale) == ["path.topo_order is not a topological order of the arcs"]
-    assert validate(fresh) == []
-    marks = ac_by_lp(fresh, "layers").marks
+    rebuilt = dataclasses.replace(chain, cost=fresh.cost)
+    assert rebuilt == fresh
+    assert rebuilt.topo_order == (0, 3, 1, 2, 4, 5)
+    assert validate(rebuilt) == []
+    marks = ac_by_lp(rebuilt, "layers").marks
     assert marks[EdgeId(4, 5)] == INCONSISTENT
-    assert dict(marks) == oracle.enumerate(fresh).classification()
-    # any topological order will do, not only the constructor's
-    assert fresh.path.topo_order == (0, 3, 1, 2, 4, 5)
-    swapped = dataclasses.replace(
-        fresh, path=dataclasses.replace(fresh.path, topo_order=(0, 3, 2, 1, 4, 5))
-    )
-    assert validate(swapped) == []
-    # and an order must list every vertex once
-    short = dataclasses.replace(
-        fresh, path=dataclasses.replace(fresh.path, topo_order=(0, 3, 1, 2, 5))
-    )
-    assert validate(short) == ["path.topo_order is not a topological order of the arcs"]
+    assert dict(marks) == oracle.enumerate(rebuilt).classification()
+    # plain tuple keys become EdgeIds, in the order given
+    tupled = dataclasses.replace(chain, cost={(e.i, e.j): c for e, c in fresh.cost.items()})
+    assert tupled == fresh
+    assert all(type(e) is EdgeId for e in tupled.edges + tuple(tupled.cost))
+    assert tupled.topo_order == fresh.topo_order
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(fresh, topo_order=(0, 3, 2, 1, 4, 5))
 
 
-def test_validate_reports_edges_that_do_not_match_the_costs(three_var_assignment):
+def test_edges_are_the_keys_of_cost_in_order(three_var_assignment):
     inst = three_var_assignment
-    assert EdgeId(0, 2) not in inst.cost
-    uncosted = dataclasses.replace(inst, edges=inst.edges + (EdgeId(0, 2),))
-    assert validate(uncosted) == ["the edges must be exactly the keys of cost"]
-    unlisted = dataclasses.replace(inst, edges=inst.edges[1:])
-    assert validate(unlisted) == ["the edges must be exactly the keys of cost"]
-    repeated = dataclasses.replace(inst, edges=inst.edges + inst.edges[:1])
-    assert validate(repeated) == ["duplicate edges"]
+    assert inst.edges == tuple(inst.cost)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(inst, edges=inst.edges + (EdgeId(0, 2),))
+    # the order fixes the LP column numbering, so it takes part in equality
+    reordered = dataclasses.replace(inst, cost=dict(reversed(inst.cost.items())))
+    assert reordered.edges == inst.edges[::-1]
+    assert reordered != inst
+    assert validate(reordered) == []
 
 
 def test_self_loop_arc_is_a_cycle():

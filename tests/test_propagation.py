@@ -89,6 +89,13 @@ def test_budget_zero_untouched(three_var_assignment):
     assert all(m == UNMARKED for m in result.marks.values())
 
 
+def test_negative_budget_rejected(three_var_assignment):
+    # it would otherwise make no solve and leave every edge unmarked
+    for budget in (-1, -3):
+        with pytest.raises(ValueError, match=f"budget must be >= 0, got {budget}"):
+            ac_by_lp(three_var_assignment, budget=budget)
+
+
 def test_budget_prefix_soundness(six_vertex_dag):
     checked = 0
     for inst in [six_vertex_dag] + alldiff_corpus(30) + path_corpus(20):
