@@ -11,15 +11,15 @@ pairwise-incompatible edges at once, which is what the filtering loop consumes.
 LP solves happen only where a new dual or optimum is needed: the support LP
 (``solve_primal``, the only solve of that LP; callers pass its z* down, and
 ``propagation`` recovers z* from a covering set's family dual instead), the
-shifted LP of ``shifted_cost_dual`` and the one family dual program
-(``solve_family_dual``), which also gives ``exact_reduced_cost`` its
-restricted optimum as one family-dual solve of the set {ij}.  An averaged
-satisfaction dual makes one solve when no original edge is inconsistent and
-two per inconsistent edge otherwise: z* = 0 is known without a solve then.
-Questions with a combinatorial answer are decided by
-``formulations.find_support``: whether a dual is optimal (complementary
-slackness), whether a reduced cost is exact, and which satisfaction edges
-lie on no solution.
+shifted LP of ``shifted_cost_dual`` (its one solve) and the one family dual
+program (``solve_family_dual``).  An averaged satisfaction dual makes one
+solve when no original edge is inconsistent and one per inconsistent edge
+otherwise: z* = 0 is known without a solve then.  Questions with a
+combinatorial answer need no LP.  ``formulations.restricted_optima`` gives
+every edge's restricted optimum in one pass per instance, which answers
+``exact_reduced_cost`` and which satisfaction edges lie on no solution.
+``formulations.find_support`` decides whether a dual is optimal
+(complementary slackness) and whether a reduced cost is exact.
 
 Which optimal dual a solve returns is fixed by the column numbering, since
 Bland's rule enters the lowest-numbered column (see ``lp_core``).  The
@@ -137,14 +137,18 @@ def exact_reduced_cost(
 ) -> Number:
     """True cost increase of forcing edge ij: its restricted optimum minus z*.
 
-    The restricted optimum is w + r_ij under the family dual of the set
-    {ij}, so this is one family-dual solve.  ``z_star`` is the optimum of the
-    support LP, as ``solve_primal`` returns it.  Raises ValueError when ij
-    lies on no support (see ``solve_family_dual``).
+    The restricted optimum comes from ``formulations.restricted_optima``,
+    one combinatorial pass per instance and no LP solve.  ``z_star`` is the
+    optimum of the support LP, as ``solve_primal`` returns it.  Raises
+    ValueError when ij is not an edge of the instance or lies on no support.
     """
     ij = EdgeId(*ij)
-    dual = solve_family_dual(instance, (ij,))
-    return exact(dual.w + reduced_cost(instance, dual, ij) - z_star)
+    if ij not in instance.cost:
+        raise ValueError(f"edge {ij} not in the instance")
+    optimum = formulations.restricted_optima(instance)[ij]
+    if optimum is None:
+        raise ValueError(f"edge {ij} lies on no support")
+    return exact(optimum - z_star)
 
 
 def exactness_certificate(
@@ -182,12 +186,13 @@ def shifted_cost_dual(
     """An optimal dual whose reduced cost on kl is exact.
 
     Obtained by re-solving the support LP with kl's cost lowered by its exact
-    reduced cost; any optimal dual of that program is optimal for the original
-    dual and pins kl's reduced cost to the exact value.  ``z_star`` is the
-    optimum of the support LP, which the shifted program shares.  ValueError
-    is raised when the shifted solve disagrees with it (a ``z_star`` above
-    the optimum) or when ``exactness_certificate`` finds the dual not optimal
-    or kl's reduced cost not exact (a ``z_star`` below it).
+    reduced cost, the one LP solve here; any optimal dual of that program is
+    optimal for the original dual and pins kl's reduced cost to the exact
+    value.  ``z_star`` is the optimum of the support LP, which the shifted
+    program shares.  ValueError is raised when the shifted solve disagrees
+    with it (a ``z_star`` above the optimum) or when
+    ``exactness_certificate`` finds the dual not optimal or kl's reduced
+    cost not exact (a ``z_star`` below it).
     """
     kl = EdgeId(*kl)
     R = exact_reduced_cost(instance, kl, z_star)
@@ -294,15 +299,22 @@ def averaged_satisfaction_dual(
 
     Averages one exactness-carrying dual per inconsistent original edge; the
     average is still optimal and keeps every one of those reduced costs
-    strictly positive, while consistent original edges stay at zero.  The
+    strictly positive, while consistent original edges stay at zero.  One
+    pass of ``formulations.restricted_optima`` over the encoding decides
+    which edges are inconsistent and gives every shifted dual its exact
+    reduced cost, so each inconsistent edge costs one LP solve.  The
     support LP is solved only when its dual is the answer (no original edge
     is inconsistent) or its optimum is (none is consistent: the constraint
     has no support, and ``InfeasibleConstraintError`` carries z*).
     """
     encoded = formulations.bg01_encode(sat)
     # an original edge is inconsistent iff no perfect matching of original
-    # edges uses it, i.e. its exact reduced cost in the encoding is positive
-    inconsistent = formulations.unsupported_edges(encoded, sat.edges)
+    # edges uses it, i.e. its restricted optimum in the encoding is positive
+    optima = formulations.restricted_optima(encoded)
+    stray = set(sat.edges).difference(optima)
+    if stray:
+        raise ValueError(f"edge {min(stray)} not in the instance")
+    inconsistent = [e for e in sat.edges if optima[e] > 0]
     if inconsistent and len(inconsistent) < len(sat.edges):
         # a consistent edge lies on a perfect matching of original edges,
         # which costs 0, and no cost is negative: z* = 0 with no solve

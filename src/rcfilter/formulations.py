@@ -11,15 +11,22 @@ and the covering flags of the ``domains`` family) is one iterative
 depth-first search, ``_search``, fed by a small step function per kind.  Both
 kinds search one map of the allowed arcs by tail (alldiff: edges by variable),
 built once per ``find_support`` call and once per ``unsupported_edges`` call.
+
+Every edge's restricted optimum, the cheapest support through it, comes from
+one pass per instance with no LP (``restricted_optima``): an optimal
+assignment with potentials and one Dijkstra per variable in its residual
+graph, or forward and backward shortest paths over a DAG's topological order.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Mapping, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
 
 from . import lp_core
-from .lp_core import LinearProgram, Row
+from .lp_core import LinearProgram, Number, Row
 from .model import (
     ALLDIFF,
     PATH,
@@ -64,18 +71,19 @@ def row_rhs(instance: WeightedInstance) -> dict:
     raise ValueError(f"unknown kind {instance.kind!r}")
 
 
-def last_instance_memo(build: Callable[[WeightedInstance], tuple]) -> Callable:
+def last_instance_memo(build: Callable[[WeightedInstance], Any]) -> Callable:
     """``build(instance)``, kept for the last instance passed, matched by ``is``.
 
-    For the rows of a program kind, which depend only on the instance: the
-    programs built for one instance then share one ``rows`` tuple.  The
-    memo holds the instance itself, so its identity cannot be reused, and
-    instances are immutable: ``WeightedInstance`` makes its ``cost`` map
-    read-only, so a kept result never goes stale.
+    For what depends only on the instance: the rows of a program kind, so
+    the programs built for one instance share one ``rows`` tuple, and the
+    restricted optima, so every exact reduced cost of one instance comes
+    from one pass.  The memo holds the instance itself, so its identity
+    cannot be reused, and instances are immutable: ``WeightedInstance``
+    makes its ``cost`` map read-only, so a kept result never goes stale.
     """
-    last: tuple = (None, ())
+    last: tuple = (None, None)
 
-    def cached(instance: WeightedInstance) -> tuple:
+    def cached(instance: WeightedInstance) -> Any:
         nonlocal last
         if last[0] is not instance:
             last = (instance, build(instance))
@@ -324,6 +332,165 @@ def _search(root: Hashable, steps: Callable) -> Optional[list]:
             if path:
                 path.pop()
     return None
+
+
+# ---------------------------------------------------------------------------
+# restricted optima: one combinatorial pass per instance
+
+
+@last_instance_memo
+def restricted_optima(instance: WeightedInstance) -> Mapping[EdgeId, Optional[Number]]:
+    """Each edge's cheapest support through it, or None when it lies on no support.
+
+    alldiff: an optimal assignment M with potentials u, v (successive
+    shortest paths), then one Dijkstra per variable over the residual graph
+    on reduced costs r; an edge (i, j) outside M costs
+    z* + r_ij + dist(M^-1(j) -> M(i)) (Sellmann, CP 2002).  path: forward
+    and backward shortest paths in topological order give
+    d(s, i) + c_ij + d(j, t).  Costs of either sign are allowed.  Before it
+    returns, the pass checks its own certificate and raises AssertionError
+    if it fails: r >= 0 on every edge, 0 on M and sum(u) + sum(v) = z*; or
+    each distance map's inequalities, tight along its shortest-path tree.
+    The map is shared while the instance stays the same, so it is read-only.
+    """
+    if instance.kind == ALLDIFF:
+        optima = _assignment_optima(instance)
+    else:
+        optima = _path_optima(instance)
+    return MappingProxyType(optima)
+
+
+def _assignment_optima(instance: WeightedInstance) -> dict:
+    n, cost = instance.n_vars, instance.cost
+    v = dict.fromkeys(instance.values, 0)
+    by_var: list[list[EdgeId]] = [[] for _ in range(n)]
+    for e in instance.edges:
+        if not (0 <= e.i < n and e.j in v):
+            raise ValueError(f"edge {e} meets no row of the support LP")
+        by_var[e.i].append(e)
+    if len(v) != n:
+        return dict.fromkeys(instance.edges)  # no matching covers both sides
+    # u_i = min_j c_ij and v = 0 leave no reduced cost negative, whatever the signs
+    u = [min((cost[e] for e in edges), default=0) for edges in by_var]
+    value_of: dict[int, int] = {}  # variable -> its value in M
+    holder: dict[int, int] = {}  # value -> its variable in M
+
+    def reduced(e: EdgeId) -> Number:
+        return cost[e] - u[e.i] - v[e.j]
+
+    for root in range(n):
+        dist, via, free = _alternating_distances(by_var, reduced, holder, root, True)
+        if free is None:
+            return dict.fromkeys(instance.edges)  # no perfect matching
+        far = dist[free]
+        # potentials shifted by (distance - far) on the settled part keep
+        # every reduced cost >= 0 and make the augmenting path tight
+        for j, d in dist.items():
+            v[j] += d - far
+            if j in holder:
+                u[holder[j]] -= d - far
+        u[root] += far
+        j = free
+        while j is not None:
+            i = via[j].i
+            holder[j], value_of[i], j = i, j, value_of.get(i)
+
+    z_star = sum(cost[EdgeId(i, j)] for i, j in value_of.items())
+    for e in instance.edges:
+        r = reduced(e)
+        if r < 0 or (value_of[e.i] == e.j and r != 0):
+            raise AssertionError(f"assignment potentials fail on edge {e}")
+    if sum(u) + sum(v.values()) != z_star:
+        raise AssertionError("assignment potentials do not sum to the optimum")
+
+    dists = [
+        _alternating_distances(by_var, reduced, holder, k, False)[0] for k in range(n)
+    ]
+    optima: dict = {}
+    for e in instance.edges:
+        if value_of[e.i] == e.j:
+            optima[e] = z_star
+        else:
+            d = dists[holder[e.j]].get(value_of[e.i])
+            optima[e] = None if d is None else z_star + reduced(e) + d
+    return optima
+
+
+def _alternating_distances(
+    by_var: list, reduced: Callable, holder: dict, root: int, stop: bool
+) -> tuple[dict, dict, Optional[int]]:
+    """Dijkstra from variable ``root`` to the values, along alternating paths.
+
+    A variable steps to a value by one of its edges (length r >= 0), a value
+    to its holder by its matching edge (length 0), so a variable's distance
+    is that of its value.  Returns the settled values' distances, the edge
+    into each, and, with ``stop``, the first free value settled (else None).
+    """
+    dist: dict = {}
+    via: dict = {}
+    best: dict = {}
+    heap: list = []
+
+    def scan(i: int, d: Number) -> None:
+        for e in by_var[i]:
+            nd = d + reduced(e)
+            if e.j not in dist and (e.j not in best or nd < best[e.j]):
+                best[e.j], via[e.j] = nd, e
+                heapq.heappush(heap, (nd, e.j))
+
+    scan(root, 0)
+    while heap:
+        d, j = heapq.heappop(heap)
+        if j in dist:
+            continue
+        dist[j] = d
+        if j not in holder:
+            if stop:
+                return dist, via, j
+        else:
+            scan(holder[j], d)
+    return dist, via, None
+
+
+def _path_optima(instance: WeightedInstance) -> dict:
+    meta = instance.path
+    assert meta is not None
+    cost = instance.cost
+    order = instance.topo_order
+    out = _edges_by_tail(instance, instance.edges)
+    down = {meta.source: 0}  # d(s, v)
+    for v in order:
+        if v not in down:
+            continue
+        for e in out.get(v, ()):
+            d = down[v] + cost[e]
+            if e.j not in down or d < down[e.j]:
+                down[e.j] = d
+    up = {meta.sink: 0}  # d(v, t)
+    for v in reversed(order):
+        for e in out.get(v, ()):
+            if e.j in up and (v not in up or cost[e] + up[e.j] < up[v]):
+                up[v] = cost[e] + up[e.j]
+    _assert_distances(down, meta.source, ((e.i, e.j, cost[e]) for e in instance.edges))
+    _assert_distances(up, meta.sink, ((e.j, e.i, cost[e]) for e in instance.edges))
+    return {
+        e: down[e.i] + cost[e] + up[e.j] if e.i in down and e.j in up else None
+        for e in instance.edges
+    }
+
+
+def _assert_distances(dist: dict, root: int, arcs: Iterable[tuple]) -> None:
+    # dist[b] <= dist[a] + c on every arc (a, b, c) leaving a reached vertex,
+    # and every reached vertex but the root at 0 has a tight arc into it
+    tight = {root} if dist[root] == 0 else set()
+    for a, b, c in arcs:
+        if a in dist:
+            if b not in dist or dist[b] > dist[a] + c:
+                raise AssertionError(f"shortest-path distances fail on arc {(a, b)}")
+            if dist[b] == dist[a] + c:
+                tight.add(b)
+    if tight != set(dist):
+        raise AssertionError("shortest-path distances are not tight on a tree")
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,16 @@ def ac_by_lp(
 
     Raises InfeasibleConstraintError when a covering set proves the optimum
     exceeds the cost bound, when every edge ends up inconsistent, or when
-    the instance has no edge.  Raises ValueError for a negative budget, a
-    strategy ``formulations.family`` rejects, or an instance ``model.validate``
+    the instance has no edge.  Raises ValueError for a budget that is not a
+    non-negative ``int`` (a float or a bool is never rounded), a strategy
+    ``formulations.family`` rejects, or an instance ``model.validate``
     rejects, as ``duality.solve_family_dual`` does.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    if budget is not None:
+        if isinstance(budget, bool) or not isinstance(budget, int):
+            raise ValueError(f"budget must be an integer, got {budget!r}")
+        if budget < 0:
+            raise ValueError(f"budget must be >= 0, got {budget}")
     family = formulations.family(instance, strategy)
     z_max = instance.z_max
     marks: dict[EdgeId, str] = {e: UNMARKED for e in instance.edges}

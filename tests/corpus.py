@@ -87,3 +87,39 @@ def satisfaction_corpus(count: int = 50, seed: int = 20240813):
             )
         )
     return out
+
+
+def permutation_alldiff(n: int, seed: int):
+    """An n-variable union of n/2 seeded permutations, costs 0-9, z_max = 0.
+
+    Above the enumeration cap for n > 8; every edge lies on a support.
+    """
+    rng = random.Random(seed)
+    edges = set()
+    for _ in range(max(2, n // 2)):
+        p = list(range(n))
+        rng.shuffle(p)
+        edges.update(enumerate(p))
+    triples = [(i, j, rng.randint(0, 9)) for i, j in sorted(edges)]
+    return weighted_instance("alldiff", n, range(n), triples, z_max=0)
+
+
+def layered_dag(depth: int, seed: int, width: int = 6, successors: int = 3):
+    """Source, ``depth`` layers of ``width`` vertices, sink; costs 0-9, z_max = 0.
+
+    Each layer vertex has ``successors`` arcs into the next layer, one of
+    them to its own position, so every vertex lies on a source-sink path:
+    about ``width * successors * depth`` arcs.
+    """
+    rng = random.Random(seed)
+    sink = width * depth + 1
+    layer = [[1 + k * width + p for p in range(width)] for k in range(depth)]
+    arcs = [(0, v) for v in layer[0]] + [(v, sink) for v in layer[-1]]
+    for up, down in zip(layer, layer[1:]):
+        for p, v in enumerate(up):
+            others = rng.sample([q for q in range(width) if q != p], successors - 1)
+            arcs += [(v, down[q]) for q in sorted(others + [p])]
+    triples = [(i, j, rng.randint(0, 9)) for i, j in sorted(arcs)]
+    return weighted_instance(
+        "path", sink, range(sink + 1), triples, z_max=0, source=0, sink=sink
+    )

@@ -1,9 +1,10 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from rcfilter import EdgeId, InfeasibleConstraintError, ac_by_lp, lp_core
+from rcfilter import EdgeId, InfeasibleConstraintError, ac_by_lp, duality, lp_core
 from rcfilter import oracle
 from rcfilter.duality import (
     averaged_satisfaction_dual,
@@ -18,10 +19,22 @@ from rcfilter.duality import (
     solve_primal,
     zstar_from_family_dual,
 )
-from rcfilter.formulations import bg01_encode, family, find_support, primal_program
+from rcfilter.formulations import (
+    bg01_encode,
+    family,
+    find_support,
+    primal_program,
+    restricted_optima,
+)
 from rcfilter.model import SatisfactionInstance, validate, weighted_instance
 
-from corpus import alldiff_corpus, path_corpus, satisfaction_corpus
+from corpus import (
+    alldiff_corpus,
+    layered_dag,
+    path_corpus,
+    permutation_alldiff,
+    satisfaction_corpus,
+)
 
 
 def test_reduced_costs_under_pinned_duals_assignment(
@@ -107,6 +120,26 @@ def test_exact_reduced_cost_no_support():
     z_star, _, _ = solve_primal(inst)
     with pytest.raises(ValueError, match="no support"):
         exact_reduced_cost(inst, EdgeId(0, 0), z_star)
+
+
+def test_family_identity_past_the_cap():
+    # criterion 5's identity where the oracle cannot enumerate: for every
+    # member of each domains set, w + r_e of the set's family dual (an LP)
+    # equals the member's restricted optimum from the combinatorial pass;
+    # the DAG has 121 sets, each a full-size solve, so a seeded sample of 30
+    # keeps the test short
+    alldiff = permutation_alldiff(24, seed=1)
+    dag = layered_dag(20, seed=1)
+    assert alldiff.n_vars > oracle.MAX_ALLDIFF_VARS
+    assert len(dag.values) > oracle.MAX_PATH_VERTICES and len(dag.edges) > 340
+    assert validate(alldiff) == validate(dag) == []
+    dag_sets = random.Random(20261019).sample(family(dag, "domains").sets, 30)
+    for inst, sets in ((alldiff, family(alldiff, "domains").sets), (dag, dag_sets)):
+        optima = restricted_optima(inst)
+        for edge_set in sets:
+            d = solve_family_dual(inst, edge_set)
+            for e in edge_set:
+                assert d.w + reduced_cost(inst, d, e) == optima[e], (inst.kind, e)
 
 
 def test_family_dual_is_feasible_on_every_buildable_instance(
@@ -291,10 +324,11 @@ def test_averaged_dual_separates_inconsistent_edges():
 
 
 def test_averaged_dual_solve_count(monkeypatch):
-    # the base solve alone when no edge is inconsistent; otherwise two per
-    # inconsistent edge (the one-edge family dual behind its exact reduced
-    # cost and the shifted solve of its shifted dual) and no base solve, as
-    # a consistent edge fixes z* = 0; consistency is decided without LPs
+    # the base solve alone when no edge is inconsistent; otherwise one per
+    # inconsistent edge (the shifted solve of its shifted dual) and no base
+    # solve, as a consistent edge fixes z* = 0; consistency and every exact
+    # reduced cost come from one combinatorial pass, so no family dual
+    # program is ever built
     real = lp_core.solve
     calls = []
 
@@ -302,14 +336,18 @@ def test_averaged_dual_solve_count(monkeypatch):
         calls.append(lp)
         return real(lp)
 
+    def no_family_dual(*args):
+        raise AssertionError("a family dual program was built")
+
     monkeypatch.setattr(lp_core, "solve", spy)
+    monkeypatch.setattr(duality, "family_dual_program", no_family_dual)
     seen = set()
     for sat in satisfaction_corpus(15):
         calls.clear()
         enc, _ = averaged_satisfaction_dual(sat)
         report = oracle.enumerate(enc)
         inconsistent = [e for e in sat.edges if report.z_restricted[e] > 0]
-        assert len(calls) == (2 * len(inconsistent) if inconsistent else 1)
+        assert len(calls) == (len(inconsistent) if inconsistent else 1)
         seen.add(bool(inconsistent))
     assert seen == {True, False}
 

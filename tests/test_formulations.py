@@ -18,10 +18,11 @@ from rcfilter.formulations import (
     family,
     find_support,
     primal_program,
+    restricted_optima,
     unsupported_edges,
     worst_case_alldiff,
 )
-from rcfilter.model import SatisfactionInstance
+from rcfilter.model import InfeasibleConstraintError, SatisfactionInstance
 
 from corpus import alldiff_corpus, path_corpus
 
@@ -343,6 +344,49 @@ def test_find_support_long_augmenting_path():
     s = find_support(inst, inst.edges)
     shift = tuple(EdgeId(i, i + 1) for i in range(n - 1)) + (EdgeId(n - 1, 0),)
     assert s is not None and s.edges == shift
+
+
+def test_restricted_optima_match_oracle():
+    # the cheapest support through every edge, None where none passes, on
+    # the corpora and on copies with costs of both signs, which the pass
+    # allows as the family dual does
+    no_support = [
+        weighted_instance("alldiff", 2, [0, 1], [(0, 0, 1), (0, 1, 1), (1, 0, 1)], z_max=9),
+        # a dead end at 2, then an arc out of the sink
+        weighted_instance(
+            "path", 3, range(4), [(0, 1, 2), (1, 3, 1), (0, 2, 5), (1, 2, 1)],
+            z_max=9, source=0, sink=3,
+        ),
+        weighted_instance(
+            "path", 3, range(4), [(0, 1, 2), (1, 3, 1), (3, 2, 1)],
+            z_max=9, source=0, sink=3,
+        ),
+    ]
+    assert all(None in oracle.enumerate(inst).z_restricted.values() for inst in no_support)
+    for inst in CORPUS + no_support:
+        shifted = replace(inst, cost={e: c - 6 for e, c in inst.cost.items()})
+        for variant in (inst, shifted):
+            assert dict(restricted_optima(variant)) == oracle.enumerate(variant).z_restricted
+
+
+def test_restricted_optima_without_a_perfect_matching():
+    # variables 0 and 1 share their one value: no support, so no edge has one
+    inst = weighted_instance(
+        "alldiff", 3, range(3), [(0, 0, 1), (1, 0, 2), (2, 0, 0), (2, 1, 4), (2, 2, 3)],
+        z_max=9,
+    )
+    with pytest.raises(InfeasibleConstraintError):
+        oracle.enumerate(inst)
+    assert dict(restricted_optima(inst)) == dict.fromkeys(inst.edges)
+    negative = replace(inst, cost={e: -c for e, c in inst.cost.items()})
+    assert dict(restricted_optima(negative)) == dict.fromkeys(inst.edges)
+
+
+def test_restricted_optima_are_shared_and_read_only(three_var_assignment):
+    optima = restricted_optima(three_var_assignment)
+    assert restricted_optima(three_var_assignment) is optima
+    with pytest.raises(TypeError):
+        optima[three_var_assignment.edges[0]] = 0
 
 
 def test_satisfaction_encoding_shape():

@@ -96,6 +96,13 @@ def test_negative_budget_rejected(three_var_assignment):
             ac_by_lp(three_var_assignment, budget=budget)
 
 
+@pytest.mark.parametrize("budget", [1.5, 0.5, 2.0, True, False, "1"])
+def test_non_integer_budget_rejected(three_var_assignment, budget):
+    # a float or a bool would otherwise be rounded up into a solve count
+    with pytest.raises(ValueError, match=f"budget must be an integer, got {budget!r}"):
+        ac_by_lp(three_var_assignment, budget=budget)
+
+
 def test_budget_prefix_soundness(six_vertex_dag):
     checked = 0
     for inst in [six_vertex_dag] + alldiff_corpus(30) + path_corpus(20):
