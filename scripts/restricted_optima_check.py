@@ -6,7 +6,13 @@ Above the enumeration cap no oracle can vouch for
 LP instead: for a seeded sample of edges, the one-edge family dual of the set
 {e} gives e's restricted optimum as w + r_e.  The instances are three seeded
 unions of n/2 permutations with n variables (costs 0-9) and a layered DAG of
-about 9n arcs.  Prints one line per instance and exits 1 on any mismatch.
+about 9n arcs.  ``model.validate`` reads the same pass for the edges on no
+support, so each instance must also validate to ``[]``, and a copy with one
+planted edge on no support must be named for exactly that edge: alldiff gets
+two new variables sharing two new values and a third new variable with an
+edge into one of them; the DAG gets a new vertex, reached from the source,
+that reaches nothing.  Prints one line per instance and exits 1 on any
+mismatch.
 
 Usage: PYTHONPATH=src python3 scripts/restricted_optima_check.py [n_vars]
 """
@@ -18,6 +24,7 @@ from pathlib import Path
 
 from rcfilter.duality import reduced_cost, solve_family_dual
 from rcfilter.formulations import restricted_optima
+from rcfilter.model import EdgeId, validate, weighted_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from corpus import layered_dag, permutation_alldiff  # noqa: E402
@@ -37,20 +44,62 @@ def check(inst, rng):
     return pass_s, wrong
 
 
+def planted(inst):
+    """A copy of inst with new vertices and edges, one on no support, and that edge."""
+    triples = [(e.i, e.j, c) for e, c in inst.cost.items()]
+    top = max(inst.values) + 1
+    if inst.kind == "alldiff":
+        n = inst.n_vars
+        a, b, c = top, top + 1, top + 2
+        triples += [(n, a, 0), (n, b, 0), (n + 1, a, 0), (n + 1, b, 0), (n + 2, c, 0)]
+        bad = EdgeId(n + 2, a)
+        triples.append((*bad, 0))
+        copy = weighted_instance(
+            "alldiff", n + 3, inst.values + (a, b, c), triples, inst.z_max
+        )
+        return copy, bad
+    meta = inst.path
+    bad = EdgeId(meta.source, top)
+    triples.append((*bad, 0))
+    copy = weighted_instance(
+        "path", inst.n_vars + 1, inst.values + (top,), triples, inst.z_max,
+        source=meta.source, sink=meta.sink,
+    )
+    return copy, bad
+
+
+def validate_problems(inst):
+    """Problems of validate on inst and on its planted copy, if any."""
+    problems = []
+    found = validate(inst)
+    if found:
+        problems.append(f"validate rejects the instance: {found[:3]}")
+    copy, bad = planted(inst)
+    found = validate(copy)
+    if found != [f"edge {bad} lies on no support"]:
+        problems.append(f"validate on the copy planting {bad} gives {found[:3]}")
+    return problems
+
+
 def main(argv):
     n = int(argv[1]) if len(argv) > 1 else 40
     rng = random.Random(n)
     instances = [permutation_alldiff(n, seed) for seed in (1, 2, 3)]
     instances.append(layered_dag(max(2, n // 2), seed=1))
     print(f"{'kind':>8} {'vertices':>9} {'edges':>6} {'sampled':>8} "
-          f"{'pass s':>7} {'wrong':>6}")
+          f"{'pass s':>7} {'wrong':>6} {'validate':>9}")
     failed = False
     for inst in instances:
         pass_s, wrong = check(inst, rng)
+        problems = validate_problems(inst)
         print(f"{inst.kind:>8} {len(inst.values):>9} {len(inst.edges):>6} "
-              f"{SAMPLED_EDGES:>8} {pass_s:>7.3f} {len(wrong):>6}")
+              f"{SAMPLED_EDGES:>8} {pass_s:>7.3f} {len(wrong):>6} "
+              f"{'ok' if not problems else 'wrong':>9}")
         if wrong:
             print(f"error: the pass and the LP disagree on {wrong}", file=sys.stderr)
+            failed = True
+        for problem in problems:
+            print(f"error: {problem}", file=sys.stderr)
             failed = True
     return 1 if failed else 0
 

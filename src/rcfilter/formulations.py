@@ -6,16 +6,19 @@ for the per-value rows (alldiff only).  Columns of the support LP
 (``primal_program``) are the edges themselves.  ``row_rhs`` and
 ``edge_column`` define it, and ``duality.family_dual_program`` its dual.
 
-Every combinatorial support query (``find_support``, ``unsupported_edges``
-and the covering flags of the ``domains`` family) is one iterative
-depth-first search, ``_search``, fed by a small step function per kind.  Both
-kinds search one map of the allowed arcs by tail (alldiff: edges by variable),
-built once per ``find_support`` call and once per ``unsupported_edges`` call.
+Every combinatorial support query (``find_support`` and the covering flags
+of the ``domains`` family) is one iterative depth-first search, ``_search``,
+fed by a small step function per kind.  Both kinds search one map of the
+allowed arcs by tail (alldiff: edges by variable), built once per
+``find_support`` call.
 
 Every edge's restricted optimum, the cheapest support through it, comes from
 one pass per instance with no LP (``restricted_optima``): an optimal
 assignment with potentials and one Dijkstra per variable in its residual
 graph, or forward and backward shortest paths over a DAG's topological order.
+The pass is read twice per run: ``model.validate`` takes the edges without
+an optimum as the edges on no support, and ``propagation.ac_by_lp`` takes z*
+from it before its first solve.
 """
 
 from __future__ import annotations
@@ -225,30 +228,6 @@ def find_support(
     if edges is None:
         return None
     return Support(edges=edges, cost=sum(instance.cost[e] for e in edges))
-
-
-def unsupported_edges(
-    instance: WeightedInstance, allowed: Iterable[EdgeId]
-) -> list[EdgeId]:
-    """The edges of ``allowed``, in order, on no support inside ``allowed``.
-
-    An edge on a support already found needs no search of its own, so a
-    single search can settle every edge of an instance.
-    """
-    allowed = tuple(EdgeId(*e) for e in allowed)
-    out = _edges_by_tail(instance, allowed)
-    search = _matching_support if instance.kind == ALLDIFF else _path_support
-    covered: set[EdgeId] = set()
-    unsupported = []
-    for e in allowed:
-        if e in covered:
-            continue
-        edges = search(instance, out, e)
-        if edges is None:
-            unsupported.append(e)
-        else:
-            covered.update(edges)
-    return unsupported
 
 
 def _matching_support(

@@ -173,7 +173,9 @@ def validate(instance: WeightedInstance) -> list[str]:
 
     Beyond structural checks this verifies the arc-consistency precondition of
     the cost-free constraint: each edge must lie on at least one support when
-    costs are ignored.
+    costs are ignored.  That is read from ``formulations.restricted_optima``,
+    the instance's one combinatorial pass: an edge on no support has no
+    restricted optimum.
     """
     v: list[str] = []
     if instance.kind not in (ALLDIFF, PATH):
@@ -224,9 +226,8 @@ def validate(instance: WeightedInstance) -> list[str]:
     # structural AC: every edge on at least one support, costs ignored
     from . import formulations  # local import, formulations depends on model
 
-    for e in formulations.unsupported_edges(instance, instance.edges):
-        v.append(f"edge {e} lies on no support")
-    return v
+    optima = formulations.restricted_optima(instance)
+    return [f"edge {e} lies on no support" for e in instance.edges if optima[e] is None]
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ solved twice.  Requires every edge to lie on at least one support
 (``model.validate`` enforces this).
 The sets come from ``formulations.family``, by strategy name: only its sets
 are known to be pairwise incompatible and flagged covering truthfully.
+When the first set picked is covering, the instance's one combinatorial pass
+(``formulations.restricted_optima``, which ``validate`` reads too) gives z*
+before any solve, so a run whose bound is below z* makes no LP solve.
 """
 
 from __future__ import annotations
@@ -78,10 +81,14 @@ def ac_by_lp(
 
     Raises InfeasibleConstraintError when a covering set proves the optimum
     exceeds the cost bound, when every edge ends up inconsistent, or when
-    the instance has no edge.  Raises ValueError for a budget that is not a
-    non-negative ``int`` (a float or a bool is never rounded), a strategy
-    ``formulations.family`` rejects, or an instance ``model.validate``
-    rejects, as ``duality.solve_family_dual`` does.
+    the instance has no edge.  When the first set picked is covering and the
+    budget allows a solve, z* is read from ``formulations.restricted_optima``
+    before the loop: the least restricted optimum over the set, which the
+    set's solve would recover, so a z* above the bound raises with no solve.
+    Raises ValueError for a budget that is not a non-negative ``int`` (a
+    float or a bool is never rounded), a strategy ``formulations.family``
+    rejects, or an instance ``model.validate`` rejects, as the pass and
+    ``duality.solve_family_dual`` do.
     """
     if budget is not None:
         if isinstance(budget, bool) or not isinstance(budget, int):
@@ -93,6 +100,18 @@ def ac_by_lp(
     marks: dict[EdgeId, str] = {e: UNMARKED for e in instance.edges}
     duals_used: list[tuple[tuple[EdgeId, ...], DualSolution]] = []
     z_lb: Optional[lp_core.Number] = None
+
+    first = _pick_next(family, marks)
+    if budget != 0 and first is not None and family.covering[first]:
+        # the first solve would recover z* from this covering set as its
+        # members' least restricted optimum: the pass has them, self-checked
+        optima = formulations.restricted_optima(instance)
+        restricted = [optima[e] for e in family.sets[first]]
+        if None not in restricted and min(restricted) > z_max:
+            z_star = min(restricted)
+            raise InfeasibleConstraintError(
+                f"optimum {z_star} exceeds the cost bound {z_max}", z_lb=z_star
+            )
 
     while True:
         if budget is not None and len(duals_used) >= budget:

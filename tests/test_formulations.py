@@ -19,7 +19,6 @@ from rcfilter.formulations import (
     find_support,
     primal_program,
     restricted_optima,
-    unsupported_edges,
     worst_case_alldiff,
 )
 from rcfilter.model import InfeasibleConstraintError, SatisfactionInstance
@@ -277,46 +276,77 @@ def test_validate_long_chain_path():
     assert validate(inst) == []
 
 
-def test_validate_long_chain_path_searches_once(monkeypatch):
-    # the first edge's support is the whole chain, which settles every edge
+def test_validate_long_chain_path_searches_nothing(monkeypatch):
+    # validate reads the restricted optima, one pass over the chain, and
+    # runs no support search at all
     n = 1500
     inst = weighted_instance(
         "path", n, range(n + 1), [(k, k + 1, 1) for k in range(n)],
         z_max=n, source=0, sink=n,
     )
-    real = formulations._path_support
     calls = []
-
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(formulations, "_path_support", spy)
+    monkeypatch.setattr(formulations, "_path_support", lambda *a: calls.append(a))
     assert validate(inst) == []
-    assert len(calls) == 1
+    assert not calls
 
 
-def test_unsupported_edges_matches_one_search_per_edge(
+def test_validate_past_the_cap_searches_nothing(monkeypatch):
+    # a union of 70 seeded permutations of 100 values, about 5,000 edges:
+    # every edge is on a support, and one search per edge took seconds
+    rng = random.Random(100)
+    edges = set()
+    for _ in range(70):
+        p = list(range(100))
+        rng.shuffle(p)
+        edges.update(enumerate(p))
+    inst = weighted_instance(
+        "alldiff", 100, range(100), [(i, j, rng.randint(0, 9)) for i, j in sorted(edges)],
+        z_max=0,
+    )
+    assert 4900 < len(inst.edges) < 5200
+    calls = []
+    monkeypatch.setattr(formulations, "_matching_support", lambda *a: calls.append(a))
+    assert validate(inst) == []
+    assert not calls
+
+
+def _keep(inst, edges):
+    # a copy of inst with only the given edges
+    return replace(inst, cost={e: inst.cost[e] for e in edges})
+
+
+def test_validate_unsupported_edges_match_one_search_per_edge(
     five_vertex_dag, three_var_assignment
 ):
+    # dropping edges plants edges on no support; validate names exactly the
+    # edges that a forced support search finds no support through
     rng = random.Random(11)
     cases = [
-        (inst, allowed)
+        _keep(inst, edges)
         for inst in (five_vertex_dag, three_var_assignment)
-        for allowed in (inst.edges, inst.edges[1:], inst.edges[:-2])
+        for edges in (inst.edges, inst.edges[1:], inst.edges[:-2])
     ]
     for inst in CORPUS:
-        cases.append((inst, inst.edges))
+        cases.append(inst)
         for _ in range(3):
-            cases.append((inst, tuple(e for e in inst.edges if rng.random() < 0.7)))
-    for inst, allowed in cases:
+            cases.append(_keep(inst, [e for e in inst.edges if rng.random() < 0.7]))
+    compared = planted = 0
+    for inst in cases:
+        problems = validate(inst)
+        unsupported = [p for p in problems if p.endswith("lies on no support")]
+        if unsupported != problems:
+            continue  # a structural problem, such as an empty domain, comes first
         expected = [
-            e for e in allowed if find_support(inst, allowed, forced=e) is None
+            e for e in inst.edges if find_support(inst, inst.edges, forced=e) is None
         ]
-        assert unsupported_edges(inst, allowed) == expected
+        assert unsupported == [f"edge {e} lies on no support" for e in expected]
+        compared += 1
+        planted += bool(expected)
+    assert compared > 500 and planted > 100
     # dropping (0, 1) strands both arcs out of vertex 1
-    assert unsupported_edges(five_vertex_dag, five_vertex_dag.edges[1:]) == [
-        EdgeId(1, 4), EdgeId(1, 2)
+    assert validate(_keep(five_vertex_dag, five_vertex_dag.edges[1:])) == [
+        "edge EdgeId(i=1, j=4) lies on no support",
+        "edge EdgeId(i=1, j=2) lies on no support",
     ]
 
 
@@ -329,8 +359,6 @@ def test_support_queries_reject_edges_outside_the_instance():
         find_support(inst, allowed, forced=(0, 2))
     with pytest.raises(ValueError, match="not in the instance"):
         find_support(inst, allowed)
-    with pytest.raises(ValueError, match="not in the instance"):
-        unsupported_edges(inst, allowed)
 
 
 def test_find_support_long_augmenting_path():

@@ -11,12 +11,13 @@ from rcfilter import (
     validate,
     weighted_instance,
 )
-from rcfilter import oracle
+from rcfilter import lp_core, oracle
 from rcfilter.formulations import family, worst_case_alldiff
 from rcfilter.propagation import (
     CONSISTENT,
     INCONSISTENT,
     UNMARKED,
+    _pick_next,
     ac_by_lp,
     lower_bound,
 )
@@ -212,6 +213,76 @@ def test_full_wipe_before_the_covering_set_is_solved():
             ac_by_lp(replace(inst, z_max=z_max), "layers")
         assert str(err.value) == f"optimum 25 exceeds the cost bound {z_max}"
         assert err.value.z_lb == 25
+
+
+def _solve_spy(monkeypatch):
+    calls = []
+    real = lp_core.solve
+
+    def spy(lp):
+        calls.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(lp_core, "solve", spy)
+    return calls
+
+
+def _infeasible_runs():
+    # (instance, strategy, z*, whether the first set picked is covering)
+    for inst in alldiff_corpus(200) + path_corpus(100):
+        z_star = oracle.enumerate(inst).z_star
+        if z_star <= inst.z_max:
+            continue
+        for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
+            fam = family(inst, strategy)
+            first = _pick_next(fam, dict.fromkeys(inst.edges, UNMARKED))
+            yield inst, strategy, z_star, fam.covering[first]
+
+
+def test_covering_first_set_refutes_the_bound_with_no_solve(monkeypatch):
+    # z* read from the restricted optima before the loop: the same message
+    # and z_lb as the first covering solve gave, and no LP solved
+    calls = _solve_spy(monkeypatch)
+    early = 0
+    for inst, strategy, z_star, covering in _infeasible_runs():
+        calls.clear()
+        with pytest.raises(InfeasibleConstraintError) as err:
+            ac_by_lp(inst, strategy)
+        if covering:
+            assert str(err.value) == f"optimum {z_star} exceeds the cost bound {inst.z_max}"
+            assert err.value.z_lb == z_star
+            assert not calls
+            early += 1
+        else:
+            assert calls  # a non-covering first set is solved as before
+    assert early > 100
+
+
+def test_budget_on_an_infeasible_instance(monkeypatch):
+    # budget 0 solves nothing and so refutes nothing; with a covering first
+    # set, budget 1 raises as an unbudgeted run does
+    calls = _solve_spy(monkeypatch)
+    for inst, strategy, z_star, covering in _infeasible_runs():
+        calls.clear()
+        result = ac_by_lp(inst, strategy, budget=0)
+        assert not calls and result.solves == 0
+        assert all(m == UNMARKED for m in result.marks.values())
+        if not covering:
+            continue
+        with pytest.raises(InfeasibleConstraintError) as unbudgeted:
+            ac_by_lp(inst, strategy)
+        with pytest.raises(InfeasibleConstraintError) as one:
+            ac_by_lp(inst, strategy, budget=1)
+        assert str(one.value) == str(unbudgeted.value)
+        assert one.value.z_lb == unbudgeted.value.z_lb
+
+
+def test_value_outside_the_value_list_is_rejected():
+    # the pass read before the loop rejects it; the family dual program
+    # would fail on a row tag it lacks
+    inst = weighted_instance("alldiff", 2, [0, 1], [(0, 0, 1), (1, 1, 1), (1, 5, 1)], z_max=9)
+    with pytest.raises(ValueError, match=r"edge EdgeId\(i=1, j=5\) meets no row"):
+        ac_by_lp(inst)
 
 
 def test_isolated_path_vertex_changes_nothing():
