@@ -18,7 +18,7 @@ assignment with potentials and one Dijkstra per variable in its residual
 graph, or forward and backward shortest paths over a DAG's topological order.
 The pass is read twice per run: ``model.validate`` takes the edges without
 an optimum as the edges on no support, and ``propagation.ac_by_lp`` takes z*
-from it before its first solve.
+from it before it solves its first covering set.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ solved twice.  Requires every edge to lie on at least one support
 (``model.validate`` enforces this).
 The sets come from ``formulations.family``, by strategy name: only its sets
 are known to be pairwise incompatible and flagged covering truthfully.
-When the first set picked is covering, the instance's one combinatorial pass
-(``formulations.restricted_optima``, which ``validate`` reads too) gives z*
-before any solve, so a run whose bound is below z* makes no LP solve.
+The first covering set picked takes z* from the instance's one combinatorial
+pass (``formulations.restricted_optima``, which ``validate`` reads too)
+before its solve, so a bound below z* is refuted with that solve unspent.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ INCONSISTENT = "inconsistent"
 class FilterResult:
     """Outcome of the filtering loop.
 
-    ``marks`` classifies every edge.  ``z_lb`` is the optimum recovered from
-    the first covering set solved, None if no covering set was solved.
+    ``marks`` classifies every edge.  ``z_lb`` is the optimum read for the
+    first covering set solved, None if no covering set was solved.
     ``duals_used`` records (edge set, dual solution) per solve, in order.
     """
 
@@ -81,10 +81,11 @@ def ac_by_lp(
 
     Raises InfeasibleConstraintError when a covering set proves the optimum
     exceeds the cost bound, when every edge ends up inconsistent, or when
-    the instance has no edge.  When the first set picked is covering and the
-    budget allows a solve, z* is read from ``formulations.restricted_optima``
-    before the loop: the least restricted optimum over the set, which the
-    set's solve would recover, so a z* above the bound raises with no solve.
+    the instance has no edge.  The first covering set picked gives ``z_lb``
+    as its least ``formulations.restricted_optima`` entry, which its solve
+    would recover; it is read before that solve, so a z* above the bound
+    raises with the solve unspent (with none at all when that set is the
+    first picked).
     Raises ValueError for a budget that is not a non-negative ``int`` (a
     float or a bool is never rounded), a strategy ``formulations.family``
     rejects, or an instance ``model.validate`` rejects, as the pass and
@@ -101,18 +102,6 @@ def ac_by_lp(
     duals_used: list[tuple[tuple[EdgeId, ...], DualSolution]] = []
     z_lb: Optional[lp_core.Number] = None
 
-    first = _pick_next(family, marks)
-    if budget != 0 and first is not None and family.covering[first]:
-        # the first solve would recover z* from this covering set as its
-        # members' least restricted optimum: the pass has them, self-checked
-        optima = formulations.restricted_optima(instance)
-        restricted = [optima[e] for e in family.sets[first]]
-        if None not in restricted and min(restricted) > z_max:
-            z_star = min(restricted)
-            raise InfeasibleConstraintError(
-                f"optimum {z_star} exceeds the cost bound {z_max}", z_lb=z_star
-            )
-
     while True:
         if budget is not None and len(duals_used) >= budget:
             break
@@ -120,6 +109,17 @@ def ac_by_lp(
         if idx is None:
             break
         edge_set = family.sets[idx]
+        if z_lb is None and family.covering[idx]:
+            # a covering set's least restricted optimum is z*, which its solve
+            # would recover; the pass has it, self-checked, with no solve
+            optima = formulations.restricted_optima(instance)
+            restricted = [optima[e] for e in edge_set]
+            if None not in restricted:  # else the solve below rejects the set
+                z_lb = lp_core.exact(min(restricted))
+                if z_lb > z_max:
+                    raise InfeasibleConstraintError(
+                        f"optimum {z_lb} exceeds the cost bound {z_max}", z_lb=z_lb
+                    )
         dual = duality.solve_family_dual(instance, edge_set)
         duals_used.append((edge_set, dual))
         w = dual.w
@@ -132,13 +132,6 @@ def ac_by_lp(
                 marks[kl] = INCONSISTENT
             elif kl in members:
                 marks[kl] = CONSISTENT
-        if z_lb is None and family.covering[idx]:
-            # every covering set's dual recovers z* exactly, so the first suffices
-            z_lb = duality.zstar_from_family_dual(instance, edge_set, dual)
-            if z_lb > z_max:
-                raise InfeasibleConstraintError(
-                    f"optimum {z_lb} exceeds the cost bound {z_max}", z_lb=z_lb
-                )
 
     if all(m == INCONSISTENT for m in marks.values()):
         # a full wipe proves no support lies within the bound: any edge of an

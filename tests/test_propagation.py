@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from dataclasses import replace
 
 import pytest
@@ -240,8 +241,8 @@ def _infeasible_runs():
 
 
 def test_covering_first_set_refutes_the_bound_with_no_solve(monkeypatch):
-    # z* read from the restricted optima before the loop: the same message
-    # and z_lb as the first covering solve gave, and no LP solved
+    # z* read from the restricted optima before the covering set's solve:
+    # the same message and z_lb as that solve gave, and no LP solved
     calls = _solve_spy(monkeypatch)
     early = 0
     for inst, strategy, z_star, covering in _infeasible_runs():
@@ -277,9 +278,25 @@ def test_budget_on_an_infeasible_instance(monkeypatch):
         assert one.value.z_lb == unbudgeted.value.z_lb
 
 
+def test_fraction_costs_refute_with_an_exact_z_lb():
+    # costs replaced by integral Fractions pass validate; z_lb is normalised
+    # to an int either way, whether the bound is refuted or not
+    base = weighted_instance(
+        "alldiff", 2, [0, 1], [(0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2)], z_max=3,
+    )
+    inst = replace(base, cost={e: Fraction(c) for e, c in base.cost.items()})
+    assert validate(inst) == []
+    with pytest.raises(InfeasibleConstraintError) as err:
+        ac_by_lp(inst)
+    assert str(err.value) == "optimum 4 exceeds the cost bound 3"
+    assert type(err.value.z_lb) is int and err.value.z_lb == 4
+    z_lb = ac_by_lp(replace(inst, z_max=4)).z_lb
+    assert type(z_lb) is int and z_lb == 4
+
+
 def test_value_outside_the_value_list_is_rejected():
-    # the pass read before the loop rejects it; the family dual program
-    # would fail on a row tag it lacks
+    # the pass read before the covering first set's solve rejects it; the
+    # family dual program would fail on a row tag it lacks
     inst = weighted_instance("alldiff", 2, [0, 1], [(0, 0, 1), (1, 1, 1), (1, 5, 1)], z_max=9)
     with pytest.raises(ValueError, match=r"edge EdgeId\(i=1, j=5\) meets no row"):
         ac_by_lp(inst)
