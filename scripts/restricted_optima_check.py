@@ -4,7 +4,8 @@
 Above the enumeration cap no oracle can vouch for
 ``formulations.restricted_optima``, so this compares it with the family dual
 LP instead: for a seeded sample of edges, the one-edge family dual of the set
-{e} gives e's restricted optimum as w + r_e.  The instances are three seeded
+{e} gives e's restricted optimum as w + r_e, and ``formulations.optimum``
+must equal the support LP's optimum from ``solve_primal``.  The instances are three seeded
 unions of n/2 permutations with n variables (costs 0-9) and a layered DAG of
 about 9n arcs.  ``model.validate`` reads the same pass for the edges on no
 support, so each instance must also validate to ``[]``, and a copy with one
@@ -22,8 +23,8 @@ import sys
 import time
 from pathlib import Path
 
-from rcfilter.duality import reduced_cost, solve_family_dual
-from rcfilter.formulations import restricted_optima
+from rcfilter.duality import reduced_cost, solve_family_dual, solve_primal
+from rcfilter.formulations import optimum, restricted_optima
 from rcfilter.model import EdgeId, validate, weighted_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -41,7 +42,7 @@ def check(inst, rng):
         d = solve_family_dual(inst, (e,))
         if d.w + reduced_cost(inst, d, e) != optima[e]:
             wrong.append(e)
-    return pass_s, wrong
+    return pass_s, wrong, optimum(inst), solve_primal(inst)[0]
 
 
 def planted(inst):
@@ -87,16 +88,21 @@ def main(argv):
     instances = [permutation_alldiff(n, seed) for seed in (1, 2, 3)]
     instances.append(layered_dag(max(2, n // 2), seed=1))
     print(f"{'kind':>8} {'vertices':>9} {'edges':>6} {'sampled':>8} "
-          f"{'pass s':>7} {'wrong':>6} {'validate':>9}")
+          f"{'pass s':>7} {'wrong':>6} {'z*':>6} {'validate':>9}")
     failed = False
     for inst in instances:
-        pass_s, wrong = check(inst, rng)
+        pass_s, wrong, z_pass, z_lp = check(inst, rng)
         problems = validate_problems(inst)
         print(f"{inst.kind:>8} {len(inst.values):>9} {len(inst.edges):>6} "
               f"{SAMPLED_EDGES:>8} {pass_s:>7.3f} {len(wrong):>6} "
+              f"{'ok' if z_pass == z_lp else 'wrong':>6} "
               f"{'ok' if not problems else 'wrong':>9}")
         if wrong:
             print(f"error: the pass and the LP disagree on {wrong}", file=sys.stderr)
+            failed = True
+        if z_pass != z_lp:
+            print(f"error: formulations.optimum is {z_pass}, the support LP's {z_lp}",
+                  file=sys.stderr)
             failed = True
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)

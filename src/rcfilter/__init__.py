@@ -19,7 +19,6 @@ from .duality import (
     shifted_cost_dual,
     solve_family_dual,
     solve_primal,
-    zstar_from_family_dual,
 )
 from .formulations import (
     IncompatibleFamily,
@@ -92,7 +91,6 @@ __all__ = [
     "validate",
     "weighted_instance",
     "worst_case_alldiff",
-    "zstar_from_family_dual",
 ]
 
 __version__ = "0.1.0"

@@ -171,7 +171,7 @@ def _verify_text(report: dict) -> str:
 
 
 def bound_cmd(instance: WeightedInstance, args: argparse.Namespace) -> tuple[int, dict]:
-    """Recover the exact optimum from one covering set's dual solution."""
+    """Print the exact optimum z*, read from one combinatorial pass with no LP solve."""
     z_star = propagation.lower_bound(instance, args.strategy)
     return EXIT_OK, {"command": "bound", "family": args.strategy, "z_star": _frac(z_star)}
 

@@ -8,18 +8,14 @@ true increase of the optimum when the edge is forced.  The operations here
 produce dual solutions whose reduced costs are exact on whole sets of
 pairwise-incompatible edges at once, which is what the filtering loop consumes.
 
-LP solves happen only where a new dual or optimum is needed: the support LP
-(``solve_primal``, the only solve of that LP; callers pass its z* down, and
-``propagation`` recovers z* from a covering set's family dual instead), the
-shifted LP of ``shifted_cost_dual`` (its one solve) and the one family dual
-program (``solve_family_dual``).  An averaged satisfaction dual makes one
-solve when no original edge is inconsistent and one per inconsistent edge
-otherwise: z* = 0 is known without a solve then.  Questions with a
-combinatorial answer need no LP.  ``formulations.restricted_optima`` gives
-every edge's restricted optimum in one pass per instance, which answers
-``exact_reduced_cost`` and which satisfaction edges lie on no solution.
-``formulations.find_support`` decides whether a dual is optimal
-(complementary slackness) and whether a reduced cost is exact.
+LP solves happen only where a new dual is needed, one each: the support LP
+(``solve_primal``), its shifted copy (``shifted_cost_dual``) and the family
+dual program (``solve_family_dual``).  z* is never solved for: it is
+``formulations.optimum``, from the one combinatorial pass per instance that
+also gives every edge's restricted optimum.  The pass answers
+``exact_reduced_cost``, whether a feasible dual is optimal (w = z*) and
+which satisfaction edges lie on no solution; ``formulations.find_support``
+decides whether a reduced cost is exact.
 
 Which optimal dual a solve returns is fixed by the column numbering, since
 Bland's rule enters the lowest-numbered column (see ``lp_core``).  The
@@ -132,14 +128,11 @@ def solve_primal(instance: WeightedInstance):
     return sol.objective, sol.primal, from_row_duals(instance, sol.dual)
 
 
-def exact_reduced_cost(
-    instance: WeightedInstance, ij: EdgeId, z_star: Number
-) -> Number:
+def exact_reduced_cost(instance: WeightedInstance, ij: EdgeId) -> Number:
     """True cost increase of forcing edge ij: its restricted optimum minus z*.
 
-    The restricted optimum comes from ``formulations.restricted_optima``,
-    one combinatorial pass per instance and no LP solve.  ``z_star`` is the
-    optimum of the support LP, as ``solve_primal`` returns it.  Raises
+    Both come from one combinatorial pass per instance and no LP solve:
+    ``formulations.restricted_optima`` and ``formulations.optimum``.  Raises
     ValueError when ij is not an edge of the instance or lies on no support.
     """
     ij = EdgeId(*ij)
@@ -148,7 +141,7 @@ def exact_reduced_cost(
     optimum = formulations.restricted_optima(instance)[ij]
     if optimum is None:
         raise ValueError(f"edge {ij} lies on no support")
-    return exact(optimum - z_star)
+    return exact(optimum - formulations.optimum(instance))
 
 
 def exactness_certificate(
@@ -156,54 +149,54 @@ def exactness_certificate(
 ) -> Optional[Support]:
     """The witness that kl's reduced cost under an optimal dual is exact, or None.
 
-    Both tests are support searches in the subgraph of zero-reduced-cost
-    edges.  By complementary slackness a feasible dual is optimal iff some
-    support lies inside that subgraph; the support then costs w.  A support
-    through kl inside the subgraph plus kl is the witness that r_kl is
-    exact; its cost then equals w + r_kl by construction, which is checked.
+    A feasible dual is optimal iff w = z* (``formulations.optimum``);
+    InfeasibleConstraintError when no support exists.  A support through kl
+    inside the zero-reduced-cost edges plus kl, one support search, is the
+    witness that r_kl is exact; its cost then equals w + r_kl by
+    construction, which is checked.
     """
     kl = EdgeId(*kl)
-    if not is_dual_feasible(instance, dual):
+    r = {e: reduced_cost(instance, dual, e) for e in instance.edges}
+    if any(x < 0 for x in r.values()):
         raise ValueError("dual solution is not feasible")
-    zero = {e for e in instance.edges if reduced_cost(instance, dual, e) == 0}
-    optimal = formulations.find_support(instance, zero)
-    if optimal is None:
-        if formulations.find_support(instance, instance.edges) is None:
-            raise InfeasibleConstraintError(f"support LP is {lp_core.INFEASIBLE}")
+    z_star = formulations.optimum(instance)
+    if z_star is None:
+        raise InfeasibleConstraintError(f"support LP is {lp_core.INFEASIBLE}")
+    if dual.w != z_star:
         raise ValueError("dual solution is not optimal")
-    # cost = w + sum of member reduced costs, and all of them vanish
-    assert optimal.cost == dual.w
+    zero = {e for e, x in r.items() if x == 0}
     witness = formulations.find_support(instance, zero | {kl}, forced=kl)
     if witness is not None:
         # cost = w + sum of member reduced costs, and all but kl's vanish
-        assert witness.cost == dual.w + reduced_cost(instance, dual, kl)
+        assert witness.cost == dual.w + r[kl]
     return witness
 
 
-def shifted_cost_dual(
-    instance: WeightedInstance, kl: EdgeId, z_star: Number
-) -> DualSolution:
+def shifted_cost_dual(instance: WeightedInstance, kl: EdgeId) -> DualSolution:
     """An optimal dual whose reduced cost on kl is exact.
 
     Obtained by re-solving the support LP with kl's cost lowered by its exact
     reduced cost, the one LP solve here; any optimal dual of that program is
     optimal for the original dual and pins kl's reduced cost to the exact
-    value.  ``z_star`` is the optimum of the support LP, which the shifted
-    program shares.  ValueError is raised when the shifted solve disagrees
-    with it (a ``z_star`` above the optimum) or when
-    ``exactness_certificate`` finds the dual not optimal or kl's reduced
-    cost not exact (a ``z_star`` below it).
+    value.  ValueError when the LP disagrees with the pass: its optimum is
+    not ``formulations.optimum`` (a z* too high), no support lies inside the
+    dual's zero-reduced-cost edges (too low), or ``exactness_certificate``
+    finds no witness or another reduced cost on kl.
     """
     kl = EdgeId(*kl)
-    R = exact_reduced_cost(instance, kl, z_star)
+    R = exact_reduced_cost(instance, kl)
     cost = dict(instance.cost)
     cost[kl] -= R
     sol = lp_core.solve(formulations.primal_program(instance, cost))
     if sol.status != lp_core.OPTIMAL:
         raise InfeasibleConstraintError(f"support LP is {sol.status}")
+    z_star = formulations.optimum(instance)
     if sol.objective != z_star:
-        raise ValueError(f"z_star {z_star} is not the support LP optimum")
+        raise ValueError(f"the shifted optimum {sol.objective} is not z* = {z_star}")
     dual = from_row_duals(instance, sol.dual)
+    zero = [e for e in instance.edges if reduced_cost(instance, dual, e) == 0]
+    if formulations.find_support(instance, zero) is None:
+        raise ValueError("shifted dual is not optimal: no support has zero reduced cost")
     if (exactness_certificate(instance, dual, kl) is None
             or reduced_cost(instance, dual, kl) != R):
         raise ValueError(f"shifted dual does not carry the exact reduced cost of {kl}")
@@ -274,20 +267,6 @@ def solve_family_dual(
     return from_row_duals(instance, sol.primal)
 
 
-def zstar_from_family_dual(
-    instance: WeightedInstance,
-    edge_set: Sequence[EdgeId],
-    dual: DualSolution,
-) -> Number:
-    """z* recovered from a covering set's dual: w plus the smallest reduced cost.
-
-    Only sound for a covering set (every support uses one of its edges), as
-    flagged in ``IncompatibleFamily.covering``.
-    """
-    edges = tuple(EdgeId(*e) for e in edge_set)
-    return exact(dual.w + min(reduced_cost(instance, dual, e) for e in edges))
-
-
 # ---------------------------------------------------------------------------
 # satisfaction constraints through the 0/1-cost encoding
 
@@ -302,10 +281,10 @@ def averaged_satisfaction_dual(
     strictly positive, while consistent original edges stay at zero.  One
     pass of ``formulations.restricted_optima`` over the encoding decides
     which edges are inconsistent and gives every shifted dual its exact
-    reduced cost, so each inconsistent edge costs one LP solve.  The
-    support LP is solved only when its dual is the answer (no original edge
-    is inconsistent) or its optimum is (none is consistent: the constraint
-    has no support, and ``InfeasibleConstraintError`` carries z*).
+    reduced cost, so each inconsistent edge costs one LP solve.  When none
+    is consistent, ``InfeasibleConstraintError`` carries the pass's z* and
+    no LP is solved.  The support LP is solved only when no original edge is
+    inconsistent: its dual is the answer.
     """
     encoded = formulations.bg01_encode(sat)
     # an original edge is inconsistent iff no perfect matching of original
@@ -316,9 +295,7 @@ def averaged_satisfaction_dual(
         raise ValueError(f"edge {min(stray)} not in the instance")
     inconsistent = [e for e in sat.edges if optima[e] > 0]
     if inconsistent and len(inconsistent) < len(sat.edges):
-        # a consistent edge lies on a perfect matching of original edges,
-        # which costs 0, and no cost is negative: z* = 0 with no solve
-        parts = [shifted_cost_dual(encoded, e, 0) for e in inconsistent]
+        parts = [shifted_cost_dual(encoded, e) for e in inconsistent]
         k = Fraction(1, len(parts))
         u = {
             i: k * sum(p.u[i] for p in parts) for i in range(encoded.n_vars)
@@ -327,8 +304,8 @@ def averaged_satisfaction_dual(
             j: k * sum(p.v[j] for p in parts) for j in encoded.values
         }
         return encoded, dual_solution(encoded, u, v)
-    z_star, _, base = solve_primal(encoded)
+    z_star = formulations.optimum(encoded)
     if z_star != 0:
         # every completion uses a non-edge: the constraint itself has no support
         raise InfeasibleConstraintError("no support exists", z_lb=z_star)
-    return encoded, base
+    return encoded, solve_primal(encoded)[2]

@@ -16,9 +16,10 @@ Every edge's restricted optimum, the cheapest support through it, comes from
 one pass per instance with no LP (``restricted_optima``): an optimal
 assignment with potentials and one Dijkstra per variable in its residual
 graph, or forward and backward shortest paths over a DAG's topological order.
-The pass is read twice per run: ``model.validate`` takes the edges without
-an optimum as the edges on no support, and ``propagation.ac_by_lp`` takes z*
-from it before it solves its first covering set.
+``model.validate`` takes the edges without an optimum as the edges on no
+support, and ``optimum`` takes z* as the least entry: the package reads z*
+nowhere else (``oracle`` and the LP solves are references that tests and
+cross-checks compare with it).
 """
 
 from __future__ import annotations
@@ -337,6 +338,17 @@ def restricted_optima(instance: WeightedInstance) -> Mapping[EdgeId, Optional[Nu
     else:
         optima = _path_optima(instance)
     return MappingProxyType(optima)
+
+
+@last_instance_memo
+def optimum(instance: WeightedInstance) -> Optional[Number]:
+    """z*: the pass's least restricted optimum, or None when no support exists.
+
+    An optimal support's edges have z* as their restricted optimum, and none
+    is lower.  Kept for the last instance, so per-edge callers scan once.
+    """
+    found = [z for z in restricted_optima(instance).values() if z is not None]
+    return lp_core.exact(min(found)) if found else None
 
 
 def _assignment_optima(instance: WeightedInstance) -> dict:

@@ -8,8 +8,9 @@ solved twice.  Requires every edge to lie on at least one support
 The sets come from ``formulations.family``, by strategy name: only its sets
 are known to be pairwise incompatible and flagged covering truthfully.
 The first covering set picked takes z* from the instance's one combinatorial
-pass (``formulations.restricted_optima``, which ``validate`` reads too)
-before its solve, so a bound below z* is refuted with that solve unspent.
+pass (``formulations.optimum``; ``validate`` reads the same pass) before its
+solve, so a bound below z* is refuted with that solve unspent.  ``lower_bound``
+reads z* the same way and solves nothing.
 """
 
 from __future__ import annotations
@@ -82,10 +83,9 @@ def ac_by_lp(
     Raises InfeasibleConstraintError when a covering set proves the optimum
     exceeds the cost bound, when every edge ends up inconsistent, or when
     the instance has no edge.  The first covering set picked gives ``z_lb``
-    as its least ``formulations.restricted_optima`` entry, which its solve
-    would recover; it is read before that solve, so a z* above the bound
-    raises with the solve unspent (with none at all when that set is the
-    first picked).
+    as ``formulations.optimum``, which its solve would recover; it is read
+    before that solve, so a z* above the bound raises with the solve unspent
+    (with none at all when that set is the first picked).
     Raises ValueError for a budget that is not a non-negative ``int`` (a
     float or a bool is never rounded), a strategy ``formulations.family``
     rejects, or an instance ``model.validate`` rejects, as the pass and
@@ -110,16 +110,11 @@ def ac_by_lp(
             break
         edge_set = family.sets[idx]
         if z_lb is None and family.covering[idx]:
-            # a covering set's least restricted optimum is z*, which its solve
-            # would recover; the pass has it, self-checked, with no solve
-            optima = formulations.restricted_optima(instance)
-            restricted = [optima[e] for e in edge_set]
-            if None not in restricted:  # else the solve below rejects the set
-                z_lb = lp_core.exact(min(restricted))
-                if z_lb > z_max:
-                    raise InfeasibleConstraintError(
-                        f"optimum {z_lb} exceeds the cost bound {z_max}", z_lb=z_lb
-                    )
+            z_lb = _covering_optimum(instance, edge_set)
+            if z_lb is not None and z_lb > z_max:  # None: the solve below rejects the set
+                raise InfeasibleConstraintError(
+                    f"optimum {z_lb} exceeds the cost bound {z_max}", z_lb=z_lb
+                )
         dual = duality.solve_family_dual(instance, edge_set)
         duals_used.append((edge_set, dual))
         w = dual.w
@@ -143,15 +138,25 @@ def ac_by_lp(
     return FilterResult(marks=marks, z_lb=z_lb, duals_used=tuple(duals_used))
 
 
-def lower_bound(instance: WeightedInstance, strategy: str = "domains") -> lp_core.Number:
-    """The optimum of the support LP, from the dual of the family's first covering set.
+def _covering_optimum(instance: WeightedInstance, edge_set) -> Optional[lp_core.Number]:
+    """z* as a covering set's family dual recovers it; None where that dual is unbounded."""
+    optima = formulations.restricted_optima(instance)
+    if any(optima[e] is None for e in edge_set):  # a member lies on no support
+        return None
+    return formulations.optimum(instance)
 
-    ValueError as in ``ac_by_lp``.  An instance without edges has no support:
+
+def lower_bound(instance: WeightedInstance, strategy: str = "domains") -> lp_core.Number:
+    """z* for the family's first covering set, read from the pass with no LP solve.
+
+    ValueError as in ``ac_by_lp``, and when a member of that set lies on no
+    support.  An instance without edges has no support:
     InfeasibleConstraintError.
     """
     family = formulations.family(instance, strategy)
     if not instance.edges:
         raise InfeasibleConstraintError("no support: the instance has no edge")
-    edge_set = family.sets[family.covering.index(True)]
-    dual = duality.solve_family_dual(instance, edge_set)
-    return duality.zstar_from_family_dual(instance, edge_set, dual)
+    z_star = _covering_optimum(instance, family.sets[family.covering.index(True)])
+    if z_star is None:
+        raise ValueError("an edge of the first covering set lies on no support")
+    return z_star

@@ -172,7 +172,7 @@ def test_criterion_5_bound_shift_and_family_identities(capfd, corpus_reports):
             optimal_duals.append(base)
             for e in inst.edges:
                 assert report.exact_rc[e] is not None, (inst, e)
-                shifted = shifted_cost_dual(inst, e, z_star)
+                shifted = shifted_cost_dual(inst, e)
                 assert shifted.w == report.z_star
                 assert reduced_cost(inst, shifted, e) == report.exact_rc[e]
                 optimal_duals.append(shifted)

@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 from rcfilter import (
-    EdgeId, cli, model, propagation, save_instance, weighted_instance,
+    EdgeId, cli, lp_core, model, oracle, propagation, save_instance, weighted_instance,
 )
 from rcfilter.cli import main
 from rcfilter.model import InfeasibleConstraintError
 from rcfilter.propagation import FilterResult
+
+from corpus import alldiff_corpus, path_corpus
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -163,6 +165,27 @@ def test_bound_reports_optimum(costly_file, capsys):
     assert main(["bound", costly_file]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["z_star"] == "10"
+
+
+def test_bound_solves_no_lp(monkeypatch, tmp_path, capsys):
+    # z* comes from the combinatorial pass, under either format and family:
+    # no LP solve, and the oracle's optimum on every instance
+    solved, real_solve = [], lp_core.solve
+    monkeypatch.setattr(lp_core, "solve", lambda lp: solved.append(lp) or real_solve(lp))
+    files = sorted(INSTANCES.glob("*.json"))
+    for k, inst in enumerate(alldiff_corpus() + path_corpus()):
+        files.append(tmp_path / f"{k}.json")
+        save_instance(inst, files[-1])
+    for path in files:
+        inst = model.load_instance(path)
+        z_star = str(oracle.enumerate(inst).z_star)
+        for family in ("domains", "layers") if inst.kind == "path" else ("domains",):
+            argv = ["bound", str(path), "--family", family]
+            assert main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["z_star"] == z_star
+            assert main(argv + ["--format", "text"]) == 0
+            assert capsys.readouterr().out == f"z* = {z_star}\n"
+    assert solved == []
 
 
 def test_filter_infeasible_exit_code(costly_file, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rcfilter import EdgeId, InfeasibleConstraintError, ac_by_lp, duality, lp_core
-from rcfilter import oracle
+from rcfilter import formulations, oracle
 from rcfilter.duality import (
     averaged_satisfaction_dual,
     dual_solution,
@@ -17,7 +17,6 @@ from rcfilter.duality import (
     shifted_cost_dual,
     solve_family_dual,
     solve_primal,
-    zstar_from_family_dual,
 )
 from rcfilter.formulations import (
     bg01_encode,
@@ -108,18 +107,16 @@ def test_exact_reduced_cost_matches_oracle(
         five_vertex_dag,
     ):
         report = oracle.enumerate(inst)
-        z_star, _, _ = solve_primal(inst)
         for e in inst.edges:
-            assert exact_reduced_cost(inst, e, z_star) == report.exact_rc[e]
+            assert exact_reduced_cost(inst, e) == report.exact_rc[e]
 
 
 def test_exact_reduced_cost_no_support():
     inst = weighted_instance(
         "alldiff", 2, [0, 1], [(0, 0, 1), (0, 1, 1), (1, 0, 1)], z_max=9
     )
-    z_star, _, _ = solve_primal(inst)
     with pytest.raises(ValueError, match="no support"):
-        exact_reduced_cost(inst, EdgeId(0, 0), z_star)
+        exact_reduced_cost(inst, EdgeId(0, 0))
 
 
 def test_family_identity_past_the_cap():
@@ -161,9 +158,8 @@ def test_family_dual_is_feasible_on_every_buildable_instance(
 
 
 def test_exact_reduced_cost_unknown_edge(three_var_assignment):
-    z_star, _, _ = solve_primal(three_var_assignment)
     with pytest.raises(ValueError):
-        exact_reduced_cost(three_var_assignment, EdgeId(9, 9), z_star)
+        exact_reduced_cost(three_var_assignment, EdgeId(9, 9))
 
 
 def test_worked_certificate_assignment(
@@ -209,11 +205,28 @@ def test_certificate_requires_optimality(three_var_assignment):
         exactness_certificate(three_var_assignment, d, EdgeId(0, 0))
 
 
+def test_certificate_makes_one_support_search(monkeypatch, three_var_assignment):
+    # optimality is w = z* from the pass; only the witness is searched for
+    inst = three_var_assignment
+    _, _, base = solve_primal(inst)
+    calls = []
+    real = formulations.find_support
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(formulations, "find_support", spy)
+    for e in inst.edges:
+        calls.clear()
+        exactness_certificate(inst, base, e)
+        assert len(calls) == 1
+
+
 def test_shifted_dual_reaches_exact_value(three_var_assignment):
     report = oracle.enumerate(three_var_assignment)
-    z_star, _, _ = solve_primal(three_var_assignment)
     for e in three_var_assignment.edges:
-        d = shifted_cost_dual(three_var_assignment, e, z_star)
+        d = shifted_cost_dual(three_var_assignment, e)
         assert is_dual_feasible(three_var_assignment, d)
         assert d.w == report.z_star
         assert reduced_cost(three_var_assignment, d, e) == report.exact_rc[e]
@@ -221,23 +234,34 @@ def test_shifted_dual_reaches_exact_value(three_var_assignment):
 
 def test_shifted_dual_on_path(five_vertex_dag):
     report = oracle.enumerate(five_vertex_dag)
-    z_star, _, _ = solve_primal(five_vertex_dag)
     for e in five_vertex_dag.edges:
-        d = shifted_cost_dual(five_vertex_dag, e, z_star)
+        d = shifted_cost_dual(five_vertex_dag, e)
         assert reduced_cost(five_vertex_dag, d, e) == report.exact_rc[e]
 
 
-def test_shifted_dual_rejects_wrong_optimum(three_var_assignment):
-    z_star, _, _ = solve_primal(three_var_assignment)
-    with pytest.raises(ValueError, match="not the support LP optimum"):
-        shifted_cost_dual(three_var_assignment, EdgeId(0, 1), z_star + 1)
+def _misread_optimum(monkeypatch, delta):
+    # a pass whose z* is off by delta, to show the LP cross-checks catch it
+    real = formulations.optimum
+    monkeypatch.setattr(formulations, "optimum", lambda inst: real(inst) + delta)
 
 
-def test_shifted_dual_rejects_optimum_below_true_value(three_var_assignment):
-    # the shifted solve then agrees with z_star, but its dual is not optimal
-    z_star, _, _ = solve_primal(three_var_assignment)
+def test_shifted_dual_rejects_wrong_optimum(monkeypatch, three_var_assignment):
+    # z* + 1 shifts (0,1) too little: the shifted solve still finds the true z*
+    _misread_optimum(monkeypatch, 1)
+    with pytest.raises(ValueError, match="is not z\\* = 1"):
+        shifted_cost_dual(three_var_assignment, EdgeId(0, 1))
+
+
+def test_shifted_dual_rejects_optimum_below_true_value(monkeypatch, three_var_assignment):
+    # z* - 1 shifts (0,1) too far: the shifted solve agrees with the misread
+    # optimum, but no support has zero reduced cost under its dual, and a
+    # truly optimal dual is no longer taken for optimal
+    _, _, base = solve_primal(three_var_assignment)
+    _misread_optimum(monkeypatch, -1)
     with pytest.raises(ValueError, match="not optimal"):
-        shifted_cost_dual(three_var_assignment, EdgeId(0, 1), z_star - 1)
+        shifted_cost_dual(three_var_assignment, EdgeId(0, 1))
+    with pytest.raises(ValueError, match="not optimal"):
+        exactness_certificate(three_var_assignment, base, EdgeId(0, 1))
 
 
 def test_family_dual_identity(three_var_assignment, six_vertex_dag):
@@ -267,9 +291,12 @@ def test_family_dual_program_shapes(three_var_assignment):
 
 
 def test_zstar_recovery_from_covering_set(three_var_assignment):
-    fam = family(three_var_assignment, "domains")
-    d = solve_family_dual(three_var_assignment, fam.sets[0])
-    assert zstar_from_family_dual(three_var_assignment, fam.sets[0], d) == 0
+    # the paper's identity: a covering set's dual gives z* = w + min r_e
+    inst = three_var_assignment
+    z_star, _, _ = solve_primal(inst)
+    for edge_set in family(inst, "domains").sets:  # every alldiff set covers
+        d = solve_family_dual(inst, edge_set)
+        assert d.w + min(reduced_cost(inst, d, e) for e in edge_set) == z_star == 0
 
 
 def test_certificate_optimality_matches_primal_optimum():
@@ -429,9 +456,7 @@ def test_each_solve_gets_the_only_program_built_for_it(monkeypatch):
             averaged_satisfaction_dual(sat)
         except InfeasibleConstraintError:
             pass
-        enc = bg01_encode(sat)
-        z_star, _, _ = solve_primal(enc)
-        shifted_cost_dual(enc, sat.edges[0], z_star)
+        shifted_cost_dual(bg01_encode(sat), sat.edges[0])
     assert len(solved) > len(jobs)
     assert len(built) == len(solved)
     assert all(b is s for b, s in zip(built, solved))
@@ -454,9 +479,11 @@ def test_averaged_dual_all_consistent():
         assert reduced_cost(enc, d, e) == 0
 
 
-def test_averaged_dual_infeasible_constraint():
-    # no original edge is consistent, so the support LP is solved and its
-    # optimum is the bound: the oracle's z* of the encoding
+def test_averaged_dual_infeasible_constraint(monkeypatch):
+    # no original edge is consistent, so the bound is the pass's optimum of
+    # the encoding, the oracle's z*, and no LP is solved
+    solved, real_solve = [], lp_core.solve
+    monkeypatch.setattr(lp_core, "solve", lambda lp: solved.append(lp) or real_solve(lp))
     sat = SatisfactionInstance(
         n_vars=2, values=(0, 1), edges=(EdgeId(0, 0), EdgeId(1, 0))
     )
@@ -468,6 +495,7 @@ def test_averaged_dual_infeasible_constraint():
     with pytest.raises(InfeasibleConstraintError) as exc:
         averaged_satisfaction_dual(empty)
     assert exc.value.z_lb == 3
+    assert solved == []
 
 
 def _normal_form(x):

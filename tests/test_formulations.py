@@ -9,8 +9,9 @@ from rcfilter import EdgeId, lp_core, validate, weighted_instance
 from rcfilter import formulations, oracle
 from rcfilter.duality import (
     family_dual_program,
+    reduced_cost,
     solve_family_dual,
-    zstar_from_family_dual,
+    solve_primal,
 )
 from rcfilter.formulations import (
     bg01_encode,
@@ -78,7 +79,8 @@ def test_dual_program_mirrors_primal(three_var_assignment):
     sol_d = lp_core.solve(replace(d, objective=formulations.row_rhs(inst)))
     assert sol_p.objective == sol_d.objective  # strong duality across programs
     dual = solve_family_dual(inst, edge_set)
-    assert zstar_from_family_dual(inst, edge_set, dual) == sol_p.objective
+    recovered = dual.w + min(reduced_cost(inst, dual, e) for e in edge_set)
+    assert recovered == sol_p.objective
 
 
 def test_domain_family_alldiff(three_var_assignment):
@@ -408,6 +410,31 @@ def test_restricted_optima_without_a_perfect_matching():
     assert dict(restricted_optima(inst)) == dict.fromkeys(inst.edges)
     negative = replace(inst, cost={e: -c for e, c in inst.cost.items()})
     assert dict(restricted_optima(negative)) == dict.fromkeys(inst.edges)
+
+
+def test_optimum_is_the_support_lp_optimum():
+    # z* from the pass equals solve_primal's, negative costs included, and
+    # is None exactly when the support LP is infeasible
+    infeasible = [
+        weighted_instance(  # variables 0 and 1 share their one value
+            "alldiff", 3, range(3),
+            [(0, 0, 1), (1, 0, 2), (2, 0, 0), (2, 1, 4), (2, 2, 3)], z_max=9,
+        ),
+        weighted_instance(  # no arc reaches the sink
+            "path", 2, range(3), [(0, 1, 1)], z_max=9, source=0, sink=2,
+        ),
+    ]
+    seen = {True: 0, False: 0}
+    for inst in CORPUS + infeasible:
+        negative = replace(inst, cost={e: -c for e, c in inst.cost.items()})
+        for copy in (inst, negative):
+            try:
+                z_star = solve_primal(copy)[0]
+            except InfeasibleConstraintError:
+                z_star = None
+            assert formulations.optimum(copy) == z_star, copy
+            seen[z_star is None] += 1
+    assert seen[True] == 4 and seen[False] == 2 * len(CORPUS)
 
 
 def test_restricted_optima_are_shared_and_read_only(three_var_assignment):

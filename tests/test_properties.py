@@ -115,7 +115,7 @@ def test_shifted_dual_hits_exact_value(inst, data):
     report = oracle.enumerate(inst)
     candidates = [e for e in inst.edges if report.exact_rc[e] is not None]
     e = data.draw(st.sampled_from(candidates))
-    d = shifted_cost_dual(inst, e, report.z_star)
+    d = shifted_cost_dual(inst, e)
     assert is_dual_feasible(inst, d)
     assert d.w == report.z_star
     assert reduced_cost(inst, d, e) == report.exact_rc[e]
