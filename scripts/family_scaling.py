@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Sweep the hard alldifferent family and check its dual-solve counts.
+"""Sweep the hard alldifferent family and check its dual counts.
 
 For each n the instance has n+1 variables and a designated cycle of edges
 whose exact reduced costs no single dual solution can certify two at a time,
-so a complete filtering run needs one solve per variable.  The sweep prints
+so a complete filtering run needs one dual per variable.  The sweep prints
 the measured counts next to that bound, plus wall time, and exits 1 if any
-run makes other than n+1 solves or any dual is exact on two cycle edges.
+run builds other than n+1 duals or any dual is exact on two cycle edges.
 
 Usage: python3 scripts/family_scaling.py [max_n]
 """
@@ -32,7 +32,7 @@ def run(n):
 
 def main(argv):
     max_n = int(argv[1]) if len(argv) > 1 else 8
-    print(f"{'n':>3} {'vars':>5} {'edges':>6} {'solves':>7} {'bound':>6} "
+    print(f"{'n':>3} {'vars':>5} {'edges':>6} {'duals':>7} {'bound':>6} "
           f"{'exact/dual':>11} {'seconds':>8}")
     failed = []
     for n in range(2, max_n + 1):
@@ -45,7 +45,7 @@ def main(argv):
         if result.solves != n + 1 or max(per_dual) > 1:
             failed.append(n)
     if failed:
-        print(f"error: n={failed} break the n+1-solve bound", file=sys.stderr)
+        print(f"error: n={failed} break the n+1-dual bound", file=sys.stderr)
         return 1
     return 0
 

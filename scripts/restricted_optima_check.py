@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Check the combinatorial restricted optima against one-edge LP solves.
+"""Check the combinatorial pass, and the duals built from it, against LP solves.
 
 Above the enumeration cap no oracle can vouch for
 ``formulations.restricted_optima``, so this compares it with the family dual
 LP instead: for a seeded sample of edges, the one-edge family dual of the set
 {e} gives e's restricted optimum as w + r_e, and ``formulations.optimum``
-must equal the support LP's optimum from ``solve_primal``.  The instances are three seeded
+must equal the support LP's optimum from ``solve_primal``.  Every set of
+each family (``domains``, and ``layers`` on the DAG) gets its dual from
+``duality.pass_family_dual``, as the filter does: it must be feasible, with
+w = z*, and w + r_e must be the pass's restricted optimum on every member;
+on a seeded sample of sets, also ``solve_family_dual``'s w + r_e.  The
+instances are three seeded
 unions of n/2 permutations with n variables (costs 0-9) and a layered DAG of
 about 9n arcs.  ``model.validate`` reads the same pass for the edges on no
 support, so each instance must also validate to ``[]``, and a copy with one
@@ -23,14 +28,21 @@ import sys
 import time
 from pathlib import Path
 
-from rcfilter.duality import reduced_cost, solve_family_dual, solve_primal
-from rcfilter.formulations import optimum, restricted_optima
+from rcfilter.duality import (
+    is_dual_feasible,
+    pass_family_dual,
+    reduced_cost,
+    solve_family_dual,
+    solve_primal,
+)
+from rcfilter.formulations import family, optimum, restricted_optima
 from rcfilter.model import EdgeId, validate, weighted_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from corpus import layered_dag, permutation_alldiff  # noqa: E402
 
 SAMPLED_EDGES = 8
+SAMPLED_SETS = 4  # per family: each LP solve is full size
 
 
 def check(inst, rng):
@@ -43,6 +55,27 @@ def check(inst, rng):
         if d.w + reduced_cost(inst, d, e) != optima[e]:
             wrong.append(e)
     return pass_s, wrong, optimum(inst), solve_primal(inst)[0]
+
+
+def check_duals(inst, rng):
+    """The number of sets, and the (family, set index) whose pass-built dual fails."""
+    optima, z_star = restricted_optima(inst), optimum(inst)
+    count, wrong = 0, []
+    for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
+        sets = family(inst, strategy).sets
+        sampled = set(rng.sample(range(len(sets)), min(SAMPLED_SETS, len(sets))))
+        for k, edge_set in enumerate(sets):
+            d = pass_family_dual(inst, edge_set)
+            bounds = [d.w + reduced_cost(inst, d, e) for e in edge_set]
+            ok = is_dual_feasible(inst, d) and d.w == z_star
+            ok = ok and bounds == [optima[e] for e in edge_set]
+            if k in sampled:
+                lp = solve_family_dual(inst, edge_set)
+                ok = ok and bounds == [lp.w + reduced_cost(inst, lp, e) for e in edge_set]
+            if not ok:
+                wrong.append((strategy, k))
+        count += len(sets)
+    return count, wrong
 
 
 def planted(inst):
@@ -88,17 +121,22 @@ def main(argv):
     instances = [permutation_alldiff(n, seed) for seed in (1, 2, 3)]
     instances.append(layered_dag(max(2, n // 2), seed=1))
     print(f"{'kind':>8} {'vertices':>9} {'edges':>6} {'sampled':>8} "
-          f"{'pass s':>7} {'wrong':>6} {'z*':>6} {'validate':>9}")
+          f"{'pass s':>7} {'wrong':>6} {'z*':>6} {'validate':>9} {'sets':>5} "
+          f"{'duals wrong':>12}")
     failed = False
     for inst in instances:
         pass_s, wrong, z_pass, z_lp = check(inst, rng)
         problems = validate_problems(inst)
+        sets, wrong_duals = check_duals(inst, rng)
         print(f"{inst.kind:>8} {len(inst.values):>9} {len(inst.edges):>6} "
               f"{SAMPLED_EDGES:>8} {pass_s:>7.3f} {len(wrong):>6} "
               f"{'ok' if z_pass == z_lp else 'wrong':>6} "
-              f"{'ok' if not problems else 'wrong':>9}")
+              f"{'ok' if not problems else 'wrong':>9} {sets:>5} {len(wrong_duals):>12}")
         if wrong:
             print(f"error: the pass and the LP disagree on {wrong}", file=sys.stderr)
+            failed = True
+        if wrong_duals:
+            print(f"error: pass-built duals fail on sets {wrong_duals}", file=sys.stderr)
             failed = True
         if z_pass != z_lp:
             print(f"error: formulations.optimum is {z_pass}, the support LP's {z_lp}",

@@ -33,6 +33,40 @@ EXIT_MISMATCH = 4
 EXIT_SIZE = 5
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C quoting json.dumps uses
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _write_json(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for a report, without the pure-Python encoder.
+
+    ``json`` encodes with an indent in Python, one generator step per token;
+    a report holds only dicts with str keys, lists, str, int, bool and None,
+    so this writes the same bytes with one call per container.
+    """
+    if not value:
+        return "{}" if type(value) is dict else "[]"
+    inner = pad + "  "
+    is_dict = type(value) is dict
+    parts = []
+    for x in value.values() if is_dict else value:
+        t = type(x)
+        if t is str:
+            parts.append(_quote(x))
+        elif t is int:
+            parts.append(int.__repr__(x))
+        elif t is dict or t is list:
+            parts.append(_write_json(x, inner))
+        elif x is None or t is bool:
+            parts.append(_CONSTANTS[x])
+        else:
+            raise TypeError(f"a report holds no {t.__name__}")
+    if is_dict:
+        parts = [_quote(k) + ": " + part for k, part in zip(value, parts)]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    return "[" + inner + ("," + inner).join(parts) + pad + "]"
+
+
 def _frac(x) -> Optional[str]:
     return None if x is None else str(x)
 
@@ -216,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 " (default: %(default)s).",
             )
         if run is filter_cmd:
-            sub.add_argument("--budget", type=_budget, help="Max dual solves.")
+            sub.add_argument("--budget", type=_budget, help="Max family duals built.")
             sub.add_argument(
                 "--emit-duals", action="store_true",
                 help="Include every dual solution in the report.",
@@ -263,7 +297,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # validate has passed: the one input left to reject is a --family its kind lacks
         return _error(EXIT_USAGE, str(exc))
-    print(json.dumps(report, indent=2) if args.fmt == "json" else render(report))
+    print(_write_json(report) if args.fmt == "json" else render(report))
     return code
 
 

@@ -8,14 +8,17 @@ true increase of the optimum when the edge is forced.  The operations here
 produce dual solutions whose reduced costs are exact on whole sets of
 pairwise-incompatible edges at once, which is what the filtering loop consumes.
 
-LP solves happen only where a new dual is needed, one each: the support LP
-(``solve_primal``), its shifted copy (``shifted_cost_dual``) and the family
-dual program (``solve_family_dual``).  z* is never solved for: it is
-``formulations.optimum``, from the one combinatorial pass per instance that
-also gives every edge's restricted optimum.  The pass answers
-``exact_reduced_cost``, whether a feasible dual is optimal (w = z*) and
-which satisfaction edges lie on no solution; ``formulations.find_support``
-decides whether a reduced cost is exact.
+The filtering loop's duals come from the one combinatorial pass per
+instance, with no LP (``pass_family_dual``).  LP solves happen only where
+a dual is asked for by LP, one each: the support LP (``solve_primal``), its
+shifted copy (``shifted_cost_dual``) and the family dual program
+(``solve_family_dual``, the paper's generic route, kept as the reference
+that the pass-built duals are tested against).  z* is never solved for: it
+is ``formulations.optimum``, from the pass that also gives every edge's
+restricted optimum.  The pass answers ``exact_reduced_cost``, whether a
+feasible dual is optimal (w = z*) and which satisfaction edges lie on no
+solution; ``formulations.find_support`` decides whether a reduced cost is
+exact.
 
 Which optimal dual a solve returns is fixed by the column numbering, since
 Bland's rule enters the lowest-numbered column (see ``lp_core``).  The
@@ -265,6 +268,51 @@ def solve_family_dual(
             f"family dual program is {sol.status}: an edge of the set lies on no support"
         )
     return from_row_duals(instance, sol.primal)
+
+
+def pass_family_dual(
+    instance: WeightedInstance, edge_set: Sequence[EdgeId]
+) -> DualSolution:
+    """An optimal dual exact on one set of ``formulations.family``, with no LP solve.
+
+    Built from ``formulations.combinatorial_pass`` (``claus2020wad``; Sellmann,
+    CP 2002), for an instance whose every edge lies on a support.  alldiff,
+    the set of variable i: with d_k the pass's residual distance from
+    variable k to M(i), capped at the largest finite one, ``u'_k = u_k + d_k``
+    and ``v'_j = v_j - d_{M^-1(j)}``.  Every reduced cost stays >= 0 by the
+    triangle inequality, w = z* because M pairs each variable with one
+    value, and member (i, j) gets ``w + r' = z* + r_ij + dist(M^-1(j) -> M(i))``,
+    its restricted optimum.  path, any set S: with A the vertices reachable
+    from the heads of S, the potential is d(v, t) on A, z* - d(s, v) elsewhere
+    and 0 on an isolated vertex.  No arc leaves A; an arc entering A gets
+    reduced cost (its restricted optimum) - z* >= 0, and every member of S
+    enters A, as S is pairwise incompatible.  z* is the least restricted
+    optimum over the arcs entering A, since every s-t path enters A.  The
+    values are not trusted: ``propagation`` checks each dual it uses.
+    """
+    run = formulations.combinatorial_pass(instance)
+    z_star = formulations.optimum(instance)
+    if instance.kind == ALLDIFF:
+        target = run.value_of[edge_set[0].i]
+        dist = [d.get(target) for d in run.dists]
+        cap = max(d for d in dist if d is not None)
+        dist = [cap if d is None else d for d in dist]
+        u = {k: x + d for k, (x, d) in enumerate(zip(run.u, dist))}
+        v = {j: x - dist[run.holder[j]] for j, x in run.v.items()}
+        return DualSolution(u=u, v=v, w=sum(u.values()) + sum(v.values()))
+    reach = {e.j for e in edge_set}
+    stack = list(reach)
+    while stack:
+        for b in run.heads.get(stack.pop(), ()):
+            if b not in reach:
+                reach.add(b)
+                stack.append(b)
+    down, up = run.down, run.up
+    u = {
+        x: up[x] if x in reach else z_star - down[x] if x in down else 0
+        for x in instance.values
+    }
+    return DualSolution(u=u, v={}, w=u[instance.path.source])
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,21 @@ allowed arcs by tail (alldiff: edges by variable), built once per
 ``find_support`` call.
 
 Every edge's restricted optimum, the cheapest support through it, comes from
-one pass per instance with no LP (``restricted_optima``): an optimal
+one pass per instance with no LP (``combinatorial_pass``): an optimal
 assignment with potentials and one Dijkstra per variable in its residual
 graph, or forward and backward shortest paths over a DAG's topological order.
-``model.validate`` takes the edges without an optimum as the edges on no
-support, and ``optimum`` takes z* as the least entry: the package reads z*
-nowhere else (``oracle`` and the LP solves are references that tests and
-cross-checks compare with it).
+The pass keeps those potentials and distances, from which
+``duality.pass_family_dual`` builds the filter's duals.  ``model.validate``
+takes the edges without an optimum as the edges on no support, and
+``optimum`` takes z* as the least entry: the package reads z* nowhere else
+(``oracle`` and the LP solves are references that tests and cross-checks
+compare with it).
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
@@ -80,10 +83,11 @@ def last_instance_memo(build: Callable[[WeightedInstance], Any]) -> Callable:
 
     For what depends only on the instance: the rows of a program kind, so
     the programs built for one instance share one ``rows`` tuple, and the
-    restricted optima, so every exact reduced cost of one instance comes
-    from one pass.  The memo holds the instance itself, so its identity
-    cannot be reused, and instances are immutable: ``WeightedInstance``
-    makes its ``cost`` map read-only, so a kept result never goes stale.
+    combinatorial pass, so every exact reduced cost and every family dual
+    the filter builds for one instance come from one pass.  The memo holds
+    the instance itself, so its identity cannot be reused, and instances are
+    immutable: ``WeightedInstance`` makes its ``cost`` map read-only, so a
+    kept result never goes stale.
     """
     last: tuple = (None, None)
 
@@ -139,6 +143,14 @@ def edge_column(instance: WeightedInstance, e: EdgeId) -> dict:
 # incompatible-edge families
 
 
+def check_strategy(instance: WeightedInstance, strategy: str) -> None:
+    """ValueError unless ``family`` builds ``strategy`` for this instance's kind."""
+    if strategy not in ("domains", "layers"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "layers" and instance.kind != PATH:
+        raise ValueError("the layers strategy only applies to path instances")
+
+
 def family(instance: WeightedInstance, strategy: str = "domains") -> IncompatibleFamily:
     """Build the edge family driving the filtering loop.
 
@@ -146,6 +158,7 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
     ``layers`` (path only): arcs grouped by the longest-path depth of their
     tail; depth strictly increases along any path, hence incompatibility.
     """
+    check_strategy(instance, strategy)
     out = _edges_by_tail(instance, instance.edges)
     if strategy == "domains":
         meta = instance.path
@@ -163,20 +176,16 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
                     _arcs_between(out, meta.source, meta.sink, avoid=k) is None
                 )
         return IncompatibleFamily(tuple(sets), tuple(covering))
-    if strategy == "layers":
-        if instance.kind != PATH:
-            raise ValueError("the layers strategy only applies to path instances")
-        depth = _longest_path_depths(instance, out)
-        grouped: dict[int, list[EdgeId]] = {}
-        for e in instance.edges:
-            if e.i not in depth:
-                raise ValueError(f"arc {e} leaves a vertex the source cannot reach")
-            grouped.setdefault(depth[e.i], []).append(e)
-        depths = sorted(grouped)
-        sets = tuple(tuple(grouped[d]) for d in depths)
-        covering = tuple(d == 0 for d in depths)  # every path starts with a depth-0 arc
-        return IncompatibleFamily(sets, covering)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    depth = _longest_path_depths(instance, out)
+    grouped: dict[int, list[EdgeId]] = {}
+    for e in instance.edges:
+        if e.i not in depth:
+            raise ValueError(f"arc {e} leaves a vertex the source cannot reach")
+        grouped.setdefault(depth[e.i], []).append(e)
+    depths = sorted(grouped)
+    sets = tuple(tuple(grouped[d]) for d in depths)
+    covering = tuple(d == 0 for d in depths)  # every path starts with a depth-0 arc
+    return IncompatibleFamily(sets, covering)
 
 
 def _edges_by_tail(instance: WeightedInstance, allowed: Iterable[EdgeId]) -> dict:
@@ -318,9 +327,31 @@ def _search(root: Hashable, steps: Callable) -> Optional[list]:
 # restricted optima: one combinatorial pass per instance
 
 
+_EMPTY: Mapping = MappingProxyType({})
+
+# collections.namedtuple, not typing.NamedTuple: as immutable, and a third of
+# the import time
+CombinatorialPass = namedtuple(
+    "CombinatorialPass",
+    "optima value_of holder u v dists down up heads",
+    defaults=(_EMPTY, _EMPTY, (), _EMPTY, (), _EMPTY, _EMPTY, _EMPTY),
+)
+CombinatorialPass.__doc__ = """What the one pass per instance computes, kept read-only for every reader.
+
+``optima``: each edge's cheapest support through it, or None when it lies on
+no support.  alldiff, with every other field empty when no perfect matching
+exists: the optimal assignment M (``value_of``, by variable, and ``holder``,
+by value), its potentials ``u`` (a tuple by variable) and ``v`` (by value),
+with every reduced cost >= 0 and 0 on M, and ``dists[k]``, the residual
+distance from variable k to each value it reaches.  path: the distance maps
+``down`` (d(s, v)) and ``up`` (d(v, t)), and ``heads``, the heads of each
+vertex's arcs.  Every map is a read-only view.
+"""
+
+
 @last_instance_memo
-def restricted_optima(instance: WeightedInstance) -> Mapping[EdgeId, Optional[Number]]:
-    """Each edge's cheapest support through it, or None when it lies on no support.
+def combinatorial_pass(instance: WeightedInstance) -> CombinatorialPass:
+    """Each edge's cheapest support through it, and what the pass found on the way.
 
     alldiff: an optimal assignment M with potentials u, v (successive
     shortest paths), then one Dijkstra per variable over the residual graph
@@ -331,13 +362,20 @@ def restricted_optima(instance: WeightedInstance) -> Mapping[EdgeId, Optional[Nu
     returns, the pass checks its own certificate and raises AssertionError
     if it fails: r >= 0 on every edge, 0 on M and sum(u) + sum(v) = z*; or
     each distance map's inequalities, tight along its shortest-path tree.
-    The map is shared while the instance stays the same, so it is read-only.
+    The result is shared while the instance stays the same, so it is read-only.
     """
     if instance.kind == ALLDIFF:
-        optima = _assignment_optima(instance)
-    else:
-        optima = _path_optima(instance)
-    return MappingProxyType(optima)
+        return _assignment_pass(instance)
+    return _path_pass(instance)
+
+
+@last_instance_memo
+def restricted_optima(instance: WeightedInstance) -> Mapping[EdgeId, Optional[Number]]:
+    """Each edge's cheapest support through it, or None: ``combinatorial_pass``'s ``optima``.
+
+    Kept for the last instance as well, so a per-edge caller makes one call.
+    """
+    return combinatorial_pass(instance).optima
 
 
 @last_instance_memo
@@ -351,7 +389,7 @@ def optimum(instance: WeightedInstance) -> Optional[Number]:
     return lp_core.exact(min(found)) if found else None
 
 
-def _assignment_optima(instance: WeightedInstance) -> dict:
+def _assignment_pass(instance: WeightedInstance) -> CombinatorialPass:
     n, cost = instance.n_vars, instance.cost
     v = dict.fromkeys(instance.values, 0)
     by_var: list[list[EdgeId]] = [[] for _ in range(n)]
@@ -359,8 +397,8 @@ def _assignment_optima(instance: WeightedInstance) -> dict:
         if not (0 <= e.i < n and e.j in v):
             raise ValueError(f"edge {e} meets no row of the support LP")
         by_var[e.i].append(e)
-    if len(v) != n:
-        return dict.fromkeys(instance.edges)  # no matching covers both sides
+    if len(v) != n:  # no matching covers both sides
+        return CombinatorialPass(MappingProxyType(dict.fromkeys(instance.edges)))
     # u_i = min_j c_ij and v = 0 leave no reduced cost negative, whatever the signs
     u = [min((cost[e] for e in edges), default=0) for edges in by_var]
     value_of: dict[int, int] = {}  # variable -> its value in M
@@ -371,8 +409,8 @@ def _assignment_optima(instance: WeightedInstance) -> dict:
 
     for root in range(n):
         dist, via, free = _alternating_distances(by_var, reduced, holder, root, True)
-        if free is None:
-            return dict.fromkeys(instance.edges)  # no perfect matching
+        if free is None:  # no perfect matching
+            return CombinatorialPass(MappingProxyType(dict.fromkeys(instance.edges)))
         far = dist[free]
         # potentials shifted by (distance - far) on the settled part keep
         # every reduced cost >= 0 and make the augmenting path tight
@@ -387,24 +425,32 @@ def _assignment_optima(instance: WeightedInstance) -> dict:
             holder[j], value_of[i], j = i, j, value_of.get(i)
 
     z_star = sum(cost[EdgeId(i, j)] for i, j in value_of.items())
-    for e in instance.edges:
-        r = reduced(e)
-        if r < 0 or (value_of[e.i] == e.j and r != 0):
-            raise AssertionError(f"assignment potentials fail on edge {e}")
     if sum(u) + sum(v.values()) != z_star:
         raise AssertionError("assignment potentials do not sum to the optimum")
-
     dists = [
         _alternating_distances(by_var, reduced, holder, k, False)[0] for k in range(n)
     ]
+    # one reduced cost per edge serves the certificate and the edge's optimum
     optima: dict = {}
-    for e in instance.edges:
-        if value_of[e.i] == e.j:
+    for e, c in cost.items():
+        i, j = e
+        r = c - u[i] - v[j]
+        matched = value_of[i] == j
+        if r < 0 or (matched and r != 0):
+            raise AssertionError(f"assignment potentials fail on edge {e}")
+        if matched:
             optima[e] = z_star
         else:
-            d = dists[holder[e.j]].get(value_of[e.i])
-            optima[e] = None if d is None else z_star + reduced(e) + d
-    return optima
+            d = dists[holder[j]].get(value_of[i])
+            optima[e] = None if d is None else z_star + r + d
+    return CombinatorialPass(
+        optima=MappingProxyType(optima),
+        value_of=MappingProxyType(value_of),
+        holder=MappingProxyType(holder),
+        u=tuple(u),
+        v=MappingProxyType(v),
+        dists=tuple(MappingProxyType(d) for d in dists),
+    )
 
 
 def _alternating_distances(
@@ -443,7 +489,7 @@ def _alternating_distances(
     return dist, via, None
 
 
-def _path_optima(instance: WeightedInstance) -> dict:
+def _path_pass(instance: WeightedInstance) -> CombinatorialPass:
     meta = instance.path
     assert meta is not None
     cost = instance.cost
@@ -464,10 +510,16 @@ def _path_optima(instance: WeightedInstance) -> dict:
                 up[v] = cost[e] + up[e.j]
     _assert_distances(down, meta.source, ((e.i, e.j, cost[e]) for e in instance.edges))
     _assert_distances(up, meta.sink, ((e.j, e.i, cost[e]) for e in instance.edges))
-    return {
+    optima = {
         e: down[e.i] + cost[e] + up[e.j] if e.i in down and e.j in up else None
         for e in instance.edges
     }
+    return CombinatorialPass(
+        optima=MappingProxyType(optima),
+        down=MappingProxyType(down),
+        up=MappingProxyType(up),
+        heads=MappingProxyType({k: tuple(e.j for e in arcs) for k, arcs in out.items()}),
+    )
 
 
 def _assert_distances(dist: dict, root: int, arcs: Iterable[tuple]) -> None:

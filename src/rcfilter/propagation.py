@@ -1,16 +1,19 @@
-"""The filtering loop: arc consistency by a sequence of dual solves.
+"""The filtering loop: arc consistency by a sequence of family duals.
 
-One dual solve per incompatible set classifies every edge of that set exactly
-and may knock out arbitrary other edges along the way.  A set is picked only
-while it has an unmarked edge, and its solve marks all of them, so no set is
-solved twice.  Requires every edge to lie on at least one support
-(``model.validate`` enforces this).
-The sets come from ``formulations.family``, by strategy name: only its sets
-are known to be pairwise incompatible and flagged covering truthfully.
-The first covering set picked takes z* from the instance's one combinatorial
-pass (``formulations.optimum``; ``validate`` reads the same pass) before its
-solve, so a bound below z* is refuted with that solve unspent.  ``lower_bound``
-reads z* the same way and solves nothing.
+One dual per incompatible set classifies every edge of that set exactly and
+may knock out arbitrary other edges along the way.  A set is picked only
+while it has an unmarked edge, and its dual marks all of them, so no set is
+used twice.  Each dual is built from the instance's one combinatorial pass
+(``duality.pass_family_dual``), with no LP solve, and checked in exact
+arithmetic in the sweep that marks from it: the LP route,
+``duality.solve_family_dual``, stays as the reference that tests compare
+with.  Requires every edge to lie on at least one support (``model.validate``
+enforces this).  The sets come from ``formulations.family``, by strategy
+name: only its sets are known to be pairwise incompatible and flagged
+covering truthfully.  The first covering set picked takes z* from the pass
+(``formulations.optimum``; ``validate`` reads the same pass) before its dual
+is built, so a bound below z* is refuted with that dual unbuilt.
+``lower_bound`` reads z* the same way and builds no family.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Mapping, Optional
 
 from . import duality, formulations, lp_core
 from .duality import DualSolution
-from .model import EdgeId, InfeasibleConstraintError, WeightedInstance
+from .model import ALLDIFF, EdgeId, InfeasibleConstraintError, WeightedInstance
 
 UNMARKED = "unmarked"
 CONSISTENT = "consistent"
@@ -31,8 +34,9 @@ class FilterResult:
     """Outcome of the filtering loop.
 
     ``marks`` classifies every edge.  ``z_lb`` is the optimum read for the
-    first covering set solved, None if no covering set was solved.
-    ``duals_used`` records (edge set, dual solution) per solve, in order.
+    first covering set picked, None if no covering set was picked.
+    ``duals_used`` records (edge set, dual solution) per dual built, in
+    order, and ``solves`` counts them.
     """
 
     marks: Mapping[EdgeId, str]
@@ -75,21 +79,26 @@ def ac_by_lp(
     """Classify every edge as consistent or inconsistent with the cost bound.
 
     Walks the sets of ``formulations.family(instance, strategy)`` (largest
-    unmarked count first, recomputed per pick), solving one dual program per
-    set.  The solve's reduced costs are exact on the set, classifying all of
-    its unmarked edges, and any edge anywhere whose bound exceeds the
-    threshold is marked inconsistent immediately.  ``budget`` caps the number of dual solves.
+    unmarked count first, recomputed per pick), building one dual per set
+    from the instance's combinatorial pass (``duality.pass_family_dual``),
+    with no LP solve.  Each dual is optimal and its reduced costs are exact
+    on the set, classifying all of its unmarked edges, and any edge anywhere
+    whose bound exceeds the threshold is marked inconsistent immediately.
+    One sweep over the edges per dual checks the dual and marks from it
+    (``_check_and_mark``).  ``budget`` caps the number of duals built.
 
     Raises InfeasibleConstraintError when a covering set proves the optimum
     exceeds the cost bound, when every edge ends up inconsistent, or when
     the instance has no edge.  The first covering set picked gives ``z_lb``
-    as ``formulations.optimum``, which its solve would recover; it is read
-    before that solve, so a z* above the bound raises with the solve unspent
-    (with none at all when that set is the first picked).
+    as ``formulations.optimum``, read before its dual is built, so a z*
+    above the bound raises with that dual unbuilt (with none at all when
+    that set is the first picked).  A non-covering set picked first raises
+    through the full wipe instead, with ``z_lb`` None: its dual is optimal,
+    so every bound it gives is at least z*.
     Raises ValueError for a budget that is not a non-negative ``int`` (a
     float or a bool is never rounded), a strategy ``formulations.family``
-    rejects, or an instance ``model.validate`` rejects, as the pass and
-    ``duality.solve_family_dual`` do.
+    rejects, or an instance with an edge on no support, which
+    ``model.validate`` rejects too.
     """
     if budget is not None:
         if isinstance(budget, bool) or not isinstance(budget, int):
@@ -97,6 +106,7 @@ def ac_by_lp(
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
     family = formulations.family(instance, strategy)
+    z_star = _supported_optimum(instance)
     z_max = instance.z_max
     marks: dict[EdgeId, str] = {e: UNMARKED for e in instance.edges}
     duals_used: list[tuple[tuple[EdgeId, ...], DualSolution]] = []
@@ -110,23 +120,14 @@ def ac_by_lp(
             break
         edge_set = family.sets[idx]
         if z_lb is None and family.covering[idx]:
-            z_lb = _covering_optimum(instance, edge_set)
-            if z_lb is not None and z_lb > z_max:  # None: the solve below rejects the set
+            z_lb = z_star
+            if z_lb > z_max:
                 raise InfeasibleConstraintError(
                     f"optimum {z_lb} exceeds the cost bound {z_max}", z_lb=z_lb
                 )
-        dual = duality.solve_family_dual(instance, edge_set)
+        dual = duality.pass_family_dual(instance, edge_set)
         duals_used.append((edge_set, dual))
-        w = dual.w
-        members = set(edge_set)
-        for kl in instance.edges:
-            if marks[kl] != UNMARKED:
-                continue
-            bound = w + duality.reduced_cost(instance, dual, kl)
-            if bound > z_max:
-                marks[kl] = INCONSISTENT
-            elif kl in members:
-                marks[kl] = CONSISTENT
+        _check_and_mark(instance, edge_set, dual, marks)
 
     if all(m == INCONSISTENT for m in marks.values()):
         # a full wipe proves no support lies within the bound: any edge of an
@@ -138,25 +139,73 @@ def ac_by_lp(
     return FilterResult(marks=marks, z_lb=z_lb, duals_used=tuple(duals_used))
 
 
-def _covering_optimum(instance: WeightedInstance, edge_set) -> Optional[lp_core.Number]:
-    """z* as a covering set's family dual recovers it; None where that dual is unbounded."""
+def _check_and_mark(
+    instance: WeightedInstance,
+    edge_set: tuple[EdgeId, ...],
+    dual: DualSolution,
+    marks: dict[EdgeId, str],
+) -> None:
+    """Check ``dual`` against the pass and mark from it, in one sweep over the edges.
+
+    The check, in exact arithmetic, stands in for the LP's certificate: the
+    sink's potential is 0, ``dual.w`` is the dual objective of the potentials
+    and equals ``formulations.optimum``, no reduced cost is negative, and
+    ``w + r_e`` is the pass's restricted optimum for every member e of the
+    set.  AssertionError if any fails.  Then ``w + r_e > z_max`` proves an
+    unmarked edge inconsistent, and a member within the bound is consistent.
+    """
     optima = formulations.restricted_optima(instance)
-    if any(optima[e] is None for e in edge_set):  # a member lies on no support
-        return None
+    u = dual.u
+    if instance.kind == ALLDIFF:
+        head = dual.v  # r = c - u_i - v_j
+        w = sum(u.values()) + sum(head.values())
+    else:
+        meta = instance.path
+        if u[meta.sink] != 0:
+            raise AssertionError(f"the sink's potential is {u[meta.sink]}, not 0")
+        head = {k: -x for k, x in u.items()}  # r = c - u_i + u_j
+        w = u[meta.source]
+    if w != dual.w or w != formulations.optimum(instance):
+        raise AssertionError(f"dual objective {dual.w} is not z* ({w} by its potentials)")
+    members = set(edge_set)
+    z_max = instance.z_max
+    checked = 0
+    for e, c in instance.cost.items():
+        i, j = e
+        r = c - u[i] - head[j]
+        if r < 0:
+            raise AssertionError(f"the dual has reduced cost {r} on edge {e}")
+        bound = w + r
+        if e in members:
+            if bound != optima[e]:
+                raise AssertionError(
+                    f"the dual bounds member {e} by {bound}, not by its optimum {optima[e]}"
+                )
+            checked += 1
+            if marks[e] == UNMARKED:
+                marks[e] = INCONSISTENT if bound > z_max else CONSISTENT
+        elif bound > z_max and marks[e] == UNMARKED:
+            marks[e] = INCONSISTENT
+    if checked != len(members):
+        raise AssertionError("a member of the set is not an edge of the instance")
+
+
+def _supported_optimum(instance: WeightedInstance) -> Optional[lp_core.Number]:
+    """``formulations.optimum``; ValueError when an edge lies on no support."""
+    for e, z in formulations.restricted_optima(instance).items():
+        if z is None:
+            raise ValueError(f"edge {e} lies on no support")
     return formulations.optimum(instance)
 
 
 def lower_bound(instance: WeightedInstance, strategy: str = "domains") -> lp_core.Number:
-    """z* for the family's first covering set, read from the pass with no LP solve.
+    """z*, read from the instance's combinatorial pass with no family built and no LP solve.
 
-    ValueError as in ``ac_by_lp``, and when a member of that set lies on no
-    support.  An instance without edges has no support:
-    InfeasibleConstraintError.
+    ValueError for a strategy ``formulations.family`` rejects, and as in
+    ``ac_by_lp`` for an edge on no support.  An instance without edges has
+    no support: InfeasibleConstraintError.
     """
-    family = formulations.family(instance, strategy)
+    formulations.check_strategy(instance, strategy)
     if not instance.edges:
         raise InfeasibleConstraintError("no support: the instance has no edge")
-    z_star = _covering_optimum(instance, family.sets[family.covering.index(True)])
-    if z_star is None:
-        raise ValueError("an edge of the first covering set lies on no support")
-    return z_star
+    return _supported_optimum(instance)

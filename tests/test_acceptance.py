@@ -190,8 +190,8 @@ def test_criterion_5_bound_shift_and_family_identities(capfd, corpus_reports):
 
 def test_criterion_6_family_size_and_solve_counts(capfd, six_vertex_dag):
     desc = (
-        "hard family: n+1 solves, each dual exact on at most one cycle edge; "
-        "layered path family finishes in 3 solves versus 5 for domains"
+        "hard family: n+1 duals, each exact on at most one cycle edge; "
+        "layered path family finishes in 3 duals versus 4 for domains"
     )
     with _criterion(capfd, 6, desc):
         for n in range(3, 9):
@@ -211,7 +211,7 @@ def test_criterion_6_family_size_and_solve_counts(capfd, six_vertex_dag):
         by_domain = ac_by_lp(dag, "domains")
         assert layered.complete and by_domain.complete
         assert layered.solves == 3
-        assert by_domain.solves == 5
+        assert by_domain.solves == 4
         assert dict(layered.marks) == dict(by_domain.marks)
 
 

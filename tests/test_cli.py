@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from rcfilter import (
-    EdgeId, cli, lp_core, model, oracle, propagation, save_instance, weighted_instance,
+    EdgeId, cli, formulations, lp_core, model, oracle, propagation, save_instance,
+    weighted_instance,
 )
 from rcfilter.cli import main
 from rcfilter.model import InfeasibleConstraintError
@@ -186,6 +187,25 @@ def test_bound_solves_no_lp(monkeypatch, tmp_path, capsys):
             assert main(argv + ["--format", "text"]) == 0
             assert capsys.readouterr().out == f"z* = {z_star}\n"
     assert solved == []
+
+
+def test_bound_builds_no_family(monkeypatch, dag_file, assignment_file, capsys):
+    # z* does not depend on the family, so bound checks --family and reads
+    # the pass: the same answers, and layers on an alldiff still exits 1
+    def no_family(*args):
+        raise AssertionError("an edge family was built")
+
+    monkeypatch.setattr(formulations, "family", no_family)
+    for path, family in ((dag_file, "domains"), (dag_file, "layers"),
+                         (assignment_file, "domains")):
+        assert main(["bound", path, "--family", family]) == 0
+        assert json.loads(capsys.readouterr().out)["z_star"] == "0"
+    assert main(["bound", assignment_file, "--family", "layers"]) == 1
+    assert capsys.readouterr().err == (
+        "error: the layers strategy only applies to path instances\n"
+    )
+    with pytest.raises(ValueError, match="unknown strategy 'rainbow'"):
+        propagation.lower_bound(model.load_instance(dag_file), "rainbow")
 
 
 def test_filter_infeasible_exit_code(costly_file, capsys):
@@ -455,3 +475,35 @@ def test_cli_imports_without_click():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.stdout == "[]\n"
+
+
+def test_report_writer_matches_json_dumps(monkeypatch, tmp_path, capsys):
+    # every JSON report main prints, on the golden commands and on the
+    # corpora (filter with duals under each family, bound, verify, oracle,
+    # exit 3 included), is the bytes json.dumps(report, indent=2) writes
+    from test_pinned_outputs import cli_records
+
+    reports, real = [], cli._write_json
+
+    def spy(value, *pad):
+        if not pad:  # a whole report, not a container inside one
+            reports.append(value)
+        return real(value, *pad)
+
+    monkeypatch.setattr(cli, "_write_json", spy)
+    cli_records()
+    for k, inst in enumerate(alldiff_corpus() + path_corpus()):
+        path = str(tmp_path / f"{k}.json")
+        save_instance(inst, path)
+        for family in ("domains", "layers") if inst.kind == "path" else ("domains",):
+            main(["filter", path, "--emit-duals", "--family", family])
+            main(["bound", path, "--family", family])
+            main(["verify", path, "--family", family])
+        main(["oracle", path])
+    capsys.readouterr()
+    assert {r.get("status", r["command"]) for r in reports} == {
+        "filter", "bound", "verify", "oracle", "infeasible"}
+    for report in reports:
+        assert real(report) == json.dumps(report, indent=2)
+    odd = {"": [], "e": {}, "x": [None, True, False, -3, "caf\u00e9 \"q\"\n"], "n": [[{}]]}
+    assert real(odd) == json.dumps(odd, indent=2)

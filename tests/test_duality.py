@@ -139,6 +139,45 @@ def test_family_identity_past_the_cap():
                 assert d.w + reduced_cost(inst, d, e) == optima[e], (inst.kind, e)
 
 
+def _assert_pass_dual_matches_the_lp(inst, edge_set, lp=True):
+    # feasible, optimal (w = z*), and w + r_e on every member is the pass's
+    # restricted optimum and, with lp, the family dual LP's w + r_e
+    d = duality.pass_family_dual(inst, edge_set)
+    assert is_dual_feasible(inst, d)
+    assert d.w == formulations.optimum(inst)
+    bounds = [d.w + reduced_cost(inst, d, e) for e in edge_set]
+    assert bounds == [restricted_optima(inst)[e] for e in edge_set]
+    if lp:
+        ref = solve_family_dual(inst, edge_set)
+        assert bounds == [ref.w + reduced_cost(inst, ref, e) for e in edge_set]
+
+
+def test_pass_duals_match_the_lp_on_every_member():
+    sets = 0
+    for inst in alldiff_corpus(200) + path_corpus(100):
+        for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
+            for edge_set in family(inst, strategy).sets:
+                _assert_pass_dual_matches_the_lp(inst, edge_set)
+                sets += 1
+    assert sets > 1000
+
+
+def test_pass_duals_match_the_lp_past_the_cap():
+    # every set's pass-built dual is checked against the pass; the LP, at
+    # full size, on a seeded sample of three sets per family
+    rng = random.Random(20261020)
+    instances = [permutation_alldiff(n, seed=1) for n in (20, 30, 40)]
+    instances += [layered_dag(20, seed=0), layered_dag(40, seed=0)]
+    assert [len(inst.edges) for inst in instances[3:]] == [354, 714]
+    for inst in instances:
+        assert validate(inst) == []
+        for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
+            sets = family(inst, strategy).sets
+            sampled = set(rng.sample(range(len(sets)), 3))
+            for k, edge_set in enumerate(sets):
+                _assert_pass_dual_matches_the_lp(inst, edge_set, lp=k in sampled)
+
+
 def test_family_dual_is_feasible_on_every_buildable_instance(
     six_vertex_dag, three_var_assignment
 ):
@@ -379,12 +418,17 @@ def test_averaged_dual_solve_count(monkeypatch):
     assert seen == {True, False}
 
 
+def _family_solves(inst, strategy):
+    """The reference route: one family dual LP per set of the family."""
+    for edge_set in family(inst, strategy).sets:
+        solve_family_dual(inst, edge_set)
+
+
 def test_every_solve_is_certified_and_shares_its_rows(monkeypatch):
-    # skipped solves and shared rows skip no certificate: every solve runs
-    # the certificate check once, on the program it solved, and the
-    # programs of one kind built in one ac_by_lp run or one averaged dual
-    # share a single rows tuple; only a run that raises before its first
-    # solve, on z* read from the restricted optima, solves nothing
+    # shared rows skip no certificate: every solve runs the certificate
+    # check once, on the program it solved, and the programs of one kind
+    # built for one instance's family duals or one averaged dual share a
+    # single rows tuple
     real_solve, real_check = lp_core.solve, lp_core._assert_certificates
     solved, checked = [], []
 
@@ -400,9 +444,9 @@ def test_every_solve_is_certified_and_shares_its_rows(monkeypatch):
 
     monkeypatch.setattr(lp_core, "solve", solve)
     monkeypatch.setattr(lp_core, "_assert_certificates", check)
-    jobs = [(ac_by_lp, inst, "domains") for inst in alldiff_corpus(20)]
+    jobs = [(_family_solves, inst, "domains") for inst in alldiff_corpus(20)]
     jobs += [
-        (ac_by_lp, inst, s)
+        (_family_solves, inst, s)
         for inst in path_corpus(20)
         for s in ("domains", "layers")
     ]
@@ -447,10 +491,7 @@ def test_each_solve_gets_the_only_program_built_for_it(monkeypatch):
     jobs = [(inst, "domains") for inst in alldiff_corpus(6)]
     jobs += [(inst, s) for inst in path_corpus(6) for s in ("domains", "layers")]
     for inst, strategy in jobs:
-        try:
-            ac_by_lp(inst, strategy)
-        except InfeasibleConstraintError:
-            pass
+        _family_solves(inst, strategy)
     for sat in satisfaction_corpus(6):
         try:
             averaged_satisfaction_dual(sat)

@@ -12,18 +12,19 @@ from rcfilter import (
     validate,
     weighted_instance,
 )
-from rcfilter import lp_core, oracle
+from rcfilter import duality, formulations, lp_core, oracle
 from rcfilter.formulations import family, worst_case_alldiff
 from rcfilter.propagation import (
     CONSISTENT,
     INCONSISTENT,
     UNMARKED,
+    _check_and_mark,
     _pick_next,
     ac_by_lp,
     lower_bound,
 )
 
-from corpus import alldiff_corpus, path_corpus
+from corpus import alldiff_corpus, layered_dag, path_corpus, permutation_alldiff
 
 
 def _oracle_marks(inst):
@@ -61,7 +62,7 @@ def test_layer_count_versus_domain_count(six_vertex_dag):
     layers = ac_by_lp(six_vertex_dag, "layers")
     domains = ac_by_lp(six_vertex_dag, "domains")
     assert layers.solves == 3
-    assert domains.solves == 5
+    assert domains.solves == 4
 
 
 def test_every_dual_is_recorded(three_var_assignment):
@@ -198,22 +199,18 @@ def test_infeasible_path_exits_through_the_covering_set():
 
 
 def test_full_wipe_before_the_covering_set_is_solved():
-    # z* = 25; the layers family solves a larger, non-covering layer first,
-    # and under a low bound that solve marks every arc inconsistent, so the
-    # loop ends before the covering depth-0 layer is solved
+    # z* = 25; the layers family picks a larger, non-covering layer first,
+    # and under any bound below z* its dual, which is optimal, marks every
+    # arc inconsistent, so the loop ends before the covering depth-0 layer
     inst = path_corpus(100)[9]
     fam = family(inst, "layers")
     assert fam.covering[0] and not any(fam.covering[1:])
-    for z_max in (0, 8):
+    for z_max in (0, 8, 9, 24):
         with pytest.raises(InfeasibleConstraintError) as err:
             ac_by_lp(replace(inst, z_max=z_max), "layers")
         assert str(err.value) == f"no support within the cost bound {z_max}"
         assert err.value.z_lb is None
-    for z_max in (9, 24):
-        with pytest.raises(InfeasibleConstraintError) as err:
-            ac_by_lp(replace(inst, z_max=z_max), "layers")
-        assert str(err.value) == f"optimum 25 exceeds the cost bound {z_max}"
-        assert err.value.z_lb == 25
+    assert ac_by_lp(replace(inst, z_max=25), "layers").z_lb == 25
 
 
 def _solve_spy(monkeypatch):
@@ -241,22 +238,109 @@ def _infeasible_runs():
 
 
 def test_covering_first_set_refutes_the_bound_with_no_solve(monkeypatch):
-    # z* read from the restricted optima before the covering set's solve:
-    # the same message and z_lb as that solve gave, and no LP solved
+    # z* read from the restricted optima before the covering set's dual is
+    # built; a non-covering first set's dual, optimal, wipes every edge
+    # instead; no LP is solved either way
     calls = _solve_spy(monkeypatch)
-    early = 0
+    early = wiped = 0
     for inst, strategy, z_star, covering in _infeasible_runs():
-        calls.clear()
         with pytest.raises(InfeasibleConstraintError) as err:
             ac_by_lp(inst, strategy)
         if covering:
             assert str(err.value) == f"optimum {z_star} exceeds the cost bound {inst.z_max}"
             assert err.value.z_lb == z_star
-            assert not calls
             early += 1
         else:
-            assert calls  # a non-covering first set is solved as before
-    assert early > 100
+            assert str(err.value) == f"no support within the cost bound {inst.z_max}"
+            assert err.value.z_lb is None
+            wiped += 1
+    assert not calls
+    assert early > 100 and wiped
+
+
+def test_filter_solves_no_lp(monkeypatch):
+    # every dual comes from the pass: no LP solve on the whole corpus, under
+    # either family, with the oracle's marks wherever the run returns
+    calls = _solve_spy(monkeypatch)
+    returned = 0
+    for inst in alldiff_corpus(200) + path_corpus(100):
+        try:
+            truth = _oracle_marks(inst)
+        except InfeasibleConstraintError:
+            truth = None
+        for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
+            try:
+                marks = ac_by_lp(inst, strategy).marks
+            except InfeasibleConstraintError:
+                assert truth is None or CONSISTENT not in truth.values()
+                continue
+            assert dict(marks) == truth
+            returned += 1
+    assert not calls and returned > 100
+
+
+def _sound(inst, edge_set, dual):
+    """Whether the dual is a valid certificate for the set, checked without the filter."""
+    try:
+        objective = duality.dual_solution(inst, dual.u, dual.v).w
+    except ValueError:  # a sink potential other than 0
+        return False
+    members = [dual.w + duality.reduced_cost(inst, dual, e) for e in edge_set]
+    optima = formulations.restricted_optima(inst)
+    return (
+        duality.is_dual_feasible(inst, dual)
+        and dual.w == objective == formulations.optimum(inst)
+        and members == [optima[e] for e in edge_set]
+    )
+
+
+def _passes_check(inst, edge_set, dual):
+    try:
+        _check_and_mark(inst, edge_set, dual, dict.fromkeys(inst.edges, UNMARKED))
+    except AssertionError:
+        return False
+    return True
+
+
+def test_check_rejects_a_moved_potential_or_a_swapped_member():
+    # a potential moved by 1 (w kept, or w recomputed from the moved
+    # potentials) or a member swapped for a non-member the dual is not exact
+    # on must fail the check; a mutant the check passes must still be a
+    # valid certificate, checked independently; seeded samples of four
+    # potentials and four swaps per set
+    rng = random.Random(20261020)
+    instances = alldiff_corpus(40) + path_corpus(20)
+    instances += [permutation_alldiff(20, seed=1), layered_dag(20, seed=0)]
+    rejected = {"moved": 0, "swapped": 0}
+    for inst in instances:
+        for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
+            for edge_set in family(inst, strategy).sets:
+                dual = duality.pass_family_dual(inst, edge_set)
+                assert _passes_check(inst, edge_set, dual)
+                potentials = [("u", k) for k in dual.u] + [("v", k) for k in dual.v]
+                mutants = []
+                for side, k in rng.sample(potentials, min(4, len(potentials))):
+                    for step in (-1, 1):
+                        moved = {**getattr(dual, side), k: getattr(dual, side)[k] + step}
+                        mutants.append(replace(dual, **{side: moved}))
+                        u, v = (moved, dual.v) if side == "u" else (dual.u, moved)
+                        if inst.kind == "path" and k == inst.path.sink:
+                            continue  # dual_solution rejects a moved sink
+                        w = duality.dual_solution(inst, u, v).w
+                        mutants.append(replace(dual, **{side: moved}, w=w))
+                for mutant in mutants:
+                    passed = _passes_check(inst, edge_set, mutant)
+                    assert passed == _sound(inst, edge_set, mutant)
+                    rejected["moved"] += not passed
+                others = [e for e in inst.edges if e not in edge_set]
+                for _ in range(4 if others else 0):
+                    pos = rng.randrange(len(edge_set))
+                    swapped = edge_set[:pos] + (rng.choice(others),) + edge_set[pos + 1:]
+                    passed = _passes_check(inst, swapped, dual)
+                    assert passed == _sound(inst, swapped, dual)
+                    rejected["swapped"] += not passed
+    # of 6,790 moved potentials and 1,768 swaps; the rest are still sound
+    assert rejected["moved"] > 6000 and rejected["swapped"] > 900
 
 
 def test_budget_on_an_infeasible_instance(monkeypatch):
