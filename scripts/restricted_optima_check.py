@@ -4,8 +4,9 @@
 Above the enumeration cap no oracle can vouch for
 ``formulations.restricted_optima``, so this compares it with the family dual
 LP instead: for a seeded sample of edges, the one-edge family dual of the set
-{e} gives e's restricted optimum as w + r_e, and ``formulations.optimum``
-must equal the support LP's optimum from ``solve_primal``.  Every set of
+{e} gives e's restricted optimum as w + r_e, and so must ``shifted_cost_dual``
+(built from the pass, with w = z*), and ``formulations.optimum`` must equal
+the support LP's optimum from ``solve_primal``.  Every set of
 each family (``domains``, and ``layers`` on the DAG) gets its dual from
 ``duality.pass_family_dual``, as the filter does: it must be feasible, with
 w = z*, and w + r_e must be the pass's restricted optimum on every member;
@@ -17,8 +18,13 @@ support, so each instance must also validate to ``[]``, and a copy with one
 planted edge on no support must be named for exactly that edge: alldiff gets
 two new variables sharing two new values and a third new variable with an
 edge into one of them; the DAG gets a new vertex, reached from the source,
-that reaches nothing.  Prints one line per instance and exits 1 on any
-mismatch.
+that reaches nothing.  Last, ``averaged_satisfaction_dual`` runs on three
+seeded satisfaction instances of n/2 to n variables, each with a planted
+tight set of variables (they share as many values) that makes the edges of
+other variables into those values inconsistent.  Its dual must be feasible
+with w = 0 and a positive reduced cost exactly on the edges through which
+``formulations.find_support`` finds no matching of original edges.  Prints
+one line per instance and exits 1 on any mismatch.
 
 Usage: PYTHONPATH=src python3 scripts/restricted_optima_check.py [n_vars]
 """
@@ -29,14 +35,16 @@ import time
 from pathlib import Path
 
 from rcfilter.duality import (
+    averaged_satisfaction_dual,
     is_dual_feasible,
     pass_family_dual,
     reduced_cost,
+    shifted_cost_dual,
     solve_family_dual,
     solve_primal,
 )
-from rcfilter.formulations import family, optimum, restricted_optima
-from rcfilter.model import EdgeId, validate, weighted_instance
+from rcfilter.formulations import family, find_support, optimum, restricted_optima
+from rcfilter.model import EdgeId, SatisfactionInstance, validate, weighted_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from corpus import layered_dag, permutation_alldiff  # noqa: E402
@@ -52,7 +60,11 @@ def check(inst, rng):
     wrong = []
     for e in rng.sample(inst.edges, SAMPLED_EDGES):
         d = solve_family_dual(inst, (e,))
-        if d.w + reduced_cost(inst, d, e) != optima[e]:
+        shifted = shifted_cost_dual(inst, e)
+        lp_bound = d.w + reduced_cost(inst, d, e)
+        if lp_bound != optima[e] or shifted.w != optimum(inst) or (
+            shifted.w + reduced_cost(inst, shifted, e) != lp_bound
+        ):
             wrong.append(e)
     return pass_s, wrong, optimum(inst), solve_primal(inst)[0]
 
@@ -102,6 +114,39 @@ def planted(inst):
     return copy, bad
 
 
+def tight_satisfaction(n, rng):
+    """n variables with a seeded perfect matching, a tight set and random extra edges.
+
+    A third of the variables take only the values the matching gives them
+    (plus random ones among those), so every edge of another variable into
+    those values is inconsistent; the others get each value with
+    probability 3/n.
+    """
+    perm = list(range(n))
+    rng.shuffle(perm)
+    tight = set(rng.sample(range(n), max(1, n // 3)))
+    held = [perm[i] for i in sorted(tight)]
+    edges = {(i, perm[i]) for i in range(n)}
+    for i in range(n):
+        choices = held if i in tight else range(n)
+        edges.update((i, j) for j in choices if rng.random() < 3 / n)
+    return SatisfactionInstance(n, tuple(range(n)), tuple(EdgeId(*e) for e in sorted(edges)))
+
+
+def check_averaged(sat):
+    """Inconsistent edges found by support search, and the edges the averaged dual gets wrong."""
+    encoded, d = averaged_satisfaction_dual(sat)
+    if not is_dual_feasible(encoded, d) or d.w != 0:
+        return None, ["the dual is infeasible or not optimal"]
+    inconsistent, wrong = 0, []
+    for e in sat.edges:
+        consistent = find_support(encoded, sat.edges, forced=e) is not None
+        inconsistent += not consistent
+        if (reduced_cost(encoded, d, e) > 0) == consistent:
+            wrong.append(e)
+    return inconsistent, wrong
+
+
 def validate_problems(inst):
     """Problems of validate on inst and on its planted copy, if any."""
     problems = []
@@ -133,7 +178,8 @@ def main(argv):
               f"{'ok' if z_pass == z_lp else 'wrong':>6} "
               f"{'ok' if not problems else 'wrong':>9} {sets:>5} {len(wrong_duals):>12}")
         if wrong:
-            print(f"error: the pass and the LP disagree on {wrong}", file=sys.stderr)
+            print(f"error: the pass or shifted_cost_dual and the LP disagree on {wrong}",
+                  file=sys.stderr)
             failed = True
         if wrong_duals:
             print(f"error: pass-built duals fail on sets {wrong_duals}", file=sys.stderr)
@@ -144,6 +190,17 @@ def main(argv):
             failed = True
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
+            failed = True
+    print(f"{'satisfaction':>12} {'vars':>5} {'edges':>6} {'inconsistent':>13} "
+          f"{'wrong':>6}")
+    for size in sorted({max(2, n // 2), max(2, 3 * n // 4), max(2, n)}):
+        sat = tight_satisfaction(size, rng)
+        inconsistent, wrong = check_averaged(sat)
+        print(f"{'averaged':>12} {size:>5} {len(sat.edges):>6} "
+              f"{inconsistent if inconsistent is not None else '-':>13} {len(wrong):>6}")
+        if wrong or not inconsistent:
+            print(f"error: the averaged dual fails on {wrong[:3] or 'no inconsistent edge'}",
+                  file=sys.stderr)
             failed = True
     return 1 if failed else 0
 

@@ -4,9 +4,10 @@ The package treats a weighted constraint (minimum-cost assignment, shortest
 path in a DAG) as a small LP whose dual solutions carry reduced costs.  One
 dual per set of pairwise-incompatible edges yields *exact* reduced costs on
 the whole set, so full arc consistency with respect to a cost bound takes at
-most one dual per variable.  The filter builds those duals from one
-combinatorial pass per instance and checks each exactly; the dual LP is the
-reference route.  Everything is rational arithmetic; every LP optimum is
+most one dual per variable.  Every dual the package returns is built from
+one combinatorial pass per instance and checked exactly; the LP
+(``solve_primal``, ``solve_family_dual``) is the reference route, on no
+runtime path.  Everything is rational arithmetic; every LP optimum is
 certified against its dual before being believed.
 """
 

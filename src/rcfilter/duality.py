@@ -8,17 +8,18 @@ true increase of the optimum when the edge is forced.  The operations here
 produce dual solutions whose reduced costs are exact on whole sets of
 pairwise-incompatible edges at once, which is what the filtering loop consumes.
 
-The filtering loop's duals come from the one combinatorial pass per
-instance, with no LP (``pass_family_dual``).  LP solves happen only where
-a dual is asked for by LP, one each: the support LP (``solve_primal``), its
-shifted copy (``shifted_cost_dual``) and the family dual program
-(``solve_family_dual``, the paper's generic route, kept as the reference
-that the pass-built duals are tested against).  z* is never solved for: it
-is ``formulations.optimum``, from the pass that also gives every edge's
-restricted optimum.  The pass answers ``exact_reduced_cost``, whether a
-feasible dual is optimal (w = z*) and which satisfaction edges lie on no
-solution; ``formulations.find_support`` decides whether a reduced cost is
-exact.
+Every dual the package returns comes from the one combinatorial pass per
+instance, with no LP (``pass_family_dual``), and passes one exact check
+(``checked_bounds``): the filter's, ``shifted_cost_dual``'s and each part of
+``averaged_satisfaction_dual``.  LP solves happen only where a caller asks
+for one by name: the support LP (``solve_primal``) and the family dual
+program (``solve_family_dual``), the paper's generic route, kept as the
+reference that tests, criteria and scripts compare the pass-built duals
+with.  z* is never solved for: it is ``formulations.optimum``, from the
+pass that also gives every edge's restricted optimum.  The pass answers
+``exact_reduced_cost``, whether a feasible dual is optimal (w = z*) and
+which satisfaction edges lie on no solution; ``formulations.find_support``
+decides whether a reduced cost is exact.
 
 Which optimal dual a solve returns is fixed by the column numbering, since
 Bland's rule enters the lowest-numbered column (see ``lp_core``).  The
@@ -176,33 +177,18 @@ def exactness_certificate(
 
 
 def shifted_cost_dual(instance: WeightedInstance, kl: EdgeId) -> DualSolution:
-    """An optimal dual whose reduced cost on kl is exact.
+    """An optimal dual whose reduced cost on kl is exact, with no LP solve.
 
-    Obtained by re-solving the support LP with kl's cost lowered by its exact
-    reduced cost, the one LP solve here; any optimal dual of that program is
-    optimal for the original dual and pins kl's reduced cost to the exact
-    value.  ValueError when the LP disagrees with the pass: its optimum is
-    not ``formulations.optimum`` (a z* too high), no support lies inside the
-    dual's zero-reduced-cost edges (too low), or ``exactness_certificate``
-    finds no witness or another reduced cost on kl.
+    The pass-built dual of the set {kl} (``pass_family_dual``; for alldiff
+    the dual of kl's variable, exact on all of its edges), checked by
+    ``checked_bounds``.  ValueError when kl is not an edge of the instance
+    or some edge lies on no support, as ``model.validate`` reports.
     """
     kl = EdgeId(*kl)
-    R = exact_reduced_cost(instance, kl)
-    cost = dict(instance.cost)
-    cost[kl] -= R
-    sol = lp_core.solve(formulations.primal_program(instance, cost))
-    if sol.status != lp_core.OPTIMAL:
-        raise InfeasibleConstraintError(f"support LP is {sol.status}")
-    z_star = formulations.optimum(instance)
-    if sol.objective != z_star:
-        raise ValueError(f"the shifted optimum {sol.objective} is not z* = {z_star}")
-    dual = from_row_duals(instance, sol.dual)
-    zero = [e for e in instance.edges if reduced_cost(instance, dual, e) == 0]
-    if formulations.find_support(instance, zero) is None:
-        raise ValueError("shifted dual is not optimal: no support has zero reduced cost")
-    if (exactness_certificate(instance, dual, kl) is None
-            or reduced_cost(instance, dual, kl) != R):
-        raise ValueError(f"shifted dual does not carry the exact reduced cost of {kl}")
+    if kl not in instance.cost:
+        raise ValueError(f"edge {kl} not in the instance")
+    dual = pass_family_dual(instance, (kl,))
+    checked_bounds(instance, (kl,), dual)
     return dual
 
 
@@ -276,7 +262,8 @@ def pass_family_dual(
     """An optimal dual exact on one set of ``formulations.family``, with no LP solve.
 
     Built from ``formulations.combinatorial_pass`` (``claus2020wad``; Sellmann,
-    CP 2002), for an instance whose every edge lies on a support.  alldiff,
+    CP 2002); ValueError when an edge lies on no support
+    (``supported_optimum``).  alldiff,
     the set of variable i: with d_k the pass's residual distance from
     variable k to M(i), capped at the largest finite one, ``u'_k = u_k + d_k``
     and ``v'_j = v_j - d_{M^-1(j)}``.  Every reduced cost stays >= 0 by the
@@ -288,10 +275,10 @@ def pass_family_dual(
     reduced cost (its restricted optimum) - z* >= 0, and every member of S
     enters A, as S is pairwise incompatible.  z* is the least restricted
     optimum over the arcs entering A, since every s-t path enters A.  The
-    values are not trusted: ``propagation`` checks each dual it uses.
+    values are not trusted: every caller checks the dual with ``checked_bounds``.
     """
+    z_star = supported_optimum(instance)
     run = formulations.combinatorial_pass(instance)
-    z_star = formulations.optimum(instance)
     if instance.kind == ALLDIFF:
         target = run.value_of[edge_set[0].i]
         dist = [d.get(target) for d in run.dists]
@@ -315,6 +302,64 @@ def pass_family_dual(
     return DualSolution(u=u, v={}, w=u[instance.path.source])
 
 
+@formulations.last_instance_memo
+def supported_optimum(instance: WeightedInstance) -> Optional[Number]:
+    """``formulations.optimum``; ValueError when an edge lies on no support.
+
+    The guard of every pass-built dual: its constructions need a support
+    through every edge.  Kept for the last instance, so the sets of one
+    filter run scan the pass once.
+    """
+    for e, z in formulations.restricted_optima(instance).items():
+        if z is None:
+            raise ValueError(f"edge {e} lies on no support")
+    return formulations.optimum(instance)
+
+
+def checked_bounds(
+    instance: WeightedInstance, edge_set: Sequence[EdgeId], dual: DualSolution
+) -> dict[EdgeId, Number]:
+    """Every edge's bound ``w + r_e`` under a pass-built dual, checked against the pass.
+
+    The one check of the duals the package builds without an LP, in exact
+    arithmetic, standing in for the LP's certificate: the sink's potential
+    is 0, ``dual.w`` is the dual objective of the potentials and equals
+    ``formulations.optimum``, no reduced cost is negative, and ``w + r_e``
+    is the pass's restricted optimum for every member e of the set.
+    AssertionError if any fails.
+    """
+    u = dual.u
+    if instance.kind == ALLDIFF:
+        head = dual.v  # r = c - u_i - v_j
+        w = sum(u.values()) + sum(head.values())
+    else:
+        meta = instance.path
+        if u[meta.sink] != 0:
+            raise AssertionError(f"the sink's potential is {u[meta.sink]}, not 0")
+        head = {k: -x for k, x in u.items()}  # r = c - u_i + u_j
+        w = u[meta.source]
+    z_star = formulations.optimum(instance)
+    if w != dual.w or w != z_star:
+        raise AssertionError(
+            f"dual objective {dual.w} ({w} by its potentials) is not z* = {z_star}"
+        )
+    bounds = {}
+    for e, c in instance.cost.items():
+        r = c - u[e.i] - head[e.j]
+        if r < 0:
+            raise AssertionError(f"the dual has reduced cost {r} on edge {e}")
+        bounds[e] = w + r
+    optima = formulations.restricted_optima(instance)
+    for e in edge_set:
+        if e not in bounds:
+            raise AssertionError(f"member {e} of the set is not an edge of the instance")
+        if bounds[e] != optima[e]:
+            raise AssertionError(
+                f"the dual bounds member {e} by {bounds[e]}, not by its optimum {optima[e]}"
+            )
+    return bounds
+
+
 # ---------------------------------------------------------------------------
 # satisfaction constraints through the 0/1-cost encoding
 
@@ -324,36 +369,39 @@ def averaged_satisfaction_dual(
 ) -> tuple[WeightedInstance, DualSolution]:
     """One optimal dual of the 0/1-cost encoding separating all inconsistent edges.
 
-    Averages one exactness-carrying dual per inconsistent original edge; the
-    average is still optimal and keeps every one of those reduced costs
-    strictly positive, while consistent original edges stay at zero.  One
-    pass of ``formulations.restricted_optima`` over the encoding decides
-    which edges are inconsistent and gives every shifted dual its exact
-    reduced cost, so each inconsistent edge costs one LP solve.  When none
-    is consistent, ``InfeasibleConstraintError`` carries the pass's z* and
-    no LP is solved.  The support LP is solved only when no original edge is
-    inconsistent: its dual is the answer.
+    An original edge is inconsistent iff no perfect matching of original
+    edges uses it, i.e. its restricted optimum in the encoding is positive:
+    one pass of ``formulations.restricted_optima`` decides it, and no LP is
+    solved.  When no edge is consistent, ``InfeasibleConstraintError``
+    carries the pass's z*.  Otherwise z* = 0, and the answer averages the
+    pass-built dual of each variable holding an inconsistent edge
+    (``pass_family_dual`` on the variable's set, exact on all of its edges,
+    each checked by ``checked_bounds``).  Each part is optimal, so a
+    consistent edge keeps reduced cost 0 under all of them, and an
+    inconsistent one is positive under its own variable's part.  With no
+    inconsistent edge the answer is the pass's own potentials, checked too.
     """
     encoded = formulations.bg01_encode(sat)
-    # an original edge is inconsistent iff no perfect matching of original
-    # edges uses it, i.e. its restricted optimum in the encoding is positive
     optima = formulations.restricted_optima(encoded)
     stray = set(sat.edges).difference(optima)
     if stray:
         raise ValueError(f"edge {min(stray)} not in the instance")
-    inconsistent = [e for e in sat.edges if optima[e] > 0]
-    if inconsistent and len(inconsistent) < len(sat.edges):
-        parts = [shifted_cost_dual(encoded, e) for e in inconsistent]
-        k = Fraction(1, len(parts))
-        u = {
-            i: k * sum(p.u[i] for p in parts) for i in range(encoded.n_vars)
-        }
-        v = {
-            j: k * sum(p.v[j] for p in parts) for j in encoded.values
-        }
-        return encoded, dual_solution(encoded, u, v)
     z_star = formulations.optimum(encoded)
     if z_star != 0:
         # every completion uses a non-edge: the constraint itself has no support
         raise InfeasibleConstraintError("no support exists", z_lb=z_star)
-    return encoded, solve_primal(encoded)[2]
+    variables = sorted({e.i for e in sat.edges if optima[e] > 0})
+    if not variables:
+        run = formulations.combinatorial_pass(encoded)
+        dual = dual_solution(encoded, dict(enumerate(run.u)), run.v)
+        checked_bounds(encoded, (), dual)
+        return encoded, dual
+    sets = formulations.family(encoded).sets  # sets[i]: the edges of variable i
+    parts = []
+    for i in variables:
+        parts.append(pass_family_dual(encoded, sets[i]))
+        checked_bounds(encoded, sets[i], parts[-1])
+    k = Fraction(1, len(parts))
+    u = {i: k * sum(p.u[i] for p in parts) for i in range(encoded.n_vars)}
+    v = {j: k * sum(p.v[j] for p in parts) for j in encoded.values}
+    return encoded, dual_solution(encoded, u, v)

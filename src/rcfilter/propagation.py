@@ -5,12 +5,13 @@ may knock out arbitrary other edges along the way.  A set is picked only
 while it has an unmarked edge, and its dual marks all of them, so no set is
 used twice.  Each dual is built from the instance's one combinatorial pass
 (``duality.pass_family_dual``), with no LP solve, and checked in exact
-arithmetic in the sweep that marks from it: the LP route,
-``duality.solve_family_dual``, stays as the reference that tests compare
-with.  Requires every edge to lie on at least one support (``model.validate``
-enforces this).  The sets come from ``formulations.family``, by strategy
-name: only its sets are known to be pairwise incompatible and flagged
-covering truthfully.  The first covering set picked takes z* from the pass
+arithmetic by ``duality.checked_bounds``, whose bounds it marks from: the LP
+route, ``duality.solve_family_dual``, stays as the reference that tests
+compare with.  Requires every edge to lie on at least one support
+(``model.validate`` enforces this, and ``duality.supported_optimum`` raises
+otherwise).  The sets come from ``formulations.family``, by strategy name:
+only its sets are known to be pairwise incompatible and flagged covering
+truthfully.  The first covering set picked takes z* from the pass
 (``formulations.optimum``; ``validate`` reads the same pass) before its dual
 is built, so a bound below z* is refuted with that dual unbuilt.
 ``lower_bound`` reads z* the same way and builds no family.
@@ -23,7 +24,7 @@ from typing import Mapping, Optional
 
 from . import duality, formulations, lp_core
 from .duality import DualSolution
-from .model import ALLDIFF, EdgeId, InfeasibleConstraintError, WeightedInstance
+from .model import EdgeId, InfeasibleConstraintError, WeightedInstance
 
 UNMARKED = "unmarked"
 CONSISTENT = "consistent"
@@ -59,16 +60,10 @@ class FilterResult:
         return tuple(e for e, m in self.marks.items() if m == INCONSISTENT)
 
 
-def _pick_next(
-    family: formulations.IncompatibleFamily, marks: Mapping[EdgeId, str]
-) -> Optional[int]:
-    best = None
-    best_count = 0
-    for idx, edge_set in enumerate(family.sets):
-        count = sum(1 for e in edge_set if marks[e] == UNMARKED)
-        if count > best_count:
-            best, best_count = idx, count
-    return best
+def _pick_next(unmarked: list[int]) -> Optional[int]:
+    """The set with the most unmarked edges, the lowest index on a tie; None if none has any."""
+    best = max(range(len(unmarked)), key=unmarked.__getitem__, default=None)
+    return best if best is not None and unmarked[best] else None
 
 
 def ac_by_lp(
@@ -78,14 +73,16 @@ def ac_by_lp(
 ) -> FilterResult:
     """Classify every edge as consistent or inconsistent with the cost bound.
 
-    Walks the sets of ``formulations.family(instance, strategy)`` (largest
-    unmarked count first, recomputed per pick), building one dual per set
-    from the instance's combinatorial pass (``duality.pass_family_dual``),
-    with no LP solve.  Each dual is optimal and its reduced costs are exact
+    Walks the sets of ``formulations.family(instance, strategy)``, largest
+    unmarked count first (the sets partition the edges, so each set's count
+    drops as its edges are marked), building one dual per set from the
+    instance's combinatorial pass (``duality.pass_family_dual``), with no LP
+    solve.  Each dual is optimal and its reduced costs are exact
     on the set, classifying all of its unmarked edges, and any edge anywhere
     whose bound exceeds the threshold is marked inconsistent immediately.
-    One sweep over the edges per dual checks the dual and marks from it
-    (``_check_and_mark``).  ``budget`` caps the number of duals built.
+    ``duality.checked_bounds`` checks each dual and gives every edge's bound
+    ``w + r_e``, which the marks are read from.  ``budget`` caps the number
+    of duals built.
 
     Raises InfeasibleConstraintError when a covering set proves the optimum
     exceeds the cost bound, when every edge ends up inconsistent, or when
@@ -106,16 +103,18 @@ def ac_by_lp(
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
     family = formulations.family(instance, strategy)
-    z_star = _supported_optimum(instance)
+    z_star = duality.supported_optimum(instance)
     z_max = instance.z_max
     marks: dict[EdgeId, str] = {e: UNMARKED for e in instance.edges}
+    set_of = {e: idx for idx, edge_set in enumerate(family.sets) for e in edge_set}
+    unmarked = [len(edge_set) for edge_set in family.sets]
     duals_used: list[tuple[tuple[EdgeId, ...], DualSolution]] = []
     z_lb: Optional[lp_core.Number] = None
 
     while True:
         if budget is not None and len(duals_used) >= budget:
             break
-        idx = _pick_next(family, marks)
+        idx = _pick_next(unmarked)
         if idx is None:
             break
         edge_set = family.sets[idx]
@@ -127,7 +126,11 @@ def ac_by_lp(
                 )
         dual = duality.pass_family_dual(instance, edge_set)
         duals_used.append((edge_set, dual))
-        _check_and_mark(instance, edge_set, dual, marks)
+        # a member within the bound is consistent, any edge above it inconsistent
+        for e, bound in duality.checked_bounds(instance, edge_set, dual).items():
+            if marks[e] == UNMARKED and (bound > z_max or set_of[e] == idx):
+                marks[e] = INCONSISTENT if bound > z_max else CONSISTENT
+                unmarked[set_of[e]] -= 1
 
     if all(m == INCONSISTENT for m in marks.values()):
         # a full wipe proves no support lies within the bound: any edge of an
@@ -137,65 +140,6 @@ def ac_by_lp(
             f"no support within the cost bound {z_max}", z_lb=z_lb
         )
     return FilterResult(marks=marks, z_lb=z_lb, duals_used=tuple(duals_used))
-
-
-def _check_and_mark(
-    instance: WeightedInstance,
-    edge_set: tuple[EdgeId, ...],
-    dual: DualSolution,
-    marks: dict[EdgeId, str],
-) -> None:
-    """Check ``dual`` against the pass and mark from it, in one sweep over the edges.
-
-    The check, in exact arithmetic, stands in for the LP's certificate: the
-    sink's potential is 0, ``dual.w`` is the dual objective of the potentials
-    and equals ``formulations.optimum``, no reduced cost is negative, and
-    ``w + r_e`` is the pass's restricted optimum for every member e of the
-    set.  AssertionError if any fails.  Then ``w + r_e > z_max`` proves an
-    unmarked edge inconsistent, and a member within the bound is consistent.
-    """
-    optima = formulations.restricted_optima(instance)
-    u = dual.u
-    if instance.kind == ALLDIFF:
-        head = dual.v  # r = c - u_i - v_j
-        w = sum(u.values()) + sum(head.values())
-    else:
-        meta = instance.path
-        if u[meta.sink] != 0:
-            raise AssertionError(f"the sink's potential is {u[meta.sink]}, not 0")
-        head = {k: -x for k, x in u.items()}  # r = c - u_i + u_j
-        w = u[meta.source]
-    if w != dual.w or w != formulations.optimum(instance):
-        raise AssertionError(f"dual objective {dual.w} is not z* ({w} by its potentials)")
-    members = set(edge_set)
-    z_max = instance.z_max
-    checked = 0
-    for e, c in instance.cost.items():
-        i, j = e
-        r = c - u[i] - head[j]
-        if r < 0:
-            raise AssertionError(f"the dual has reduced cost {r} on edge {e}")
-        bound = w + r
-        if e in members:
-            if bound != optima[e]:
-                raise AssertionError(
-                    f"the dual bounds member {e} by {bound}, not by its optimum {optima[e]}"
-                )
-            checked += 1
-            if marks[e] == UNMARKED:
-                marks[e] = INCONSISTENT if bound > z_max else CONSISTENT
-        elif bound > z_max and marks[e] == UNMARKED:
-            marks[e] = INCONSISTENT
-    if checked != len(members):
-        raise AssertionError("a member of the set is not an edge of the instance")
-
-
-def _supported_optimum(instance: WeightedInstance) -> Optional[lp_core.Number]:
-    """``formulations.optimum``; ValueError when an edge lies on no support."""
-    for e, z in formulations.restricted_optima(instance).items():
-        if z is None:
-            raise ValueError(f"edge {e} lies on no support")
-    return formulations.optimum(instance)
 
 
 def lower_bound(instance: WeightedInstance, strategy: str = "domains") -> lp_core.Number:
@@ -208,4 +152,4 @@ def lower_bound(instance: WeightedInstance, strategy: str = "domains") -> lp_cor
     formulations.check_strategy(instance, strategy)
     if not instance.edges:
         raise InfeasibleConstraintError("no support: the instance has no edge")
-    return _supported_optimum(instance)
+    return duality.supported_optimum(instance)

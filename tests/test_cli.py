@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import rcfilter
 from rcfilter import (
     EdgeId, cli, formulations, lp_core, model, oracle, propagation, save_instance,
     weighted_instance,
@@ -15,7 +17,7 @@ from rcfilter.cli import main
 from rcfilter.model import InfeasibleConstraintError
 from rcfilter.propagation import FilterResult
 
-from corpus import alldiff_corpus, path_corpus
+from corpus import alldiff_corpus, path_corpus, satisfaction_corpus
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -187,6 +189,64 @@ def test_bound_solves_no_lp(monkeypatch, tmp_path, capsys):
             assert main(argv + ["--format", "text"]) == 0
             assert capsys.readouterr().out == f"z* = {z_star}\n"
     assert solved == []
+
+
+def test_only_the_reference_routes_solve_an_lp(monkeypatch, tmp_path, capsys):
+    # with lp_core.solve made to fail, every command runs on every instance
+    # file and every public function of the package runs on the corpora,
+    # except solve_primal and solve_family_dual, the LP reference routes
+    def no_solve(lp):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp_core, "solve", no_solve)
+    files = sorted(INSTANCES.glob("*.json"))
+    for k, inst in enumerate(alldiff_corpus(30) + path_corpus(15)):
+        files.append(tmp_path / f"{k}.json")
+        save_instance(inst, files[-1])
+    for path in files:
+        kind = model.load_instance(path).kind
+        for family in ("domains", "layers") if kind == "path" else ("domains",):
+            for command in (["filter", "--emit-duals"], ["verify"], ["bound"]):
+                assert main([command[0], str(path), "--family", family, *command[1:]]) in (0, 3)
+        assert main(["oracle", str(path)]) in (0, 3)
+    capsys.readouterr()
+
+    called = set()
+
+    def call(name, *args):
+        called.add(name)
+        return getattr(rcfilter, name)(*args)
+
+    for k, inst in enumerate(alldiff_corpus(30) + path_corpus(15)):
+        assert call("validate", inst) == []
+        call("family", inst)
+        call("find_support", inst, inst.edges)
+        call("primal_program", inst, inst.cost)
+        copy = call("instance_from_dict", call("instance_to_dict", inst))
+        call("save_instance", copy, tmp_path / f"copy{k}.json")
+        call("load_instance", tmp_path / f"copy{k}.json")
+        call("lower_bound", inst)
+        try:
+            call("ac_by_lp", inst)
+        except InfeasibleConstraintError:
+            pass
+        for e in inst.edges:
+            call("exact_reduced_cost", inst, e)
+            d = call("shifted_cost_dual", inst, e)
+            call("reduced_cost", inst, d, e)
+            call("exactness_certificate", inst, d, e)
+            assert call("is_dual_feasible", inst, call("dual_solution", inst, d.u, d.v))
+    hard, _ = call("worst_case_alldiff", 3)
+    call("ac_by_lp", hard)
+    call("weighted_instance", "alldiff", 1, [0], [(0, 0, 1)], 1)
+    for sat in satisfaction_corpus(30):
+        call("bg01_encode", sat)
+        try:
+            call("averaged_satisfaction_dual", sat)
+        except InfeasibleConstraintError:
+            pass
+    public = {n for n in rcfilter.__all__ if inspect.isfunction(getattr(rcfilter, n))}
+    assert public - called == {"solve_primal", "solve_family_dual"}
 
 
 def test_bound_builds_no_family(monkeypatch, dag_file, assignment_file, capsys):

@@ -279,25 +279,25 @@ def test_shifted_dual_on_path(five_vertex_dag):
 
 
 def _misread_optimum(monkeypatch, delta):
-    # a pass whose z* is off by delta, to show the LP cross-checks catch it
+    # a pass whose z* is off by delta, to show the dual check catches it
     real = formulations.optimum
     monkeypatch.setattr(formulations, "optimum", lambda inst: real(inst) + delta)
 
 
 def test_shifted_dual_rejects_wrong_optimum(monkeypatch, three_var_assignment):
-    # z* + 1 shifts (0,1) too little: the shifted solve still finds the true z*
+    # z* + 1: the pass-built dual's objective is the true z*, so the check
+    # of every pass-built dual rejects it
     _misread_optimum(monkeypatch, 1)
-    with pytest.raises(ValueError, match="is not z\\* = 1"):
+    with pytest.raises(AssertionError, match="is not z\\* = 1"):
         shifted_cost_dual(three_var_assignment, EdgeId(0, 1))
 
 
 def test_shifted_dual_rejects_optimum_below_true_value(monkeypatch, three_var_assignment):
-    # z* - 1 shifts (0,1) too far: the shifted solve agrees with the misread
-    # optimum, but no support has zero reduced cost under its dual, and a
+    # z* - 1: the check rejects the pass-built dual the same way, and a
     # truly optimal dual is no longer taken for optimal
     _, _, base = solve_primal(three_var_assignment)
     _misread_optimum(monkeypatch, -1)
-    with pytest.raises(ValueError, match="not optimal"):
+    with pytest.raises(AssertionError, match="is not z\\* = -1"):
         shifted_cost_dual(three_var_assignment, EdgeId(0, 1))
     with pytest.raises(ValueError, match="not optimal"):
         exactness_certificate(three_var_assignment, base, EdgeId(0, 1))
@@ -390,11 +390,9 @@ def test_averaged_dual_separates_inconsistent_edges():
 
 
 def test_averaged_dual_solve_count(monkeypatch):
-    # the base solve alone when no edge is inconsistent; otherwise one per
-    # inconsistent edge (the shifted solve of its shifted dual) and no base
-    # solve, as a consistent edge fixes z* = 0; consistency and every exact
-    # reduced cost come from one combinatorial pass, so no family dual
-    # program is ever built
+    # no solve, with or without inconsistent edges: consistency, every part
+    # and the answer with no inconsistent edge all come from one
+    # combinatorial pass, and no family dual program is ever built
     real = lp_core.solve
     calls = []
 
@@ -409,19 +407,80 @@ def test_averaged_dual_solve_count(monkeypatch):
     monkeypatch.setattr(duality, "family_dual_program", no_family_dual)
     seen = set()
     for sat in satisfaction_corpus(15):
-        calls.clear()
         enc, _ = averaged_satisfaction_dual(sat)
         report = oracle.enumerate(enc)
-        inconsistent = [e for e in sat.edges if report.z_restricted[e] > 0]
-        assert len(calls) == (len(inconsistent) if inconsistent else 1)
-        seen.add(bool(inconsistent))
+        seen.add(any(report.z_restricted[e] > 0 for e in sat.edges))
+    assert calls == []
     assert seen == {True, False}
+
+
+def test_no_lp_in_shifted_and_averaged_duals(monkeypatch):
+    # both are pass-built and checked: no LP solve on either corpus or on
+    # the satisfaction corpus; each shifted dual is optimal and carries the
+    # oracle's exact reduced cost on its edge, which is also the w + r of
+    # the one-edge family dual LP, solved with the spy lifted
+    real = lp_core.solve
+    calls = []
+    monkeypatch.setattr(lp_core, "solve", lambda lp: calls.append(lp) or real(lp))
+    shifted = []
+    for inst in alldiff_corpus(60) + path_corpus(40):
+        report = oracle.enumerate(inst)
+        for e in inst.edges:
+            d = shifted_cost_dual(inst, e)
+            assert d.w == report.z_star
+            assert reduced_cost(inst, d, e) == report.exact_rc[e]
+            shifted.append((inst, e, d))
+    encoded = 0
+    for sat in satisfaction_corpus(50):
+        try:
+            enc, _ = averaged_satisfaction_dual(sat)
+        except InfeasibleConstraintError:
+            continue
+        for e in sat.edges:
+            shifted_cost_dual(enc, e)
+        encoded += 1
+    assert calls == [] and encoded
+    monkeypatch.setattr(lp_core, "solve", real)
+    for inst, e, d in shifted:
+        ref = solve_family_dual(inst, (e,))
+        assert d.w + reduced_cost(inst, d, e) == ref.w + reduced_cost(inst, ref, e)
+    assert len(shifted) > 500
+
+
+def test_pass_duals_reject_an_edge_on_no_support():
+    # 1 -> 2 reaches no sink: one guard, behind the builder, names the edge
+    # for every pass-built dual, where validate names it too
+    inst = weighted_instance(
+        "path", 3, range(4), [(0, 1, 1), (1, 3, 1), (1, 2, 1)], z_max=9,
+        source=0, sink=3,
+    )
+    assert validate(inst) == ["edge EdgeId(i=1, j=2) lies on no support"]
+    message = "edge EdgeId\\(i=1, j=2\\) lies on no support"
+    for build in (
+        lambda: duality.pass_family_dual(inst, (EdgeId(0, 1),)),
+        lambda: shifted_cost_dual(inst, EdgeId(0, 1)),
+        lambda: ac_by_lp(inst),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    # an alldiff whose two variables share one value has no support at all
+    stuck = weighted_instance("alldiff", 2, [0, 1], [(0, 0, 1), (1, 0, 1)], z_max=9)
+    with pytest.raises(ValueError, match="lies on no support"):
+        shifted_cost_dual(stuck, EdgeId(0, 0))
 
 
 def _family_solves(inst, strategy):
     """The reference route: one family dual LP per set of the family."""
     for edge_set in family(inst, strategy).sets:
         solve_family_dual(inst, edge_set)
+
+
+def _shifted_primal_solves(inst):
+    """The support LP, then one copy per edge with its cost lowered by its exact reduced cost."""
+    solve_primal(inst)
+    for e in inst.edges:
+        cost = {**inst.cost, e: inst.cost[e] - exact_reduced_cost(inst, e)}
+        lp_core.solve(primal_program(inst, cost))
 
 
 def test_every_solve_is_certified_and_shares_its_rows(monkeypatch):
@@ -450,7 +509,7 @@ def test_every_solve_is_certified_and_shares_its_rows(monkeypatch):
         for inst in path_corpus(20)
         for s in ("domains", "layers")
     ]
-    jobs += [(averaged_satisfaction_dual, sat) for sat in satisfaction_corpus(20)]
+    jobs += [(_shifted_primal_solves, bg01_encode(sat)) for sat in satisfaction_corpus(20)]
     shared = {lp_core.MIN: 0, lp_core.MAX: 0}
     for run, *args in jobs:
         solved.clear()
@@ -493,11 +552,7 @@ def test_each_solve_gets_the_only_program_built_for_it(monkeypatch):
     for inst, strategy in jobs:
         _family_solves(inst, strategy)
     for sat in satisfaction_corpus(6):
-        try:
-            averaged_satisfaction_dual(sat)
-        except InfeasibleConstraintError:
-            pass
-        shifted_cost_dual(bg01_encode(sat), sat.edges[0])
+        _shifted_primal_solves(bg01_encode(sat))
     assert len(solved) > len(jobs)
     assert len(built) == len(solved)
     assert all(b is s for b, s in zip(built, solved))

@@ -18,7 +18,6 @@ from rcfilter.propagation import (
     CONSISTENT,
     INCONSISTENT,
     UNMARKED,
-    _check_and_mark,
     _pick_next,
     ac_by_lp,
     lower_bound,
@@ -233,7 +232,7 @@ def _infeasible_runs():
             continue
         for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
             fam = family(inst, strategy)
-            first = _pick_next(fam, dict.fromkeys(inst.edges, UNMARKED))
+            first = _pick_next([len(edge_set) for edge_set in fam.sets])
             yield inst, strategy, z_star, fam.covering[first]
 
 
@@ -296,7 +295,7 @@ def _sound(inst, edge_set, dual):
 
 def _passes_check(inst, edge_set, dual):
     try:
-        _check_and_mark(inst, edge_set, dual, dict.fromkeys(inst.edges, UNMARKED))
+        duality.checked_bounds(inst, edge_set, dual)
     except AssertionError:
         return False
     return True
@@ -461,6 +460,35 @@ def test_no_set_is_solved_twice():
                 assert len(set(solved)) == len(solved)
                 if result.complete:
                     assert dict(result.marks) == truth
+
+
+def test_pick_order_matches_a_recount():
+    # the kept per-set counts pick as a recount of every set's unmarked edges
+    # would (the most unmarked edges, then the lowest index), replayed from
+    # each run's own duals and marked as the loop marks
+    dag = layered_dag(40, seed=0)
+    instances = alldiff_corpus(200) + path_corpus(100)
+    instances.append(replace(dag, z_max=formulations.optimum(dag) + 5))
+    assert len(instances[-1].edges) == 714
+    replayed = longest = 0
+    for inst in instances:
+        for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
+            try:
+                result = ac_by_lp(inst, strategy)
+            except InfeasibleConstraintError:
+                continue
+            longest = max(longest, result.solves)
+            sets = family(inst, strategy).sets
+            marks = dict.fromkeys(inst.edges, UNMARKED)
+            for edge_set, dual in result.duals_used:
+                counts = [sum(marks[e] == UNMARKED for e in s) for s in sets]
+                assert edge_set == sets[counts.index(max(counts))]
+                for e, bound in duality.checked_bounds(inst, edge_set, dual).items():
+                    if marks[e] == UNMARKED and (bound > inst.z_max or e in edge_set):
+                        marks[e] = INCONSISTENT if bound > inst.z_max else CONSISTENT
+            assert marks == dict(result.marks) and UNMARKED not in marks.values()
+            replayed += 1
+    assert replayed > 150 and longest > 150  # the 714-arc DAG takes 172 duals
 
 
 def test_worst_case_needs_one_solve_per_variable():
