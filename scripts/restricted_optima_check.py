@@ -44,13 +44,13 @@ from rcfilter.duality import (
     solve_primal,
 )
 from rcfilter.formulations import family, find_support, optimum, restricted_optima
-from rcfilter.model import EdgeId, SatisfactionInstance, validate, weighted_instance
+from rcfilter.model import EdgeId, validate, weighted_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from corpus import layered_dag, permutation_alldiff  # noqa: E402
+from corpus import layered_dag, permutation_alldiff, tight_satisfaction  # noqa: E402
 
-SAMPLED_EDGES = 8
-SAMPLED_SETS = 4  # per family: each LP solve is full size
+SAMPLED_EDGES = 8  # per instance, or every edge of a smaller one
+SAMPLED_SETS = 4  # per family, or every set of a smaller one: each LP solve is full size
 
 
 def check(inst, rng):
@@ -58,7 +58,8 @@ def check(inst, rng):
     optima = restricted_optima(inst)
     pass_s = time.perf_counter() - start
     wrong = []
-    for e in rng.sample(inst.edges, SAMPLED_EDGES):
+    sampled = rng.sample(inst.edges, min(SAMPLED_EDGES, len(inst.edges)))
+    for e in sampled:
         d = solve_family_dual(inst, (e,))
         shifted = shifted_cost_dual(inst, e)
         lp_bound = d.w + reduced_cost(inst, d, e)
@@ -66,7 +67,7 @@ def check(inst, rng):
             shifted.w + reduced_cost(inst, shifted, e) != lp_bound
         ):
             wrong.append(e)
-    return pass_s, wrong, optimum(inst), solve_primal(inst)[0]
+    return pass_s, len(sampled), wrong, optimum(inst), solve_primal(inst)[0]
 
 
 def check_duals(inst, rng):
@@ -114,25 +115,6 @@ def planted(inst):
     return copy, bad
 
 
-def tight_satisfaction(n, rng):
-    """n variables with a seeded perfect matching, a tight set and random extra edges.
-
-    A third of the variables take only the values the matching gives them
-    (plus random ones among those), so every edge of another variable into
-    those values is inconsistent; the others get each value with
-    probability 3/n.
-    """
-    perm = list(range(n))
-    rng.shuffle(perm)
-    tight = set(rng.sample(range(n), max(1, n // 3)))
-    held = [perm[i] for i in sorted(tight)]
-    edges = {(i, perm[i]) for i in range(n)}
-    for i in range(n):
-        choices = held if i in tight else range(n)
-        edges.update((i, j) for j in choices if rng.random() < 3 / n)
-    return SatisfactionInstance(n, tuple(range(n)), tuple(EdgeId(*e) for e in sorted(edges)))
-
-
 def check_averaged(sat):
     """Inconsistent edges found by support search, and the edges the averaged dual gets wrong."""
     encoded, d = averaged_satisfaction_dual(sat)
@@ -170,11 +152,11 @@ def main(argv):
           f"{'duals wrong':>12}")
     failed = False
     for inst in instances:
-        pass_s, wrong, z_pass, z_lp = check(inst, rng)
+        pass_s, sampled, wrong, z_pass, z_lp = check(inst, rng)
         problems = validate_problems(inst)
         sets, wrong_duals = check_duals(inst, rng)
         print(f"{inst.kind:>8} {len(inst.values):>9} {len(inst.edges):>6} "
-              f"{SAMPLED_EDGES:>8} {pass_s:>7.3f} {len(wrong):>6} "
+              f"{sampled:>8} {pass_s:>7.3f} {len(wrong):>6} "
               f"{'ok' if z_pass == z_lp else 'wrong':>6} "
               f"{'ok' if not problems else 'wrong':>9} {sets:>5} {len(wrong_duals):>12}")
         if wrong:

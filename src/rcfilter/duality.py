@@ -37,12 +37,11 @@ the instance stays the same (``formulations.last_instance_memo``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import formulations, lp_core
 from .formulations import Support, edge_column
-from .lp_core import Number, exact
+from .lp_core import Number, _quotient, exact
 from .model import (
     ALLDIFF,
     EdgeId,
@@ -290,7 +289,7 @@ def pass_family_dual(
     reach = {e.j for e in edge_set}
     stack = list(reach)
     while stack:
-        for b in run.heads.get(stack.pop(), ()):
+        for _, b in run.by_tail.get(stack.pop(), ()):
             if b not in reach:
                 reach.add(b)
                 stack.append(b)
@@ -375,11 +374,14 @@ def averaged_satisfaction_dual(
     solved.  When no edge is consistent, ``InfeasibleConstraintError``
     carries the pass's z*.  Otherwise z* = 0, and the answer averages the
     pass-built dual of each variable holding an inconsistent edge
-    (``pass_family_dual`` on the variable's set, exact on all of its edges,
-    each checked by ``checked_bounds``).  Each part is optimal, so a
-    consistent edge keeps reduced cost 0 under all of them, and an
-    inconsistent one is positive under its own variable's part.  With no
-    inconsistent edge the answer is the pass's own potentials, checked too.
+    (``pass_family_dual`` on the variable's edges, read from the pass's
+    ``by_tail``, exact on all of them, each checked by ``checked_bounds``).
+    Each part is optimal, so a consistent edge keeps reduced cost 0 under
+    all of them, and an inconsistent one is positive under its own
+    variable's part.  The parts' potentials are integers: each average is
+    their sum divided once by the number of parts (``lp_core._quotient``),
+    an ``int`` when integral, and so is ``w``.  With no inconsistent edge
+    the answer is the pass's own potentials, checked too.
     """
     encoded = formulations.bg01_encode(sat)
     optima = formulations.restricted_optima(encoded)
@@ -391,17 +393,18 @@ def averaged_satisfaction_dual(
         # every completion uses a non-edge: the constraint itself has no support
         raise InfeasibleConstraintError("no support exists", z_lb=z_star)
     variables = sorted({e.i for e in sat.edges if optima[e] > 0})
+    run = formulations.combinatorial_pass(encoded)
     if not variables:
-        run = formulations.combinatorial_pass(encoded)
         dual = dual_solution(encoded, dict(enumerate(run.u)), run.v)
         checked_bounds(encoded, (), dual)
         return encoded, dual
-    sets = formulations.family(encoded).sets  # sets[i]: the edges of variable i
     parts = []
     for i in variables:
-        parts.append(pass_family_dual(encoded, sets[i]))
-        checked_bounds(encoded, sets[i], parts[-1])
-    k = Fraction(1, len(parts))
-    u = {i: k * sum(p.u[i] for p in parts) for i in range(encoded.n_vars)}
-    v = {j: k * sum(p.v[j] for p in parts) for j in encoded.values}
-    return encoded, dual_solution(encoded, u, v)
+        edge_set = run.by_tail[i]
+        parts.append(pass_family_dual(encoded, edge_set))
+        checked_bounds(encoded, edge_set, parts[-1])
+    m = len(parts)
+    u = {i: _quotient(sum(p.u[i] for p in parts), m) for i in range(encoded.n_vars)}
+    v = {j: _quotient(sum(p.v[j] for p in parts), m) for j in encoded.values}
+    w = _quotient(sum(p.w for p in parts), m)
+    return encoded, DualSolution(u=u, v=v, w=w)

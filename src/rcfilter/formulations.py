@@ -6,18 +6,21 @@ for the per-value rows (alldiff only).  Columns of the support LP
 (``primal_program``) are the edges themselves.  ``row_rhs`` and
 ``edge_column`` define it, and ``duality.family_dual_program`` its dual.
 
-Every combinatorial support query (``find_support`` and the covering flags
-of the ``domains`` family) is one iterative depth-first search, ``_search``,
-fed by a small step function per kind.  Both kinds search one map of the
-allowed arcs by tail (alldiff: edges by variable), built once per
-``find_support`` call.
+Every combinatorial support query (``find_support``) is one iterative
+depth-first search, ``_search``, fed by a small step function per kind.
+Both kinds search one map of the allowed arcs by tail (alldiff: edges by
+variable), built once per ``find_support`` call.  The ``domains`` family's
+covering flags need no search: a vertex k is on every source-sink path
+exactly when paths(s, k) * paths(k, t) = paths(s, t), counted exactly in
+one forward and one backward sweep of the topological order.
 
 Every edge's restricted optimum, the cheapest support through it, comes from
 one pass per instance with no LP (``combinatorial_pass``): an optimal
 assignment with potentials and one Dijkstra per variable in its residual
 graph, or forward and backward shortest paths over a DAG's topological order.
 The pass keeps those potentials and distances, from which
-``duality.pass_family_dual`` builds the filter's duals.  ``model.validate``
+``duality.pass_family_dual`` builds the filter's duals, and the edges by
+tail, from which ``family`` builds its sets.  ``model.validate``
 takes the edges without an optimum as the edges on no support, and
 ``optimum`` takes z* as the least entry: the package reads z* nowhere else
 (``oracle`` and the LP solves are references that tests and cross-checks
@@ -40,6 +43,7 @@ from .model import (
     EdgeId,
     SatisfactionInstance,
     WeightedInstance,
+    _integer,
     weighted_instance,
 )
 
@@ -157,25 +161,22 @@ def family(instance: WeightedInstance, strategy: str = "domains") -> Incompatibl
     ``domains``: one set per variable (alldiff) or per non-sink vertex (path).
     ``layers`` (path only): arcs grouped by the longest-path depth of their
     tail; depth strictly increases along any path, hence incompatibility.
+    Both read the edges by tail that ``combinatorial_pass`` keeps.  A
+    ``domains`` set is covering for every alldiff variable, since every
+    assignment gives it a value, and for a path vertex k when
+    paths(s, k) * paths(k, t) = paths(s, t): every s-t path passes k.
     """
     check_strategy(instance, strategy)
-    out = _edges_by_tail(instance, instance.edges)
+    out = combinatorial_pass(instance).by_tail
     if strategy == "domains":
-        meta = instance.path
-        sets = []
-        covering = []
-        for k in instance.variables():
-            if k not in out:
-                continue  # an isolated path vertex, which validate allows
-            sets.append(tuple(out[k]))
-            if instance.kind == ALLDIFF:
-                covering.append(True)  # every assignment gives each variable a value
-            else:
-                # k is on every path iff no source-sink path avoids it
-                covering.append(
-                    _arcs_between(out, meta.source, meta.sink, avoid=k) is None
-                )
-        return IncompatibleFamily(tuple(sets), tuple(covering))
+        # an isolated path vertex, which validate allows, has no set
+        held = [k for k in instance.variables() if k in out]
+        sets = tuple(out[k] for k in held)
+        if instance.kind == ALLDIFF:
+            return IncompatibleFamily(sets, (True,) * len(sets))
+        down, up = _path_counts(instance, out)
+        total = down.get(instance.path.sink, 0)
+        return IncompatibleFamily(sets, tuple(down[k] * up[k] == total for k in held))
     depth = _longest_path_depths(instance, out)
     grouped: dict[int, list[EdgeId]] = {}
     for e in instance.edges:
@@ -199,6 +200,24 @@ def _edges_by_tail(instance: WeightedInstance, allowed: Iterable[EdgeId]) -> dic
         if e in allowed_set:
             out.setdefault(e.i, []).append(e)
     return out
+
+
+def _path_counts(instance: WeightedInstance, out: Mapping) -> tuple[dict, dict]:
+    """Exact path counts: paths(s, v) and paths(v, t) for every vertex v."""
+    meta = instance.path
+    order = instance.topo_order
+    down = dict.fromkeys(order, 0)
+    down[meta.source] = 1
+    for v in order:
+        if down[v]:
+            for _, b in out.get(v, ()):
+                down[b] += down[v]
+    up = dict.fromkeys(order, 0)
+    up[meta.sink] = 1
+    for v in reversed(order):
+        for _, b in out.get(v, ()):
+            up[v] += up[b]
+    return down, up
 
 
 def _longest_path_depths(instance: WeightedInstance, out: dict) -> dict[int, int]:
@@ -283,16 +302,15 @@ def _path_support(
 
 
 def _arcs_between(
-    out: dict[int, list[EdgeId]], start: int, goal: int, avoid: Optional[int] = None
+    out: dict[int, list[EdgeId]], start: int, goal: int
 ) -> Optional[list[EdgeId]]:
-    """Arcs of a start-goal path over ``out`` (arcs by tail) not through ``avoid``."""
+    """Arcs of a start-goal path over ``out`` (arcs by tail), or None."""
     if start == goal:
         return []
 
     def steps(v: int):
-        if v != avoid:  # a path entering avoid can go no further
-            for e in out.get(v, ()):
-                yield e, (None if e.j == goal else e.j)
+        for e in out.get(v, ()):
+            yield e, (None if e.j == goal else e.j)
 
     return _search(start, steps)
 
@@ -333,19 +351,21 @@ _EMPTY: Mapping = MappingProxyType({})
 # the import time
 CombinatorialPass = namedtuple(
     "CombinatorialPass",
-    "optima value_of holder u v dists down up heads",
-    defaults=(_EMPTY, _EMPTY, (), _EMPTY, (), _EMPTY, _EMPTY, _EMPTY),
+    "optima by_tail value_of holder u v dists down up",
+    defaults=(_EMPTY, _EMPTY, _EMPTY, (), _EMPTY, (), _EMPTY, _EMPTY),
 )
 CombinatorialPass.__doc__ = """What the one pass per instance computes, kept read-only for every reader.
 
 ``optima``: each edge's cheapest support through it, or None when it lies on
-no support.  alldiff, with every other field empty when no perfect matching
-exists: the optimal assignment M (``value_of``, by variable, and ``holder``,
-by value), its potentials ``u`` (a tuple by variable) and ``v`` (by value),
-with every reduced cost >= 0 and 0 on M, and ``dists[k]``, the residual
-distance from variable k to each value it reaches.  path: the distance maps
-``down`` (d(s, v)) and ``up`` (d(v, t)), and ``heads``, the heads of each
-vertex's arcs.  Every map is a read-only view.
+no support.  ``by_tail``: the edges of each variable (alldiff) or the arcs
+leaving each vertex (path), a tuple in instance order, for every key with
+at least one; ``family`` reads its sets from it.  alldiff, with the other
+fields empty when no perfect matching exists: the optimal assignment M
+(``value_of``, by variable, and ``holder``, by value), its potentials ``u``
+(a tuple by variable) and ``v`` (by value), with every reduced cost >= 0
+and 0 on M, and ``dists[k]``, the residual distance from variable k to each
+value it reaches.  path: the distance maps ``down`` (d(s, v)) and ``up``
+(d(v, t)).  Every map is a read-only view.
 """
 
 
@@ -393,24 +413,24 @@ def _assignment_pass(instance: WeightedInstance) -> CombinatorialPass:
     n, cost = instance.n_vars, instance.cost
     v = dict.fromkeys(instance.values, 0)
     by_var: list[list[EdgeId]] = [[] for _ in range(n)]
-    for e in instance.edges:
-        if not (0 <= e.i < n and e.j in v):
+    adj: list[list[tuple]] = [[] for _ in range(n)]  # (value, cost) by variable
+    for e, c in cost.items():
+        i, j = e
+        if not (0 <= i < n and j in v):
             raise ValueError(f"edge {e} meets no row of the support LP")
-        by_var[e.i].append(e)
+        by_var[i].append(e)
+        adj[i].append((j, c))
+    by_tail = MappingProxyType({i: tuple(es) for i, es in enumerate(by_var) if es})
     if len(v) != n:  # no matching covers both sides
-        return CombinatorialPass(MappingProxyType(dict.fromkeys(instance.edges)))
+        return CombinatorialPass(MappingProxyType(dict.fromkeys(cost)), by_tail)
     # u_i = min_j c_ij and v = 0 leave no reduced cost negative, whatever the signs
-    u = [min((cost[e] for e in edges), default=0) for edges in by_var]
+    u = [min((c for _, c in pairs), default=0) for pairs in adj]
     value_of: dict[int, int] = {}  # variable -> its value in M
     holder: dict[int, int] = {}  # value -> its variable in M
-
-    def reduced(e: EdgeId) -> Number:
-        return cost[e] - u[e.i] - v[e.j]
-
     for root in range(n):
-        dist, via, free = _alternating_distances(by_var, reduced, holder, root, True)
+        dist, via, free = _alternating_distances(adj, u, v, holder, root, True)
         if free is None:  # no perfect matching
-            return CombinatorialPass(MappingProxyType(dict.fromkeys(instance.edges)))
+            return CombinatorialPass(MappingProxyType(dict.fromkeys(cost)), by_tail)
         far = dist[free]
         # potentials shifted by (distance - far) on the settled part keep
         # every reduced cost >= 0 and make the augmenting path tight
@@ -421,30 +441,39 @@ def _assignment_pass(instance: WeightedInstance) -> CombinatorialPass:
         u[root] += far
         j = free
         while j is not None:
-            i = via[j].i
+            i = via[j]
             holder[j], value_of[i], j = i, j, value_of.get(i)
 
-    z_star = sum(cost[EdgeId(i, j)] for i, j in value_of.items())
+    z_star = sum(cost[i, j] for i, j in value_of.items())
     if sum(u) + sum(v.values()) != z_star:
         raise AssertionError("assignment potentials do not sum to the optimum")
-    dists = [
-        _alternating_distances(by_var, reduced, holder, k, False)[0] for k in range(n)
-    ]
-    # one reduced cost per edge serves the certificate and the edge's optimum
-    optima: dict = {}
+    # one reduced cost per edge serves the certificate, the residual
+    # Dijkstras (on zero potentials) and the edge's optimum
+    rs: list = []
+    reduced: list[list[tuple]] = [[] for _ in range(n)]
     for e, c in cost.items():
         i, j = e
         r = c - u[i] - v[j]
-        matched = value_of[i] == j
-        if r < 0 or (matched and r != 0):
+        if r < 0 or (r != 0 and value_of[i] == j):
             raise AssertionError(f"assignment potentials fail on edge {e}")
-        if matched:
+        rs.append(r)
+        reduced[i].append((j, r))
+    zero_u, zero_v = [0] * n, dict.fromkeys(v, 0)
+    dists = [
+        _alternating_distances(reduced, zero_u, zero_v, holder, k, False)[0]
+        for k in range(n)
+    ]
+    optima: dict = {}
+    for e, r in zip(cost, rs):
+        i, j = e
+        if value_of[i] == j:
             optima[e] = z_star
         else:
             d = dists[holder[j]].get(value_of[i])
             optima[e] = None if d is None else z_star + r + d
     return CombinatorialPass(
         optima=MappingProxyType(optima),
+        by_tail=by_tail,
         value_of=MappingProxyType(value_of),
         holder=MappingProxyType(holder),
         u=tuple(u),
@@ -454,14 +483,16 @@ def _assignment_pass(instance: WeightedInstance) -> CombinatorialPass:
 
 
 def _alternating_distances(
-    by_var: list, reduced: Callable, holder: dict, root: int, stop: bool
+    adj: list, u: list, v: dict, holder: dict, root: int, stop: bool
 ) -> tuple[dict, dict, Optional[int]]:
     """Dijkstra from variable ``root`` to the values, along alternating paths.
 
-    A variable steps to a value by one of its edges (length r >= 0), a value
-    to its holder by its matching edge (length 0), so a variable's distance
-    is that of its value.  Returns the settled values' distances, the edge
-    into each, and, with ``stop``, the first free value settled (else None).
+    ``adj[i]`` holds variable i's ``(value, cost)`` pairs in instance order.
+    A variable steps to a value by one of them (length cost - u_i - v_j >= 0),
+    a value to its holder by its matching edge (length 0), so a variable's
+    distance is that of its value.  Heap entries are ``(distance, value)``.
+    Returns the settled values' distances, the variable each was reached
+    from, and, with ``stop``, the first free value settled (else None).
     """
     dist: dict = {}
     via: dict = {}
@@ -469,11 +500,14 @@ def _alternating_distances(
     heap: list = []
 
     def scan(i: int, d: Number) -> None:
-        for e in by_var[i]:
-            nd = d + reduced(e)
-            if e.j not in dist and (e.j not in best or nd < best[e.j]):
-                best[e.j], via[e.j] = nd, e
-                heapq.heappush(heap, (nd, e.j))
+        d -= u[i]  # the potential of the scanned variable, read once
+        for j, c in adj[i]:
+            if j not in dist:
+                nd = d + c - v[j]
+                if j not in best or nd < best[j]:
+                    best[j] = nd
+                    via[j] = i
+                    heapq.heappush(heap, (nd, j))
 
     scan(root, 0)
     while heap:
@@ -494,7 +528,10 @@ def _path_pass(instance: WeightedInstance) -> CombinatorialPass:
     assert meta is not None
     cost = instance.cost
     order = instance.topo_order
-    out = _edges_by_tail(instance, instance.edges)
+    grouped: dict[int, list[EdgeId]] = {}
+    for e in instance.edges:
+        grouped.setdefault(e.i, []).append(e)
+    out = {k: tuple(arcs) for k, arcs in grouped.items()}
     down = {meta.source: 0}  # d(s, v)
     for v in order:
         if v not in down:
@@ -516,9 +553,9 @@ def _path_pass(instance: WeightedInstance) -> CombinatorialPass:
     }
     return CombinatorialPass(
         optima=MappingProxyType(optima),
+        by_tail=MappingProxyType(out),
         down=MappingProxyType(down),
         up=MappingProxyType(up),
-        heads=MappingProxyType({k: tuple(e.j for e in arcs) for k, arcs in out.items()}),
     )
 
 
@@ -544,17 +581,23 @@ def bg01_encode(sat: SatisfactionInstance) -> WeightedInstance:
     """Complete 0/1-cost graph: original edges cost 0, missing ones cost 1, bound 0.
 
     An original edge is consistent for the cost-free constraint exactly when
-    it lies on a zero-cost support of the encoding.
+    it lies on a zero-cost support of the encoding.  The n^2 costs are built
+    straight into the instance: only ``n_vars`` and ``values`` are checked,
+    and a non-integer among them, a repeated value or a non-square instance
+    raises ValueError.
     """
-    if len(sat.values) != sat.n_vars:
+    n = _integer(sat.n_vars, "n_vars")
+    values = tuple(_integer(x, "value") for x in sat.values)
+    if len(values) != n:
         raise ValueError("satisfaction instances must be square to encode")
+    if len(set(values)) != n:
+        raise ValueError("duplicate values")
     original = set(sat.edges)
-    triples = [
-        (i, j, 0 if EdgeId(i, j) in original else 1)
-        for i in range(sat.n_vars)
-        for j in sat.values
-    ]
-    return weighted_instance(ALLDIFF, sat.n_vars, sat.values, triples, z_max=0)
+    cost = {
+        e: 0 if e in original else 1
+        for e in (EdgeId(i, j) for i in range(n) for j in values)
+    }
+    return WeightedInstance(ALLDIFF, n, values, cost, z_max=0)
 
 
 def worst_case_alldiff(n: int) -> tuple[WeightedInstance, tuple[EdgeId, ...]]:

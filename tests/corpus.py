@@ -123,3 +123,22 @@ def layered_dag(depth: int, seed: int, width: int = 6, successors: int = 3):
     return weighted_instance(
         "path", sink, range(sink + 1), triples, z_max=0, source=0, sink=sink
     )
+
+
+def tight_satisfaction(n, rng):
+    """n variables with a seeded perfect matching, a tight set and random extra edges.
+
+    A third of the variables take only the values the matching gives them
+    (plus random ones among those), so every edge of another variable into
+    those values is inconsistent; the others get each value with
+    probability 3/n.
+    """
+    perm = list(range(n))
+    rng.shuffle(perm)
+    tight = set(rng.sample(range(n), max(1, n // 3)))
+    held = [perm[i] for i in sorted(tight)]
+    edges = {(i, perm[i]) for i in range(n)}
+    for i in range(n):
+        choices = held if i in tight else range(n)
+        edges.update((i, j) for j in choices if rng.random() < 3 / n)
+    return SatisfactionInstance(n, tuple(range(n)), tuple(EdgeId(*e) for e in sorted(edges)))

@@ -33,6 +33,7 @@ from corpus import (
     path_corpus,
     permutation_alldiff,
     satisfaction_corpus,
+    tight_satisfaction,
 )
 
 
@@ -563,6 +564,36 @@ def test_each_solve_gets_the_only_program_built_for_it(monkeypatch):
             numbers += [r.rhs, *r.coeffs.values()]
         assert all(x.denominator == 1 for x in numbers), lp
         assert lp.cost_scale == 1 and all(r.scale == 1 for r in lp.rows), lp
+
+
+def test_averaged_dual_matches_the_fraction_average():
+    # on 3-40 variables, the integer sums divided once equal Fraction(1, m)
+    # times each sum of the m parts, made exact, and every value is in the
+    # one normal form
+    rng = random.Random(30)
+    fractional = 0
+    for _ in range(60):
+        sat = tight_satisfaction(rng.randint(3, 40), rng)
+        enc, d = averaged_satisfaction_dual(sat)
+        optima = restricted_optima(enc)
+        variables = sorted({e.i for e in sat.edges if optima[e] > 0})
+        assert variables
+        parts = [
+            duality.pass_family_dual(enc, tuple(e for e in enc.edges if e.i == i))
+            for i in variables
+        ]
+        k = Fraction(1, len(parts))
+        ref = dual_solution(
+            enc,
+            {i: k * sum(p.u[i] for p in parts) for i in range(enc.n_vars)},
+            {j: k * sum(p.v[j] for p in parts) for j in enc.values},
+        )
+        assert (d.u, d.v, d.w) == (ref.u, ref.v, ref.w)
+        assert list(d.u) == list(ref.u) and list(d.v) == list(ref.v)
+        assert d.w == 0
+        assert all(map(_normal_form, [*d.u.values(), *d.v.values(), d.w]))
+        fractional += any(type(x) is Fraction for x in d.u.values())
+    assert fractional
 
 
 def test_averaged_dual_all_consistent():

@@ -24,7 +24,7 @@ from rcfilter.formulations import (
 )
 from rcfilter.model import InfeasibleConstraintError, SatisfactionInstance
 
-from corpus import alldiff_corpus, path_corpus
+from corpus import alldiff_corpus, layered_dag, path_corpus, satisfaction_corpus
 
 CORPUS = alldiff_corpus(200) + path_corpus(100)
 
@@ -221,6 +221,59 @@ def test_covering_flags_agree_with_oracle_on_corpora():
                     assert met or not flag  # a flag is only ever safe
                 checked += 1
     assert checked == 1441
+
+
+def _avoidable(inst, k):
+    """Reference covering flag: a source-sink path avoids k (a search that never enters k)."""
+    source, sink = inst.path.source, inst.path.sink
+    if k == source:
+        return False
+    seen, stack = {source}, [source]
+    while stack:
+        a = stack.pop()
+        if a == sink:
+            return True
+        for e in inst.edges:
+            if e.i == a and e.j != k and e.j not in seen:
+                seen.add(e.j)
+                stack.append(e.j)
+    return False
+
+
+def _dag(n_vertices, arcs, sink):
+    return weighted_instance(
+        "path", n_vertices - 1, range(n_vertices), [(a, b, 1) for a, b in arcs],
+        z_max=9, source=0, sink=sink,
+    )
+
+
+def test_covering_flags_match_an_avoiding_search():
+    # the path-count flags against one avoid-vertex search per vertex
+    cut = _dag(7, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)], 6)
+    # 2 leads only to the dead end 3, and 5 is not reached from the source
+    off_path = _dag(6, [(0, 1), (1, 4), (0, 2), (2, 3), (5, 4)], 4)
+    isolated = _dag(4, [(0, 1), (1, 3), (0, 3)], 3)  # vertex 2 has no arc
+    no_path = _dag(4, [(0, 1), (2, 3)], 3)  # the source never reaches the sink
+    dags = [inst for inst in CORPUS if inst.kind == "path"]
+    dags += [layered_dag(8, seed) for seed in range(4)]
+    dags += [layered_dag(6, seed, width=w, successors=m)
+             for seed in range(3) for w, m in ((1, 1), (2, 1), (3, 2))]
+    dags += [cut, off_path, isolated, no_path]
+    flagged = 0
+    for inst in dags:
+        fam = family(inst, "domains")
+        tails = [edge_set[0].i for edge_set in fam.sets]
+        assert tails == [k for k in inst.variables() if any(e.i == k for e in inst.edges)]
+        for k, flag in zip(tails, fam.covering):
+            assert flag == (not _avoidable(inst, k)), (inst, k)
+            flagged += flag
+    assert flagged > len(dags)  # more than the sources are flagged
+    flags = dict(zip((s[0].i for s in family(cut).sets), family(cut).covering))
+    assert flags == {0: True, 1: False, 2: False, 3: True, 4: False, 5: False}
+    flags = dict(zip((s[0].i for s in family(off_path).sets), family(off_path).covering))
+    assert flags == {0: True, 1: True, 2: False, 5: False}
+    assert 2 not in [s[0].i for s in family(isolated).sets]
+    assert all(family(no_path).covering)
 
 
 def test_domain_covering_is_fast_on_wide_dag():
@@ -457,6 +510,38 @@ def test_satisfaction_encoding_shape():
     rect = SatisfactionInstance(n_vars=1, values=(0, 1), edges=(EdgeId(0, 0),))
     with pytest.raises(ValueError):
         bg01_encode(rect)
+
+
+def test_satisfaction_encoding_matches_the_checked_constructor():
+    # built straight from its cost map, the encoding equals the one
+    # weighted_instance builds from n^2 checked triples
+    for sat in satisfaction_corpus(40):
+        original = set(sat.edges)
+        triples = [(i, j, int((i, j) not in original))
+                   for i in range(sat.n_vars) for j in sat.values]
+        ref = weighted_instance("alldiff", sat.n_vars, sat.values, triples, z_max=0)
+        enc = bg01_encode(sat)
+        assert enc == ref and enc.edges == ref.edges
+        assert all(type(e) is EdgeId and type(c) is int for e, c in enc.cost.items())
+
+
+@pytest.mark.parametrize(
+    "n_vars, values, message",
+    [
+        (2, (0, 1.0), "value must be an integer"),
+        (2, (0, "1"), "value must be an integer"),
+        (2, (0, True), "value must be an integer"),
+        (2.0, (0, 1), "n_vars must be an integer"),
+        (True, (0,), "n_vars must be an integer"),
+        (1, (0, 1), "square"),
+        (3, (0, 1), "square"),
+        (2, (1, 1), "duplicate values"),
+    ],
+)
+def test_satisfaction_encoding_rejects_bad_input(n_vars, values, message):
+    sat = SatisfactionInstance(n_vars=n_vars, values=values, edges=(EdgeId(0, 0),))
+    with pytest.raises(ValueError, match=message):
+        bg01_encode(sat)
 
 
 def test_worst_case_shape():
