@@ -220,7 +220,8 @@ def _infeasible_text(report: dict) -> str:
 
 
 def _budget(text: str) -> int:
-    if not text.isdecimal():
+    # ASCII digits only: str.isdecimal and int() also take other scripts' digits
+    if not (text.isascii() and text.isdecimal()):
         raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
     return int(text)
 

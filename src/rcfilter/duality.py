@@ -36,7 +36,7 @@ the instance stays the same (``formulations.last_instance_memo``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Mapping, Optional, Sequence
 
 from . import formulations, lp_core
@@ -51,8 +51,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(namedtuple("DualSolution", "u v w")):
     """Potentials per variable (u) and per value (v; empty for path instances).
 
     For path instances ``u`` covers every vertex, the sink pinned to 0 since
@@ -60,9 +59,7 @@ class DualSolution:
     is exact, an ``int`` when it is integral.
     """
 
-    u: Mapping[int, Number]
-    v: Mapping[int, Number]
-    w: Number
+    __slots__ = ()
 
 
 def dual_solution(

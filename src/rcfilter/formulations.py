@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import heapq
 from collections import namedtuple
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
 
@@ -48,24 +47,21 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(namedtuple("Support", "edges cost")):
     """Edges of one feasible solution: a perfect matching or an s-t path."""
 
-    edges: tuple[EdgeId, ...]
-    cost: lp_core.Number
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class IncompatibleFamily:
+class IncompatibleFamily(namedtuple("IncompatibleFamily", "sets covering")):
     """Ordered edge sets, each pairwise incompatible, covering all of E together.
 
-    A set is flagged covering when every support of the constraint uses one of
+    ``sets`` is a tuple of edge tuples, and ``covering`` a bool per set.  A
+    set is flagged covering when every support of the constraint uses one of
     its edges; only those sets may drive lower-bound updates.
     """
 
-    sets: tuple[tuple[EdgeId, ...], ...]
-    covering: tuple[bool, ...]
+    __slots__ = ()
 
 
 def row_rhs(instance: WeightedInstance) -> dict:
@@ -347,26 +343,30 @@ def _search(root: Hashable, steps: Callable) -> Optional[list]:
 
 _EMPTY: Mapping = MappingProxyType({})
 
-# collections.namedtuple, not typing.NamedTuple: as immutable, and a third of
-# the import time
-CombinatorialPass = namedtuple(
-    "CombinatorialPass",
-    "optima by_tail value_of holder u v dists down up",
-    defaults=(_EMPTY, _EMPTY, _EMPTY, (), _EMPTY, (), _EMPTY, _EMPTY),
-)
-CombinatorialPass.__doc__ = """What the one pass per instance computes, kept read-only for every reader.
 
-``optima``: each edge's cheapest support through it, or None when it lies on
-no support.  ``by_tail``: the edges of each variable (alldiff) or the arcs
-leaving each vertex (path), a tuple in instance order, for every key with
-at least one; ``family`` reads its sets from it.  alldiff, with the other
-fields empty when no perfect matching exists: the optimal assignment M
-(``value_of``, by variable, and ``holder``, by value), its potentials ``u``
-(a tuple by variable) and ``v`` (by value), with every reduced cost >= 0
-and 0 on M, and ``dists[k]``, the residual distance from variable k to each
-value it reaches.  path: the distance maps ``down`` (d(s, v)) and ``up``
-(d(v, t)).  Every map is a read-only view.
-"""
+class CombinatorialPass(
+    namedtuple(
+        "CombinatorialPass",
+        "optima by_tail value_of holder u v dists down up",
+        defaults=(_EMPTY, _EMPTY, _EMPTY, (), _EMPTY, (), _EMPTY, _EMPTY),
+    )
+):
+    """What the one pass per instance computes, kept read-only for every reader.
+
+    ``optima``: each edge's cheapest support through it, or None when it
+    lies on no support.  ``by_tail``: the edges of each variable (alldiff)
+    or the arcs leaving each vertex (path), a tuple in instance order, for
+    every key with at least one; ``family`` reads its sets from it.
+    alldiff, with the other fields empty when no perfect matching exists:
+    the optimal assignment M (``value_of``, by variable, and ``holder``, by
+    value), its potentials ``u`` (a tuple by variable) and ``v`` (by value),
+    with every reduced cost >= 0 and 0 on M, and ``dists[k]``, the residual
+    distance from variable k to each value it reaches.  path: the distance
+    maps ``down`` (d(s, v)) and ``up`` (d(v, t)).  Every map is a read-only
+    view.
+    """
+
+    __slots__ = ()
 
 
 @last_instance_memo

@@ -61,7 +61,7 @@ complementary slackness holds exactly, row by row and column by column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from typing import Container, Hashable, Mapping, Optional, Union
@@ -96,66 +96,107 @@ def _quotient(n: int, d: int) -> Number:
     return q if r == 0 else Fraction(n, d)
 
 
-@dataclass(frozen=True)
-class Row:
-    """One tagged constraint; exact, with zero coefficients dropped, once built."""
+class NormalizingRecord:
+    """Base of a ``collections.namedtuple`` record that ``__new__`` normalizes and checks.
 
-    coeffs: Mapping[Hashable, Number]
-    rel: str
-    rhs: Number
-    tag: Hashable
-    scale: int = field(init=False, repr=False, compare=False)  # lcm of the data's denominators
+    The fields named in ``_derived`` are computed by ``__new__``, never given
+    to it.  ``_make``, ``_replace``, ``repr`` and copying go through the
+    other fields, the constructor's arguments, so such a record is
+    normalized, derived and checked again, as a new one is.  (namedtuple's
+    own ``_make`` and ``_replace`` skip ``__new__``.)
 
-    def __post_init__(self):
-        if self.rel not in (LE, EQ, GE):
-            raise ValueError(f"bad relation {self.rel!r}")
-        coeffs = {t: exact(a) for t, a in self.coeffs.items()}
-        object.__setattr__(self, "coeffs", {t: a for t, a in coeffs.items() if a != 0})
-        object.__setattr__(self, "rhs", exact(self.rhs))
-        denominators = (a.denominator for a in self.coeffs.values())
-        object.__setattr__(self, "scale", lcm(self.rhs.denominator, *denominators))
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """min/max c.x subject to tagged rows; columns are >= 0 unless free.
-
-    Once built, ``objective`` holds an exact coefficient for every column, and
-    no row or objective names an unknown column.
+    Every record of the package is a namedtuple subclass with empty
+    ``__slots__``, so immutable, rather than a frozen dataclass, whose
+    module loads ``inspect`` and whose decorator execs each class's methods
+    at import: together about two thirds of the package's import time.
     """
 
-    sense: str
-    columns: tuple[Hashable, ...]
-    objective: Mapping[Hashable, Number]
-    rows: tuple[Row, ...]
-    free: frozenset = field(default_factory=frozenset)
-    cost_scale: int = field(init=False, repr=False, compare=False)  # lcm of c's denominators
+    __slots__ = ()
+    _derived: tuple = ()
 
-    def __post_init__(self):
-        if self.sense not in (MIN, MAX):
-            raise ValueError(f"bad sense {self.sense!r}")
-        if len(set(self.columns)) != len(self.columns):
+    def _arguments(self) -> dict:
+        return {f: getattr(self, f) for f in self._fields if f not in self._derived}
+
+    @classmethod
+    def _make(cls, iterable):
+        fields = zip(cls._fields, iterable, strict=True)
+        return cls(**{f: x for f, x in fields if f not in cls._derived})
+
+    def _replace(self, **changes):
+        refused = [f for f in self._derived if f in changes]
+        if refused:
+            raise ValueError(f"{refused[0]} is derived on every build and cannot be replaced")
+        return type(self)(**{**self._arguments(), **changes})
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self._arguments().values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={x!r}" for f, x in self._arguments().items())
+        return f"{type(self).__name__}({fields})"
+
+
+class Row(NormalizingRecord, namedtuple("Row", "coeffs rel rhs tag scale")):
+    """One tagged constraint; exact, with zero coefficients dropped, once built.
+
+    ``scale``, the lcm of the data's denominators, is derived.
+    """
+
+    __slots__ = ()
+    _derived = ("scale",)
+
+    def __new__(cls, coeffs: Mapping[Hashable, Number], rel: str, rhs: Number, tag: Hashable):
+        if rel not in (LE, EQ, GE):
+            raise ValueError(f"bad relation {rel!r}")
+        coeffs = {t: exact(a) for t, a in coeffs.items()}
+        coeffs = {t: a for t, a in coeffs.items() if a != 0}
+        rhs = exact(rhs)
+        scale = lcm(rhs.denominator, *(a.denominator for a in coeffs.values()))
+        return super().__new__(cls, coeffs, rel, rhs, tag, scale)
+
+
+class LinearProgram(
+    NormalizingRecord,
+    namedtuple("LinearProgram", "sense columns objective rows free cost_scale"),
+):
+    """min/max c.x subject to tagged rows; columns are >= 0 unless free.
+
+    Once built, ``objective`` holds an exact coefficient for every column,
+    and no row or objective names an unknown column.  ``cost_scale``, the
+    lcm of c's denominators, is derived.
+    """
+
+    __slots__ = ()
+    _derived = ("cost_scale",)
+
+    def __new__(
+        cls,
+        sense: str,
+        columns: tuple[Hashable, ...],
+        objective: Mapping[Hashable, Number],
+        rows: tuple[Row, ...],
+        free: frozenset = frozenset(),
+    ):
+        if sense not in (MIN, MAX):
+            raise ValueError(f"bad sense {sense!r}")
+        if len(set(columns)) != len(columns):
             raise ValueError("duplicate column tags")
-        tags = [r.tag for r in self.rows]
+        tags = [r.tag for r in rows]
         if len(set(tags)) != len(tags):
             raise ValueError("duplicate row tags")
-        known = set(self.columns)
-        for r in self.rows:
+        known = set(columns)
+        for r in rows:
             if not known.issuperset(r.coeffs):
                 raise ValueError(f"row {r.tag!r} references unknown column(s)")
-        if not known.issuperset(self.objective):
+        if not known.issuperset(objective):
             raise ValueError("objective references unknown column(s)")
-        objective = {t: exact(self.objective.get(t, 0)) for t in self.columns}
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "cost_scale", lcm(*(c.denominator for c in objective.values())))
+        objective = {t: exact(objective.get(t, 0)) for t in columns}
+        cost_scale = lcm(*(c.denominator for c in objective.values()))
+        return super().__new__(cls, sense, columns, objective, rows, free, cost_scale)
 
 
-@dataclass(frozen=True)
-class LpSolution:
-    status: str
-    primal: dict
-    dual: dict
-    objective: Optional[Number]
+class LpSolution(namedtuple("LpSolution", "status primal dual objective")):
+    __slots__ = ()
 
 
 def solve(lp: LinearProgram) -> LpSolution:

@@ -19,20 +19,21 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
+
+from .lp_core import NormalizingRecord
 
 ALLDIFF = "alldiff"
 PATH = "path"
 
 
-class EdgeId(NamedTuple):
+class EdgeId(namedtuple("EdgeId", "i j")):
     """Edge of the variable-value graph: variable i takes value j (or arc i->j)."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
 
 class InfeasibleConstraintError(Exception):
@@ -43,42 +44,44 @@ class InfeasibleConstraintError(Exception):
         self.z_lb = z_lb
 
 
-@dataclass(frozen=True)
-class PathMeta:
+class PathMeta(namedtuple("PathMeta", "source sink")):
     """Source and sink of the DAG."""
 
-    source: int
-    sink: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WeightedInstance:
+class WeightedInstance(
+    NormalizingRecord,
+    namedtuple("WeightedInstance", "kind n_vars values edges cost z_max path topo_order"),
+):
     """A weighted constraint: graph, assignment costs and the cost bound z_max.
 
     ``cost`` is a read-only view of a copy of the map given, keyed by EdgeId,
     so what is built once per instance (``formulations.last_instance_memo``)
-    stays true to it.  Every build, ``replace`` too, derives ``edges`` (its
+    stays true to it.  Every build, ``_replace`` too, derives ``edges`` (its
     keys, in LP column order) and a path's ``topo_order``, or raises ValueError.
     """
 
-    kind: str
-    n_vars: int
-    values: tuple[int, ...]
-    edges: tuple[EdgeId, ...] = field(init=False)
-    cost: Mapping[EdgeId, int]
-    z_max: int
-    path: Optional[PathMeta] = None
-    topo_order: tuple[int, ...] = field(init=False)
+    __slots__ = ()
+    _derived = ("edges", "topo_order")
 
-    def __post_init__(self):
-        cost = dict(self.cost)
+    def __new__(
+        cls,
+        kind: str,
+        n_vars: int,
+        values: tuple[int, ...],
+        cost: Mapping[EdgeId, int],
+        z_max: int,
+        path: Optional[PathMeta] = None,
+    ):
+        cost = dict(cost)
         if not all(type(e) is EdgeId for e in cost):
             cost = {EdgeId(*e): c for e, c in cost.items()}
         edges = tuple(cost)
-        topo = topological_order(self.values, edges) if self.kind == PATH else ()
-        object.__setattr__(self, "cost", MappingProxyType(cost))
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "topo_order", topo)
+        topo = topological_order(values, edges) if kind == PATH else ()
+        return super().__new__(
+            cls, kind, n_vars, values, edges, MappingProxyType(cost), z_max, path, topo
+        )
 
     def variables(self) -> tuple[int, ...]:
         # alldiff: variable indices; path: every vertex except the sink,
@@ -89,13 +92,12 @@ class WeightedInstance:
         return tuple(v for v in self.topo_order if v != self.path.sink)
 
 
-@dataclass(frozen=True)
-class SatisfactionInstance:
+class SatisfactionInstance(
+    namedtuple("SatisfactionInstance", "n_vars values edges", defaults=((),))
+):
     """A cost-free alldiff constraint: just the variable-value graph."""
 
-    n_vars: int
-    values: tuple[int, ...]
-    edges: tuple[EdgeId, ...] = field(default=())
+    __slots__ = ()
 
 
 def _integer(x, what: str, *args) -> int:

@@ -7,7 +7,7 @@ cleverness is allowed to creep in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Optional
 
 from .lp_core import Number, exact
@@ -28,21 +28,20 @@ class SizeGuardError(Exception):
     """Instance too large for exhaustive enumeration."""
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(
+    namedtuple("OracleReport", "supports z_star z_restricted exact_rc ac_set z_max")
+):
     """Exhaustive enumeration results; the reference for every other module.
 
-    ``z_restricted[e]`` is the cheapest support through e, or None when e lies
-    on no support at all (an explicit sentinel, never a large number).  Every
+    ``supports`` pairs each support's edges with its cost, and ``z_star`` is
+    the least cost.  ``z_restricted[e]`` is the cheapest support through e,
+    or None when e lies on no support at all (an explicit sentinel, never a
+    large number), and ``exact_rc[e]`` is that minus z*.  ``ac_set`` holds the
+    edges on a support costing at most ``z_max``, in edge order.  Every
     value is exact, in the package's one form: an ``int`` when integral.
     """
 
-    supports: tuple[tuple[tuple[EdgeId, ...], Number], ...]
-    z_star: Number
-    z_restricted: dict[EdgeId, Optional[Number]]
-    exact_rc: dict[EdgeId, Optional[Number]]
-    ac_set: tuple[EdgeId, ...]
-    z_max: int
+    __slots__ = ()
 
     def classification(self) -> dict[EdgeId, str]:
         """Edge -> 'consistent' / 'inconsistent' under the instance's bound."""

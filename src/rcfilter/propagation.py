@@ -19,8 +19,8 @@ is built, so a bound below z* is refuted with that dual unbuilt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from collections import namedtuple
+from typing import Optional
 
 from . import duality, formulations, lp_core
 from .duality import DualSolution
@@ -30,8 +30,8 @@ UNMARKED = "unmarked"
 CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 
-@dataclass(frozen=True)
-class FilterResult:
+
+class FilterResult(namedtuple("FilterResult", "marks z_lb duals_used")):
     """Outcome of the filtering loop.
 
     ``marks`` classifies every edge.  ``z_lb`` is the optimum read for the
@@ -40,9 +40,7 @@ class FilterResult:
     order, and ``solves`` counts them.
     """
 
-    marks: Mapping[EdgeId, str]
-    z_lb: Optional[lp_core.Number]
-    duals_used: tuple[tuple[tuple[EdgeId, ...], DualSolution], ...]
+    __slots__ = ()
 
     @property
     def solves(self) -> int:

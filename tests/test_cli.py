@@ -353,6 +353,13 @@ def test_negative_budget_rejected(assignment_file, capsys):
     assert main(["filter", assignment_file, "--budget", "-2"]) == 1
 
 
+@pytest.mark.parametrize("budget", ["\uff11", "\u0662", "1\u0663"])
+def test_non_ascii_digit_budget_rejected(dag_file, budget, capsys):
+    # str.isdecimal accepts fullwidth and Arabic-Indic digits, and int() reads them
+    assert main(["filter", dag_file, "--budget", budget]) == 1
+    assert "is not a non-negative integer" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "filter" in capsys.readouterr().out
@@ -523,18 +530,32 @@ def test_arcless_instance_is_infeasible(command, code, arcless_file, capsys):
         assert out == "infeasible: no support within the cost bound\n"
 
 
-def test_cli_imports_without_click():
+def _modules_loaded_by_import() -> set[str]:
     # a fresh interpreter: this process may have loaded anything already
     src = Path(__file__).resolve().parent.parent / "src"
     probe = (
-        "import sys, rcfilter.cli\n"
-        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'click'))"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import rcfilter, rcfilter.cli\n"
+        "print(*sorted(set(sys.modules) - before))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert proc.stdout == "[]\n"
+    return set(proc.stdout.split())
+
+
+def test_cli_imports_without_click():
+    assert not any(m.partition(".")[0] == "click" for m in _modules_loaded_by_import())
+
+
+def test_import_loads_no_dataclasses_or_source_tools():
+    # dataclasses pulls in inspect, which pulls in ast, dis and tokenize:
+    # together about two thirds of the package's import time
+    loaded = _modules_loaded_by_import()
+    assert "rcfilter.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
 def test_report_writer_matches_json_dumps(monkeypatch, tmp_path, capsys):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -187,11 +186,11 @@ def test_family_dual_is_feasible_on_every_buildable_instance(
     # constructor does
     back = EdgeId(2, 1)  # would close 1 -> 2 -> 1 at total cost -1
     with pytest.raises(ValueError, match="cycle"):
-        replace(six_vertex_dag, cost={**six_vertex_dag.cost, back: -1})
+        six_vertex_dag._replace(cost={**six_vertex_dag.cost, back: -1})
     # an assignment or a DAG has potentials under any costs, negative ones
     # too (validate rejects those, the family dual need not)
     for inst, e in ((six_vertex_dag, EdgeId(1, 2)), (three_var_assignment, EdgeId(1, 0))):
-        negative = replace(inst, cost={**inst.cost, e: -9})
+        negative = inst._replace(cost={**inst.cost, e: -9})
         assert validate(negative) == [f"edge {e}: cost must be a non-negative integer"]
         for f in negative.edges:
             solve_family_dual(negative, (f,))
@@ -535,18 +534,19 @@ def test_each_solve_gets_the_only_program_built_for_it(monkeypatch):
     # the programs handed to lp_core.solve are the programs built, in order,
     # and each is integral
     built, solved = [], []
-    real_post_init = lp_core.LinearProgram.__post_init__
+    real_new = lp_core.LinearProgram.__new__
     real_solve = lp_core.solve
 
-    def post_init(lp):
+    def new(cls, *args, **kwargs):
+        lp = real_new(cls, *args, **kwargs)
         built.append(lp)
-        real_post_init(lp)
+        return lp
 
     def spy(lp):
         solved.append(lp)
         return real_solve(lp)
 
-    monkeypatch.setattr(lp_core.LinearProgram, "__post_init__", post_init)
+    monkeypatch.setattr(lp_core.LinearProgram, "__new__", new)
     monkeypatch.setattr(lp_core, "solve", spy)
     jobs = [(inst, "domains") for inst in alldiff_corpus(6)]
     jobs += [(inst, s) for inst in path_corpus(6) for s in ("domains", "layers")]

@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -76,7 +75,7 @@ def test_dual_program_mirrors_primal(three_var_assignment):
         assert row.coeffs == edge_column(inst, row.tag)
         assert row.rhs == inst.cost[row.tag]
     sol_p = lp_core.solve(primal)
-    sol_d = lp_core.solve(replace(d, objective=formulations.row_rhs(inst)))
+    sol_d = lp_core.solve(d._replace(objective=formulations.row_rhs(inst)))
     assert sol_p.objective == sol_d.objective  # strong duality across programs
     dual = solve_family_dual(inst, edge_set)
     recovered = dual.w + min(reduced_cost(inst, dual, e) for e in edge_set)
@@ -367,7 +366,7 @@ def test_validate_past_the_cap_searches_nothing(monkeypatch):
 
 def _keep(inst, edges):
     # a copy of inst with only the given edges
-    return replace(inst, cost={e: inst.cost[e] for e in edges})
+    return inst._replace(cost={e: inst.cost[e] for e in edges})
 
 
 def test_validate_unsupported_edges_match_one_search_per_edge(
@@ -447,7 +446,7 @@ def test_restricted_optima_match_oracle():
     ]
     assert all(None in oracle.enumerate(inst).z_restricted.values() for inst in no_support)
     for inst in CORPUS + no_support:
-        shifted = replace(inst, cost={e: c - 6 for e, c in inst.cost.items()})
+        shifted = inst._replace(cost={e: c - 6 for e, c in inst.cost.items()})
         for variant in (inst, shifted):
             assert dict(restricted_optima(variant)) == oracle.enumerate(variant).z_restricted
 
@@ -461,7 +460,7 @@ def test_restricted_optima_without_a_perfect_matching():
     with pytest.raises(InfeasibleConstraintError):
         oracle.enumerate(inst)
     assert dict(restricted_optima(inst)) == dict.fromkeys(inst.edges)
-    negative = replace(inst, cost={e: -c for e, c in inst.cost.items()})
+    negative = inst._replace(cost={e: -c for e, c in inst.cost.items()})
     assert dict(restricted_optima(negative)) == dict.fromkeys(inst.edges)
 
 
@@ -479,7 +478,7 @@ def test_optimum_is_the_support_lp_optimum():
     ]
     seen = {True: 0, False: 0}
     for inst in CORPUS + infeasible:
-        negative = replace(inst, cost={e: -c for e, c in inst.cost.items()})
+        negative = inst._replace(cost={e: -c for e, c in inst.cost.items()})
         for copy in (inst, negative):
             try:
                 z_star = solve_primal(copy)[0]

@@ -1,7 +1,6 @@
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -223,11 +222,11 @@ def test_program_data_made_exact_when_built():
     # the integer scales are fixed here too, and rebuilt by replace
     assert r.scale == math.lcm(r.rhs.denominator, *(a.denominator for a in r.coeffs.values())) == 6
     assert lp.cost_scale == math.lcm(*(c.denominator for c in lp.objective.values())) == 2
-    r2 = replace(r, coeffs={"x": F(1, 5)}, rhs=F(3, 4))
+    r2 = r._replace(coeffs={"x": F(1, 5)}, rhs=F(3, 4))
     assert r2.scale == 20
-    lp2 = replace(lp, objective={"y": F(2, 7)}, rows=(r2,))
+    lp2 = lp._replace(objective={"y": F(2, 7)}, rows=(r2,))
     assert lp2.cost_scale == 7
-    assert replace(lp2, objective={"y": 1}).cost_scale == 1
+    assert lp2._replace(objective={"y": 1}).cost_scale == 1
     # derived, so neither a constructor argument nor part of repr or equality
     assert "scale" not in repr(r2) and "cost_scale" not in repr(lp2)
     assert r2 == Row({"x": F(1, 5)}, LE, F(3, 4), "r")
@@ -254,10 +253,10 @@ def test_dual_feasible_checks_signs():
     assert not dual_feasible(lp, {"lo": F(2)})  # violates column constraint
     with pytest.raises(ValueError):
         dual_feasible(lp, {"other": F(0)})
-    capped = replace(lp, rows=(Row({"x": 1}, LE, 5, "hi"),))
+    capped = lp._replace(rows=(Row({"x": 1}, LE, 5, "hi"),))
     assert dual_feasible(capped, {"hi": F(-1)})
     assert not dual_feasible(capped, {"hi": F(1)})  # <=-row dual must be <= 0 (min)
-    free = replace(lp, free=frozenset({"x"}))
+    free = lp._replace(free=frozenset({"x"}))
     assert dual_feasible(free, {"lo": F(1)})
     assert not dual_feasible(free, {"lo": F(1, 2)})  # free column needs y . A_x == c_x
     most = LinearProgram(
@@ -317,7 +316,7 @@ def test_certificate_check_rejects_corrupted_solution(corrupt, message):
     lp, sol = _diet_with_loose_row()
     lp_core._assert_certificates(lp, sol)
     with pytest.raises(AssertionError, match=re.escape(message)):
-        lp_core._assert_certificates(lp, replace(sol, **corrupt))
+        lp_core._assert_certificates(lp, sol._replace(**corrupt))
 
 
 def test_strong_duality_on_mixed_program():

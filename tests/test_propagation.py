@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from dataclasses import replace
 
 import pytest
 
@@ -150,7 +149,7 @@ def test_replaced_costs_filter_like_a_fresh_instance(three_var_assignment):
     inst = three_var_assignment
     ac_by_lp(inst)  # its rows are kept for the next run on it
     cost = {**inst.cost, EdgeId(0, 1): 0, EdgeId(1, 0): 0}
-    changed = replace(inst, cost=cost)
+    changed = inst._replace(cost=cost)
     fresh = weighted_instance(
         "alldiff", 3, [0, 1, 2], [(e.i, e.j, cost[e]) for e in inst.edges],
         z_max=inst.z_max,
@@ -206,10 +205,10 @@ def test_full_wipe_before_the_covering_set_is_solved():
     assert fam.covering[0] and not any(fam.covering[1:])
     for z_max in (0, 8, 9, 24):
         with pytest.raises(InfeasibleConstraintError) as err:
-            ac_by_lp(replace(inst, z_max=z_max), "layers")
+            ac_by_lp(inst._replace(z_max=z_max), "layers")
         assert str(err.value) == f"no support within the cost bound {z_max}"
         assert err.value.z_lb is None
-    assert ac_by_lp(replace(inst, z_max=25), "layers").z_lb == 25
+    assert ac_by_lp(inst._replace(z_max=25), "layers").z_lb == 25
 
 
 def _solve_spy(monkeypatch):
@@ -321,12 +320,12 @@ def test_check_rejects_a_moved_potential_or_a_swapped_member():
                 for side, k in rng.sample(potentials, min(4, len(potentials))):
                     for step in (-1, 1):
                         moved = {**getattr(dual, side), k: getattr(dual, side)[k] + step}
-                        mutants.append(replace(dual, **{side: moved}))
+                        mutants.append(dual._replace(**{side: moved}))
                         u, v = (moved, dual.v) if side == "u" else (dual.u, moved)
                         if inst.kind == "path" and k == inst.path.sink:
                             continue  # dual_solution rejects a moved sink
                         w = duality.dual_solution(inst, u, v).w
-                        mutants.append(replace(dual, **{side: moved}, w=w))
+                        mutants.append(dual._replace(**{side: moved}, w=w))
                 for mutant in mutants:
                     passed = _passes_check(inst, edge_set, mutant)
                     assert passed == _sound(inst, edge_set, mutant)
@@ -367,13 +366,13 @@ def test_fraction_costs_refute_with_an_exact_z_lb():
     base = weighted_instance(
         "alldiff", 2, [0, 1], [(0, 0, 2), (0, 1, 2), (1, 0, 2), (1, 1, 2)], z_max=3,
     )
-    inst = replace(base, cost={e: Fraction(c) for e, c in base.cost.items()})
+    inst = base._replace(cost={e: Fraction(c) for e, c in base.cost.items()})
     assert validate(inst) == []
     with pytest.raises(InfeasibleConstraintError) as err:
         ac_by_lp(inst)
     assert str(err.value) == "optimum 4 exceeds the cost bound 3"
     assert type(err.value.z_lb) is int and err.value.z_lb == 4
-    z_lb = ac_by_lp(replace(inst, z_max=4)).z_lb
+    z_lb = ac_by_lp(inst._replace(z_max=4)).z_lb
     assert type(z_lb) is int and z_lb == 4
 
 
@@ -468,7 +467,7 @@ def test_pick_order_matches_a_recount():
     # each run's own duals and marked as the loop marks
     dag = layered_dag(40, seed=0)
     instances = alldiff_corpus(200) + path_corpus(100)
-    instances.append(replace(dag, z_max=formulations.optimum(dag) + 5))
+    instances.append(dag._replace(z_max=formulations.optimum(dag) + 5))
     assert len(instances[-1].edges) == 714
     replayed = longest = 0
     for inst in instances:

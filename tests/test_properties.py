@@ -6,7 +6,6 @@ loop.  Assertions mirror the bound/exactness statements the implementation is
 built on, checked against the brute-force oracle.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import HealthCheck, Phase, assume, given, settings
@@ -336,9 +335,9 @@ def test_integer_certificate_check_agrees_with_fraction_reference(
     assume(sol.status == lp_core.OPTIMAL)
     assert _verdict(_fraction_certificates, lp, sol) is None
     for step in (Fraction(1, q), Fraction(-1, q)):
-        moved = [replace(sol, objective=sol.objective + step)]
-        moved += [replace(sol, primal={**sol.primal, t: v + step}) for t, v in sol.primal.items()]
-        moved += [replace(sol, dual={**sol.dual, t: y + step}) for t, y in sol.dual.items()]
+        moved = [sol._replace(objective=sol.objective + step)]
+        moved += [sol._replace(primal={**sol.primal, t: v + step}) for t, v in sol.primal.items()]
+        moved += [sol._replace(dual={**sol.dual, t: y + step}) for t, y in sol.dual.items()]
         for wrong in moved:
             expected = _verdict(_fraction_certificates, lp, wrong)
             assert _verdict(lp_core._assert_certificates, lp, wrong) == expected
