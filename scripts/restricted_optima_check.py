@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Check the combinatorial pass, and the duals built from it, against LP solves.
 
-Above the enumeration cap no oracle can vouch for
-``formulations.restricted_optima``, so this compares it with the family dual
+Above the enumeration cap no oracle can vouch for the restricted optima of
+``formulations.combinatorial_pass``, so this compares them with the family dual
 LP instead: for a seeded sample of edges, the one-edge family dual of the set
 {e} gives e's restricted optimum as w + r_e, and so must ``shifted_cost_dual``
 (built from the pass, with w = z*), and ``formulations.optimum`` must equal
@@ -43,7 +43,7 @@ from rcfilter.duality import (
     solve_family_dual,
     solve_primal,
 )
-from rcfilter.formulations import family, find_support, optimum, restricted_optima
+from rcfilter.formulations import combinatorial_pass, family, find_support, optimum
 from rcfilter.model import EdgeId, validate, weighted_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -55,7 +55,7 @@ SAMPLED_SETS = 4  # per family, or every set of a smaller one: each LP solve is 
 
 def check(inst, rng):
     start = time.perf_counter()
-    optima = restricted_optima(inst)
+    optima = combinatorial_pass(inst).optima
     pass_s = time.perf_counter() - start
     wrong = []
     sampled = rng.sample(inst.edges, min(SAMPLED_EDGES, len(inst.edges)))
@@ -72,10 +72,10 @@ def check(inst, rng):
 
 def check_duals(inst, rng):
     """The number of sets, and the (family, set index) whose pass-built dual fails."""
-    optima, z_star = restricted_optima(inst), optimum(inst)
+    optima, z_star = combinatorial_pass(inst).optima, optimum(inst)
     count, wrong = 0, []
     for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
-        sets = family(inst, strategy).sets
+        sets = family(inst, strategy)
         sampled = set(rng.sample(range(len(sets)), min(SAMPLED_SETS, len(sets))))
         for k, edge_set in enumerate(sets):
             d = pass_family_dual(inst, edge_set)

@@ -24,7 +24,6 @@ from .duality import (
     solve_primal,
 )
 from .formulations import (
-    IncompatibleFamily,
     Support,
     bg01_encode,
     family,
@@ -63,7 +62,6 @@ __all__ = [
     "EdgeId",
     "FilterResult",
     "INCONSISTENT",
-    "IncompatibleFamily",
     "InfeasibleConstraintError",
     "OracleReport",
     "PATH",

@@ -8,15 +8,18 @@ prints nothing.  ``main`` owns the exit codes and the rendering: it prints the
 report as JSON, or as text through the command's renderer, which reads only
 the report.
 
-Exit statuses: 0 ok, 1 usage or parse failure, 2 invalid instance,
+Exit statuses: 0 ok, 1 usage, parse or output failure, 2 invalid instance,
 3 infeasible constraint, 4 verify mismatch, 5 size guard.  The commands
-return 0 or 4 and raise every other failure.
+return 0 or 4 and raise every other failure.  A report that cannot be
+written exits 1: silently on a closed pipe, with one error line otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -226,8 +229,10 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev=False on every parser: no option is matched by a prefix
+    # built on first use, not at import; allow_abbrev=False on every parser:
+    # no option is matched by a prefix
     parser = argparse.ArgumentParser(
         prog="rcfilter",
         description="Cost-based filtering for weighted constraints via exact dual solves.",
@@ -263,18 +268,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER = _build_parser()
-
-
 def _error(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
+def _drop_stdout() -> None:
+    # the unwritten report stays buffered, and the interpreter's final flush
+    # would fail on it again: send standard output's descriptor to devnull
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file descriptor: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     """Entry point returning the exit status (suitable for console_scripts)."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse has printed the help (status 0) or a usage error
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
@@ -298,7 +314,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # validate has passed: the one input left to reject is a --family its kind lacks
         return _error(EXIT_USAGE, str(exc))
-    print(_write_json(report) if args.fmt == "json" else render(report))
+    try:
+        print(_write_json(report) if args.fmt == "json" else render(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()  # the reader has gone: nothing to tell it
+        return EXIT_USAGE
+    except OSError as exc:
+        _drop_stdout()
+        return _error(EXIT_USAGE, f"cannot write the report: {exc}")
     return code
 
 

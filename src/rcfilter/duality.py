@@ -132,13 +132,13 @@ def exact_reduced_cost(instance: WeightedInstance, ij: EdgeId) -> Number:
     """True cost increase of forcing edge ij: its restricted optimum minus z*.
 
     Both come from one combinatorial pass per instance and no LP solve:
-    ``formulations.restricted_optima`` and ``formulations.optimum``.  Raises
+    ``formulations.combinatorial_pass`` and ``formulations.optimum``.  Raises
     ValueError when ij is not an edge of the instance or lies on no support.
     """
     ij = EdgeId(*ij)
     if ij not in instance.cost:
         raise ValueError(f"edge {ij} not in the instance")
-    optimum = formulations.restricted_optima(instance)[ij]
+    optimum = formulations.combinatorial_pass(instance).optima[ij]
     if optimum is None:
         raise ValueError(f"edge {ij} lies on no support")
     return exact(optimum - formulations.optimum(instance))
@@ -306,7 +306,7 @@ def supported_optimum(instance: WeightedInstance) -> Optional[Number]:
     through every edge.  Kept for the last instance, so the sets of one
     filter run scan the pass once.
     """
-    for e, z in formulations.restricted_optima(instance).items():
+    for e, z in formulations.combinatorial_pass(instance).optima.items():
         if z is None:
             raise ValueError(f"edge {e} lies on no support")
     return formulations.optimum(instance)
@@ -345,7 +345,7 @@ def checked_bounds(
         if r < 0:
             raise AssertionError(f"the dual has reduced cost {r} on edge {e}")
         bounds[e] = w + r
-    optima = formulations.restricted_optima(instance)
+    optima = formulations.combinatorial_pass(instance).optima
     for e in edge_set:
         if e not in bounds:
             raise AssertionError(f"member {e} of the set is not an edge of the instance")
@@ -367,7 +367,7 @@ def averaged_satisfaction_dual(
 
     An original edge is inconsistent iff no perfect matching of original
     edges uses it, i.e. its restricted optimum in the encoding is positive:
-    one pass of ``formulations.restricted_optima`` decides it, and no LP is
+    one pass of ``formulations.combinatorial_pass`` decides it, and no LP is
     solved.  When no edge is consistent, ``InfeasibleConstraintError``
     carries the pass's z*.  Otherwise z* = 0, and the answer averages the
     pass-built dual of each variable holding an inconsistent edge
@@ -381,7 +381,7 @@ def averaged_satisfaction_dual(
     the answer is the pass's own potentials, checked too.
     """
     encoded = formulations.bg01_encode(sat)
-    optima = formulations.restricted_optima(encoded)
+    optima = formulations.combinatorial_pass(encoded).optima
     stray = set(sat.edges).difference(optima)
     if stray:
         raise ValueError(f"edge {min(stray)} not in the instance")

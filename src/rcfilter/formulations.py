@@ -9,10 +9,7 @@ for the per-value rows (alldiff only).  Columns of the support LP
 Every combinatorial support query (``find_support``) is one iterative
 depth-first search, ``_search``, fed by a small step function per kind.
 Both kinds search one map of the allowed arcs by tail (alldiff: edges by
-variable), built once per ``find_support`` call.  The ``domains`` family's
-covering flags need no search: a vertex k is on every source-sink path
-exactly when paths(s, k) * paths(k, t) = paths(s, t), counted exactly in
-one forward and one backward sweep of the topological order.
+variable), built once per ``find_support`` call.
 
 Every edge's restricted optimum, the cheapest support through it, comes from
 one pass per instance with no LP (``combinatorial_pass``): an optimal
@@ -49,17 +46,6 @@ from .model import (
 
 class Support(namedtuple("Support", "edges cost")):
     """Edges of one feasible solution: a perfect matching or an s-t path."""
-
-    __slots__ = ()
-
-
-class IncompatibleFamily(namedtuple("IncompatibleFamily", "sets covering")):
-    """Ordered edge sets, each pairwise incompatible, covering all of E together.
-
-    ``sets`` is a tuple of edge tuples, and ``covering`` a bool per set.  A
-    set is flagged covering when every support of the constraint uses one of
-    its edges; only those sets may drive lower-bound updates.
-    """
 
     __slots__ = ()
 
@@ -151,38 +137,28 @@ def check_strategy(instance: WeightedInstance, strategy: str) -> None:
         raise ValueError("the layers strategy only applies to path instances")
 
 
-def family(instance: WeightedInstance, strategy: str = "domains") -> IncompatibleFamily:
-    """Build the edge family driving the filtering loop.
+def family(
+    instance: WeightedInstance, strategy: str = "domains"
+) -> tuple[tuple[EdgeId, ...], ...]:
+    """Ordered edge sets for the filtering loop: each pairwise incompatible, all of E together.
 
     ``domains``: one set per variable (alldiff) or per non-sink vertex (path).
     ``layers`` (path only): arcs grouped by the longest-path depth of their
     tail; depth strictly increases along any path, hence incompatibility.
-    Both read the edges by tail that ``combinatorial_pass`` keeps.  A
-    ``domains`` set is covering for every alldiff variable, since every
-    assignment gives it a value, and for a path vertex k when
-    paths(s, k) * paths(k, t) = paths(s, t): every s-t path passes k.
+    Both read the edges by tail that ``combinatorial_pass`` keeps.
     """
     check_strategy(instance, strategy)
     out = combinatorial_pass(instance).by_tail
     if strategy == "domains":
         # an isolated path vertex, which validate allows, has no set
-        held = [k for k in instance.variables() if k in out]
-        sets = tuple(out[k] for k in held)
-        if instance.kind == ALLDIFF:
-            return IncompatibleFamily(sets, (True,) * len(sets))
-        down, up = _path_counts(instance, out)
-        total = down.get(instance.path.sink, 0)
-        return IncompatibleFamily(sets, tuple(down[k] * up[k] == total for k in held))
+        return tuple(out[k] for k in instance.variables() if k in out)
     depth = _longest_path_depths(instance, out)
     grouped: dict[int, list[EdgeId]] = {}
     for e in instance.edges:
         if e.i not in depth:
             raise ValueError(f"arc {e} leaves a vertex the source cannot reach")
         grouped.setdefault(depth[e.i], []).append(e)
-    depths = sorted(grouped)
-    sets = tuple(tuple(grouped[d]) for d in depths)
-    covering = tuple(d == 0 for d in depths)  # every path starts with a depth-0 arc
-    return IncompatibleFamily(sets, covering)
+    return tuple(tuple(grouped[d]) for d in sorted(grouped))
 
 
 def _edges_by_tail(instance: WeightedInstance, allowed: Iterable[EdgeId]) -> dict:
@@ -196,24 +172,6 @@ def _edges_by_tail(instance: WeightedInstance, allowed: Iterable[EdgeId]) -> dic
         if e in allowed_set:
             out.setdefault(e.i, []).append(e)
     return out
-
-
-def _path_counts(instance: WeightedInstance, out: Mapping) -> tuple[dict, dict]:
-    """Exact path counts: paths(s, v) and paths(v, t) for every vertex v."""
-    meta = instance.path
-    order = instance.topo_order
-    down = dict.fromkeys(order, 0)
-    down[meta.source] = 1
-    for v in order:
-        if down[v]:
-            for _, b in out.get(v, ()):
-                down[b] += down[v]
-    up = dict.fromkeys(order, 0)
-    up[meta.sink] = 1
-    for v in reversed(order):
-        for _, b in out.get(v, ()):
-            up[v] += up[b]
-    return down, up
 
 
 def _longest_path_depths(instance: WeightedInstance, out: dict) -> dict[int, int]:
@@ -390,22 +348,13 @@ def combinatorial_pass(instance: WeightedInstance) -> CombinatorialPass:
 
 
 @last_instance_memo
-def restricted_optima(instance: WeightedInstance) -> Mapping[EdgeId, Optional[Number]]:
-    """Each edge's cheapest support through it, or None: ``combinatorial_pass``'s ``optima``.
-
-    Kept for the last instance as well, so a per-edge caller makes one call.
-    """
-    return combinatorial_pass(instance).optima
-
-
-@last_instance_memo
 def optimum(instance: WeightedInstance) -> Optional[Number]:
     """z*: the pass's least restricted optimum, or None when no support exists.
 
     An optimal support's edges have z* as their restricted optimum, and none
     is lower.  Kept for the last instance, so per-edge callers scan once.
     """
-    found = [z for z in restricted_optima(instance).values() if z is not None]
+    found = [z for z in combinatorial_pass(instance).optima.values() if z is not None]
     return lp_core.exact(min(found)) if found else None
 
 

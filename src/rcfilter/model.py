@@ -175,8 +175,8 @@ def validate(instance: WeightedInstance) -> list[str]:
 
     Beyond structural checks this verifies the arc-consistency precondition of
     the cost-free constraint: each edge must lie on at least one support when
-    costs are ignored.  That is read from ``formulations.restricted_optima``,
-    the instance's one combinatorial pass: an edge on no support has no
+    costs are ignored.  That is read from the instance's one combinatorial
+    pass, ``formulations.combinatorial_pass``: an edge on no support has no
     restricted optimum.
     """
     v: list[str] = []
@@ -228,7 +228,7 @@ def validate(instance: WeightedInstance) -> list[str]:
     # structural AC: every edge on at least one support, costs ignored
     from . import formulations  # local import, formulations depends on model
 
-    optima = formulations.restricted_optima(instance)
+    optima = formulations.combinatorial_pass(instance).optima
     return [f"edge {e} lies on no support" for e in instance.edges if optima[e] is None]
 
 

@@ -10,10 +10,10 @@ route, ``duality.solve_family_dual``, stays as the reference that tests
 compare with.  Requires every edge to lie on at least one support
 (``model.validate`` enforces this, and ``duality.supported_optimum`` raises
 otherwise).  The sets come from ``formulations.family``, by strategy name:
-only its sets are known to be pairwise incompatible and flagged covering
-truthfully.  The first covering set picked takes z* from the pass
-(``formulations.optimum``; ``validate`` reads the same pass) before its dual
-is built, so a bound below z* is refuted with that dual unbuilt.
+only its sets are known to be pairwise incompatible.  Every dual is optimal
+(``checked_bounds`` asserts w = z*), so before the first one is built the
+run takes z* from the pass (``duality.supported_optimum``; ``validate``
+reads the same pass), and a bound below z* is refuted with no dual built.
 ``lower_bound`` reads z* the same way and builds no family.
 """
 
@@ -34,8 +34,8 @@ INCONSISTENT = "inconsistent"
 class FilterResult(namedtuple("FilterResult", "marks z_lb duals_used")):
     """Outcome of the filtering loop.
 
-    ``marks`` classifies every edge.  ``z_lb`` is the optimum read for the
-    first covering set picked, None if no covering set was picked.
+    ``marks`` classifies every edge.  ``z_lb`` is z*, read from the pass
+    before the first dual is built, None if no dual was built (budget 0).
     ``duals_used`` records (edge set, dual solution) per dual built, in
     order, and ``solves`` counts them.
     """
@@ -82,14 +82,11 @@ def ac_by_lp(
     ``w + r_e``, which the marks are read from.  ``budget`` caps the number
     of duals built.
 
-    Raises InfeasibleConstraintError when a covering set proves the optimum
-    exceeds the cost bound, when every edge ends up inconsistent, or when
-    the instance has no edge.  The first covering set picked gives ``z_lb``
-    as ``formulations.optimum``, read before its dual is built, so a z*
-    above the bound raises with that dual unbuilt (with none at all when
-    that set is the first picked).  A non-covering set picked first raises
-    through the full wipe instead, with ``z_lb`` None: its dual is optimal,
-    so every bound it gives is at least z*.
+    Raises InfeasibleConstraintError when the instance has no edge, or when
+    a dual is about to be built and z* exceeds the cost bound: the run sets
+    ``z_lb`` to z* before its first dual, whichever set is picked, and
+    raises with no dual built.  Every dual built is optimal, so every edge
+    of an optimal support keeps a bound of z* and no dual wipes every edge.
     Raises ValueError for a budget that is not a non-negative ``int`` (a
     float or a bool is never rounded), a strategy ``formulations.family``
     rejects, or an instance with an edge on no support, which
@@ -103,25 +100,24 @@ def ac_by_lp(
     family = formulations.family(instance, strategy)
     z_star = duality.supported_optimum(instance)
     z_max = instance.z_max
+    if not instance.edges:
+        raise InfeasibleConstraintError(f"no support within the cost bound {z_max}")
+    # the first pick builds a dual unless the budget is 0: the sets cover the edges
+    z_lb = None if budget == 0 else z_star
+    if z_lb is not None and z_lb > z_max:
+        raise InfeasibleConstraintError(
+            f"optimum {z_lb} exceeds the cost bound {z_max}", z_lb=z_lb
+        )
     marks: dict[EdgeId, str] = {e: UNMARKED for e in instance.edges}
-    set_of = {e: idx for idx, edge_set in enumerate(family.sets) for e in edge_set}
-    unmarked = [len(edge_set) for edge_set in family.sets]
+    set_of = {e: idx for idx, edge_set in enumerate(family) for e in edge_set}
+    unmarked = [len(edge_set) for edge_set in family]
     duals_used: list[tuple[tuple[EdgeId, ...], DualSolution]] = []
-    z_lb: Optional[lp_core.Number] = None
 
-    while True:
-        if budget is not None and len(duals_used) >= budget:
-            break
+    while budget is None or len(duals_used) < budget:
         idx = _pick_next(unmarked)
         if idx is None:
             break
-        edge_set = family.sets[idx]
-        if z_lb is None and family.covering[idx]:
-            z_lb = z_star
-            if z_lb > z_max:
-                raise InfeasibleConstraintError(
-                    f"optimum {z_lb} exceeds the cost bound {z_max}", z_lb=z_lb
-                )
+        edge_set = family[idx]
         dual = duality.pass_family_dual(instance, edge_set)
         duals_used.append((edge_set, dual))
         # a member within the bound is consistent, any edge above it inconsistent
@@ -129,14 +125,6 @@ def ac_by_lp(
             if marks[e] == UNMARKED and (bound > z_max or set_of[e] == idx):
                 marks[e] = INCONSISTENT if bound > z_max else CONSISTENT
                 unmarked[set_of[e]] -= 1
-
-    if all(m == INCONSISTENT for m in marks.values()):
-        # a full wipe proves no support lies within the bound: any edge of an
-        # optimal support has restricted optimum equal to z*; an instance
-        # without edges has no support at all
-        raise InfeasibleConstraintError(
-            f"no support within the cost bound {z_max}", z_lb=z_lb
-        )
     return FilterResult(marks=marks, z_lb=z_lb, duals_used=tuple(duals_used))
 
 

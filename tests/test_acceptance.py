@@ -177,7 +177,7 @@ def test_criterion_5_bound_shift_and_family_identities(capfd, corpus_reports):
                 assert shifted.w == report.z_star
                 assert reduced_cost(inst, shifted, e) == report.exact_rc[e]
                 optimal_duals.append(shifted)
-            for edge_set in make_family(inst, "domains").sets:
+            for edge_set in make_family(inst, "domains"):
                 d = solve_family_dual(inst, edge_set)
                 for e in edge_set:
                     assert d.w + reduced_cost(inst, d, e) == report.z_restricted[e]

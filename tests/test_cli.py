@@ -1,4 +1,5 @@
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -279,7 +280,7 @@ def test_commands_return_reports_without_printing(assignment_file, dag_file, cap
     for path, options in ((assignment_file, []), (dag_file, ["--family", "layers"])):
         for argv in (["filter", path, "--emit-duals", *options], ["oracle", path],
                      ["verify", path, *options], ["bound", path, *options]):
-            args = cli._PARSER.parse_args(argv)
+            args = cli._build_parser().parse_args(argv)
             code, report = args.run(model.load_instance(path), args)
             assert capsys.readouterr().out == "", argv
             assert main([*argv, "--format", "json"]) == code
@@ -528,6 +529,71 @@ def test_arcless_instance_is_infeasible(command, code, arcless_file, capsys):
         assert out == "marks identical\n"
     else:
         assert out == "infeasible: no support within the cost bound\n"
+
+
+class _FailingStdout(io.StringIO):
+    """A standard output whose every write raises ``error``."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("error, message", [
+    (BrokenPipeError(32, "Broken pipe"), ""),
+    (OSError(28, "No space left on device"),
+     "error: cannot write the report: [Errno 28] No space left on device\n"),
+])
+def test_unwritable_report_exits_1(error, message, dag_file, monkeypatch, capsys):
+    # a closed pipe exits 1 silently, any other write error with one line
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(error))
+    assert main(["filter", dag_file, "--format", "text"]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", message)
+
+
+def _run_cli(args, stdout) -> subprocess.CompletedProcess:
+    # block-buffered standard output, so the final flush has text to write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, "-c", "import sys; from rcfilter.cli import main; sys.exit(main())",
+         *args],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+    )
+
+
+def test_closed_stdout_leaves_nothing_for_the_final_flush(dag_file):
+    # the read end is closed before the process starts, so every write fails;
+    # the interpreter's final flush must not report the buffered text again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(["filter", dag_file, "--format", "text"], write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            proc = _run_cli(["filter", dag_file, "--format", "text"], full)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: cannot write the report: [Errno 28] No space left on device\n"
+        )
+
+
+def test_parser_is_built_on_first_use():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import rcfilter.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout == "0\n"
+    assert cli._build_parser() is cli._build_parser()
 
 
 def _modules_loaded_by_import() -> set[str]:

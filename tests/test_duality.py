@@ -19,10 +19,10 @@ from rcfilter.duality import (
 )
 from rcfilter.formulations import (
     bg01_encode,
+    combinatorial_pass,
     family,
     find_support,
     primal_program,
-    restricted_optima,
 )
 from rcfilter.model import SatisfactionInstance, validate, weighted_instance
 
@@ -130,9 +130,9 @@ def test_family_identity_past_the_cap():
     assert alldiff.n_vars > oracle.MAX_ALLDIFF_VARS
     assert len(dag.values) > oracle.MAX_PATH_VERTICES and len(dag.edges) > 340
     assert validate(alldiff) == validate(dag) == []
-    dag_sets = random.Random(20261019).sample(family(dag, "domains").sets, 30)
-    for inst, sets in ((alldiff, family(alldiff, "domains").sets), (dag, dag_sets)):
-        optima = restricted_optima(inst)
+    dag_sets = random.Random(20261019).sample(family(dag, "domains"), 30)
+    for inst, sets in ((alldiff, family(alldiff, "domains")), (dag, dag_sets)):
+        optima = combinatorial_pass(inst).optima
         for edge_set in sets:
             d = solve_family_dual(inst, edge_set)
             for e in edge_set:
@@ -146,7 +146,7 @@ def _assert_pass_dual_matches_the_lp(inst, edge_set, lp=True):
     assert is_dual_feasible(inst, d)
     assert d.w == formulations.optimum(inst)
     bounds = [d.w + reduced_cost(inst, d, e) for e in edge_set]
-    assert bounds == [restricted_optima(inst)[e] for e in edge_set]
+    assert bounds == [combinatorial_pass(inst).optima[e] for e in edge_set]
     if lp:
         ref = solve_family_dual(inst, edge_set)
         assert bounds == [ref.w + reduced_cost(inst, ref, e) for e in edge_set]
@@ -156,7 +156,7 @@ def test_pass_duals_match_the_lp_on_every_member():
     sets = 0
     for inst in alldiff_corpus(200) + path_corpus(100):
         for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
-            for edge_set in family(inst, strategy).sets:
+            for edge_set in family(inst, strategy):
                 _assert_pass_dual_matches_the_lp(inst, edge_set)
                 sets += 1
     assert sets > 1000
@@ -172,7 +172,7 @@ def test_pass_duals_match_the_lp_past_the_cap():
     for inst in instances:
         assert validate(inst) == []
         for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
-            sets = family(inst, strategy).sets
+            sets = family(inst, strategy)
             sampled = set(rng.sample(range(len(sets)), 3))
             for k, edge_set in enumerate(sets):
                 _assert_pass_dual_matches_the_lp(inst, edge_set, lp=k in sampled)
@@ -307,7 +307,7 @@ def test_family_dual_identity(three_var_assignment, six_vertex_dag):
     for inst in (three_var_assignment, six_vertex_dag):
         report = oracle.enumerate(inst)
         fam = family(inst, "domains")
-        for edge_set in fam.sets:
+        for edge_set in fam:
             d = solve_family_dual(inst, edge_set)
             assert is_dual_feasible(inst, d)
             for e in edge_set:
@@ -333,7 +333,7 @@ def test_zstar_recovery_from_covering_set(three_var_assignment):
     # the paper's identity: a covering set's dual gives z* = w + min r_e
     inst = three_var_assignment
     z_star, _, _ = solve_primal(inst)
-    for edge_set in family(inst, "domains").sets:  # every alldiff set covers
+    for edge_set in family(inst, "domains"):  # every alldiff set covers
         d = solve_family_dual(inst, edge_set)
         assert d.w + min(reduced_cost(inst, d, e) for e in edge_set) == z_star == 0
 
@@ -346,7 +346,7 @@ def test_certificate_optimality_matches_primal_optimum():
     for inst in alldiff_corpus(40) + path_corpus(20):
         z_star, _, base = solve_primal(inst)
         duals = [base]
-        duals += [solve_family_dual(inst, s) for s in family(inst, "domains").sets]
+        duals += [solve_family_dual(inst, s) for s in family(inst, "domains")]
         start = inst.path.source if inst.path is not None else 0
         lowered = dict(base.u)
         lowered[start] -= 1
@@ -471,7 +471,7 @@ def test_pass_duals_reject_an_edge_on_no_support():
 
 def _family_solves(inst, strategy):
     """The reference route: one family dual LP per set of the family."""
-    for edge_set in family(inst, strategy).sets:
+    for edge_set in family(inst, strategy):
         solve_family_dual(inst, edge_set)
 
 
@@ -575,7 +575,7 @@ def test_averaged_dual_matches_the_fraction_average():
     for _ in range(60):
         sat = tight_satisfaction(rng.randint(3, 40), rng)
         enc, d = averaged_satisfaction_dual(sat)
-        optima = restricted_optima(enc)
+        optima = combinatorial_pass(enc).optima
         variables = sorted({e.i for e in sat.edges if optima[e] > 0})
         assert variables
         parts = [

@@ -14,16 +14,16 @@ from rcfilter.duality import (
 )
 from rcfilter.formulations import (
     bg01_encode,
+    combinatorial_pass,
     edge_column,
     family,
     find_support,
     primal_program,
-    restricted_optima,
     worst_case_alldiff,
 )
 from rcfilter.model import InfeasibleConstraintError, SatisfactionInstance
 
-from corpus import alldiff_corpus, layered_dag, path_corpus, satisfaction_corpus
+from corpus import alldiff_corpus, path_corpus, satisfaction_corpus
 
 CORPUS = alldiff_corpus(200) + path_corpus(100)
 
@@ -84,36 +84,32 @@ def test_dual_program_mirrors_primal(three_var_assignment):
 
 def test_domain_family_alldiff(three_var_assignment):
     fam = family(three_var_assignment, "domains")
-    assert [len(s) for s in fam.sets] == [2, 3, 2]
-    assert all(fam.covering)  # every assignment uses every variable
-    for s in fam.sets:
+    assert [len(s) for s in fam] == [2, 3, 2]
+    for s in fam:
         assert oracle.check_incompatible(three_var_assignment, set(s))
 
 
 def test_domain_family_path(six_vertex_dag):
     fam = family(six_vertex_dag, "domains")
-    assert [sorted((e.i, e.j) for e in s) for s in fam.sets] == [
+    assert [sorted((e.i, e.j) for e in s) for s in fam] == [
         [(0, 1), (0, 2), (0, 3)],
         [(1, 2), (1, 5)],
         [(2, 5)],
         [(3, 4)],
         [(4, 5)],
     ]
-    # only the source's out-arcs meet every path here
-    assert fam.covering == (True, False, False, False, False)
-    for s in fam.sets:
+    for s in fam:
         assert oracle.check_incompatible(six_vertex_dag, set(s))
 
 
 def test_layers_family(six_vertex_dag):
     fam = family(six_vertex_dag, "layers")
-    assert [sorted((e.i, e.j) for e in s) for s in fam.sets] == [
+    assert [sorted((e.i, e.j) for e in s) for s in fam] == [
         [(0, 1), (0, 2), (0, 3)],
         [(1, 2), (1, 5), (3, 4)],
         [(2, 5), (4, 5)],
     ]
-    assert fam.covering == (True, False, False)
-    for s in fam.sets:
+    for s in fam:
         assert oracle.check_incompatible(six_vertex_dag, set(s))
 
 
@@ -135,23 +131,6 @@ def test_layers_reject_an_arc_the_source_cannot_reach():
 def test_unknown_strategy(three_var_assignment):
     with pytest.raises(ValueError):
         family(three_var_assignment, "rainbow")
-
-
-def test_covering_detects_mandatory_vertex():
-    # diamond whose middle vertex 1 sits on every path
-    inst = weighted_instance(
-        "path",
-        3,
-        [0, 1, 2, 3],
-        [(0, 1, 0), (1, 2, 1), (1, 3, 2), (2, 3, 0)],
-        z_max=9,
-        source=0,
-        sink=3,
-    )
-    fam = family(inst, "domains")
-    flags = dict(zip((s[0].i for s in fam.sets), fam.covering))
-    assert flags[0] and flags[1]
-    assert not flags[2]
 
 
 def test_find_support_respects_forced_edge(three_var_assignment):
@@ -203,81 +182,33 @@ def test_find_support_agrees_with_oracle_on_corpora():
 
 
 def test_covering_flags_agree_with_oracle_on_corpora():
+    # the sets partition the edges, no support meets a set twice, and the
+    # domains sets are the edges of each tail with one, in variable order
     checked = 0
     for inst in CORPUS:
         supports = oracle.all_supports(inst)
         strategies = ("domains", "layers") if inst.kind == "path" else ("domains",)
         for strategy in strategies:
             fam = family(inst, strategy)
-            # the sets partition the edges, and no support meets a set twice
-            assert sorted(e for edge_set in fam.sets for e in edge_set) == sorted(inst.edges)
-            for edge_set, flag in zip(fam.sets, fam.covering):
+            assert sorted(e for edge_set in fam for e in edge_set) == sorted(inst.edges)
+            for edge_set in fam:
                 assert all(len(set(edge_set).intersection(s)) <= 1 for s in supports)
-                met = all(set(edge_set).intersection(s) for s in supports)
-                if strategy == "domains":
-                    assert flag == met
-                else:
-                    assert met or not flag  # a flag is only ever safe
                 checked += 1
+            if strategy == "domains":
+                tails = [k for k in inst.variables() if any(e.i == k for e in inst.edges)]
+                assert [edge_set[0].i for edge_set in fam] == tails
+                assert all(e.i == edge_set[0].i for edge_set in fam for e in edge_set)
     assert checked == 1441
-
-
-def _avoidable(inst, k):
-    """Reference covering flag: a source-sink path avoids k (a search that never enters k)."""
-    source, sink = inst.path.source, inst.path.sink
-    if k == source:
-        return False
-    seen, stack = {source}, [source]
-    while stack:
-        a = stack.pop()
-        if a == sink:
-            return True
-        for e in inst.edges:
-            if e.i == a and e.j != k and e.j not in seen:
-                seen.add(e.j)
-                stack.append(e.j)
-    return False
-
-
-def _dag(n_vertices, arcs, sink):
-    return weighted_instance(
-        "path", n_vertices - 1, range(n_vertices), [(a, b, 1) for a, b in arcs],
-        z_max=9, source=0, sink=sink,
+    # a path vertex with no arc has no set
+    isolated = weighted_instance(
+        "path", 3, range(4), [(0, 1, 1), (1, 3, 1), (0, 3, 1)], z_max=9, source=0, sink=3
     )
-
-
-def test_covering_flags_match_an_avoiding_search():
-    # the path-count flags against one avoid-vertex search per vertex
-    cut = _dag(7, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4), (3, 5), (4, 6), (5, 6)], 6)
-    # 2 leads only to the dead end 3, and 5 is not reached from the source
-    off_path = _dag(6, [(0, 1), (1, 4), (0, 2), (2, 3), (5, 4)], 4)
-    isolated = _dag(4, [(0, 1), (1, 3), (0, 3)], 3)  # vertex 2 has no arc
-    no_path = _dag(4, [(0, 1), (2, 3)], 3)  # the source never reaches the sink
-    dags = [inst for inst in CORPUS if inst.kind == "path"]
-    dags += [layered_dag(8, seed) for seed in range(4)]
-    dags += [layered_dag(6, seed, width=w, successors=m)
-             for seed in range(3) for w, m in ((1, 1), (2, 1), (3, 2))]
-    dags += [cut, off_path, isolated, no_path]
-    flagged = 0
-    for inst in dags:
-        fam = family(inst, "domains")
-        tails = [edge_set[0].i for edge_set in fam.sets]
-        assert tails == [k for k in inst.variables() if any(e.i == k for e in inst.edges)]
-        for k, flag in zip(tails, fam.covering):
-            assert flag == (not _avoidable(inst, k)), (inst, k)
-            flagged += flag
-    assert flagged > len(dags)  # more than the sources are flagged
-    flags = dict(zip((s[0].i for s in family(cut).sets), family(cut).covering))
-    assert flags == {0: True, 1: False, 2: False, 3: True, 4: False, 5: False}
-    flags = dict(zip((s[0].i for s in family(off_path).sets), family(off_path).covering))
-    assert flags == {0: True, 1: True, 2: False, 5: False}
-    assert 2 not in [s[0].i for s in family(isolated).sets]
-    assert all(family(no_path).covering)
+    assert [edge_set[0].i for edge_set in family(isolated)] == [0, 1]
 
 
 def test_domain_covering_is_fast_on_wide_dag():
-    # source -> every middle vertex -> sink: only the source is on every
-    # path, and a flag that rebuilds the graph per vertex is quadratic
+    # source -> every middle vertex -> sink: the domains family is one set
+    # per vertex, and a family that rebuilds the graph per vertex is quadratic
     width = 3000
     sink = width + 1
     triples = [(0, m, 1) for m in range(1, sink)] + [(m, sink, 1) for m in range(1, sink)]
@@ -287,7 +218,7 @@ def test_domain_covering_is_fast_on_wide_dag():
     start = time.perf_counter()
     fam = family(inst, "domains")
     assert time.perf_counter() - start < 2
-    assert fam.covering == (True,) + (False,) * width
+    assert [len(edge_set) for edge_set in fam] == [width] + [1] * width
 
 
 def test_validate_is_fast_on_wide_dag():
@@ -448,7 +379,7 @@ def test_restricted_optima_match_oracle():
     for inst in CORPUS + no_support:
         shifted = inst._replace(cost={e: c - 6 for e, c in inst.cost.items()})
         for variant in (inst, shifted):
-            assert dict(restricted_optima(variant)) == oracle.enumerate(variant).z_restricted
+            assert dict(combinatorial_pass(variant).optima) == oracle.enumerate(variant).z_restricted
 
 
 def test_restricted_optima_without_a_perfect_matching():
@@ -459,9 +390,9 @@ def test_restricted_optima_without_a_perfect_matching():
     )
     with pytest.raises(InfeasibleConstraintError):
         oracle.enumerate(inst)
-    assert dict(restricted_optima(inst)) == dict.fromkeys(inst.edges)
+    assert dict(combinatorial_pass(inst).optima) == dict.fromkeys(inst.edges)
     negative = inst._replace(cost={e: -c for e, c in inst.cost.items()})
-    assert dict(restricted_optima(negative)) == dict.fromkeys(inst.edges)
+    assert dict(combinatorial_pass(negative).optima) == dict.fromkeys(inst.edges)
 
 
 def test_optimum_is_the_support_lp_optimum():
@@ -490,8 +421,8 @@ def test_optimum_is_the_support_lp_optimum():
 
 
 def test_restricted_optima_are_shared_and_read_only(three_var_assignment):
-    optima = restricted_optima(three_var_assignment)
-    assert restricted_optima(three_var_assignment) is optima
+    optima = combinatorial_pass(three_var_assignment).optima
+    assert combinatorial_pass(three_var_assignment).optima is optima
     with pytest.raises(TypeError):
         optima[three_var_assignment.edges[0]] = 0
 

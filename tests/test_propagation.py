@@ -182,9 +182,9 @@ def test_infeasible_bound_is_distinct_outcome():
 
 
 def test_infeasible_path_exits_through_the_covering_set():
-    # the domains family solves the covering source set first (two unmarked
-    # arcs against one in each other set), so the loop stops at the covering
-    # check with z* = 6 and never reaches the wipe check
+    # the domains family would pick the source set first (two unmarked arcs
+    # against one in each other set), and z* = 6 refutes the bound before
+    # that dual is built
     inst = weighted_instance(
         "path", 3, [0, 1, 2, 3],
         [(0, 1, 3), (0, 2, 3), (1, 3, 3), (2, 3, 3)],
@@ -196,19 +196,25 @@ def test_infeasible_path_exits_through_the_covering_set():
     assert err.value.z_lb == 6
 
 
-def test_full_wipe_before_the_covering_set_is_solved():
-    # z* = 25; the layers family picks a larger, non-covering layer first,
-    # and under any bound below z* its dual, which is optimal, marks every
-    # arc inconsistent, so the loop ends before the covering depth-0 layer
+def test_layers_refutes_a_bound_below_zstar_with_no_dual(monkeypatch):
+    # z* = 25; the layers family picks a larger layer than the depth-0 one
+    # first, and every bound below z* is refuted before its dual is built,
+    # with z_lb = z*
     inst = path_corpus(100)[9]
     fam = family(inst, "layers")
-    assert fam.covering[0] and not any(fam.covering[1:])
+    assert _pick_next([len(edge_set) for edge_set in fam]) != 0
+    monkeypatch.setattr(duality, "pass_family_dual", _no_dual)
     for z_max in (0, 8, 9, 24):
         with pytest.raises(InfeasibleConstraintError) as err:
             ac_by_lp(inst._replace(z_max=z_max), "layers")
-        assert str(err.value) == f"no support within the cost bound {z_max}"
-        assert err.value.z_lb is None
+        assert str(err.value) == f"optimum 25 exceeds the cost bound {z_max}"
+        assert err.value.z_lb == 25
+    monkeypatch.undo()
     assert ac_by_lp(inst._replace(z_max=25), "layers").z_lb == 25
+
+
+def _no_dual(*args):
+    raise AssertionError("a dual was built")
 
 
 def _solve_spy(monkeypatch):
@@ -223,37 +229,42 @@ def _solve_spy(monkeypatch):
     return calls
 
 
-def _infeasible_runs():
-    # (instance, strategy, z*, whether the first set picked is covering)
+def _runs(infeasible):
+    # (instance, strategy, z*) over the corpora, where z* > z_max is infeasible
     for inst in alldiff_corpus(200) + path_corpus(100):
         z_star = oracle.enumerate(inst).z_star
-        if z_star <= inst.z_max:
+        if (z_star > inst.z_max) != infeasible:
             continue
         for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
-            fam = family(inst, strategy)
-            first = _pick_next([len(edge_set) for edge_set in fam.sets])
-            yield inst, strategy, z_star, fam.covering[first]
+            yield inst, strategy, z_star
 
 
-def test_covering_first_set_refutes_the_bound_with_no_solve(monkeypatch):
-    # z* read from the restricted optima before the covering set's dual is
-    # built; a non-covering first set's dual, optimal, wipes every edge
-    # instead; no LP is solved either way
+def test_bound_below_zstar_is_refuted_with_no_dual(monkeypatch):
+    # z* read from the pass before the first dual is built, whichever set is
+    # picked first; no dual is built and no LP is solved, with or without a
+    # budget of 1
     calls = _solve_spy(monkeypatch)
-    early = wiped = 0
-    for inst, strategy, z_star, covering in _infeasible_runs():
-        with pytest.raises(InfeasibleConstraintError) as err:
-            ac_by_lp(inst, strategy)
-        if covering:
+    monkeypatch.setattr(duality, "pass_family_dual", _no_dual)
+    refuted = set()
+    for inst, strategy, z_star in _runs(infeasible=True):
+        for budget in (None, 1):
+            with pytest.raises(InfeasibleConstraintError) as err:
+                ac_by_lp(inst, strategy, budget)
             assert str(err.value) == f"optimum {z_star} exceeds the cost bound {inst.z_max}"
             assert err.value.z_lb == z_star
-            early += 1
-        else:
-            assert str(err.value) == f"no support within the cost bound {inst.z_max}"
-            assert err.value.z_lb is None
-            wiped += 1
-    assert not calls
-    assert early > 100 and wiped
+        refuted.add(strategy)
+    assert not calls and refuted == {"domains", "layers"}
+
+
+def test_every_run_that_builds_a_dual_reports_zstar():
+    # every returning run, budgeted or not, has z_lb = z* once a dual is built
+    built = 0
+    for inst, strategy, z_star in _runs(infeasible=False):
+        for budget in (None, 1, 2):
+            result = ac_by_lp(inst, strategy, budget)
+            assert result.solves > 0 and result.z_lb == z_star
+            built += 1
+    assert built == 462  # 154 feasible runs, three budgets each
 
 
 def test_filter_solves_no_lp(monkeypatch):
@@ -284,7 +295,7 @@ def _sound(inst, edge_set, dual):
     except ValueError:  # a sink potential other than 0
         return False
     members = [dual.w + duality.reduced_cost(inst, dual, e) for e in edge_set]
-    optima = formulations.restricted_optima(inst)
+    optima = formulations.combinatorial_pass(inst).optima
     return (
         duality.is_dual_feasible(inst, dual)
         and dual.w == objective == formulations.optimum(inst)
@@ -312,7 +323,7 @@ def test_check_rejects_a_moved_potential_or_a_swapped_member():
     rejected = {"moved": 0, "swapped": 0}
     for inst in instances:
         for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
-            for edge_set in family(inst, strategy).sets:
+            for edge_set in family(inst, strategy):
                 dual = duality.pass_family_dual(inst, edge_set)
                 assert _passes_check(inst, edge_set, dual)
                 potentials = [("u", k) for k in dual.u] + [("v", k) for k in dual.v]
@@ -342,22 +353,15 @@ def test_check_rejects_a_moved_potential_or_a_swapped_member():
 
 
 def test_budget_on_an_infeasible_instance(monkeypatch):
-    # budget 0 solves nothing and so refutes nothing; with a covering first
-    # set, budget 1 raises as an unbudgeted run does
+    # budget 0 builds no dual and so refutes nothing: every edge unmarked,
+    # z_lb None (budget 1 raises as an unbudgeted run does: see
+    # test_bound_below_zstar_is_refuted_with_no_dual)
     calls = _solve_spy(monkeypatch)
-    for inst, strategy, z_star, covering in _infeasible_runs():
-        calls.clear()
+    for inst, strategy, _ in _runs(infeasible=True):
         result = ac_by_lp(inst, strategy, budget=0)
-        assert not calls and result.solves == 0
+        assert result.solves == 0 and result.z_lb is None
         assert all(m == UNMARKED for m in result.marks.values())
-        if not covering:
-            continue
-        with pytest.raises(InfeasibleConstraintError) as unbudgeted:
-            ac_by_lp(inst, strategy)
-        with pytest.raises(InfeasibleConstraintError) as one:
-            ac_by_lp(inst, strategy, budget=1)
-        assert str(one.value) == str(unbudgeted.value)
-        assert one.value.z_lb == unbudgeted.value.z_lb
+    assert not calls
 
 
 def test_fraction_costs_refute_with_an_exact_z_lb():
@@ -377,8 +381,8 @@ def test_fraction_costs_refute_with_an_exact_z_lb():
 
 
 def test_value_outside_the_value_list_is_rejected():
-    # the pass read before the covering first set's solve rejects it; the
-    # family dual program would fail on a row tag it lacks
+    # the pass read before the first dual is built rejects it; the family
+    # dual program would fail on a row tag it lacks
     inst = weighted_instance("alldiff", 2, [0, 1], [(0, 0, 1), (1, 1, 1), (1, 5, 1)], z_max=9)
     with pytest.raises(ValueError, match=r"edge EdgeId\(i=1, j=5\) meets no row"):
         ac_by_lp(inst)
@@ -477,7 +481,7 @@ def test_pick_order_matches_a_recount():
             except InfeasibleConstraintError:
                 continue
             longest = max(longest, result.solves)
-            sets = family(inst, strategy).sets
+            sets = family(inst, strategy)
             marks = dict.fromkeys(inst.edges, UNMARKED)
             for edge_set, dual in result.duals_used:
                 counts = [sum(marks[e] == UNMARKED for e in s) for s in sets]
@@ -495,7 +499,7 @@ def test_worst_case_needs_one_solve_per_variable():
         inst, cycle = worst_case_alldiff(n)
         fam = family(inst, "domains")
         result = ac_by_lp(inst)
-        assert result.solves == len(fam.sets) == n + 1
+        assert result.solves == len(fam) == n + 1
         assert result.complete
         assert not result.inconsistent_edges()
 

@@ -125,7 +125,7 @@ def test_shifted_dual_hits_exact_value(inst, data):
 def test_family_duals_carry_restricted_optima(inst):
     report = oracle.enumerate(inst)
     fam = family(inst, "domains")
-    for edge_set in fam.sets:
+    for edge_set in fam:
         d = solve_family_dual(inst, edge_set)
         assert is_dual_feasible(inst, d)
         for e in edge_set:

@@ -34,7 +34,6 @@ RECORDS = [
     ("LinearProgram", _program, ({"objective": {"ghost": 1}}, "unknown column")),
     ("LpSolution", lambda: lp_core.solve(_program()), None),
     ("Support", lambda: formulations.find_support(_dag(), _dag().edges), None),
-    ("IncompatibleFamily", lambda: formulations.family(_dag(), "layers"), None),
     ("CombinatorialPass", lambda: formulations.combinatorial_pass(_dag()), None),
     ("DualSolution", lambda: propagation.ac_by_lp(_dag()).duals_used[0][1], None),
     ("OracleReport", lambda: oracle.enumerate(_dag()), None),
