@@ -5,16 +5,15 @@ Above the enumeration cap no oracle can vouch for the restricted optima of
 ``formulations.combinatorial_pass``, so this compares them with the family dual
 LP instead: for a seeded sample of edges, the one-edge family dual of the set
 {e} gives e's restricted optimum as w + r_e, and so must ``shifted_cost_dual``
-(built from the pass, with w = z*), and ``formulations.optimum`` must equal
+(built from the pass, with w = z*), and the pass's ``z_star`` must equal
 the support LP's optimum from ``solve_primal``.  Every set of
 each family (``domains``, and ``layers`` on the DAG) gets its dual from
 ``duality.pass_family_dual``, as the filter does: it must be feasible, with
 w = z*, and w + r_e must be the pass's restricted optimum on every member;
 on a seeded sample of sets, also ``solve_family_dual``'s w + r_e.  The
-instances are three seeded
-unions of n/2 permutations with n variables (costs 0-9) and a layered DAG of
-about 9n arcs.  ``model.validate`` reads the same pass for the edges on no
-support, so each instance must also validate to ``[]``, and a copy with one
+instances are three seeded unions of n/2 permutations with n variables
+(costs 0-9) and a layered DAG of about 9n arcs.  ``model.validate`` reports
+the same pass's ``unsupported`` as the edges on no support, so each instance must also validate to ``[]``, and a copy with one
 planted edge on no support must be named for exactly that edge: alldiff gets
 two new variables sharing two new values and a third new variable with an
 edge into one of them; the DAG gets a new vertex, reached from the source,
@@ -43,7 +42,7 @@ from rcfilter.duality import (
     solve_family_dual,
     solve_primal,
 )
-from rcfilter.formulations import combinatorial_pass, family, find_support, optimum
+from rcfilter.formulations import combinatorial_pass, family, find_support
 from rcfilter.model import EdgeId, validate, weighted_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -55,7 +54,7 @@ SAMPLED_SETS = 4  # per family, or every set of a smaller one: each LP solve is 
 
 def check(inst, rng):
     start = time.perf_counter()
-    optima = combinatorial_pass(inst).optima
+    run = combinatorial_pass(inst)
     pass_s = time.perf_counter() - start
     wrong = []
     sampled = rng.sample(inst.edges, min(SAMPLED_EDGES, len(inst.edges)))
@@ -63,16 +62,16 @@ def check(inst, rng):
         d = solve_family_dual(inst, (e,))
         shifted = shifted_cost_dual(inst, e)
         lp_bound = d.w + reduced_cost(inst, d, e)
-        if lp_bound != optima[e] or shifted.w != optimum(inst) or (
+        if lp_bound != run.optima[e] or shifted.w != run.z_star or (
             shifted.w + reduced_cost(inst, shifted, e) != lp_bound
         ):
             wrong.append(e)
-    return pass_s, len(sampled), wrong, optimum(inst), solve_primal(inst)[0]
+    return pass_s, len(sampled), wrong, run.z_star, solve_primal(inst)[0]
 
 
 def check_duals(inst, rng):
     """The number of sets, and the (family, set index) whose pass-built dual fails."""
-    optima, z_star = combinatorial_pass(inst).optima, optimum(inst)
+    run = combinatorial_pass(inst)
     count, wrong = 0, []
     for strategy in ("domains", "layers") if inst.kind == "path" else ("domains",):
         sets = family(inst, strategy)
@@ -80,8 +79,8 @@ def check_duals(inst, rng):
         for k, edge_set in enumerate(sets):
             d = pass_family_dual(inst, edge_set)
             bounds = [d.w + reduced_cost(inst, d, e) for e in edge_set]
-            ok = is_dual_feasible(inst, d) and d.w == z_star
-            ok = ok and bounds == [optima[e] for e in edge_set]
+            ok = is_dual_feasible(inst, d) and d.w == run.z_star
+            ok = ok and bounds == [run.optima[e] for e in edge_set]
             if k in sampled:
                 lp = solve_family_dual(inst, edge_set)
                 ok = ok and bounds == [lp.w + reduced_cost(inst, lp, e) for e in edge_set]
@@ -167,7 +166,7 @@ def main(argv):
             print(f"error: pass-built duals fail on sets {wrong_duals}", file=sys.stderr)
             failed = True
         if z_pass != z_lp:
-            print(f"error: formulations.optimum is {z_pass}, the support LP's {z_lp}",
+            print(f"error: the pass's z_star is {z_pass}, the support LP's {z_lp}",
                   file=sys.stderr)
             failed = True
         for problem in problems:

@@ -10,8 +10,9 @@ the report.
 
 Exit statuses: 0 ok, 1 usage, parse or output failure, 2 invalid instance,
 3 infeasible constraint, 4 verify mismatch, 5 size guard.  The commands
-return 0 or 4 and raise every other failure.  A report that cannot be
-written exits 1: silently on a closed pipe, with one error line otherwise.
+return 0 or 4 and raise every other failure.  A report or a ``--help``
+that cannot be written exits 1: silently on a closed pipe, with one error
+line otherwise.
 """
 
 from __future__ import annotations
@@ -287,13 +288,29 @@ def _drop_stdout() -> None:
         os.close(devnull)
 
 
+def _write(text: Optional[str], code: int) -> int:
+    """Print ``text`` (None: flush what is buffered) and return ``code``, or 1 on failure."""
+    try:
+        if text is not None:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()  # the reader has gone: nothing to tell it
+        return EXIT_USAGE
+    except OSError as exc:
+        _drop_stdout()
+        return _error(EXIT_USAGE, f"cannot write the report: {exc}")
+    return code
+
+
 def main(argv=None) -> int:
     """Entry point returning the exit status (suitable for console_scripts)."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse has printed the help (status 0) or a usage error
-        return EXIT_OK if exc.code == 0 else EXIT_USAGE
+        # argparse has printed the help (status 0), still buffered, or a
+        # usage error to stderr
+        return _write(None, EXIT_OK) if exc.code == 0 else EXIT_USAGE
     try:
         instance = model.load_instance(args.instance_file)
     except OSError as exc:
@@ -314,16 +331,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # validate has passed: the one input left to reject is a --family its kind lacks
         return _error(EXIT_USAGE, str(exc))
-    try:
-        print(_write_json(report) if args.fmt == "json" else render(report))
-        sys.stdout.flush()
-    except BrokenPipeError:
-        _drop_stdout()  # the reader has gone: nothing to tell it
-        return EXIT_USAGE
-    except OSError as exc:
-        _drop_stdout()
-        return _error(EXIT_USAGE, f"cannot write the report: {exc}")
-    return code
+    return _write(_write_json(report) if args.fmt == "json" else render(report), code)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ instance, with no LP (``pass_family_dual``), and passes one exact check
 for one by name: the support LP (``solve_primal``) and the family dual
 program (``solve_family_dual``), the paper's generic route, kept as the
 reference that tests, criteria and scripts compare the pass-built duals
-with.  z* is never solved for: it is ``formulations.optimum``, from the
-pass that also gives every edge's restricted optimum.  The pass answers
+with.  z* is never solved for: it is the pass's ``z_star``, the least of
+the edges' restricted optima.  The pass answers
 ``exact_reduced_cost``, whether a feasible dual is optimal (w = z*) and
 which satisfaction edges lie on no solution; ``formulations.find_support``
 decides whether a reduced cost is exact.
@@ -131,17 +131,17 @@ def solve_primal(instance: WeightedInstance):
 def exact_reduced_cost(instance: WeightedInstance, ij: EdgeId) -> Number:
     """True cost increase of forcing edge ij: its restricted optimum minus z*.
 
-    Both come from one combinatorial pass per instance and no LP solve:
-    ``formulations.combinatorial_pass`` and ``formulations.optimum``.  Raises
-    ValueError when ij is not an edge of the instance or lies on no support.
+    Both come from one combinatorial pass per instance and no LP solve
+    (``formulations.combinatorial_pass``).  Raises ValueError when ij is not
+    an edge of the instance or lies on no support.
     """
     ij = EdgeId(*ij)
     if ij not in instance.cost:
         raise ValueError(f"edge {ij} not in the instance")
-    optimum = formulations.combinatorial_pass(instance).optima[ij]
-    if optimum is None:
+    run = formulations.combinatorial_pass(instance)
+    if run.optima[ij] is None:
         raise ValueError(f"edge {ij} lies on no support")
-    return exact(optimum - formulations.optimum(instance))
+    return exact(run.optima[ij] - run.z_star)
 
 
 def exactness_certificate(
@@ -149,7 +149,7 @@ def exactness_certificate(
 ) -> Optional[Support]:
     """The witness that kl's reduced cost under an optimal dual is exact, or None.
 
-    A feasible dual is optimal iff w = z* (``formulations.optimum``);
+    A feasible dual is optimal iff w = z* (the pass's ``z_star``);
     InfeasibleConstraintError when no support exists.  A support through kl
     inside the zero-reduced-cost edges plus kl, one support search, is the
     witness that r_kl is exact; its cost then equals w + r_kl by
@@ -159,7 +159,7 @@ def exactness_certificate(
     r = {e: reduced_cost(instance, dual, e) for e in instance.edges}
     if any(x < 0 for x in r.values()):
         raise ValueError("dual solution is not feasible")
-    z_star = formulations.optimum(instance)
+    z_star = formulations.combinatorial_pass(instance).z_star
     if z_star is None:
         raise InfeasibleConstraintError(f"support LP is {lp_core.INFEASIBLE}")
     if dual.w != z_star:
@@ -298,18 +298,15 @@ def pass_family_dual(
     return DualSolution(u=u, v={}, w=u[instance.path.source])
 
 
-@formulations.last_instance_memo
 def supported_optimum(instance: WeightedInstance) -> Optional[Number]:
-    """``formulations.optimum``; ValueError when an edge lies on no support.
+    """The pass's ``z_star``; ValueError naming its first ``unsupported`` edge, if any.
 
-    The guard of every pass-built dual: its constructions need a support
-    through every edge.  Kept for the last instance, so the sets of one
-    filter run scan the pass once.
+    The guard of every pass-built dual: its constructions need a support on every edge.
     """
-    for e, z in formulations.combinatorial_pass(instance).optima.items():
-        if z is None:
-            raise ValueError(f"edge {e} lies on no support")
-    return formulations.optimum(instance)
+    run = formulations.combinatorial_pass(instance)
+    if run.unsupported:
+        raise ValueError(f"edge {run.unsupported[0]} lies on no support")
+    return run.z_star
 
 
 def checked_bounds(
@@ -320,7 +317,7 @@ def checked_bounds(
     The one check of the duals the package builds without an LP, in exact
     arithmetic, standing in for the LP's certificate: the sink's potential
     is 0, ``dual.w`` is the dual objective of the potentials and equals
-    ``formulations.optimum``, no reduced cost is negative, and ``w + r_e``
+    the pass's ``z_star``, no reduced cost is negative, and ``w + r_e``
     is the pass's restricted optimum for every member e of the set.
     AssertionError if any fails.
     """
@@ -334,10 +331,10 @@ def checked_bounds(
             raise AssertionError(f"the sink's potential is {u[meta.sink]}, not 0")
         head = {k: -x for k, x in u.items()}  # r = c - u_i + u_j
         w = u[meta.source]
-    z_star = formulations.optimum(instance)
-    if w != dual.w or w != z_star:
+    run = formulations.combinatorial_pass(instance)
+    if w != dual.w or w != run.z_star:
         raise AssertionError(
-            f"dual objective {dual.w} ({w} by its potentials) is not z* = {z_star}"
+            f"dual objective {dual.w} ({w} by its potentials) is not z* = {run.z_star}"
         )
     bounds = {}
     for e, c in instance.cost.items():
@@ -345,13 +342,12 @@ def checked_bounds(
         if r < 0:
             raise AssertionError(f"the dual has reduced cost {r} on edge {e}")
         bounds[e] = w + r
-    optima = formulations.combinatorial_pass(instance).optima
     for e in edge_set:
         if e not in bounds:
             raise AssertionError(f"member {e} of the set is not an edge of the instance")
-        if bounds[e] != optima[e]:
+        if bounds[e] != run.optima[e]:
             raise AssertionError(
-                f"the dual bounds member {e} by {bounds[e]}, not by its optimum {optima[e]}"
+                f"the dual bounds member {e} by {bounds[e]}, not by its optimum {run.optima[e]}"
             )
     return bounds
 
@@ -381,16 +377,12 @@ def averaged_satisfaction_dual(
     the answer is the pass's own potentials, checked too.
     """
     encoded = formulations.bg01_encode(sat)
-    optima = formulations.combinatorial_pass(encoded).optima
-    stray = set(sat.edges).difference(optima)
-    if stray:
-        raise ValueError(f"edge {min(stray)} not in the instance")
-    z_star = formulations.optimum(encoded)
-    if z_star != 0:
-        # every completion uses a non-edge: the constraint itself has no support
-        raise InfeasibleConstraintError("no support exists", z_lb=z_star)
-    variables = sorted({e.i for e in sat.edges if optima[e] > 0})
     run = formulations.combinatorial_pass(encoded)
+    if run.z_star != 0:
+        # every completion uses a non-edge: the constraint itself has no support
+        raise InfeasibleConstraintError("no support exists", z_lb=run.z_star)
+    # the original edges are the encoding's zero-cost ones
+    variables = sorted({e.i for e, c in encoded.cost.items() if c == 0 and run.optima[e] > 0})
     if not variables:
         dual = dual_solution(encoded, dict(enumerate(run.u)), run.v)
         checked_bounds(encoded, (), dual)

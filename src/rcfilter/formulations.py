@@ -17,11 +17,10 @@ assignment with potentials and one Dijkstra per variable in its residual
 graph, or forward and backward shortest paths over a DAG's topological order.
 The pass keeps those potentials and distances, from which
 ``duality.pass_family_dual`` builds the filter's duals, and the edges by
-tail, from which ``family`` builds its sets.  ``model.validate``
-takes the edges without an optimum as the edges on no support, and
-``optimum`` takes z* as the least entry: the package reads z* nowhere else
-(``oracle`` and the LP solves are references that tests and cross-checks
-compare with it).
+tail, from which ``family`` builds its sets.  It also keeps z*, its least
+entry, and the edges without one, which ``model.validate`` reports as the
+edges on no support: the package reads either nowhere else (``oracle`` and
+the LP solves are references that tests and cross-checks compare with it).
 """
 
 from __future__ import annotations
@@ -305,16 +304,19 @@ _EMPTY: Mapping = MappingProxyType({})
 class CombinatorialPass(
     namedtuple(
         "CombinatorialPass",
-        "optima by_tail value_of holder u v dists down up",
-        defaults=(_EMPTY, _EMPTY, _EMPTY, (), _EMPTY, (), _EMPTY, _EMPTY),
+        "optima by_tail z_star unsupported value_of holder u v dists down up",
+        defaults=(None, (), _EMPTY, _EMPTY, (), _EMPTY, (), _EMPTY, _EMPTY),
     )
 ):
     """What the one pass per instance computes, kept read-only for every reader.
 
     ``optima``: each edge's cheapest support through it, or None when it
-    lies on no support.  ``by_tail``: the edges of each variable (alldiff)
-    or the arcs leaving each vertex (path), a tuple in instance order, for
-    every key with at least one; ``family`` reads its sets from it.
+    lies on no support.  ``z_star``: z*, the least of them (an optimal
+    support's edges have it, and none is lower), or None when no support
+    exists.  ``unsupported``: the edges whose entry is None, in instance
+    order.  ``by_tail``: the edges of each variable (alldiff) or the arcs
+    leaving each vertex (path), a tuple in instance order, for every key
+    with at least one; ``family`` reads its sets from it.
     alldiff, with the other fields empty when no perfect matching exists:
     the optimal assignment M (``value_of``, by variable, and ``holder``, by
     value), its potentials ``u`` (a tuple by variable) and ``v`` (by value),
@@ -342,20 +344,12 @@ def combinatorial_pass(instance: WeightedInstance) -> CombinatorialPass:
     each distance map's inequalities, tight along its shortest-path tree.
     The result is shared while the instance stays the same, so it is read-only.
     """
-    if instance.kind == ALLDIFF:
-        return _assignment_pass(instance)
-    return _path_pass(instance)
-
-
-@last_instance_memo
-def optimum(instance: WeightedInstance) -> Optional[Number]:
-    """z*: the pass's least restricted optimum, or None when no support exists.
-
-    An optimal support's edges have z* as their restricted optimum, and none
-    is lower.  Kept for the last instance, so per-edge callers scan once.
-    """
-    found = [z for z in combinatorial_pass(instance).optima.values() if z is not None]
-    return lp_core.exact(min(found)) if found else None
+    run = _assignment_pass(instance) if instance.kind == ALLDIFF else _path_pass(instance)
+    found = [z for z in run.optima.values() if z is not None]
+    return run._replace(
+        z_star=lp_core.exact(min(found)) if found else None,
+        unsupported=tuple(e for e, z in run.optima.items() if z is None),
+    )
 
 
 def _assignment_pass(instance: WeightedInstance) -> CombinatorialPass:
@@ -531,9 +525,10 @@ def bg01_encode(sat: SatisfactionInstance) -> WeightedInstance:
 
     An original edge is consistent for the cost-free constraint exactly when
     it lies on a zero-cost support of the encoding.  The n^2 costs are built
-    straight into the instance: only ``n_vars`` and ``values`` are checked,
-    and a non-integer among them, a repeated value or a non-square instance
-    raises ValueError.
+    straight into the instance: only ``n_vars``, ``values`` and the edges'
+    endpoints are checked.  A non-integer among them, a repeated value, a
+    non-square instance or an edge outside the n^2 pairs raises ValueError;
+    an edge may be a plain ``(i, j)`` pair.
     """
     n = _integer(sat.n_vars, "n_vars")
     values = tuple(_integer(x, "value") for x in sat.values)
@@ -541,11 +536,15 @@ def bg01_encode(sat: SatisfactionInstance) -> WeightedInstance:
         raise ValueError("satisfaction instances must be square to encode")
     if len(set(values)) != n:
         raise ValueError("duplicate values")
-    original = set(sat.edges)
-    cost = {
-        e: 0 if e in original else 1
-        for e in (EdgeId(i, j) for i in range(n) for j in values)
-    }
+    cost = {EdgeId(i, j): 1 for i in range(n) for j in values}
+    for e in sat.edges:
+        i, j = e
+        if type(i) is not int or type(j) is not int:  # checked, never coerced
+            for x in e:
+                _integer(x, "edge {} endpoint", e)
+        if e not in cost:
+            raise ValueError(f"edge {EdgeId(*e)} not in the instance")
+        cost[e] = 0  # the key stays the EdgeId already there
     return WeightedInstance(ALLDIFF, n, values, cost, z_max=0)
 
 

@@ -228,8 +228,8 @@ def validate(instance: WeightedInstance) -> list[str]:
     # structural AC: every edge on at least one support, costs ignored
     from . import formulations  # local import, formulations depends on model
 
-    optima = formulations.combinatorial_pass(instance).optima
-    return [f"edge {e} lies on no support" for e in instance.edges if optima[e] is None]
+    unsupported = formulations.combinatorial_pass(instance).unsupported
+    return [f"edge {e} lies on no support" for e in unsupported]
 
 
 # ---------------------------------------------------------------------------

@@ -585,6 +585,20 @@ def test_closed_stdout_leaves_nothing_for_the_final_flush(dag_file):
         )
 
 
+@pytest.mark.parametrize("args", [["--help"], ["filter", "--help"]])
+def test_help_into_a_closed_pipe_exits_1_in_silence(args):
+    # argparse prints the help inside parse_args, before any report: the
+    # help must be flushed through the report's write handling too (the
+    # report itself: test_closed_stdout_leaves_nothing_for_the_final_flush)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(args, write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_parser_is_built_on_first_use():
     src = Path(__file__).resolve().parent.parent / "src"
     probe = "import rcfilter.cli as cli; print(cli._build_parser.cache_info().currsize)"

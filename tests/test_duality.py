@@ -144,9 +144,10 @@ def _assert_pass_dual_matches_the_lp(inst, edge_set, lp=True):
     # restricted optimum and, with lp, the family dual LP's w + r_e
     d = duality.pass_family_dual(inst, edge_set)
     assert is_dual_feasible(inst, d)
-    assert d.w == formulations.optimum(inst)
+    run = combinatorial_pass(inst)
+    assert d.w == run.z_star
     bounds = [d.w + reduced_cost(inst, d, e) for e in edge_set]
-    assert bounds == [combinatorial_pass(inst).optima[e] for e in edge_set]
+    assert bounds == [run.optima[e] for e in edge_set]
     if lp:
         ref = solve_family_dual(inst, edge_set)
         assert bounds == [ref.w + reduced_cost(inst, ref, e) for e in edge_set]
@@ -244,6 +245,24 @@ def test_certificate_requires_optimality(three_var_assignment):
         exactness_certificate(three_var_assignment, d, EdgeId(0, 0))
 
 
+def test_certificate_requires_feasibility(three_var_assignment):
+    # u_0 = 5 leaves edge (0, 0), of cost 0, a negative reduced cost
+    d = dual_solution(three_var_assignment, {0: 5, 1: 0, 2: 0}, {0: 0, 1: 0, 2: 0})
+    assert not is_dual_feasible(three_var_assignment, d)
+    with pytest.raises(ValueError, match="dual solution is not feasible"):
+        exactness_certificate(three_var_assignment, d, EdgeId(0, 0))
+
+
+def test_edge_arguments_outside_the_instance_are_rejected(three_var_assignment):
+    inst, stray = three_var_assignment, EdgeId(0, 7)
+    with pytest.raises(ValueError, match=r"edge EdgeId\(i=0, j=7\) not in the instance"):
+        shifted_cost_dual(inst, stray)
+    dual = duality.pass_family_dual(inst, inst.edges[:1])
+    message = r"member EdgeId\(i=0, j=7\) of the set is not an edge of the instance"
+    with pytest.raises(AssertionError, match=message):
+        duality.checked_bounds(inst, (stray,), dual)
+
+
 def test_certificate_makes_one_support_search(monkeypatch, three_var_assignment):
     # optimality is w = z* from the pass; only the witness is searched for
     inst = three_var_assignment
@@ -280,8 +299,13 @@ def test_shifted_dual_on_path(five_vertex_dag):
 
 def _misread_optimum(monkeypatch, delta):
     # a pass whose z* is off by delta, to show the dual check catches it
-    real = formulations.optimum
-    monkeypatch.setattr(formulations, "optimum", lambda inst: real(inst) + delta)
+    real = formulations.combinatorial_pass
+
+    def misread(inst):
+        run = real(inst)
+        return run._replace(z_star=run.z_star + delta)
+
+    monkeypatch.setattr(formulations, "combinatorial_pass", misread)
 
 
 def test_shifted_dual_rejects_wrong_optimum(monkeypatch, three_var_assignment):
@@ -623,6 +647,27 @@ def test_averaged_dual_infeasible_constraint(monkeypatch):
         averaged_satisfaction_dual(empty)
     assert exc.value.z_lb == 3
     assert solved == []
+
+
+def test_averaged_dual_takes_plain_pairs():
+    # (0, 1) lies on no perfect matching of the three pairs
+    pairs = ((0, 0), (1, 1), (0, 1))
+    plain = averaged_satisfaction_dual(SatisfactionInstance(2, (0, 1), pairs))
+    named = SatisfactionInstance(2, (0, 1), tuple(EdgeId(*e) for e in pairs))
+    assert plain == averaged_satisfaction_dual(named)
+    enc, d = plain
+    assert [reduced_cost(enc, d, e) > 0 for e in pairs] == [False, False, True]
+
+
+@pytest.mark.parametrize("edges, message", [
+    (((0, 0.0), (1, 1)), r"edge \(0, 0.0\) endpoint must be an integer, got 0.0"),
+    (((True, 0), (1, 1)), r"edge \(True, 0\) endpoint must be an integer, got True"),
+    (((0, 0), (2, 1)), r"edge EdgeId\(i=2, j=1\) not in the instance"),
+])
+def test_averaged_dual_rejects_bad_edges(edges, message):
+    # a float or a bool endpoint is never read as 0 or 1
+    with pytest.raises(ValueError, match=message):
+        averaged_satisfaction_dual(SatisfactionInstance(2, (0, 1), edges))
 
 
 def _normal_form(x):

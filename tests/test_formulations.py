@@ -415,9 +415,50 @@ def test_optimum_is_the_support_lp_optimum():
                 z_star = solve_primal(copy)[0]
             except InfeasibleConstraintError:
                 z_star = None
-            assert formulations.optimum(copy) == z_star, copy
+            assert combinatorial_pass(copy).z_star == z_star, copy
             seen[z_star is None] += 1
     assert seen[True] == 4 and seen[False] == 2 * len(CORPUS)
+
+
+def _shift_augmenting_distances(monkeypatch, step, held_only):
+    # the pass's augmenting searches, which set the potentials, return every
+    # distance (or each held value's) moved by step
+    real = formulations._alternating_distances
+
+    def shifted(adj, u, v, holder, root, stop):
+        dist, via, free = real(adj, u, v, holder, root, stop)
+        if stop:
+            dist = {j: d + step if j in holder or not held_only else d for j, d in dist.items()}
+        return dist, via, free
+
+    monkeypatch.setattr(formulations, "_alternating_distances", shifted)
+
+
+@pytest.mark.parametrize("step, held_only, message", [
+    # every distance: the root's potential overshoots, so the sum misses z*
+    (1, False, "assignment potentials do not sum to the optimum"),
+    # a held value's only: the moves cancel in the sum, not on the edges
+    (-1, True, r"assignment potentials fail on edge EdgeId\(i=0, j=1\)"),
+])
+def test_assignment_pass_checks_its_potentials(monkeypatch, step, held_only, message):
+    # both variables prefer value 0, so the second search passes its holder
+    inst = weighted_instance(
+        "alldiff", 2, range(2), [(0, 0, 0), (0, 1, 5), (1, 0, 0), (1, 1, 5)], z_max=9
+    )
+    _shift_augmenting_distances(monkeypatch, step, held_only)
+    with pytest.raises(AssertionError, match=message):
+        combinatorial_pass(inst)
+
+
+@pytest.mark.parametrize("dist, message", [
+    ({0: 0, 1: 4}, r"shortest-path distances fail on arc \(0, 1\)"),
+    ({0: 0, 1: 2}, "shortest-path distances are not tight on a tree"),
+])
+def test_path_pass_checks_its_distances(dist, message):
+    # one arc 0 -> 1 of cost 3: only d(1) = 3 passes
+    formulations._assert_distances({0: 0, 1: 3}, 0, [(0, 1, 3)])
+    with pytest.raises(AssertionError, match=message):
+        formulations._assert_distances(dist, 0, [(0, 1, 3)])
 
 
 def test_restricted_optima_are_shared_and_read_only(three_var_assignment):

@@ -295,11 +295,11 @@ def _sound(inst, edge_set, dual):
     except ValueError:  # a sink potential other than 0
         return False
     members = [dual.w + duality.reduced_cost(inst, dual, e) for e in edge_set]
-    optima = formulations.combinatorial_pass(inst).optima
+    run = formulations.combinatorial_pass(inst)
     return (
         duality.is_dual_feasible(inst, dual)
-        and dual.w == objective == formulations.optimum(inst)
-        and members == [optima[e] for e in edge_set]
+        and dual.w == objective == run.z_star
+        and members == [run.optima[e] for e in edge_set]
     )
 
 
@@ -378,6 +378,19 @@ def test_fraction_costs_refute_with_an_exact_z_lb():
     assert type(err.value.z_lb) is int and err.value.z_lb == 4
     z_lb = ac_by_lp(inst._replace(z_max=4)).z_lb
     assert type(z_lb) is int and z_lb == 4
+
+
+@pytest.mark.parametrize("values", [[0, 1, 2], [0, 0]])
+def test_alldiff_without_a_square_value_side_has_no_support(values):
+    # three values, or one repeated, for two variables: no assignment
+    # fills every value row, so the pass gives no edge an optimum
+    inst = weighted_instance(
+        "alldiff", 2, values, [(0, 0, 1), (1, values[1], 1)], z_max=9
+    )
+    assert formulations.combinatorial_pass(inst).unsupported == tuple(inst.edges)
+    for run in (ac_by_lp, lower_bound):
+        with pytest.raises(ValueError, match=r"edge EdgeId\(i=0, j=0\) lies on no support"):
+            run(inst)
 
 
 def test_value_outside_the_value_list_is_rejected():
@@ -471,7 +484,7 @@ def test_pick_order_matches_a_recount():
     # each run's own duals and marked as the loop marks
     dag = layered_dag(40, seed=0)
     instances = alldiff_corpus(200) + path_corpus(100)
-    instances.append(dag._replace(z_max=formulations.optimum(dag) + 5))
+    instances.append(dag._replace(z_max=formulations.combinatorial_pass(dag).z_star + 5))
     assert len(instances[-1].edges) == 714
     replayed = longest = 0
     for inst in instances:
