@@ -20,11 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from rcfilter import ac_by_lp, averaged_satisfaction_dual, worst_case_alldiff
+from rcfilter import ac_by_lp, averaged_satisfaction_dual, weighted_instance, worst_case_alldiff
+from rcfilter.formulations import combinatorial_pass
 from rcfilter.cli import main
 from rcfilter.lp_core import EQ, GE, LE, MAX, MIN, LinearProgram, Row, solve
 
-from corpus import satisfaction_corpus
+from corpus import layered_dag, path_corpus, satisfaction_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 INSTANCES = Path(__file__).parent.parent / "instances"
@@ -101,6 +102,42 @@ def _dual_record(label: str, dual) -> str:
     return f"{label} w={dual.w} u[{u}] v[{v}]"
 
 
+def labelled_alldiff() -> list:
+    """alldiff instances whose value labels are shuffled, sparse or negative, with tied costs.
+
+    Each is a union of seeded permutations, so every edge lies on a support,
+    with costs 0-2 and z_max = z* + 1, so that most of them get both kinds of mark.
+    """
+    rng = random.Random(20261020)
+    label_sets = [
+        (3, 0, 2, 1, 4),
+        (10, 20, 35, 7),
+        (-5, -1, -9, 2, 0),
+        (0, -3, 6, -12, 9, 4),
+    ]
+    label_sets += [tuple(rng.sample(range(-20, 21), n)) for n in (3, 5, 6, 7)]
+    out = []
+    for labels in label_sets:
+        n = len(labels)
+        pairs = set()
+        for _ in range(max(2, n // 2 + 1)):
+            p = list(labels)
+            rng.shuffle(p)
+            pairs.update(enumerate(p))
+        triples = [(i, j, rng.randint(0, 2)) for i, j in sorted(pairs)]
+        inst = weighted_instance("alldiff", n, labels, triples, z_max=0)
+        out.append(inst._replace(z_max=combinatorial_pass(inst).z_star + 1))
+    return out
+
+
+def _filter_duals(label: str, instance, strategy: str = "domains") -> list[str]:
+    out = []
+    for edge_set, dual in ac_by_lp(instance, strategy).duals_used:
+        members = ",".join(f"({e.i},{e.j})" for e in edge_set)
+        out.append(_dual_record(f"{label} set={members}", dual))
+    return out
+
+
 def dual_records() -> list[str]:
     out = []
     for k, sat in enumerate(satisfaction_corpus(50)):
@@ -108,9 +145,17 @@ def dual_records() -> list[str]:
         out.append(_dual_record(f"averaged {k}", dual))
     for n in range(2, 6):
         instance, _ = worst_case_alldiff(n)
-        for edge_set, dual in ac_by_lp(instance).duals_used:
-            members = ",".join(f"({e.i},{e.j})" for e in edge_set)
-            out.append(_dual_record(f"hard n={n} set={members}", dual))
+        out += _filter_duals(f"hard n={n}", instance)
+    for k, instance in enumerate(labelled_alldiff()):
+        out += _filter_duals(f"labels {k}", instance)
+    dag = layered_dag(6, seed=0)
+    # returning runs, each with an inconsistent edge under domains
+    paths = [("dag6", dag._replace(z_max=combinatorial_pass(dag).z_star + 5))]
+    corpus = path_corpus(100)
+    paths += [(f"path {k}", corpus[k]) for k in (0, 1, 6, 16, 18)]
+    for name, instance in paths:
+        for strategy in ("domains", "layers"):
+            out += _filter_duals(f"{name} {strategy}", instance, strategy)
     return out
 
 
