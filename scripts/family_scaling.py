@@ -25,7 +25,7 @@ def run(n):
     elapsed = time.perf_counter() - start
     per_dual = [
         sum(1 for e in cycle if d.w + reduced_cost(inst, d, e) == 1)
-        for _, d in result.duals_used
+        for _, d in result.duals()
     ]
     return inst, result, elapsed, per_dual
 

@@ -102,7 +102,7 @@ def filter_cmd(instance: WeightedInstance, args: argparse.Namespace) -> tuple[in
     }
     if args.emit_duals:
         report["duals"] = [
-            _dual_payload(edge_set, dual) for edge_set, dual in result.duals_used
+            _dual_payload(edge_set, dual) for edge_set, dual in result.duals()
         ]
     return EXIT_OK, report
 

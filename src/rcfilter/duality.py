@@ -8,10 +8,14 @@ true increase of the optimum when the edge is forced.  The operations here
 produce dual solutions whose reduced costs are exact on whole sets of
 pairwise-incompatible edges at once, which is what the filtering loop consumes.
 
-Every dual the package returns comes from the one combinatorial pass per
-instance, with no LP (``pass_family_dual``), and passes one exact check
-(``checked_bounds``): the filter's, ``shifted_cost_dual``'s and each part of
-``averaged_satisfaction_dual``.  LP solves happen only where a caller asks
+Every dual the package builds comes from the one combinatorial pass per
+instance, with no LP: one builder (``_pass_potentials``) gives a set's
+potentials as lists by tail and head position, and one routine
+(``_checked_potentials``) checks them exactly over the pass's per-edge
+tuples.  The filter's duals, ``shifted_cost_dual``'s and each part of
+``averaged_satisfaction_dual`` all pass it; ``pass_family_dual`` keys the
+potentials by label, and ``checked_bounds`` reads a labelled dual back into
+the routine.  LP solves happen only where a caller asks
 for one by name: the support LP (``solve_primal``) and the family dual
 program (``solve_family_dual``), the paper's generic route, kept as the
 reference that tests, criteria and scripts compare the pass-built duals
@@ -181,8 +185,6 @@ def shifted_cost_dual(instance: WeightedInstance, kl: EdgeId) -> DualSolution:
     or some edge lies on no support, as ``model.validate`` reports.
     """
     kl = EdgeId(*kl)
-    if kl not in instance.cost:
-        raise ValueError(f"edge {kl} not in the instance")
     dual = pass_family_dual(instance, (kl,))
     checked_bounds(instance, (kl,), dual)
     return dual
@@ -257,45 +259,83 @@ def pass_family_dual(
 ) -> DualSolution:
     """An optimal dual exact on one set of ``formulations.family``, with no LP solve.
 
-    Built from ``formulations.combinatorial_pass`` (``claus2020wad``; Sellmann,
-    CP 2002); ValueError when an edge lies on no support
-    (``supported_optimum``).  alldiff,
-    the set of variable i: with d_k the pass's residual distance from
-    variable k to M(i), capped at the largest finite one, ``u'_k = u_k + d_k``
-    and ``v'_j = v_j - d_{M^-1(j)}``.  Every reduced cost stays >= 0 by the
+    The potentials of ``_pass_potentials``, keyed by label.  Each edge may
+    be a plain ``(i, j)`` pair.  ValueError for an empty set, an edge not in
+    the instance, an alldiff set on two variables, or an instance with an
+    edge on no support (``supported_optimum``).  The values are not trusted:
+    every caller checks the dual with ``checked_bounds``.
+    """
+    run = formulations.combinatorial_pass(instance)
+    members = []
+    for e in edge_set:
+        e = EdgeId(*e)
+        if e not in run.index:
+            raise ValueError(f"edge {e} not in the instance")
+        members.append(run.index[e])
+    if not members:
+        raise ValueError("empty edge set")
+    if instance.kind == ALLDIFF and len({run.tails[k] for k in members}) > 1:
+        raise ValueError("an alldiff set must lie on one variable")
+    supported_optimum(instance)
+    return _labelled(instance, *_pass_potentials(instance, members))
+
+
+def _labelled(instance: WeightedInstance, a: Sequence, b: Sequence, w: Number) -> DualSolution:
+    # potentials by position, keyed by variable and value label again
+    labels = formulations.combinatorial_pass(instance).labels
+    if instance.kind == ALLDIFF:
+        return DualSolution(u=dict(enumerate(a)), v=dict(zip(labels, b)), w=w)
+    return DualSolution(u=dict(zip(labels, a)), v={}, w=w)
+
+
+def _pass_potentials(instance: WeightedInstance, members: Sequence[int]) -> tuple:
+    """``(a, b, w)``: the pass-built optimal dual of a set, given by edge positions.
+
+    ``a`` is by tail position and ``b`` by head position, so an edge's
+    reduced cost is ``c - a[t] - b[h]``; ``w`` is the dual objective.  Built
+    from ``formulations.combinatorial_pass`` (``claus2020wad``; Sellmann,
+    CP 2002), for a set whose edges all lie on supports.  alldiff, the set
+    of variable i: with d_k the pass's residual distance from variable k to
+    M(i), capped at the largest finite one, ``a_k = u_k + d_k`` and
+    ``b_j = v_j - d_{M^-1(j)}``.  Every reduced cost stays >= 0 by the
     triangle inequality, w = z* because M pairs each variable with one
     value, and member (i, j) gets ``w + r' = z* + r_ij + dist(M^-1(j) -> M(i))``,
     its restricted optimum.  path, any set S: with A the vertices reachable
-    from the heads of S, the potential is d(v, t) on A, z* - d(s, v) elsewhere
-    and 0 on an isolated vertex.  No arc leaves A; an arc entering A gets
-    reduced cost (its restricted optimum) - z* >= 0, and every member of S
-    enters A, as S is pairwise incompatible.  z* is the least restricted
-    optimum over the arcs entering A, since every s-t path enters A.  The
-    values are not trusted: every caller checks the dual with ``checked_bounds``.
+    from the heads of S, the potential is d(v, t) on A, z* - d(s, v)
+    elsewhere and 0 on an isolated vertex, and ``b = -a``.  No arc leaves A;
+    an arc entering A gets reduced cost (its restricted optimum) - z* >= 0,
+    and every member of S enters A, as S is pairwise incompatible.  z* is
+    the least restricted optimum over the arcs entering A, since every s-t
+    path enters A.  Checked by ``_checked_potentials`` wherever it is used.
     """
-    z_star = supported_optimum(instance)
     run = formulations.combinatorial_pass(instance)
     if instance.kind == ALLDIFF:
-        target = run.value_of[edge_set[0].i]
-        dist = [d.get(target) for d in run.dists]
+        target = run.value_of[run.tails[members[0]]]
+        dist = [d[target] for d in run.dists]
         cap = max(d for d in dist if d is not None)
         dist = [cap if d is None else d for d in dist]
-        u = {k: x + d for k, (x, d) in enumerate(zip(run.u, dist))}
-        v = {j: x - dist[run.holder[j]] for j, x in run.v.items()}
-        return DualSolution(u=u, v=v, w=sum(u.values()) + sum(v.values()))
-    reach = {e.j for e in edge_set}
-    stack = list(reach)
+        a = [x + d for x, d in zip(run.u, dist)]
+        b = [x - dist[k] for x, k in zip(run.v, run.holder)]
+        return a, b, sum(a) + sum(b)
+    reach = [False] * len(run.labels)
+    stack = []
+    for k in members:
+        h = run.heads[k]
+        if not reach[h]:
+            reach[h] = True
+            stack.append(h)
+    successors = run.successors
     while stack:
-        for _, b in run.by_tail.get(stack.pop(), ()):
-            if b not in reach:
-                reach.add(b)
-                stack.append(b)
-    down, up = run.down, run.up
-    u = {
-        x: up[x] if x in reach else z_star - down[x] if x in down else 0
-        for x in instance.values
-    }
-    return DualSolution(u=u, v={}, w=u[instance.path.source])
+        for h in successors[stack.pop()]:
+            if not reach[h]:
+                reach[h] = True
+                stack.append(h)
+    z_star = run.z_star
+    a = [
+        y if reached else 0 if x is None else z_star - x
+        for reached, x, y in zip(reach, run.down, run.up)
+    ]
+    return a, [-x for x in a], a[run.labels.index(instance.path.source)]
 
 
 def supported_optimum(instance: WeightedInstance) -> Optional[Number]:
@@ -314,40 +354,64 @@ def checked_bounds(
 ) -> dict[EdgeId, Number]:
     """Every edge's bound ``w + r_e`` under a pass-built dual, checked against the pass.
 
-    The one check of the duals the package builds without an LP, in exact
-    arithmetic, standing in for the LP's certificate: the sink's potential
-    is 0, ``dual.w`` is the dual objective of the potentials and equals
-    the pass's ``z_star``, no reduced cost is negative, and ``w + r_e``
-    is the pass's restricted optimum for every member e of the set.
-    AssertionError if any fails.
+    The dual's potentials, read by position, go through ``_checked_potentials``:
+    AssertionError if any of its checks fails, or if a member of the set
+    (which may be a plain ``(i, j)`` pair) is not an edge of the instance.
     """
-    u = dual.u
-    if instance.kind == ALLDIFF:
-        head = dual.v  # r = c - u_i - v_j
-        w = sum(u.values()) + sum(head.values())
-    else:
-        meta = instance.path
-        if u[meta.sink] != 0:
-            raise AssertionError(f"the sink's potential is {u[meta.sink]}, not 0")
-        head = {k: -x for k, x in u.items()}  # r = c - u_i + u_j
-        w = u[meta.source]
     run = formulations.combinatorial_pass(instance)
-    if w != dual.w or w != run.z_star:
-        raise AssertionError(
-            f"dual objective {dual.w} ({w} by its potentials) is not z* = {run.z_star}"
-        )
-    bounds = {}
-    for e, c in instance.cost.items():
-        r = c - u[e.i] - head[e.j]
-        if r < 0:
-            raise AssertionError(f"the dual has reduced cost {r} on edge {e}")
-        bounds[e] = w + r
+    members = []
     for e in edge_set:
-        if e not in bounds:
+        e = EdgeId(*e)
+        if e not in run.index:
             raise AssertionError(f"member {e} of the set is not an edge of the instance")
-        if bounds[e] != run.optima[e]:
+        members.append(run.index[e])
+    if instance.kind == ALLDIFF:
+        a = [dual.u[i] for i in range(instance.n_vars)]
+        b = [dual.v[j] for j in run.labels]
+    else:
+        a = [dual.u[x] for x in run.labels]
+        b = [-x for x in a]
+    bounds = _checked_potentials(instance, members, a, b, dual.w)
+    return dict(zip(instance.edges, bounds))
+
+
+def _checked_potentials(
+    instance: WeightedInstance, members: Sequence[int], a: Sequence, b: Sequence, w: Number
+) -> list:
+    """Every edge's bound ``w + r_e`` by position, after the one exact check of a dual.
+
+    The check of the duals the package builds without an LP, standing in for
+    the LP's certificate: a path's sink has potential 0; ``w`` is the dual
+    objective of the potentials (``sum(a) + sum(b)``, or the source's
+    potential) and equals the pass's ``z_star``; every reduced cost
+    ``c - a[t] - b[h]`` is recomputed from the costs and none is negative;
+    and ``w + r_e`` is the pass's restricted optimum for every member, given
+    by edge position.  AssertionError if any fails.
+    """
+    run = formulations.combinatorial_pass(instance)
+    if instance.kind == ALLDIFF:
+        objective = sum(a) + sum(b)
+    else:
+        sink = a[run.labels.index(instance.path.sink)]
+        if sink != 0:
+            raise AssertionError(f"the sink's potential is {sink}, not 0")
+        objective = a[run.labels.index(instance.path.source)]
+    if objective != w or w != run.z_star:
+        raise AssertionError(
+            f"dual objective {w} ({objective} by its potentials) is not z* = {run.z_star}"
+        )
+    bounds = [w + c - a[t] - b[h] for t, h, c in zip(run.tails, run.heads, run.costs)]
+    if bounds and min(bounds) < w:
+        k = next(k for k, x in enumerate(bounds) if x < w)
+        raise AssertionError(
+            f"the dual has reduced cost {bounds[k] - w} on edge {instance.edges[k]}"
+        )
+    for k in members:
+        optimum = run.optima[instance.edges[k]]
+        if bounds[k] != optimum:
             raise AssertionError(
-                f"the dual bounds member {e} by {bounds[e]}, not by its optimum {run.optima[e]}"
+                f"the dual bounds member {instance.edges[k]} by {bounds[k]},"
+                f" not by its optimum {optimum}"
             )
     return bounds
 
@@ -367,14 +431,14 @@ def averaged_satisfaction_dual(
     solved.  When no edge is consistent, ``InfeasibleConstraintError``
     carries the pass's z*.  Otherwise z* = 0, and the answer averages the
     pass-built dual of each variable holding an inconsistent edge
-    (``pass_family_dual`` on the variable's edges, read from the pass's
-    ``by_tail``, exact on all of them, each checked by ``checked_bounds``).
+    (``_pass_potentials`` on the variable's edges, read from the pass's
+    ``by_tail``, exact on all of them, each checked by ``_checked_potentials``).
     Each part is optimal, so a consistent edge keeps reduced cost 0 under
     all of them, and an inconsistent one is positive under its own
-    variable's part.  The parts' potentials are integers: each average is
-    their sum divided once by the number of parts (``lp_core._quotient``),
-    an ``int`` when integral, and so is ``w``.  With no inconsistent edge
-    the answer is the pass's own potentials, checked too.
+    variable's part.  The parts' potentials are integer lists by position:
+    each average is their sum divided once by the number of parts
+    (``lp_core._quotient``), an ``int`` when integral, and so is ``w``.  With
+    no inconsistent edge the answer is the pass's own potentials, checked too.
     """
     encoded = formulations.bg01_encode(sat)
     run = formulations.combinatorial_pass(encoded)
@@ -382,18 +446,30 @@ def averaged_satisfaction_dual(
         # every completion uses a non-edge: the constraint itself has no support
         raise InfeasibleConstraintError("no support exists", z_lb=run.z_star)
     # the original edges are the encoding's zero-cost ones
-    variables = sorted({e.i for e, c in encoded.cost.items() if c == 0 and run.optima[e] > 0})
+    variables = sorted({
+        t for t, c, z in zip(run.tails, run.costs, run.optima.values()) if c == 0 and z > 0
+    })
     if not variables:
-        dual = dual_solution(encoded, dict(enumerate(run.u)), run.v)
-        checked_bounds(encoded, (), dual)
-        return encoded, dual
-    parts = []
+        a, b = run.u, run.v
+        w = sum(a) + sum(b)
+        _checked_potentials(encoded, (), a, b, w)
+        return encoded, _labelled(encoded, a, b, w)
+    sum_a = sum_b = None
+    sum_w = 0
     for i in variables:
-        edge_set = run.by_tail[i]
-        parts.append(pass_family_dual(encoded, edge_set))
-        checked_bounds(encoded, edge_set, parts[-1])
-    m = len(parts)
-    u = {i: _quotient(sum(p.u[i] for p in parts), m) for i in range(encoded.n_vars)}
-    v = {j: _quotient(sum(p.v[j] for p in parts), m) for j in encoded.values}
-    w = _quotient(sum(p.w for p in parts), m)
-    return encoded, DualSolution(u=u, v=v, w=w)
+        members = [run.index[e] for e in run.by_tail[i]]
+        a, b, w = _pass_potentials(encoded, members)
+        _checked_potentials(encoded, members, a, b, w)
+        if sum_a is None:
+            sum_a, sum_b = a, b
+        else:
+            sum_a = [x + y for x, y in zip(sum_a, a)]
+            sum_b = [x + y for x, y in zip(sum_b, b)]
+        sum_w += w
+    m = len(variables)
+    return encoded, _labelled(
+        encoded,
+        [_quotient(x, m) for x in sum_a],
+        [_quotient(x, m) for x in sum_b],
+        _quotient(sum_w, m),
+    )

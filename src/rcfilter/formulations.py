@@ -15,12 +15,15 @@ Every edge's restricted optimum, the cheapest support through it, comes from
 one pass per instance with no LP (``combinatorial_pass``): an optimal
 assignment with potentials and one Dijkstra per variable in its residual
 graph, or forward and backward shortest paths over a DAG's topological order.
-The pass keeps those potentials and distances, from which
-``duality.pass_family_dual`` builds the filter's duals, and the edges by
-tail, from which ``family`` builds its sets.  It also keeps z*, its least
-entry, and the edges without one, which ``model.validate`` reports as the
-edges on no support: the package reads either nowhere else (``oracle`` and
-the LP solves are references that tests and cross-checks compare with it).
+The pass runs on int positions (values by sorted label, path vertices by
+their index in ``instance.values``) and keeps, as tuples by position, each
+edge's tail, head and cost, and those potentials and distances, from which
+``duality`` builds and checks the filter's duals.  It keeps the edges by
+tail too, from which ``family`` builds its sets, and each edge's position.
+It also keeps z*, its least entry, and the edges without one, which
+``model.validate`` reports as the edges on no support: the package reads
+either nowhere else (``oracle`` and the LP solves are references that tests
+and cross-checks compare with it).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
 
 from . import lp_core
-from .lp_core import LinearProgram, Number, Row
+from .lp_core import LinearProgram, Row
 from .model import (
     ALLDIFF,
     PATH,
@@ -298,14 +301,12 @@ def _search(root: Hashable, steps: Callable) -> Optional[list]:
 # restricted optima: one combinatorial pass per instance
 
 
-_EMPTY: Mapping = MappingProxyType({})
-
-
 class CombinatorialPass(
     namedtuple(
         "CombinatorialPass",
-        "optima by_tail z_star unsupported value_of holder u v dists down up",
-        defaults=(None, (), _EMPTY, _EMPTY, (), _EMPTY, (), _EMPTY, _EMPTY),
+        "optima by_tail z_star unsupported index tails heads costs labels"
+        " value_of holder u v dists down up successors",
+        defaults=(None, ()) + (None,) * 14,
     )
 ):
     """What the one pass per instance computes, kept read-only for every reader.
@@ -316,14 +317,23 @@ class CombinatorialPass(
     exists.  ``unsupported``: the edges whose entry is None, in instance
     order.  ``by_tail``: the edges of each variable (alldiff) or the arcs
     leaving each vertex (path), a tuple in instance order, for every key
-    with at least one; ``family`` reads its sets from it.
-    alldiff, with the other fields empty when no perfect matching exists:
-    the optimal assignment M (``value_of``, by variable, and ``holder``, by
-    value), its potentials ``u`` (a tuple by variable) and ``v`` (by value),
-    with every reduced cost >= 0 and 0 on M, and ``dists[k]``, the residual
-    distance from variable k to each value it reaches.  path: the distance
-    maps ``down`` (d(s, v)) and ``up`` (d(v, t)).  Every map is a read-only
-    view.
+    with at least one; ``family`` reads its sets from it.  These four are
+    keyed by label, as the instance is.  ``index``: each edge's position in
+    instance order.
+
+    The rest are tuples by position, with None where a value or vertex is
+    not reached.  A position is a value's rank among the sorted value labels
+    (alldiff) or a vertex's index in ``instance.values`` (path), and
+    ``labels`` gives the label at each.  ``tails``, ``heads`` and ``costs``:
+    each edge's variable (or tail position), head position and cost, in
+    instance order.  alldiff, with the fields below left None when no
+    perfect matching exists: the optimal assignment M (``value_of``, the
+    value position by variable, and ``holder``, the variable by value
+    position), its potentials ``u`` (by variable) and ``v`` (by value
+    position), with every reduced cost >= 0 and 0 on M, and ``dists[k]``,
+    the residual distance from variable k to each value position.  path:
+    the distances ``down`` (d(s, v)) and ``up`` (d(v, t)), and
+    ``successors``, the head positions of the arcs leaving each vertex.
     """
 
     __slots__ = ()
@@ -336,183 +346,217 @@ def combinatorial_pass(instance: WeightedInstance) -> CombinatorialPass:
     alldiff: an optimal assignment M with potentials u, v (successive
     shortest paths), then one Dijkstra per variable over the residual graph
     on reduced costs r; an edge (i, j) outside M costs
-    z* + r_ij + dist(M^-1(j) -> M(i)) (Sellmann, CP 2002).  path: forward
+    z* + r_ij + dist(M^-1(j) -> M(i)) (Sellmann, CP 2002).  Values are
+    numbered by sorted label, so heap ties break by label.  path: forward
     and backward shortest paths in topological order give
     d(s, i) + c_ij + d(j, t).  Costs of either sign are allowed.  Before it
     returns, the pass checks its own certificate and raises AssertionError
     if it fails: r >= 0 on every edge, 0 on M and sum(u) + sum(v) = z*; or
-    each distance map's inequalities, tight along its shortest-path tree.
+    each distance list's inequalities, tight along its shortest-path tree.
     The result is shared while the instance stays the same, so it is read-only.
     """
-    run = _assignment_pass(instance) if instance.kind == ALLDIFF else _path_pass(instance)
-    found = [z for z in run.optima.values() if z is not None]
-    return run._replace(
+    fields = _assignment_pass(instance) if instance.kind == ALLDIFF else _path_pass(instance)
+    edges, optima = instance.edges, fields.pop("optima")
+    found = [z for z in optima if z is not None]
+    return CombinatorialPass(
+        optima=MappingProxyType(dict(zip(edges, optima))),
         z_star=lp_core.exact(min(found)) if found else None,
-        unsupported=tuple(e for e, z in run.optima.items() if z is None),
+        unsupported=(
+            () if len(found) == len(optima) else tuple(e for e, z in zip(edges, optima) if z is None)
+        ),
+        index=MappingProxyType(dict(zip(edges, range(len(edges))))),
+        **fields,
     )
 
 
-def _assignment_pass(instance: WeightedInstance) -> CombinatorialPass:
-    n, cost = instance.n_vars, instance.cost
-    v = dict.fromkeys(instance.values, 0)
+def _assignment_pass(instance: WeightedInstance) -> dict:
+    # the pass's fields but z_star, unsupported and index, with optima by position
+    n, edges = instance.n_vars, instance.edges
+    labels = tuple(sorted(set(instance.values)))
+    rank = dict(zip(labels, range(len(labels))))
+    tails, values = zip(*edges) if edges else ((), ())
+    heads = tuple(map(rank.get, values))
+    if None in heads or (edges and not 0 <= min(tails) <= max(tails) < n):
+        for e, t, h in zip(edges, tails, heads):
+            if h is None or not 0 <= t < n:
+                raise ValueError(f"edge {e} meets no row of the support LP")
+    costs = tuple(instance.cost.values())
     by_var: list[list[EdgeId]] = [[] for _ in range(n)]
-    adj: list[list[tuple]] = [[] for _ in range(n)]  # (value, cost) by variable
-    for e, c in cost.items():
-        i, j = e
-        if not (0 <= i < n and j in v):
-            raise ValueError(f"edge {e} meets no row of the support LP")
-        by_var[i].append(e)
-        adj[i].append((j, c))
-    by_tail = MappingProxyType({i: tuple(es) for i, es in enumerate(by_var) if es})
-    if len(v) != n:  # no matching covers both sides
-        return CombinatorialPass(MappingProxyType(dict.fromkeys(cost)), by_tail)
+    adj: list[list[tuple]] = [[] for _ in range(n)]  # (value position, cost) by variable
+    for e, t, pair in zip(edges, tails, zip(heads, costs)):
+        by_var[t].append(e)
+        adj[t].append(pair)
+    fields = {
+        "optima": [None] * len(edges),
+        "by_tail": MappingProxyType({i: tuple(es) for i, es in enumerate(by_var) if es}),
+        "tails": tails,
+        "heads": heads,
+        "costs": costs,
+        "labels": labels,
+    }
+    if len(labels) != n:  # no matching covers both sides
+        return fields
     # u_i = min_j c_ij and v = 0 leave no reduced cost negative, whatever the signs
-    u = [min((c for _, c in pairs), default=0) for pairs in adj]
-    value_of: dict[int, int] = {}  # variable -> its value in M
-    holder: dict[int, int] = {}  # value -> its variable in M
+    u = [min([c for _, c in pairs]) if pairs else 0 for pairs in adj]
+    v = [0] * n
+    value_of: list = [None] * n  # variable -> its value position in M
+    holder: list = [None] * n  # value position -> its variable in M
     for root in range(n):
         dist, via, free = _alternating_distances(adj, u, v, holder, root, True)
         if free is None:  # no perfect matching
-            return CombinatorialPass(MappingProxyType(dict.fromkeys(cost)), by_tail)
+            return fields
         far = dist[free]
         # potentials shifted by (distance - far) on the settled part keep
         # every reduced cost >= 0 and make the augmenting path tight
-        for j, d in dist.items():
-            v[j] += d - far
-            if j in holder:
-                u[holder[j]] -= d - far
+        for j, d in enumerate(dist):
+            if d is not None:
+                v[j] += d - far
+                if holder[j] is not None:
+                    u[holder[j]] -= d - far
         u[root] += far
         j = free
         while j is not None:
             i = via[j]
-            holder[j], value_of[i], j = i, j, value_of.get(i)
+            holder[j], value_of[i], j = i, j, value_of[i]
 
-    z_star = sum(cost[i, j] for i, j in value_of.items())
-    if sum(u) + sum(v.values()) != z_star:
+    z_star = sum([c for t, h, c in zip(tails, heads, costs) if value_of[t] == h])
+    if sum(u) + sum(v) != z_star:
         raise AssertionError("assignment potentials do not sum to the optimum")
     # one reduced cost per edge serves the certificate, the residual
     # Dijkstras (on zero potentials) and the edge's optimum
-    rs: list = []
+    rs = [c - u[t] - v[h] for t, h, c in zip(tails, heads, costs)]
+    if rs and min(rs) < 0:  # else r = 0 on M, as the potentials sum to z*
+        for k, (t, h, r) in enumerate(zip(tails, heads, rs)):
+            if r < 0 or (r != 0 and value_of[t] == h):
+                raise AssertionError(f"assignment potentials fail on edge {edges[k]}")
     reduced: list[list[tuple]] = [[] for _ in range(n)]
-    for e, c in cost.items():
-        i, j = e
-        r = c - u[i] - v[j]
-        if r < 0 or (r != 0 and value_of[i] == j):
-            raise AssertionError(f"assignment potentials fail on edge {e}")
-        rs.append(r)
-        reduced[i].append((j, r))
-    zero_u, zero_v = [0] * n, dict.fromkeys(v, 0)
-    dists = [
-        _alternating_distances(reduced, zero_u, zero_v, holder, k, False)[0]
+    for t, pair in zip(tails, zip(heads, rs)):
+        reduced[t].append(pair)
+    zero = [0] * n
+    dists = tuple([
+        tuple(_alternating_distances(reduced, zero, zero, holder, k, False)[0])
         for k in range(n)
-    ]
-    optima: dict = {}
-    for e, r in zip(cost, rs):
-        i, j = e
-        if value_of[i] == j:
-            optima[e] = z_star
+    ])
+    optima = fields["optima"]
+    for k, (t, h, r) in enumerate(zip(tails, heads, rs)):
+        if value_of[t] == h:
+            optima[k] = z_star
         else:
-            d = dists[holder[j]].get(value_of[i])
-            optima[e] = None if d is None else z_star + r + d
-    return CombinatorialPass(
-        optima=MappingProxyType(optima),
-        by_tail=by_tail,
-        value_of=MappingProxyType(value_of),
-        holder=MappingProxyType(holder),
-        u=tuple(u),
-        v=MappingProxyType(v),
-        dists=tuple(MappingProxyType(d) for d in dists),
+            d = dists[holder[h]][value_of[t]]
+            if d is not None:
+                optima[k] = z_star + r + d
+    fields.update(
+        value_of=tuple(value_of), holder=tuple(holder), u=tuple(u), v=tuple(v), dists=dists
     )
+    return fields
 
 
 def _alternating_distances(
-    adj: list, u: list, v: dict, holder: dict, root: int, stop: bool
-) -> tuple[dict, dict, Optional[int]]:
+    adj: list, u: list, v: list, holder: list, root: int, stop: bool
+) -> tuple[list, list, Optional[int]]:
     """Dijkstra from variable ``root`` to the values, along alternating paths.
 
-    ``adj[i]`` holds variable i's ``(value, cost)`` pairs in instance order.
-    A variable steps to a value by one of them (length cost - u_i - v_j >= 0),
-    a value to its holder by its matching edge (length 0), so a variable's
-    distance is that of its value.  Heap entries are ``(distance, value)``.
-    Returns the settled values' distances, the variable each was reached
-    from, and, with ``stop``, the first free value settled (else None).
+    Values are positions ``0 .. len(holder) - 1``, and ``holder[j]`` is the
+    variable holding value j, or None.  ``adj[i]`` holds variable i's
+    ``(value, cost)`` pairs in instance order.  A variable steps to a value
+    by one of them (length cost - u_i - v_j >= 0), a value to its holder by
+    its matching edge (length 0), so a variable's distance is that of its
+    value.  Heap entries are ``(distance, value)``.  Returns the settled
+    values' distances and the variable each was reached from, as lists by
+    value with None elsewhere, and, with ``stop``, the first free value
+    settled (else None).
     """
-    dist: dict = {}
-    via: dict = {}
-    best: dict = {}
+    size = len(holder)
+    dist: list = [None] * size
+    via: list = [None] * size
+    best: list = [None] * size
     heap: list = []
-
-    def scan(i: int, d: Number) -> None:
-        d -= u[i]  # the potential of the scanned variable, read once
-        for j, c in adj[i]:
-            if j not in dist:
-                nd = d + c - v[j]
-                if j not in best or nd < best[j]:
-                    best[j] = nd
-                    via[j] = i
-                    heapq.heappush(heap, (nd, j))
-
-    scan(root, 0)
-    while heap:
-        d, j = heapq.heappop(heap)
-        if j in dist:
-            continue
-        dist[j] = d
-        if j not in holder:
-            if stop:
-                return dist, via, j
+    push, pop = heapq.heappush, heapq.heappop
+    i, d = root, 0
+    while True:
+        if i is not None:  # scan variable i, reached at distance d
+            d -= u[i]  # the potential of the scanned variable, read once
+            for j, c in adj[i]:
+                if dist[j] is None:
+                    nd = d + c - v[j]
+                    if best[j] is None or nd < best[j]:
+                        best[j] = nd
+                        via[j] = i
+                        push(heap, (nd, j))
+        while heap:
+            d, j = pop(heap)
+            if dist[j] is None:
+                break
         else:
-            scan(holder[j], d)
-    return dist, via, None
+            return dist, via, None
+        dist[j] = d
+        i = holder[j]
+        if i is None and stop:
+            return dist, via, j
 
 
-def _path_pass(instance: WeightedInstance) -> CombinatorialPass:
+def _path_pass(instance: WeightedInstance) -> dict:
+    # as _assignment_pass
     meta = instance.path
     assert meta is not None
-    cost = instance.cost
-    order = instance.topo_order
+    labels = instance.values
+    pos = {x: p for p, x in enumerate(labels)}
+    edges = instance.edges
+    tails = tuple(pos[e.i] for e in edges)
+    heads = tuple(pos[e.j] for e in edges)
+    costs = tuple(instance.cost.values())
     grouped: dict[int, list[EdgeId]] = {}
-    for e in instance.edges:
+    out: list[list[tuple]] = [[] for _ in labels]  # (head, cost) by tail position
+    for e, t, h, c in zip(edges, tails, heads, costs):
         grouped.setdefault(e.i, []).append(e)
-    out = {k: tuple(arcs) for k, arcs in grouped.items()}
-    down = {meta.source: 0}  # d(s, v)
-    for v in order:
-        if v not in down:
+        out[t].append((h, c))
+    order = [pos[x] for x in instance.topo_order]
+    source, sink = pos[meta.source], pos[meta.sink]
+    down: list = [None] * len(labels)  # d(s, v)
+    down[source] = 0
+    for x in order:
+        if down[x] is None:
             continue
-        for e in out.get(v, ()):
-            d = down[v] + cost[e]
-            if e.j not in down or d < down[e.j]:
-                down[e.j] = d
-    up = {meta.sink: 0}  # d(v, t)
-    for v in reversed(order):
-        for e in out.get(v, ()):
-            if e.j in up and (v not in up or cost[e] + up[e.j] < up[v]):
-                up[v] = cost[e] + up[e.j]
-    _assert_distances(down, meta.source, ((e.i, e.j, cost[e]) for e in instance.edges))
-    _assert_distances(up, meta.sink, ((e.j, e.i, cost[e]) for e in instance.edges))
-    optima = {
-        e: down[e.i] + cost[e] + up[e.j] if e.i in down and e.j in up else None
-        for e in instance.edges
+        for h, c in out[x]:
+            d = down[x] + c
+            if down[h] is None or d < down[h]:
+                down[h] = d
+    up: list = [None] * len(labels)  # d(v, t)
+    up[sink] = 0
+    for x in reversed(order):
+        for h, c in out[x]:
+            if up[h] is not None and (up[x] is None or c + up[h] < up[x]):
+                up[x] = c + up[h]
+    _assert_distances(down, source, zip(tails, heads, costs))
+    _assert_distances(up, sink, zip(heads, tails, costs))
+    return {
+        "optima": [
+            down[t] + c + up[h] if down[t] is not None and up[h] is not None else None
+            for t, h, c in zip(tails, heads, costs)
+        ],
+        "by_tail": MappingProxyType({k: tuple(arcs) for k, arcs in grouped.items()}),
+        "tails": tails,
+        "heads": heads,
+        "costs": costs,
+        "labels": labels,
+        "down": tuple(down),
+        "up": tuple(up),
+        "successors": tuple(tuple(h for h, _ in arcs) for arcs in out),
     }
-    return CombinatorialPass(
-        optima=MappingProxyType(optima),
-        by_tail=MappingProxyType(out),
-        down=MappingProxyType(down),
-        up=MappingProxyType(up),
-    )
 
 
-def _assert_distances(dist: dict, root: int, arcs: Iterable[tuple]) -> None:
-    # dist[b] <= dist[a] + c on every arc (a, b, c) leaving a reached vertex,
-    # and every reached vertex but the root at 0 has a tight arc into it
+def _assert_distances(dist: list, root: int, arcs: Iterable[tuple]) -> None:
+    # dist[b] <= dist[a] + c on every arc (a, b, c) leaving a reached
+    # position, and every reached position but the root at 0 has a tight
+    # arc into it
     tight = {root} if dist[root] == 0 else set()
     for a, b, c in arcs:
-        if a in dist:
-            if b not in dist or dist[b] > dist[a] + c:
+        if dist[a] is not None:
+            if dist[b] is None or dist[b] > dist[a] + c:
                 raise AssertionError(f"shortest-path distances fail on arc {(a, b)}")
             if dist[b] == dist[a] + c:
                 tight.add(b)
-    if tight != set(dist):
+    if tight != {p for p, d in enumerate(dist) if d is not None}:
         raise AssertionError("shortest-path distances are not tight on a tree")
 
 

@@ -3,24 +3,28 @@
 One dual per incompatible set classifies every edge of that set exactly and
 may knock out arbitrary other edges along the way.  A set is picked only
 while it has an unmarked edge, and its dual marks all of them, so no set is
-used twice.  Each dual is built from the instance's one combinatorial pass
-(``duality.pass_family_dual``), with no LP solve, and checked in exact
-arithmetic by ``duality.checked_bounds``, whose bounds it marks from: the LP
-route, ``duality.solve_family_dual``, stays as the reference that tests
-compare with.  Requires every edge to lie on at least one support
+used twice.  The loop runs on edge positions: each dual is a pair of
+potential lists built from the instance's one combinatorial pass
+(``duality._pass_potentials``), with no LP solve, and checked in exact
+arithmetic over the pass's per-edge tuples by ``duality._checked_potentials``,
+whose bounds by position it marks from.  No dual is kept: the run records
+its sets, and ``FilterResult.duals`` builds each dual again on demand
+(``duality.pass_family_dual``).  The LP route,
+``duality.solve_family_dual``, stays as the reference that tests compare
+with.  Requires every edge to lie on at least one support
 (``model.validate`` enforces this, and ``duality.supported_optimum`` raises
 otherwise).  The sets come from ``formulations.family``, by strategy name:
 only its sets are known to be pairwise incompatible.  Every dual is optimal
-(``checked_bounds`` asserts w = z*), so before the first one is built the
-run takes z* from the pass (``duality.supported_optimum``; ``validate``
-reads the same pass), and a bound below z* is refuted with no dual built.
-``lower_bound`` reads z* the same way and builds no family.
+(the check asserts w = z*), so before the first one is built the run takes
+z* from the pass (``duality.supported_optimum``; ``validate`` reads the same
+pass), and a bound below z* is refuted with no dual built.  ``lower_bound``
+reads z* the same way and builds no family.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import duality, formulations, lp_core
 from .duality import DualSolution
@@ -31,25 +35,35 @@ CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 
 
-class FilterResult(namedtuple("FilterResult", "marks z_lb duals_used")):
+class FilterResult(namedtuple("FilterResult", "marks z_lb sets_used instance")):
     """Outcome of the filtering loop.
 
     ``marks`` classifies every edge.  ``z_lb`` is z*, read from the pass
     before the first dual is built, None if no dual was built (budget 0).
-    ``duals_used`` records (edge set, dual solution) per dual built, in
-    order, and ``solves`` counts them.
+    ``sets_used`` records the edge set of each dual built, in order, and
+    ``solves`` counts them.  ``instance`` is the instance filtered, from
+    whose pass ``duals()`` builds the duals again.
     """
 
     __slots__ = ()
 
     @property
     def solves(self) -> int:
-        return len(self.duals_used)
+        return len(self.sets_used)
 
     @property
     def complete(self) -> bool:
         """No edge left unmarked (only possible under a solve budget)."""
         return all(m != UNMARKED for m in self.marks.values())
+
+    def duals(self) -> Iterator[tuple[tuple[EdgeId, ...], DualSolution]]:
+        """Yield (edge set, dual solution) per dual built, in order.
+
+        Each dual is built again by ``duality.pass_family_dual``: a function of
+        the instance's pass and the set, it equals the dual the run marked from.
+        """
+        for edge_set in self.sets_used:
+            yield edge_set, duality.pass_family_dual(self.instance, edge_set)
 
     def consistent_edges(self) -> tuple[EdgeId, ...]:
         return tuple(e for e, m in self.marks.items() if m == CONSISTENT)
@@ -74,13 +88,14 @@ def ac_by_lp(
     Walks the sets of ``formulations.family(instance, strategy)``, largest
     unmarked count first (the sets partition the edges, so each set's count
     drops as its edges are marked), building one dual per set from the
-    instance's combinatorial pass (``duality.pass_family_dual``), with no LP
+    instance's combinatorial pass (``duality._pass_potentials``), with no LP
     solve.  Each dual is optimal and its reduced costs are exact
     on the set, classifying all of its unmarked edges, and any edge anywhere
     whose bound exceeds the threshold is marked inconsistent immediately.
-    ``duality.checked_bounds`` checks each dual and gives every edge's bound
-    ``w + r_e``, which the marks are read from.  ``budget`` caps the number
-    of duals built.
+    ``duality._checked_potentials`` checks each dual and gives every edge's
+    bound ``w + r_e`` by position, which the marks are read from.  The
+    result records the sets, not the duals.  ``budget`` caps the number of
+    duals built.
 
     Raises InfeasibleConstraintError when the instance has no edge, or when
     a dual is about to be built and z* exceeds the cost bound: the run sets
@@ -108,24 +123,41 @@ def ac_by_lp(
         raise InfeasibleConstraintError(
             f"optimum {z_lb} exceeds the cost bound {z_max}", z_lb=z_lb
         )
-    marks: dict[EdgeId, str] = {e: UNMARKED for e in instance.edges}
-    set_of = {e: idx for idx, edge_set in enumerate(family) for e in edge_set}
-    unmarked = [len(edge_set) for edge_set in family]
-    duals_used: list[tuple[tuple[EdgeId, ...], DualSolution]] = []
+    # the loop runs on edge positions: the pass's per-edge tuples
+    index = formulations.combinatorial_pass(instance).index
+    sets = [[index[e] for e in edge_set] for edge_set in family]
+    set_of = [0] * len(instance.edges)
+    for idx, members in enumerate(sets):
+        for k in members:
+            set_of[k] = idx
+    marks = [UNMARKED] * len(instance.edges)
+    unmarked = [len(members) for members in sets]
+    used: list[int] = []
 
-    while budget is None or len(duals_used) < budget:
+    while budget is None or len(used) < budget:
         idx = _pick_next(unmarked)
         if idx is None:
             break
-        edge_set = family[idx]
-        dual = duality.pass_family_dual(instance, edge_set)
-        duals_used.append((edge_set, dual))
-        # a member within the bound is consistent, any edge above it inconsistent
-        for e, bound in duality.checked_bounds(instance, edge_set, dual).items():
-            if marks[e] == UNMARKED and (bound > z_max or set_of[e] == idx):
-                marks[e] = INCONSISTENT if bound > z_max else CONSISTENT
-                unmarked[set_of[e]] -= 1
-    return FilterResult(marks=marks, z_lb=z_lb, duals_used=tuple(duals_used))
+        used.append(idx)
+        members = sets[idx]
+        bounds = duality._checked_potentials(
+            instance, members, *duality._pass_potentials(instance, members)
+        )
+        # any edge above the bound is inconsistent, a member within it consistent
+        for k in [k for k, bound in enumerate(bounds) if bound > z_max]:
+            if marks[k] is UNMARKED:
+                marks[k] = INCONSISTENT
+                unmarked[set_of[k]] -= 1
+        for k in members:
+            if marks[k] is UNMARKED:
+                marks[k] = CONSISTENT
+                unmarked[idx] -= 1
+    return FilterResult(
+        marks=dict(zip(instance.edges, marks)),
+        z_lb=z_lb,
+        sets_used=tuple(family[idx] for idx in used),
+        instance=instance,
+    )
 
 
 def lower_bound(instance: WeightedInstance, strategy: str = "domains") -> lp_core.Number:

@@ -201,7 +201,7 @@ def test_criterion_6_family_size_and_solve_counts(capfd, six_vertex_dag):
             assert result.complete
             assert result.solves == n + 1
             assert all(m == CONSISTENT for m in result.marks.values())
-            for _, d in result.duals_used:
+            for _, d in result.duals():
                 exact_on_cycle = [
                     e for e in cycle
                     if d.w + reduced_cost(inst, d, e) == Fraction(1)

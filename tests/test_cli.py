@@ -16,7 +16,6 @@ from rcfilter import (
 )
 from rcfilter.cli import main
 from rcfilter.model import InfeasibleConstraintError
-from rcfilter.propagation import FilterResult
 
 from corpus import alldiff_corpus, path_corpus, satisfaction_corpus
 
@@ -95,8 +94,9 @@ def test_emitted_duals_round_trip(assignment_file, three_var_assignment, capsys)
     }
     assert marks == dict(result.marks)
     assert F(data["z_lb"]) == result.z_lb
-    assert len(data["duals"]) == len(result.duals_used)
-    for payload, (edge_set, dual) in zip(data["duals"], result.duals_used):
+    duals = list(result.duals())
+    assert len(data["duals"]) == len(duals)
+    for payload, (edge_set, dual) in zip(data["duals"], duals):
         assert [EdgeId(*e) for e in payload["set"]] == list(edge_set)
         assert F(payload["w"]) == dual.w
         assert {int(k): F(v) for k, v in payload["u"].items()} == dict(dual.u)
@@ -134,7 +134,7 @@ def _corrupted_filter(monkeypatch, three_var_assignment):
     wrong[EdgeId(0, 1)] = "consistent"
 
     def fake(instance, strategy="domains", budget=None):
-        return FilterResult(marks=wrong, z_lb=truth.z_lb, duals_used=truth.duals_used)
+        return truth._replace(marks=wrong)
 
     monkeypatch.setattr(propagation, "ac_by_lp", fake)
 

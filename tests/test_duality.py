@@ -263,6 +263,41 @@ def test_edge_arguments_outside_the_instance_are_rejected(three_var_assignment):
         duality.checked_bounds(inst, (stray,), dual)
 
 
+@pytest.mark.parametrize("members, message", [
+    (lambda inst: (), "empty edge set"),
+    (lambda inst: (EdgeId(7, 8),), r"edge EdgeId\(i=7, j=8\) not in the instance"),
+    (lambda inst: [tuple(inst.edges[0]), (9, 9)], r"edge EdgeId\(i=9, j=9\) not in the instance"),
+], ids=["empty", "stray", "stray-after-a-member"])
+def test_pass_family_dual_rejects_an_empty_set_or_a_stray_edge(
+    three_var_assignment, five_vertex_dag, members, message
+):
+    # both kinds, where an empty set or a stray edge once gave an
+    # IndexError, a KeyError or a dual built for nothing
+    for inst in (three_var_assignment, five_vertex_dag):
+        with pytest.raises(ValueError, match=message):
+            duality.pass_family_dual(inst, members(inst))
+
+
+def test_pass_family_dual_rejects_an_alldiff_set_on_two_variables(three_var_assignment):
+    edges = three_var_assignment.edges
+    pair = next((e, f) for e in edges for f in edges if e.i != f.i)
+    with pytest.raises(ValueError, match="an alldiff set must lie on one variable"):
+        duality.pass_family_dual(three_var_assignment, pair)
+
+
+def test_plain_pairs_build_and_check_as_edge_ids(three_var_assignment, six_vertex_dag):
+    # an edge given as a plain (i, j) pair is read as the EdgeId, as
+    # shifted_cost_dual and reduced_cost read it
+    for inst in (three_var_assignment, six_vertex_dag):
+        for edge_set in family(inst, "domains"):
+            plain = [tuple(e) for e in edge_set]
+            dual = duality.pass_family_dual(inst, edge_set)
+            assert duality.pass_family_dual(inst, plain) == dual
+            assert duality.checked_bounds(inst, plain, dual) == duality.checked_bounds(
+                inst, edge_set, dual
+            )
+
+
 def test_certificate_makes_one_support_search(monkeypatch, three_var_assignment):
     # optimality is w = z* from the pass; only the witness is searched for
     inst = three_var_assignment
@@ -693,7 +728,7 @@ def test_answers_are_int_when_integral():
                 assert exc.z_lb is None or _normal_form(exc.z_lb)
                 continue
             assert result.z_lb is None or _normal_form(result.z_lb)
-            for _, d in result.duals_used:
+            for _, d in result.duals():
                 _assert_dual_normal(inst, d)
     fractional = 0
     for sat in satisfaction_corpus(30):

@@ -23,7 +23,15 @@ from rcfilter.formulations import (
 )
 from rcfilter.model import InfeasibleConstraintError, SatisfactionInstance
 
-from corpus import alldiff_corpus, path_corpus, satisfaction_corpus
+from corpus import (
+    alldiff_corpus,
+    layered_dag,
+    path_corpus,
+    permutation_alldiff,
+    satisfaction_corpus,
+    tight_satisfaction,
+)
+from reference_pass import reference_pass
 
 CORPUS = alldiff_corpus(200) + path_corpus(100)
 
@@ -420,6 +428,101 @@ def test_optimum_is_the_support_lp_optimum():
     assert seen[True] == 4 and seen[False] == 2 * len(CORPUS)
 
 
+def _by_label(labels, entries):
+    # a tuple by position as a map by label, without the positions not reached
+    return {labels[p]: x for p, x in enumerate(entries) if x is not None}
+
+
+def _assert_pass_matches_reference(inst):
+    run, ref = combinatorial_pass(inst), reference_pass(inst)
+    assert list(run.optima.items()) == list(ref["optima"].items())
+    assert dict(run.by_tail) == ref["by_tail"] and list(run.by_tail) == list(ref["by_tail"])
+    assert dict(run.index) == {e: k for k, e in enumerate(inst.edges)}
+    labels = run.labels
+    assert labels == (inst.values if inst.kind == "path" else tuple(sorted(set(inst.values))))
+    tails = [labels[t] for t in run.tails] if inst.kind == "path" else list(run.tails)
+    assert tails == [e.i for e in inst.edges]
+    assert [labels[h] for h in run.heads] == [e.j for e in inst.edges]
+    assert run.costs == tuple(inst.cost[e] for e in inst.edges)
+    if inst.kind == "path":
+        assert _by_label(labels, run.down) == ref["down"]
+        assert _by_label(labels, run.up) == ref["up"]
+        assert [[labels[h] for h in heads] for heads in run.successors] == [
+            [e.j for e in ref["by_tail"].get(x, ())] for x in labels
+        ]
+        return
+    if "u" not in ref:  # no perfect matching
+        assert run.value_of is run.holder is run.u is run.v is run.dists is None
+        return
+    assert {i: labels[p] for i, p in enumerate(run.value_of)} == ref["value_of"]
+    assert _by_label(labels, run.holder) == ref["holder"]
+    assert run.u == ref["u"]
+    assert dict(zip(labels, run.v)) == ref["v"]
+    assert [_by_label(labels, d) for d in run.dists] == ref["dists"]
+
+
+def _labelled_copy(inst, labels):
+    # inst with its values renamed by labels, in that order, and each edge's value with them
+    rename = dict(zip(inst.values, labels))
+    triples = [(e.i, rename[e.j], c) for e, c in inst.cost.items()]
+    return weighted_instance("alldiff", inst.n_vars, labels, triples, inst.z_max)
+
+
+def test_list_pass_matches_the_dict_pass_on_the_corpora():
+    # every field of the pass, by position, equals the dict-keyed pass's by
+    # label: corpora, costs of either sign, satisfaction encodings, and
+    # layered DAGs and dense alldiffs past the enumeration cap
+    rng = random.Random(20261021)
+    instances = list(CORPUS)
+    instances += [inst._replace(cost={e: -c for e, c in inst.cost.items()}) for inst in CORPUS[::7]]
+    instances += [bg01_encode(sat) for sat in satisfaction_corpus(50)]
+    instances += [bg01_encode(tight_satisfaction(n, rng)) for n in (6, 12, 20)]
+    instances += [permutation_alldiff(30, seed=2), layered_dag(40, seed=0), layered_dag(12, seed=3)]
+    for seed in (1, 2):
+        dense = random.Random(seed)
+        triples = [(i, j, dense.randint(0, 9)) for i in range(40) for j in range(40)]
+        instances.append(weighted_instance("alldiff", 40, range(40), triples, z_max=0))
+    for inst in instances:
+        _assert_pass_matches_reference(inst)
+
+
+def test_list_pass_matches_the_dict_pass_on_value_labels():
+    # value positions follow the sorted labels, so ties in the heap break as
+    # the labels do: shuffled, sparse and negative labels, with tied costs
+    rng = random.Random(20261022)
+    checked = 0
+    for inst in alldiff_corpus(60) + [permutation_alldiff(12, seed=5)]:
+        n = inst.n_vars
+        tied = inst._replace(cost={e: c % 2 for e, c in inst.cost.items()})
+        for labels in (
+            tuple(reversed(range(n))),
+            tuple(rng.sample(range(-50, 50), n)),
+            tuple(-3 * k for k in range(n)),
+        ):
+            for base in (inst, tied):
+                _assert_pass_matches_reference(_labelled_copy(base, labels))
+                checked += 1
+    assert checked == 6 * 61
+
+
+@pytest.mark.parametrize("n, values, triples, matched", [
+    # a repeated value: three labels for three variables, a matching exists
+    (3, (0, 0, 1, 2), [(0, 0, 1), (0, 1, 2), (1, 1, 0), (1, 2, 4), (2, 2, 1), (2, 0, 3)], True),
+    # a repeated value: two labels for three variables
+    (3, (0, 0, 1), [(0, 0, 1), (1, 1, 0), (2, 0, 2)], False),
+    # non-square: three values for two variables
+    (2, (0, 1, 2), [(0, 0, 1), (0, 2, 2), (1, 1, 0)], False),
+    # square, but variables 0 and 1 share their one value
+    (3, (5, -1, 3), [(0, 5, 1), (1, 5, 2), (2, 5, 0), (2, -1, 4), (2, 3, 3)], False),
+    # square with unsorted labels and every cost tied
+    (3, (9, -4, 0), [(i, j, 2) for i in range(3) for j in (9, -4, 0)], True),
+])
+def test_list_pass_matches_the_dict_pass_on_label_edge_cases(n, values, triples, matched):
+    inst = weighted_instance("alldiff", n, values, triples, z_max=9)
+    _assert_pass_matches_reference(inst)
+    assert (combinatorial_pass(inst).u is not None) == matched
+
+
 def _shift_augmenting_distances(monkeypatch, step, held_only):
     # the pass's augmenting searches, which set the potentials, return every
     # distance (or each held value's) moved by step
@@ -428,7 +531,10 @@ def _shift_augmenting_distances(monkeypatch, step, held_only):
     def shifted(adj, u, v, holder, root, stop):
         dist, via, free = real(adj, u, v, holder, root, stop)
         if stop:
-            dist = {j: d + step if j in holder or not held_only else d for j, d in dist.items()}
+            dist = [
+                d if d is None or (held_only and holder[j] is None) else d + step
+                for j, d in enumerate(dist)
+            ]
         return dist, via, free
 
     monkeypatch.setattr(formulations, "_alternating_distances", shifted)
@@ -451,12 +557,12 @@ def test_assignment_pass_checks_its_potentials(monkeypatch, step, held_only, mes
 
 
 @pytest.mark.parametrize("dist, message", [
-    ({0: 0, 1: 4}, r"shortest-path distances fail on arc \(0, 1\)"),
-    ({0: 0, 1: 2}, "shortest-path distances are not tight on a tree"),
+    ([0, 4], r"shortest-path distances fail on arc \(0, 1\)"),
+    ([0, 2], "shortest-path distances are not tight on a tree"),
 ])
 def test_path_pass_checks_its_distances(dist, message):
-    # one arc 0 -> 1 of cost 3: only d(1) = 3 passes
-    formulations._assert_distances({0: 0, 1: 3}, 0, [(0, 1, 3)])
+    # one arc 0 -> 1 of cost 3: only d(1) = 3 passes; distances are lists by position
+    formulations._assert_distances([0, 3], 0, [(0, 1, 3)])
     with pytest.raises(AssertionError, match=message):
         formulations._assert_distances(dist, 0, [(0, 1, 3)])
 

@@ -132,7 +132,7 @@ def labelled_alldiff() -> list:
 
 def _filter_duals(label: str, instance, strategy: str = "domains") -> list[str]:
     out = []
-    for edge_set, dual in ac_by_lp(instance, strategy).duals_used:
+    for edge_set, dual in ac_by_lp(instance, strategy).duals():
         members = ",".join(f"({e.i},{e.j})" for e in edge_set)
         out.append(_dual_record(f"{label} set={members}", dual))
     return out

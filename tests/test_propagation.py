@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -65,8 +66,9 @@ def test_layer_count_versus_domain_count(six_vertex_dag):
 
 def test_every_dual_is_recorded(three_var_assignment):
     result = ac_by_lp(three_var_assignment)
-    assert len(result.duals_used) == result.solves
-    for edge_set, d in result.duals_used:
+    duals = list(result.duals())
+    assert len(duals) == result.solves
+    for edge_set, d in duals:
         assert len(edge_set) >= 1
         assert d.w is not None
 
@@ -203,12 +205,14 @@ def test_layers_refutes_a_bound_below_zstar_with_no_dual(monkeypatch):
     inst = path_corpus(100)[9]
     fam = family(inst, "layers")
     assert _pick_next([len(edge_set) for edge_set in fam]) != 0
-    monkeypatch.setattr(duality, "pass_family_dual", _no_dual)
+    monkeypatch.setattr(duality, "_pass_potentials", _no_dual)
     for z_max in (0, 8, 9, 24):
         with pytest.raises(InfeasibleConstraintError) as err:
             ac_by_lp(inst._replace(z_max=z_max), "layers")
         assert str(err.value) == f"optimum 25 exceeds the cost bound {z_max}"
         assert err.value.z_lb == 25
+    with pytest.raises(AssertionError, match="a dual was built"):  # the spy is on the loop's path
+        ac_by_lp(inst._replace(z_max=25), "layers")
     monkeypatch.undo()
     assert ac_by_lp(inst._replace(z_max=25), "layers").z_lb == 25
 
@@ -244,7 +248,7 @@ def test_bound_below_zstar_is_refuted_with_no_dual(monkeypatch):
     # picked first; no dual is built and no LP is solved, with or without a
     # budget of 1
     calls = _solve_spy(monkeypatch)
-    monkeypatch.setattr(duality, "pass_family_dual", _no_dual)
+    monkeypatch.setattr(duality, "_pass_potentials", _no_dual)
     refuted = set()
     for inst, strategy, z_star in _runs(infeasible=True):
         for budget in (None, 1):
@@ -253,6 +257,8 @@ def test_bound_below_zstar_is_refuted_with_no_dual(monkeypatch):
             assert str(err.value) == f"optimum {z_star} exceeds the cost bound {inst.z_max}"
             assert err.value.z_lb == z_star
         refuted.add(strategy)
+        with pytest.raises(AssertionError, match="a dual was built"):  # the spy is on the loop's path
+            ac_by_lp(inst._replace(z_max=z_star), strategy)
     assert not calls and refuted == {"domains", "layers"}
 
 
@@ -309,6 +315,53 @@ def _passes_check(inst, edge_set, dual):
     except AssertionError:
         return False
     return True
+
+
+def _past_cap_dag():
+    dag = layered_dag(40, seed=0)
+    return dag._replace(z_max=formulations.combinatorial_pass(dag).z_star + 5)
+
+
+def test_past_cap_loop_keeps_no_dual():
+    # the run records its sets, not their duals: the 714-arc DAG's 172
+    # duals under domains, the pass included, peak below 0.5 MB where
+    # keeping every dual's potentials took 1.7 MB
+    inst = _past_cap_dag()
+    tracemalloc.start()
+    try:
+        result = ac_by_lp(inst, "domains")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.solves == 172 and result.complete
+    assert peak < 500_000, peak
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+def test_loop_rejects_a_potential_moved_in_its_builder(monkeypatch, step):
+    # the loop checks every dual its builder gives: a tail potential moved
+    # on an alldiff misses w = z*, a head potential moved on a path misses
+    # the restricted optimum of the member entering there
+    real = duality._pass_potentials
+
+    def moved(instance, members):
+        a, b, w = real(instance, members)
+        run, a = formulations.combinatorial_pass(instance), list(a)
+        if instance.kind == "alldiff":
+            a[run.tails[members[0]]] += step
+        else:
+            a[run.heads[members[0]]] += step
+            b = [-x for x in a]
+        return a, b, w
+
+    alldiff = permutation_alldiff(20, seed=1)
+    alldiff = alldiff._replace(z_max=formulations.combinatorial_pass(alldiff).z_star + 3)
+    for inst in (alldiff, _past_cap_dag()):
+        ac_by_lp(inst)
+        monkeypatch.setattr(duality, "_pass_potentials", moved)
+        with pytest.raises(AssertionError):
+            ac_by_lp(inst)
+        monkeypatch.undo()
 
 
 def test_check_rejects_a_moved_potential_or_a_swapped_member():
@@ -472,7 +525,7 @@ def test_no_set_is_solved_twice():
                 except InfeasibleConstraintError:
                     assert truth is None or CONSISTENT not in truth.values()
                     continue
-                solved = [frozenset(edge_set) for edge_set, _ in result.duals_used]
+                solved = [frozenset(edge_set) for edge_set in result.sets_used]
                 assert len(set(solved)) == len(solved)
                 if result.complete:
                     assert dict(result.marks) == truth
@@ -496,7 +549,7 @@ def test_pick_order_matches_a_recount():
             longest = max(longest, result.solves)
             sets = family(inst, strategy)
             marks = dict.fromkeys(inst.edges, UNMARKED)
-            for edge_set, dual in result.duals_used:
+            for edge_set, dual in result.duals():
                 counts = [sum(marks[e] == UNMARKED for e in s) for s in sets]
                 assert edge_set == sets[counts.index(max(counts))]
                 for e, bound in duality.checked_bounds(inst, edge_set, dual).items():

@@ -35,7 +35,7 @@ RECORDS = [
     ("LpSolution", lambda: lp_core.solve(_program()), None),
     ("Support", lambda: formulations.find_support(_dag(), _dag().edges), None),
     ("CombinatorialPass", lambda: formulations.combinatorial_pass(_dag()), None),
-    ("DualSolution", lambda: propagation.ac_by_lp(_dag()).duals_used[0][1], None),
+    ("DualSolution", lambda: next(propagation.ac_by_lp(_dag()).duals())[1], None),
     ("OracleReport", lambda: oracle.enumerate(_dag()), None),
     ("FilterResult", lambda: propagation.ac_by_lp(_dag()), None),
 ]
