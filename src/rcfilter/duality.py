@@ -266,18 +266,21 @@ def pass_family_dual(
     every caller checks the dual with ``checked_bounds``.
     """
     run = formulations.combinatorial_pass(instance)
-    members = []
-    for e in edge_set:
-        e = EdgeId(*e)
-        if e not in run.index:
-            raise ValueError(f"edge {e} not in the instance")
-        members.append(run.index[e])
+    members = _positions(run, edge_set)
+    if None in members:
+        raise ValueError(f"edge {EdgeId(*edge_set[members.index(None)])} not in the instance")
     if not members:
         raise ValueError("empty edge set")
     if instance.kind == ALLDIFF and len({run.tails[k] for k in members}) > 1:
         raise ValueError("an alldiff set must lie on one variable")
     supported_optimum(instance)
     return _labelled(instance, *_pass_potentials(instance, members))
+
+
+def _positions(run: formulations.CombinatorialPass, edge_set: Sequence[EdgeId]) -> list:
+    # each edge's position in instance order, or None for an edge outside it;
+    # an edge may be a plain (i, j) pair
+    return [run.index.get(EdgeId(*e)) for e in edge_set]
 
 
 def _labelled(instance: WeightedInstance, a: Sequence, b: Sequence, w: Number) -> DualSolution:
@@ -312,24 +315,19 @@ def _pass_potentials(instance: WeightedInstance, members: Sequence[int]) -> tupl
     if instance.kind == ALLDIFF:
         target = run.value_of[run.tails[members[0]]]
         dist = [d[target] for d in run.dists]
-        cap = max(d for d in dist if d is not None)
-        dist = [cap if d is None else d for d in dist]
+        if None in dist:
+            cap = max(d for d in dist if d is not None)
+            dist = [cap if d is None else d for d in dist]
         a = [x + d for x, d in zip(run.u, dist)]
         b = [x - dist[k] for x, k in zip(run.v, run.holder)]
         return a, b, sum(a) + sum(b)
     reach = [False] * len(run.labels)
-    stack = []
-    for k in members:
-        h = run.heads[k]
-        if not reach[h]:
-            reach[h] = True
-            stack.append(h)
-    successors = run.successors
+    stack = [run.heads[k] for k in members]
     while stack:
-        for h in successors[stack.pop()]:
-            if not reach[h]:
-                reach[h] = True
-                stack.append(h)
+        x = stack.pop()
+        if not reach[x]:
+            reach[x] = True
+            stack.extend(run.successors[x])
     z_star = run.z_star
     a = [
         y if reached else 0 if x is None else z_star - x
@@ -359,12 +357,10 @@ def checked_bounds(
     (which may be a plain ``(i, j)`` pair) is not an edge of the instance.
     """
     run = formulations.combinatorial_pass(instance)
-    members = []
-    for e in edge_set:
-        e = EdgeId(*e)
-        if e not in run.index:
-            raise AssertionError(f"member {e} of the set is not an edge of the instance")
-        members.append(run.index[e])
+    members = _positions(run, edge_set)
+    if None in members:
+        stray = EdgeId(*edge_set[members.index(None)])
+        raise AssertionError(f"member {stray} of the set is not an edge of the instance")
     if instance.kind == ALLDIFF:
         a = [dual.u[i] for i in range(instance.n_vars)]
         b = [dual.v[j] for j in run.labels]
@@ -454,22 +450,15 @@ def averaged_satisfaction_dual(
         w = sum(a) + sum(b)
         _checked_potentials(encoded, (), a, b, w)
         return encoded, _labelled(encoded, a, b, w)
-    sum_a = sum_b = None
-    sum_w = 0
+    parts = []
     for i in variables:
         members = [run.index[e] for e in run.by_tail[i]]
-        a, b, w = _pass_potentials(encoded, members)
-        _checked_potentials(encoded, members, a, b, w)
-        if sum_a is None:
-            sum_a, sum_b = a, b
-        else:
-            sum_a = [x + y for x, y in zip(sum_a, a)]
-            sum_b = [x + y for x, y in zip(sum_b, b)]
-        sum_w += w
-    m = len(variables)
-    return encoded, _labelled(
-        encoded,
-        [_quotient(x, m) for x in sum_a],
-        [_quotient(x, m) for x in sum_b],
-        _quotient(sum_w, m),
-    )
+        parts.append(_pass_potentials(encoded, members))
+        _checked_potentials(encoded, members, *parts[-1])
+    a, b, w = parts[0]
+    m = len(parts)
+    if m > 1:  # else each average is the one part's integer itself
+        a = [_quotient(sum(xs), m) for xs in zip(*(p[0] for p in parts))]
+        b = [_quotient(sum(xs), m) for xs in zip(*(p[1] for p in parts))]
+        w = _quotient(sum(p[2] for p in parts), m)
+    return encoded, _labelled(encoded, a, b, w)

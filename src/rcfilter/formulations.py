@@ -496,22 +496,21 @@ def _alternating_distances(
 
 
 def _path_pass(instance: WeightedInstance) -> dict:
-    # as _assignment_pass
+    # the pass's fields but z_star, unsupported and index, with optima by position
     meta = instance.path
     assert meta is not None
-    labels = instance.values
-    pos = {x: p for p, x in enumerate(labels)}
-    edges = instance.edges
-    tails = tuple(pos[e.i] for e in edges)
-    heads = tuple(pos[e.j] for e in edges)
+    labels, edges = instance.values, instance.edges
+    position = dict(zip(labels, range(len(labels)))).__getitem__
+    ends = zip(*edges) if edges else ((), ())
+    tails, heads = (tuple(map(position, side)) for side in ends)
     costs = tuple(instance.cost.values())
     grouped: dict[int, list[EdgeId]] = {}
     out: list[list[tuple]] = [[] for _ in labels]  # (head, cost) by tail position
-    for e, t, h, c in zip(edges, tails, heads, costs):
+    for e, t, pair in zip(edges, tails, zip(heads, costs)):
         grouped.setdefault(e.i, []).append(e)
-        out[t].append((h, c))
-    order = [pos[x] for x in instance.topo_order]
-    source, sink = pos[meta.source], pos[meta.sink]
+        out[t].append(pair)
+    order = list(map(position, instance.topo_order))
+    source, sink = position(meta.source), position(meta.sink)
     down: list = [None] * len(labels)  # d(s, v)
     down[source] = 0
     for x in order:
@@ -541,7 +540,7 @@ def _path_pass(instance: WeightedInstance) -> dict:
         "labels": labels,
         "down": tuple(down),
         "up": tuple(up),
-        "successors": tuple(tuple(h for h, _ in arcs) for arcs in out),
+        "successors": tuple([tuple([h for h, _ in arcs]) for arcs in out]),
     }
 
 

@@ -132,6 +132,7 @@ def ac_by_lp(
             set_of[k] = idx
     marks = [UNMARKED] * len(instance.edges)
     unmarked = [len(members) for members in sets]
+    live = list(range(len(instance.edges)))  # the unmarked positions
     used: list[int] = []
 
     while budget is None or len(used) < budget:
@@ -144,14 +145,14 @@ def ac_by_lp(
             instance, members, *duality._pass_potentials(instance, members)
         )
         # any edge above the bound is inconsistent, a member within it consistent
-        for k in [k for k, bound in enumerate(bounds) if bound > z_max]:
-            if marks[k] is UNMARKED:
-                marks[k] = INCONSISTENT
-                unmarked[set_of[k]] -= 1
+        for k in [k for k in live if bounds[k] > z_max]:
+            marks[k] = INCONSISTENT
+            unmarked[set_of[k]] -= 1
         for k in members:
-            if marks[k] is UNMARKED:
+            if marks[k] == UNMARKED:
                 marks[k] = CONSISTENT
                 unmarked[idx] -= 1
+        live = [k for k in live if marks[k] == UNMARKED]
     return FilterResult(
         marks=dict(zip(instance.edges, marks)),
         z_lb=z_lb,
