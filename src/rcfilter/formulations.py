@@ -361,9 +361,7 @@ def combinatorial_pass(instance: WeightedInstance) -> CombinatorialPass:
     return CombinatorialPass(
         optima=MappingProxyType(dict(zip(edges, optima))),
         z_star=lp_core.exact(min(found)) if found else None,
-        unsupported=(
-            () if len(found) == len(optima) else tuple(e for e, z in zip(edges, optima) if z is None)
-        ),
+        unsupported=tuple(e for e, z in zip(edges, optima) if z is None),
         index=MappingProxyType(dict(zip(edges, range(len(edges))))),
         **fields,
     )
