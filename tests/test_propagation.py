@@ -340,8 +340,9 @@ def test_past_cap_loop_keeps_no_dual():
 @pytest.mark.parametrize("step", [-1, 1])
 def test_loop_rejects_a_potential_moved_in_its_builder(monkeypatch, step):
     # the loop checks every dual its builder gives: a tail potential moved
-    # on an alldiff misses w = z*, a head potential moved on a path misses
-    # the restricted optimum of the member entering there
+    # on an alldiff misses w = z*; a head potential moved on a path moves
+    # the bound of the member entering there, or drives a reduced cost
+    # around it negative
     real = duality._pass_potentials
 
     def moved(instance, members):
