@@ -62,7 +62,7 @@ def check(inst, rng):
         d = solve_family_dual(inst, (e,))
         shifted = shifted_cost_dual(inst, e)
         lp_bound = d.w + reduced_cost(inst, d, e)
-        if lp_bound != run.optima[e] or shifted.w != run.z_star or (
+        if lp_bound != run.optima[run.index[e]] or shifted.w != run.z_star or (
             shifted.w + reduced_cost(inst, shifted, e) != lp_bound
         ):
             wrong.append(e)
@@ -80,7 +80,7 @@ def check_duals(inst, rng):
             d = pass_family_dual(inst, edge_set)
             bounds = [d.w + reduced_cost(inst, d, e) for e in edge_set]
             ok = is_dual_feasible(inst, d) and d.w == run.z_star
-            ok = ok and bounds == [run.optima[e] for e in edge_set]
+            ok = ok and bounds == [run.optima[run.index[e]] for e in edge_set]
             if k in sampled:
                 lp = solve_family_dual(inst, edge_set)
                 ok = ok and bounds == [lp.w + reduced_cost(inst, lp, e) for e in edge_set]

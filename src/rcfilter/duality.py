@@ -140,12 +140,13 @@ def exact_reduced_cost(instance: WeightedInstance, ij: EdgeId) -> Number:
     an edge of the instance or lies on no support.
     """
     ij = EdgeId(*ij)
-    if ij not in instance.cost:
-        raise ValueError(f"edge {ij} not in the instance")
     run = formulations.combinatorial_pass(instance)
-    if run.optima[ij] is None:
+    k = run.index.get(ij)
+    if k is None:
+        raise ValueError(f"edge {ij} not in the instance")
+    if run.optima[k] is None:
         raise ValueError(f"edge {ij} lies on no support")
-    return exact(run.optima[ij] - run.z_star)
+    return exact(run.optima[k] - run.z_star)
 
 
 def exactness_certificate(
@@ -284,11 +285,13 @@ def _positions(run: formulations.CombinatorialPass, edge_set: Sequence[EdgeId]) 
 
 
 def _labelled(instance: WeightedInstance, a: Sequence, b: Sequence, w: Number) -> DualSolution:
-    # potentials by position, keyed by variable and value label again
+    # potentials by position, keyed by variable and value label again; a
+    # path's vertices keep the order of ``instance.values``
     labels = formulations.combinatorial_pass(instance).labels
     if instance.kind == ALLDIFF:
         return DualSolution(u=dict(enumerate(a)), v=dict(zip(labels, b)), w=w)
-    return DualSolution(u=dict(zip(labels, a)), v={}, w=w)
+    u = dict(zip(labels, a))
+    return DualSolution(u={x: u[x] for x in instance.values}, v={}, w=w)
 
 
 def _pass_potentials(instance: WeightedInstance, members: Sequence[int]) -> tuple:
@@ -321,13 +324,15 @@ def _pass_potentials(instance: WeightedInstance, members: Sequence[int]) -> tupl
         a = [x + d for x, d in zip(run.u, dist)]
         b = [x - dist[k] for x, k in zip(run.v, run.holder)]
         return a, b, sum(a) + sum(b)
-    reach = [False] * len(run.labels)
-    stack = [run.heads[k] for k in members]
-    while stack:
-        x = stack.pop()
-        if not reach[x]:
-            reach[x] = True
-            stack.extend(run.successors[x])
+    # positions follow the topological order: one forward sweep from the
+    # least member head reaches A
+    heads, reach = run.heads, [False] * len(run.labels)
+    for k in members:
+        reach[heads[k]] = True
+    for x in range(min([heads[k] for k in members]), len(reach)):
+        if reach[x]:
+            for k in run.out[x]:
+                reach[heads[k]] = True
     z_star = run.z_star
     a = [
         y if reached else 0 if x is None else z_star - x
@@ -403,7 +408,7 @@ def _checked_potentials(
             f"the dual has reduced cost {bounds[k] - w} on edge {instance.edges[k]}"
         )
     for k in members:
-        optimum = run.optima[instance.edges[k]]
+        optimum = run.optima[k]
         if bounds[k] != optimum:
             raise AssertionError(
                 f"the dual bounds member {instance.edges[k]} by {bounds[k]},"
@@ -428,7 +433,7 @@ def averaged_satisfaction_dual(
     carries the pass's z*.  Otherwise z* = 0, and the answer averages the
     pass-built dual of each variable holding an inconsistent edge
     (``_pass_potentials`` on the variable's edges, read from the pass's
-    ``by_tail``, exact on all of them, each checked by ``_checked_potentials``).
+    ``out``, exact on all of them, each checked by ``_checked_potentials``).
     Each part is optimal, so a consistent edge keeps reduced cost 0 under
     all of them, and an inconsistent one is positive under its own
     variable's part.  The parts' potentials are integer lists by position:
@@ -443,7 +448,7 @@ def averaged_satisfaction_dual(
         raise InfeasibleConstraintError("no support exists", z_lb=run.z_star)
     # the original edges are the encoding's zero-cost ones
     variables = sorted({
-        t for t, c, z in zip(run.tails, run.costs, run.optima.values()) if c == 0 and z > 0
+        t for t, c, z in zip(run.tails, run.costs, run.optima) if c == 0 and z > 0
     })
     if not variables:
         a, b = run.u, run.v
@@ -452,7 +457,7 @@ def averaged_satisfaction_dual(
         return encoded, _labelled(encoded, a, b, w)
     parts = []
     for i in variables:
-        members = [run.index[e] for e in run.by_tail[i]]
+        members = run.out[i]
         parts.append(_pass_potentials(encoded, members))
         _checked_potentials(encoded, members, *parts[-1])
     a, b, w = parts[0]

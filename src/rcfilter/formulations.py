@@ -15,12 +15,13 @@ Every edge's restricted optimum, the cheapest support through it, comes from
 one pass per instance with no LP (``combinatorial_pass``): an optimal
 assignment with potentials and one Dijkstra per variable in its residual
 graph, or forward and backward shortest paths over a DAG's topological order.
-The pass runs on int positions (values by sorted label, path vertices by
-their index in ``instance.values``) and keeps, as tuples by position, each
-edge's tail, head and cost, and those potentials and distances, from which
-``duality`` builds and checks the filter's duals.  It keeps the edges by
-tail too, from which ``family`` builds its sets, and each edge's position.
-It also keeps z*, its least entry, and the edges without one, which
+The pass runs on int positions (values by sorted label, path vertices in
+topological order) and keeps, as tuples by position, each edge's tail, head,
+cost and restricted optimum, the edge positions by tail, from which
+``family`` builds its sets, and those potentials and distances, from which
+``duality`` builds and checks the filter's duals.  Each edge's position and
+each position's label are its only maps between labels and positions.  It
+also keeps z*, the least optimum, and the edges without one, which
 ``model.validate`` reports as the edges on no support: the package reads
 either nowhere else (``oracle`` and the LP solves are references that tests
 and cross-checks compare with it).
@@ -147,19 +148,29 @@ def family(
     ``domains``: one set per variable (alldiff) or per non-sink vertex (path).
     ``layers`` (path only): arcs grouped by the longest-path depth of their
     tail; depth strictly increases along any path, hence incompatibility.
-    Both read the edges by tail that ``combinatorial_pass`` keeps.
+    Both read the edge positions by tail that ``combinatorial_pass`` keeps.
     """
     check_strategy(instance, strategy)
-    out = combinatorial_pass(instance).by_tail
+    run, edges = combinatorial_pass(instance), instance.edges
     if strategy == "domains":
-        # an isolated path vertex, which validate allows, has no set
-        return tuple(out[k] for k in instance.variables() if k in out)
-    depth = _longest_path_depths(instance, out)
+        # tail positions follow ``variables()``, a path's sink aside; an
+        # isolated path vertex, which validate allows, has no set
+        sink = run.labels.index(instance.path.sink) if instance.kind == PATH else None
+        sets = [ks for p, ks in enumerate(run.out) if ks and p != sink]
+        return tuple(tuple([edges[k] for k in ks]) for ks in sets)
+    depth: list = [None] * len(run.labels)
+    depth[run.labels.index(instance.path.source)] = 0
+    for x, ks in enumerate(run.out):  # in topological order
+        if depth[x] is not None:
+            for k in ks:
+                h = run.heads[k]
+                if depth[h] is None or depth[h] <= depth[x]:
+                    depth[h] = depth[x] + 1
     grouped: dict[int, list[EdgeId]] = {}
-    for e in instance.edges:
-        if e.i not in depth:
+    for e, t in zip(edges, run.tails):
+        if depth[t] is None:
             raise ValueError(f"arc {e} leaves a vertex the source cannot reach")
-        grouped.setdefault(depth[e.i], []).append(e)
+        grouped.setdefault(depth[t], []).append(e)
     return tuple(tuple(grouped[d]) for d in sorted(grouped))
 
 
@@ -174,17 +185,6 @@ def _edges_by_tail(instance: WeightedInstance, allowed: Iterable[EdgeId]) -> dic
         if e in allowed_set:
             out.setdefault(e.i, []).append(e)
     return out
-
-
-def _longest_path_depths(instance: WeightedInstance, out: dict) -> dict[int, int]:
-    depth = {instance.path.source: 0}
-    for v in instance.topo_order:
-        if v not in depth:
-            continue
-        for e in out.get(v, ()):
-            if depth.get(e.j, -1) < depth[v] + 1:
-                depth[e.j] = depth[v] + 1
-    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -304,36 +304,36 @@ def _search(root: Hashable, steps: Callable) -> Optional[list]:
 class CombinatorialPass(
     namedtuple(
         "CombinatorialPass",
-        "optima by_tail z_star unsupported index tails heads costs labels"
-        " value_of holder u v dists down up successors",
-        defaults=(None, ()) + (None,) * 14,
+        "optima z_star unsupported index tails heads costs labels out"
+        " value_of holder u v dists down up",
+        defaults=(None,) * 7,
     )
 ):
     """What the one pass per instance computes, kept read-only for every reader.
 
-    ``optima``: each edge's cheapest support through it, or None when it
-    lies on no support.  ``z_star``: z*, the least of them (an optimal
-    support's edges have it, and none is lower), or None when no support
-    exists.  ``unsupported``: the edges whose entry is None, in instance
-    order.  ``by_tail``: the edges of each variable (alldiff) or the arcs
-    leaving each vertex (path), a tuple in instance order, for every key
-    with at least one; ``family`` reads its sets from it.  These four are
-    keyed by label, as the instance is.  ``index``: each edge's position in
-    instance order.
+    A position is a value's rank among the sorted value labels (alldiff) or
+    a vertex's place in ``instance.topo_order`` (path), and ``labels`` gives
+    the label at each; ``index`` gives each edge's position in instance
+    order.  These two are the only maps between labels and positions.
 
-    The rest are tuples by position, with None where a value or vertex is
-    not reached.  A position is a value's rank among the sorted value labels
-    (alldiff) or a vertex's index in ``instance.values`` (path), and
-    ``labels`` gives the label at each.  ``tails``, ``heads`` and ``costs``:
-    each edge's variable (or tail position), head position and cost, in
-    instance order.  alldiff, with the fields below left None when no
-    perfect matching exists: the optimal assignment M (``value_of``, the
-    value position by variable, and ``holder``, the variable by value
+    ``optima``: each edge's cheapest support through it, by edge position,
+    or None when it lies on no support.  ``z_star``: z*, the least of them
+    (an optimal support's edges have it, and none is lower), or None when no
+    support exists.  ``unsupported``: the edges whose entry is None, in
+    instance order.  ``tails``, ``heads`` and ``costs``: each edge's
+    variable (or tail position), head position and cost, by edge position.
+    ``out``: the positions of the edges of each variable (alldiff) or
+    leaving each tail position (path), in instance order; ``family`` reads
+    its sets from it.
+
+    The kind's own fields, None on the other kind, are tuples by position,
+    with None where a value or vertex is not reached.  alldiff, left None
+    when no perfect matching exists: the optimal assignment M (``value_of``,
+    the value position by variable, and ``holder``, the variable by value
     position), its potentials ``u`` (by variable) and ``v`` (by value
     position), with every reduced cost >= 0 and 0 on M, and ``dists[k]``,
     the residual distance from variable k to each value position.  path:
-    the distances ``down`` (d(s, v)) and ``up`` (d(v, t)), and
-    ``successors``, the head positions of the arcs leaving each vertex.
+    the distances ``down`` (d(s, v)) and ``up`` (d(v, t)).
     """
 
     __slots__ = ()
@@ -356,10 +356,9 @@ def combinatorial_pass(instance: WeightedInstance) -> CombinatorialPass:
     The result is shared while the instance stays the same, so it is read-only.
     """
     fields = _assignment_pass(instance) if instance.kind == ALLDIFF else _path_pass(instance)
-    edges, optima = instance.edges, fields.pop("optima")
+    edges, optima = instance.edges, fields["optima"]
     found = [z for z in optima if z is not None]
     return CombinatorialPass(
-        optima=MappingProxyType(dict(zip(edges, optima))),
         z_star=lp_core.exact(min(found)) if found else None,
         unsupported=tuple(e for e, z in zip(edges, optima) if z is None),
         index=MappingProxyType(dict(zip(edges, range(len(edges))))),
@@ -367,8 +366,17 @@ def combinatorial_pass(instance: WeightedInstance) -> CombinatorialPass:
     )
 
 
+def _positions_by_tail(tails: tuple, size: int) -> tuple:
+    # the edge positions with each tail, in instance order; a tail with none
+    # shares the empty tuple, so an unused variable costs one slot
+    grouped: dict[int, list[int]] = {}
+    for k, t in enumerate(tails):
+        grouped.setdefault(t, []).append(k)
+    return tuple([tuple(grouped.get(t, ())) for t in range(size)])
+
+
 def _assignment_pass(instance: WeightedInstance) -> dict:
-    # the pass's fields but z_star, unsupported and index, with optima by position
+    # the pass's fields but z_star, unsupported and index
     n, edges = instance.n_vars, instance.edges
     labels = tuple(sorted(set(instance.values)))
     rank = dict(zip(labels, range(len(labels))))
@@ -379,21 +387,18 @@ def _assignment_pass(instance: WeightedInstance) -> dict:
             if h is None or not 0 <= t < n:
                 raise ValueError(f"edge {e} meets no row of the support LP")
     costs = tuple(instance.cost.values())
-    by_var: list[list[EdgeId]] = [[] for _ in range(n)]
-    adj: list[list[tuple]] = [[] for _ in range(n)]  # (value position, cost) by variable
-    for e, t, pair in zip(edges, tails, zip(heads, costs)):
-        by_var[t].append(e)
-        adj[t].append(pair)
+    out = _positions_by_tail(tails, n)
     fields = {
-        "optima": [None] * len(edges),
-        "by_tail": MappingProxyType({i: tuple(es) for i, es in enumerate(by_var) if es}),
+        "optima": (None,) * len(edges),
         "tails": tails,
         "heads": heads,
         "costs": costs,
         "labels": labels,
+        "out": out,
     }
     if len(labels) != n:  # no matching covers both sides
         return fields
+    adj = [[(heads[k], costs[k]) for k in ks] for ks in out]  # (value position, cost) by variable
     # u_i = min_j c_ij and v = 0 leave no reduced cost negative, whatever the signs
     u = [min([c for _, c in pairs]) if pairs else 0 for pairs in adj]
     v = [0] * n
@@ -427,24 +432,17 @@ def _assignment_pass(instance: WeightedInstance) -> dict:
         for k, (t, h, r) in enumerate(zip(tails, heads, rs)):
             if r < 0 or (r != 0 and value_of[t] == h):
                 raise AssertionError(f"assignment potentials fail on edge {edges[k]}")
-    reduced: list[list[tuple]] = [[] for _ in range(n)]
-    for t, pair in zip(tails, zip(heads, rs)):
-        reduced[t].append(pair)
+    reduced = [[(heads[k], rs[k]) for k in ks] for ks in out]
     zero = [0] * n
     dists = tuple([
         tuple(_alternating_distances(reduced, zero, zero, holder, k, False)[0])
         for k in range(n)
     ])
-    optima = fields["optima"]
-    for k, (t, h, r) in enumerate(zip(tails, heads, rs)):
-        if value_of[t] == h:
-            optima[k] = z_star
-        else:
-            d = dists[holder[h]][value_of[t]]
-            if d is not None:
-                optima[k] = z_star + r + d
+    # an edge of M has r = 0 and distance 0 from its own variable
+    ds = [dists[holder[h]][value_of[t]] for t, h in zip(tails, heads)]
     fields.update(
-        value_of=tuple(value_of), holder=tuple(holder), u=tuple(u), v=tuple(v), dists=dists
+        optima=tuple([None if d is None else z_star + r + d for r, d in zip(rs, ds)]),
+        value_of=tuple(value_of), holder=tuple(holder), u=tuple(u), v=tuple(v), dists=dists,
     )
     return fields
 
@@ -494,51 +492,46 @@ def _alternating_distances(
 
 
 def _path_pass(instance: WeightedInstance) -> dict:
-    # the pass's fields but z_star, unsupported and index, with optima by position
+    # the pass's fields but z_star, unsupported and index; positions follow
+    # the topological order, so every arc runs to a higher position
     meta = instance.path
     assert meta is not None
-    labels, edges = instance.values, instance.edges
+    labels, edges = instance.topo_order, instance.edges
     position = dict(zip(labels, range(len(labels)))).__getitem__
     ends = zip(*edges) if edges else ((), ())
     tails, heads = (tuple(map(position, side)) for side in ends)
     costs = tuple(instance.cost.values())
-    grouped: dict[int, list[EdgeId]] = {}
-    out: list[list[tuple]] = [[] for _ in labels]  # (head, cost) by tail position
-    for e, t, pair in zip(edges, tails, zip(heads, costs)):
-        grouped.setdefault(e.i, []).append(e)
-        out[t].append(pair)
-    order = list(map(position, instance.topo_order))
+    out = _positions_by_tail(tails, len(labels))
     source, sink = position(meta.source), position(meta.sink)
     down: list = [None] * len(labels)  # d(s, v)
     down[source] = 0
-    for x in order:
-        if down[x] is None:
-            continue
-        for h, c in out[x]:
-            d = down[x] + c
-            if down[h] is None or d < down[h]:
-                down[h] = d
+    for x, ks in enumerate(out):
+        if down[x] is not None:
+            for k in ks:
+                h, d = heads[k], down[x] + costs[k]
+                if down[h] is None or d < down[h]:
+                    down[h] = d
     up: list = [None] * len(labels)  # d(v, t)
     up[sink] = 0
-    for x in reversed(order):
-        for h, c in out[x]:
-            if up[h] is not None and (up[x] is None or c + up[h] < up[x]):
-                up[x] = c + up[h]
+    for x in reversed(range(len(labels))):
+        for k in out[x]:
+            h = heads[k]
+            if up[h] is not None and (up[x] is None or costs[k] + up[h] < up[x]):
+                up[x] = costs[k] + up[h]
     _assert_distances(down, source, zip(tails, heads, costs))
     _assert_distances(up, sink, zip(heads, tails, costs))
     return {
-        "optima": [
+        "optima": tuple([
             down[t] + c + up[h] if down[t] is not None and up[h] is not None else None
             for t, h, c in zip(tails, heads, costs)
-        ],
-        "by_tail": MappingProxyType({k: tuple(arcs) for k, arcs in grouped.items()}),
+        ]),
         "tails": tails,
         "heads": heads,
         "costs": costs,
         "labels": labels,
+        "out": out,
         "down": tuple(down),
         "up": tuple(up),
-        "successors": tuple([tuple([h for h, _ in arcs]) for arcs in out]),
     }
 
 

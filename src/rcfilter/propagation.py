@@ -3,8 +3,9 @@
 One dual per incompatible set classifies every edge of that set exactly and
 may knock out arbitrary other edges along the way.  A set is picked only
 while it has an unmarked edge, and its dual marks all of them, so no set is
-used twice.  The loop runs on edge positions: each dual is a pair of
-potential lists built from the instance's one combinatorial pass
+used twice.  The loop runs on edge positions, the family's sets read into
+them through the pass's ``index``: each dual is a pair of potential lists
+built from the instance's one combinatorial pass
 (``duality._pass_potentials``), with no LP solve, and checked in exact
 arithmetic over the pass's per-edge tuples by ``duality._checked_potentials``,
 whose bounds by position it marks from.  No dual is kept: the run records

@@ -132,11 +132,11 @@ def test_family_identity_past_the_cap():
     assert validate(alldiff) == validate(dag) == []
     dag_sets = random.Random(20261019).sample(family(dag, "domains"), 30)
     for inst, sets in ((alldiff, family(alldiff, "domains")), (dag, dag_sets)):
-        optima = combinatorial_pass(inst).optima
+        run = combinatorial_pass(inst)
         for edge_set in sets:
             d = solve_family_dual(inst, edge_set)
             for e in edge_set:
-                assert d.w + reduced_cost(inst, d, e) == optima[e], (inst.kind, e)
+                assert d.w + reduced_cost(inst, d, e) == run.optima[run.index[e]], (inst.kind, e)
 
 
 def _assert_pass_dual_matches_the_lp(inst, edge_set, lp=True):
@@ -147,7 +147,7 @@ def _assert_pass_dual_matches_the_lp(inst, edge_set, lp=True):
     run = combinatorial_pass(inst)
     assert d.w == run.z_star
     bounds = [d.w + reduced_cost(inst, d, e) for e in edge_set]
-    assert bounds == [run.optima[e] for e in edge_set]
+    assert bounds == [run.optima[run.index[e]] for e in edge_set]
     if lp:
         ref = solve_family_dual(inst, edge_set)
         assert bounds == [ref.w + reduced_cost(inst, ref, e) for e in edge_set]
@@ -528,6 +528,26 @@ def test_pass_duals_reject_an_edge_on_no_support():
         shifted_cost_dual(stuck, EdgeId(0, 0))
 
 
+def test_lp_route_on_an_edge_on_no_support_is_unbounded():
+    # 1 -> 2 reaches no sink, so the family dual program of {(1, 2)} is unbounded
+    inst = weighted_instance(
+        "path", 3, range(4), [(0, 1, 1), (1, 3, 1), (1, 2, 1)], z_max=9,
+        source=0, sink=3,
+    )
+    message = "family dual program is unbounded: an edge of the set lies on no support"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_family_dual(inst, (EdgeId(1, 2),))
+
+
+def test_exactness_certificate_without_a_support_is_infeasible():
+    # no arc reaches the sink; zero potentials are feasible, but no dual is optimal
+    inst = weighted_instance("path", 2, range(3), [(0, 1, 1)], z_max=9, source=0, sink=2)
+    dual = dual_solution(inst, {0: 0, 1: 0})
+    assert is_dual_feasible(inst, dual)
+    with pytest.raises(InfeasibleConstraintError, match="support LP is infeasible"):
+        exactness_certificate(inst, dual, EdgeId(0, 1))
+
+
 def _family_solves(inst, strategy):
     """The reference route: one family dual LP per set of the family."""
     for edge_set in family(inst, strategy):
@@ -634,8 +654,8 @@ def test_averaged_dual_matches_the_fraction_average():
     for _ in range(60):
         sat = tight_satisfaction(rng.randint(3, 40), rng)
         enc, d = averaged_satisfaction_dual(sat)
-        optima = combinatorial_pass(enc).optima
-        variables = sorted({e.i for e in sat.edges if optima[e] > 0})
+        run = combinatorial_pass(enc)
+        variables = sorted({e.i for e in sat.edges if run.optima[run.index[e]] > 0})
         assert variables
         parts = [
             duality.pass_family_dual(enc, tuple(e for e in enc.edges if e.i == i))

@@ -70,6 +70,15 @@ def test_edge_column_matches_rows(three_var_assignment, six_vertex_dag):
                 assert r.coeffs.get(e, F(0)) == col.get(r.tag, F(0))
 
 
+def test_support_program_rejects_a_stray_value_or_an_unknown_kind():
+    # value 5 is not in the value list, so its edge meets no value row
+    inst = weighted_instance("alldiff", 2, [0, 1], [(0, 0, 1), (1, 1, 1), (1, 5, 1)], z_max=9)
+    with pytest.raises(ValueError, match=r"^edge EdgeId\(i=1, j=5\) meets no row of the support LP$"):
+        primal_program(inst, inst.cost)
+    with pytest.raises(ValueError, match="^unknown kind 'ring'$"):
+        formulations.row_rhs(inst._replace(kind="ring"))
+
+
 def test_dual_program_mirrors_primal(three_var_assignment):
     inst = three_var_assignment
     primal = primal_program(inst, inst.cost)
@@ -367,6 +376,11 @@ def test_find_support_long_augmenting_path():
     assert s is not None and s.edges == shift
 
 
+def _optima_by_edge(inst):
+    # the pass's restricted optima, by edge position, keyed by edge
+    return dict(zip(inst.edges, combinatorial_pass(inst).optima))
+
+
 def test_restricted_optima_match_oracle():
     # the cheapest support through every edge, None where none passes, on
     # the corpora and on copies with costs of both signs, which the pass
@@ -387,7 +401,7 @@ def test_restricted_optima_match_oracle():
     for inst in CORPUS + no_support:
         shifted = inst._replace(cost={e: c - 6 for e, c in inst.cost.items()})
         for variant in (inst, shifted):
-            assert dict(combinatorial_pass(variant).optima) == oracle.enumerate(variant).z_restricted
+            assert _optima_by_edge(variant) == oracle.enumerate(variant).z_restricted
 
 
 def test_restricted_optima_without_a_perfect_matching():
@@ -398,9 +412,9 @@ def test_restricted_optima_without_a_perfect_matching():
     )
     with pytest.raises(InfeasibleConstraintError):
         oracle.enumerate(inst)
-    assert dict(combinatorial_pass(inst).optima) == dict.fromkeys(inst.edges)
+    assert _optima_by_edge(inst) == dict.fromkeys(inst.edges)
     negative = inst._replace(cost={e: -c for e, c in inst.cost.items()})
-    assert dict(combinatorial_pass(negative).optima) == dict.fromkeys(inst.edges)
+    assert _optima_by_edge(negative) == dict.fromkeys(inst.edges)
 
 
 def test_optimum_is_the_support_lp_optimum():
@@ -435,11 +449,21 @@ def _by_label(labels, entries):
 
 def _assert_pass_matches_reference(inst):
     run, ref = combinatorial_pass(inst), reference_pass(inst)
-    assert list(run.optima.items()) == list(ref["optima"].items())
-    assert dict(run.by_tail) == ref["by_tail"] and list(run.by_tail) == list(ref["by_tail"])
+    assert list(zip(inst.edges, run.optima)) == list(ref["optima"].items())
     assert dict(run.index) == {e: k for k, e in enumerate(inst.edges)}
     labels = run.labels
-    assert labels == (inst.values if inst.kind == "path" else tuple(sorted(set(inst.values))))
+    assert labels == (inst.topo_order if inst.kind == "path" else tuple(sorted(set(inst.values))))
+    assert len(run.out) == (len(labels) if inst.kind == "path" else inst.n_vars)
+    by_tail = {
+        labels[p] if inst.kind == "path" else p: tuple(inst.edges[k] for k in ks)
+        for p, ks in enumerate(run.out)
+        if ks
+    }
+    assert by_tail == ref["by_tail"]
+    # only the kind's own fields default, to None, and the other kind's stay so
+    assert type(run)._field_defaults == dict.fromkeys(
+        ("value_of", "holder", "u", "v", "dists", "down", "up")
+    )
     tails = [labels[t] for t in run.tails] if inst.kind == "path" else list(run.tails)
     assert tails == [e.i for e in inst.edges]
     assert [labels[h] for h in run.heads] == [e.j for e in inst.edges]
@@ -447,10 +471,9 @@ def _assert_pass_matches_reference(inst):
     if inst.kind == "path":
         assert _by_label(labels, run.down) == ref["down"]
         assert _by_label(labels, run.up) == ref["up"]
-        assert [[labels[h] for h in heads] for heads in run.successors] == [
-            [e.j for e in ref["by_tail"].get(x, ())] for x in labels
-        ]
+        assert run.value_of is run.holder is run.u is run.v is run.dists is None
         return
+    assert run.down is run.up is None
     if "u" not in ref:  # no perfect matching
         assert run.value_of is run.holder is run.u is run.v is run.dists is None
         return
@@ -571,7 +594,7 @@ def test_restricted_optima_are_shared_and_read_only(three_var_assignment):
     optima = combinatorial_pass(three_var_assignment).optima
     assert combinatorial_pass(three_var_assignment).optima is optima
     with pytest.raises(TypeError):
-        optima[three_var_assignment.edges[0]] = 0
+        optima[0] = 0
 
 
 def test_satisfaction_encoding_shape():

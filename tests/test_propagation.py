@@ -305,7 +305,7 @@ def _sound(inst, edge_set, dual):
     return (
         duality.is_dual_feasible(inst, dual)
         and dual.w == objective == run.z_star
-        and members == [run.optima[e] for e in edge_set]
+        and members == [run.optima[run.index[e]] for e in edge_set]
     )
 
 
@@ -445,6 +445,21 @@ def test_alldiff_without_a_square_value_side_has_no_support(values):
     for run in (ac_by_lp, lower_bound):
         with pytest.raises(ValueError, match=r"edge EdgeId\(i=0, j=0\) lies on no support"):
             run(inst)
+
+
+def test_non_square_alldiff_costs_nothing_per_unused_variable():
+    # 10**5 variables, two of them with an edge: the pass gives every unused
+    # variable the one empty tuple and builds no per-variable list before it
+    # sees the value side is not square (12.8 MB when it built two lists a variable)
+    inst = weighted_instance("alldiff", 10**5, [0, 1, 2], [(0, 0, 0), (1, 1, 0)], z_max=0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^edge EdgeId\(i=0, j=0\) lies on no support$"):
+            ac_by_lp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def test_value_outside_the_value_list_is_rejected():
