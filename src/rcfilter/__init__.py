@@ -7,8 +7,9 @@ the whole set, so full arc consistency with respect to a cost bound takes at
 most one dual per variable.  Every dual the package returns is built from
 one combinatorial pass per instance and checked exactly; the LP
 (``solve_primal``, ``solve_family_dual``) is the reference route, on no
-runtime path.  Everything is rational arithmetic; every LP optimum is
-certified against its dual before being believed.
+runtime path, and its exact simplex is imported on the first solve.
+Everything is rational arithmetic; every LP optimum is certified against its
+dual before being believed.
 """
 
 from .duality import (

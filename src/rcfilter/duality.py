@@ -2,7 +2,7 @@
 
 A dual solution assigns an exact potential to every variable row (and value
 row, for alldiff), and every value computed from it is exact: an ``int``
-when integral, else a ``Fraction`` (``lp_core.exact``).  The reduced cost of
+when integral, else a ``Fraction`` (``model.exact``).  The reduced cost of
 an edge is the slack of its dual constraint; the exact reduced cost is the
 true increase of the optimum when the edge is forced.  The operations here
 produce dual solutions whose reduced costs are exact on whole sets of
@@ -19,8 +19,10 @@ the routine.  LP solves happen only where a caller asks
 for one by name: the support LP (``solve_primal``) and the family dual
 program (``solve_family_dual``), the paper's generic route, kept as the
 reference that tests, criteria and scripts compare the pass-built duals
-with.  z* is never solved for: it is the pass's ``z_star``, the least of
-the edges' restricted optima.  The pass answers
+with.  Those functions import ``lp_core`` on their first call and read it by
+module attribute (``lp_core.solve``), so a wrapper set on the module sees
+every solve; nothing else here needs it.  z* is never solved for: it is the
+pass's ``z_star``, the least of the edges' restricted optima.  The pass answers
 ``exact_reduced_cost``, whether a feasible dual is optimal (w = z*) and
 which satisfaction edges lie on no solution; ``formulations.find_support``
 decides whether a reduced cost is exact.
@@ -41,18 +43,23 @@ the instance stays the same (``formulations.last_instance_memo``).
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from . import formulations, lp_core
+from . import formulations
 from .formulations import Support, edge_column
-from .lp_core import Number, _quotient, exact
 from .model import (
     ALLDIFF,
     EdgeId,
     InfeasibleConstraintError,
+    Number,
     SatisfactionInstance,
     WeightedInstance,
+    _quotient,
+    exact,
 )
+
+if TYPE_CHECKING:
+    from . import lp_core
 
 
 class DualSolution(namedtuple("DualSolution", "u v w")):
@@ -126,6 +133,8 @@ def reduced_cost(instance: WeightedInstance, dual: DualSolution, ij: EdgeId) -> 
 
 def solve_primal(instance: WeightedInstance):
     """Solve the support LP; returns (z*, primal values, optimal DualSolution)."""
+    from . import lp_core  # the LP stack loads on its first use
+
     sol = lp_core.solve(formulations.primal_program(instance, instance.cost))
     if sol.status != lp_core.OPTIMAL:
         raise InfeasibleConstraintError(f"support LP is {sol.status}")
@@ -166,7 +175,7 @@ def exactness_certificate(
         raise ValueError("dual solution is not feasible")
     z_star = formulations.combinatorial_pass(instance).z_star
     if z_star is None:
-        raise InfeasibleConstraintError(f"support LP is {lp_core.INFEASIBLE}")
+        raise InfeasibleConstraintError("support LP is infeasible")
     if dual.w != z_star:
         raise ValueError("dual solution is not optimal")
     zero = {e for e, x in r.items() if x == 0}
@@ -209,6 +218,8 @@ def family_dual_program(
     |S| times ``b - (1/|S|) * sum of A_e``: integral, with the same optima
     and pivots.
     """
+    from . import lp_core
+
     edges = tuple(EdgeId(*e) for e in edge_set)
     if not edges:
         raise ValueError("empty edge set")
@@ -232,6 +243,8 @@ def family_dual_program(
 def _family_dual_rows(instance: WeightedInstance) -> tuple[lp_core.Row, ...]:
     # one "<=" row per edge, the same for every set: the sets of one
     # ``ac_by_lp`` run share them
+    from . import lp_core
+
     return tuple(
         lp_core.Row(edge_column(instance, e), lp_core.LE, instance.cost[e], e)
         for e in instance.edges
@@ -247,6 +260,8 @@ def solve_family_dual(
     rejects it; the program is unbounded).  Never infeasible: no cycle builds,
     and an assignment or a DAG has feasible potentials under any costs.
     """
+    from . import lp_core
+
     sol = lp_core.solve(family_dual_program(instance, edge_set))
     if sol.status != lp_core.OPTIMAL:
         raise ValueError(
@@ -438,7 +453,7 @@ def averaged_satisfaction_dual(
     all of them, and an inconsistent one is positive under its own
     variable's part.  The parts' potentials are integer lists by position:
     each average is their sum divided once by the number of parts
-    (``lp_core._quotient``), an ``int`` when integral, and so is ``w``.  With
+    (``model._quotient``), an ``int`` when integral, and so is ``w``.  With
     no inconsistent edge the answer is the pass's own potentials, checked too.
     """
     encoded = formulations.bg01_encode(sat)

@@ -32,10 +32,8 @@ from __future__ import annotations
 import heapq
 from collections import namedtuple
 from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Mapping, Optional
 
-from . import lp_core
-from .lp_core import LinearProgram, Row
 from .model import (
     ALLDIFF,
     PATH,
@@ -43,8 +41,12 @@ from .model import (
     SatisfactionInstance,
     WeightedInstance,
     _integer,
+    exact,
     weighted_instance,
 )
+
+if TYPE_CHECKING:
+    from .lp_core import LinearProgram, Row
 
 
 class Support(namedtuple("Support", "edges cost")):
@@ -92,6 +94,8 @@ def last_instance_memo(build: Callable[[WeightedInstance], Any]) -> Callable:
 @last_instance_memo
 def _support_rows(instance: WeightedInstance) -> tuple[Row, ...]:
     # one pass over the edges; ``edge_column`` defines every coefficient
+    from . import lp_core  # the LP stack loads on its first use
+
     rhs = row_rhs(instance)
     coeffs: dict = {tag: {} for tag in rhs}
     for e in instance.edges:
@@ -99,7 +103,7 @@ def _support_rows(instance: WeightedInstance) -> tuple[Row, ...]:
             if tag not in coeffs:
                 raise ValueError(f"edge {e} meets no row of the support LP")
             coeffs[tag][e] = a
-    return tuple(Row(coeffs[t], lp_core.EQ, b, t) for t, b in rhs.items())
+    return tuple(lp_core.Row(coeffs[t], lp_core.EQ, b, t) for t, b in rhs.items())
 
 
 def primal_program(instance: WeightedInstance, cost: Mapping) -> LinearProgram:
@@ -108,7 +112,9 @@ def primal_program(instance: WeightedInstance, cost: Mapping) -> LinearProgram:
     ``cost`` is the objective by edge: ``instance.cost``, or a shifted copy.
     The rows do not depend on it, so the programs of one instance share them.
     """
-    return LinearProgram(
+    from . import lp_core
+
+    return lp_core.LinearProgram(
         sense=lp_core.MIN,
         columns=tuple(instance.edges),
         objective=cost,
@@ -150,14 +156,19 @@ def family(
     tail; depth strictly increases along any path, hence incompatibility.
     Both read the edge positions by tail that ``combinatorial_pass`` keeps.
     """
+    edges = instance.edges
+    return tuple(tuple([edges[k] for k in ks]) for ks in _position_sets(instance, strategy))
+
+
+def _position_sets(instance: WeightedInstance, strategy: str) -> tuple[tuple[int, ...], ...]:
+    """``family``'s sets as edge positions, in the same order; the filtering loop runs on them."""
     check_strategy(instance, strategy)
-    run, edges = combinatorial_pass(instance), instance.edges
+    run = combinatorial_pass(instance)
     if strategy == "domains":
         # tail positions follow ``variables()``, a path's sink aside; an
         # isolated path vertex, which validate allows, has no set
         sink = run.labels.index(instance.path.sink) if instance.kind == PATH else None
-        sets = [ks for p, ks in enumerate(run.out) if ks and p != sink]
-        return tuple(tuple([edges[k] for k in ks]) for ks in sets)
+        return tuple(ks for p, ks in enumerate(run.out) if ks and p != sink)
     depth: list = [None] * len(run.labels)
     depth[run.labels.index(instance.path.source)] = 0
     for x, ks in enumerate(run.out):  # in topological order
@@ -166,11 +177,11 @@ def family(
                 h = run.heads[k]
                 if depth[h] is None or depth[h] <= depth[x]:
                     depth[h] = depth[x] + 1
-    grouped: dict[int, list[EdgeId]] = {}
-    for e, t in zip(edges, run.tails):
+    grouped: dict[int, list[int]] = {}
+    for k, t in enumerate(run.tails):
         if depth[t] is None:
-            raise ValueError(f"arc {e} leaves a vertex the source cannot reach")
-        grouped.setdefault(depth[t], []).append(e)
+            raise ValueError(f"arc {instance.edges[k]} leaves a vertex the source cannot reach")
+        grouped.setdefault(depth[t], []).append(k)
     return tuple(tuple(grouped[d]) for d in sorted(grouped))
 
 
@@ -359,7 +370,7 @@ def combinatorial_pass(instance: WeightedInstance) -> CombinatorialPass:
     edges, optima = instance.edges, fields["optima"]
     found = [z for z in optima if z is not None]
     return CombinatorialPass(
-        z_star=lp_core.exact(min(found)) if found else None,
+        z_star=exact(min(found)) if found else None,
         unsupported=tuple(e for e, z in zip(edges, optima) if z is None),
         index=MappingProxyType(dict(zip(edges, range(len(edges))))),
         **fields,

@@ -1,5 +1,12 @@
 """Exact-arithmetic linear programming: the only place pivoting happens.
 
+No runtime path solves an LP, so importing the package does not import this
+module: the reference functions that build or solve a program
+(``formulations.primal_program``, ``duality.family_dual_program``,
+``solve_primal`` and ``solve_family_dual``) import it on their first call.
+The exact-number helpers ``exact``, ``_quotient`` and ``Number`` and the
+``NormalizingRecord`` base live in ``model`` and are importable from here too.
+
 A two-phase simplex with Bland's rule, so every solve terminates and
 identical inputs give identical pivots, identical solutions and identical
 duals.  Equality rows are handled natively through phase-one artificials;
@@ -29,9 +36,9 @@ non-zero; that is every pivot on the package's network programs, where d
 stays 1, so there every answer is an integer.
 
 A program's data are made exact and checked when it is built (see ``Row``
-and ``LinearProgram``), and its answers take the same form (``exact``): an
-integral value is an ``int``, any other a ``Fraction``, and both compare and
-print alike.  The solver and the certificate check read only their
+and ``LinearProgram``), and its answers take the same form (``model.exact``):
+an integral value is an ``int``, any other a ``Fraction``, and both compare
+and print alike.  The solver and the certificate check read only their
 ``numerator`` and ``denominator`` and trust them as they stand.  The
 certificate check compares integers only (see ``_assert_certificates``).
 
@@ -62,9 +69,10 @@ complementary slackness holds exactly, row by row and column by column.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import lcm
-from typing import Container, Hashable, Mapping, Optional, Union
+from typing import Container, Hashable, Mapping, Optional
+
+from .model import Number, NormalizingRecord, _quotient, exact
 
 MIN = "min"
 MAX = "max"
@@ -77,63 +85,6 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _MAX_PIVOTS = 200_000  # Bland's rule terminates; this is a tripwire, not a tuning knob
-
-
-Number = Union[int, Fraction]  # exact: an int when integral, else a Fraction
-
-
-def exact(x) -> Number:
-    """x as an exact number: an ``int`` when it is integral, else a ``Fraction``."""
-    if type(x) is int:
-        return x
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _quotient(n: int, d: int) -> Number:
-    """n / d as an exact number, for integers n and d != 0 of either sign."""
-    q, r = divmod(n, d)
-    return q if r == 0 else Fraction(n, d)
-
-
-class NormalizingRecord:
-    """Base of a ``collections.namedtuple`` record that ``__new__`` normalizes and checks.
-
-    The fields named in ``_derived`` are computed by ``__new__``, never given
-    to it.  ``_make``, ``_replace``, ``repr`` and copying go through the
-    other fields, the constructor's arguments, so such a record is
-    normalized, derived and checked again, as a new one is.  (namedtuple's
-    own ``_make`` and ``_replace`` skip ``__new__``.)
-
-    Every record of the package is a namedtuple subclass with empty
-    ``__slots__``, so immutable, rather than a frozen dataclass, whose
-    module loads ``inspect`` and whose decorator execs each class's methods
-    at import: together about two thirds of the package's import time.
-    """
-
-    __slots__ = ()
-    _derived: tuple = ()
-
-    def _arguments(self) -> dict:
-        return {f: getattr(self, f) for f in self._fields if f not in self._derived}
-
-    @classmethod
-    def _make(cls, iterable):
-        fields = zip(cls._fields, iterable, strict=True)
-        return cls(**{f: x for f, x in fields if f not in cls._derived})
-
-    def _replace(self, **changes):
-        refused = [f for f in self._derived if f in changes]
-        if refused:
-            raise ValueError(f"{refused[0]} is derived on every build and cannot be replaced")
-        return type(self)(**{**self._arguments(), **changes})
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self._arguments().values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={x!r}" for f, x in self._arguments().items())
-        return f"{type(self).__name__}({fields})"
 
 
 class Row(NormalizingRecord, namedtuple("Row", "coeffs rel rhs tag scale")):

@@ -13,6 +13,12 @@ Domains are extensional: the edge set IS the domains, removing a value
 means removing an edge.  Costs are non-negative integers, every derived
 quantity downstream is an exact rational, so no tolerances exist anywhere.
 An instance derives its edge list and a path's topological order on every build.
+
+The package's one exact-number form is defined here (``exact``,
+``_quotient``): an integral value is an ``int``, any other a ``Fraction``.
+``fractions`` is imported by the first value that is not integral, so a run
+on integer data never loads it.  ``NormalizingRecord`` is the base of every
+record that normalizes and checks its fields when built.
 """
 
 from __future__ import annotations
@@ -22,12 +28,86 @@ import json
 from collections import namedtuple
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
-
-from .lp_core import NormalizingRecord
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 ALLDIFF = "alldiff"
 PATH = "path"
+
+
+# exact: an int when integral, else a Fraction; at run time Fraction is a
+# forward reference, so that importing this module does not import fractions
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    Number = Union[int, Fraction]
+else:
+    Number = Union[int, "Fraction"]
+
+
+def _fraction(*args):
+    """``Fraction(*args)``; the first call imports ``fractions`` and rebinds this name.
+
+    After that first call ``_fraction`` is the ``Fraction`` class itself, so
+    a later call costs one global lookup, not an import.
+    """
+    global _fraction
+    from fractions import Fraction as _fraction
+
+    return _fraction(*args)
+
+
+def exact(x) -> Number:
+    """x as an exact number: an ``int`` when it is integral, else a ``Fraction``."""
+    if type(x) is int:
+        return x
+    x = _fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(n: int, d: int) -> Number:
+    """n / d as an exact number, for integers n and d != 0 of either sign."""
+    q, r = divmod(n, d)
+    return q if r == 0 else _fraction(n, d)
+
+
+class NormalizingRecord:
+    """Base of a ``collections.namedtuple`` record that ``__new__`` normalizes and checks.
+
+    The fields named in ``_derived`` are computed by ``__new__``, never given
+    to it.  ``_make``, ``_replace``, ``repr`` and copying go through the
+    other fields, the constructor's arguments, so such a record is
+    normalized, derived and checked again, as a new one is.  (namedtuple's
+    own ``_make`` and ``_replace`` skip ``__new__``.)
+
+    Every record of the package is a namedtuple subclass with empty
+    ``__slots__``, so immutable, rather than a frozen dataclass, whose
+    module loads ``inspect`` and whose decorator execs each class's methods
+    at import: together about two thirds of the package's import time.
+    """
+
+    __slots__ = ()
+    _derived: tuple = ()
+
+    def _arguments(self) -> dict:
+        return {f: getattr(self, f) for f in self._fields if f not in self._derived}
+
+    @classmethod
+    def _make(cls, iterable):
+        fields = zip(cls._fields, iterable, strict=True)
+        return cls(**{f: x for f, x in fields if f not in cls._derived})
+
+    def _replace(self, **changes):
+        refused = [f for f in self._derived if f in changes]
+        if refused:
+            raise ValueError(f"{refused[0]} is derived on every build and cannot be replaced")
+        return type(self)(**{**self._arguments(), **changes})
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self._arguments().values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={x!r}" for f, x in self._arguments().items())
+        return f"{type(self).__name__}({fields})"
 
 
 class EdgeId(namedtuple("EdgeId", "i j")):

@@ -8,15 +8,16 @@ cleverness is allowed to creep in.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, Optional
+from typing import Optional
 
-from .lp_core import Number, exact
 from .model import (
     ALLDIFF,
     PATH,
     EdgeId,
     InfeasibleConstraintError,
+    Number,
     WeightedInstance,
+    exact,
 )
 
 # enumeration stays exhaustive, so sizes are capped hard
@@ -152,12 +153,3 @@ def enumerate(instance: WeightedInstance) -> OracleReport:
         ac_set=ac_set,
         z_max=instance.z_max,
     )
-
-
-def check_incompatible(instance: WeightedInstance, edge_set: Iterable[EdgeId]) -> bool:
-    """True iff no support contains two edges of the set."""
-    edges = set(EdgeId(*e) for e in edge_set)
-    for s in all_supports(instance):
-        if len(edges.intersection(s)) >= 2:
-            return False
-    return True

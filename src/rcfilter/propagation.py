@@ -3,9 +3,9 @@
 One dual per incompatible set classifies every edge of that set exactly and
 may knock out arbitrary other edges along the way.  A set is picked only
 while it has an unmarked edge, and its dual marks all of them, so no set is
-used twice.  The loop runs on edge positions, the family's sets read into
-them through the pass's ``index``: each dual is a pair of potential lists
-built from the instance's one combinatorial pass
+used twice.  The loop runs on edge positions, the family's sets as
+``formulations._position_sets`` gives them: each dual is a pair of potential
+lists built from the instance's one combinatorial pass
 (``duality._pass_potentials``), with no LP solve, and checked in exact
 arithmetic over the pass's per-edge tuples by ``duality._checked_potentials``,
 whose bounds by position it marks from.  No dual is kept: the run records
@@ -27,9 +27,9 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Iterator, Optional
 
-from . import duality, formulations, lp_core
+from . import duality, formulations
 from .duality import DualSolution
-from .model import EdgeId, InfeasibleConstraintError, WeightedInstance
+from .model import EdgeId, InfeasibleConstraintError, Number, WeightedInstance
 
 UNMARKED = "unmarked"
 CONSISTENT = "consistent"
@@ -86,9 +86,10 @@ def ac_by_lp(
 ) -> FilterResult:
     """Classify every edge as consistent or inconsistent with the cost bound.
 
-    Walks the sets of ``formulations.family(instance, strategy)``, largest
-    unmarked count first (the sets partition the edges, so each set's count
-    drops as its edges are marked), building one dual per set from the
+    Walks the sets of ``formulations.family(instance, strategy)``, as edge
+    positions (``formulations._position_sets``), largest unmarked count
+    first (the sets partition the edges, so each set's count drops as its
+    edges are marked), building one dual per set from the
     instance's combinatorial pass (``duality._pass_potentials``), with no LP
     solve.  Each dual is optimal and its reduced costs are exact
     on the set, classifying all of its unmarked edges, and any edge anywhere
@@ -113,7 +114,7 @@ def ac_by_lp(
             raise ValueError(f"budget must be an integer, got {budget!r}")
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
-    family = formulations.family(instance, strategy)
+    sets = formulations._position_sets(instance, strategy)
     z_star = duality.supported_optimum(instance)
     z_max = instance.z_max
     if not instance.edges:
@@ -125,15 +126,14 @@ def ac_by_lp(
             f"optimum {z_lb} exceeds the cost bound {z_max}", z_lb=z_lb
         )
     # the loop runs on edge positions: the pass's per-edge tuples
-    index = formulations.combinatorial_pass(instance).index
-    sets = [[index[e] for e in edge_set] for edge_set in family]
-    set_of = [0] * len(instance.edges)
+    edges = instance.edges
+    set_of = [0] * len(edges)
     for idx, members in enumerate(sets):
         for k in members:
             set_of[k] = idx
-    marks = [UNMARKED] * len(instance.edges)
+    marks = [UNMARKED] * len(edges)
     unmarked = [len(members) for members in sets]
-    live = list(range(len(instance.edges)))  # the unmarked positions
+    live = list(range(len(edges)))  # the unmarked positions
     used: list[int] = []
 
     while budget is None or len(used) < budget:
@@ -155,14 +155,14 @@ def ac_by_lp(
                 unmarked[idx] -= 1
         live = [k for k in live if marks[k] == UNMARKED]
     return FilterResult(
-        marks=dict(zip(instance.edges, marks)),
+        marks=dict(zip(edges, marks)),
         z_lb=z_lb,
-        sets_used=tuple(family[idx] for idx in used),
+        sets_used=tuple(tuple([edges[k] for k in sets[idx]]) for idx in used),
         instance=instance,
     )
 
 
-def lower_bound(instance: WeightedInstance, strategy: str = "domains") -> lp_core.Number:
+def lower_bound(instance: WeightedInstance, strategy: str = "domains") -> Number:
     """z*, read from the instance's combinatorial pass with no family built and no LP solve.
 
     ValueError for a strategy ``formulations.family`` rejects, and as in

@@ -257,6 +257,7 @@ def test_bound_builds_no_family(monkeypatch, dag_file, assignment_file, capsys):
         raise AssertionError("an edge family was built")
 
     monkeypatch.setattr(formulations, "family", no_family)
+    monkeypatch.setattr(formulations, "_position_sets", no_family)
     for path, family in ((dag_file, "domains"), (dag_file, "layers"),
                          (assignment_file, "domains")):
         assert main(["bound", path, "--family", family]) == 0
@@ -636,6 +637,36 @@ def test_import_loads_no_dataclasses_or_source_tools():
     loaded = _modules_loaded_by_import()
     assert "rcfilter.cli" in loaded
     assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_integer_runs_load_neither_fractions_nor_the_lp_stack():
+    # no runtime path solves an LP and an integer instance makes no
+    # Fraction, so filter and bound on every committed instance leave the
+    # exact simplex and fractions (with decimal and numbers) unloaded; the
+    # first reference solve, in the same interpreter, loads lp_core
+    src = Path(__file__).resolve().parent.parent / "src"
+    files = [str(f) for f in sorted(INSTANCES.glob("*.json"))]
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "import rcfilter, rcfilter.cli\n"
+        "from rcfilter import cli, duality, model\n"
+        "lean = ('fractions', 'decimal', 'numbers', 'rcfilter.lp_core')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main([c, f]) for f in sys.argv[1:] for c in ('filter', 'bound')]\n"
+        "after_runs = [m for m in lean if m in sys.modules]\n"
+        "z_star, _, _ = duality.solve_primal(model.load_instance(sys.argv[1]))\n"
+        "print(json.dumps({'codes': codes, 'after_runs': after_runs,\n"
+        "                  'z_star': repr(z_star), 'lp_core': 'rcfilter.lp_core' in sys.modules}))"
+    )
+    assert files[0].endswith("assignment3.json")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *files], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [0] * (2 * len(files))
+    assert out["after_runs"] == []
+    assert out["lp_core"] and out["z_star"] == "0"
 
 
 def test_report_writer_matches_json_dumps(monkeypatch, tmp_path, capsys):

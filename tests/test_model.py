@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +294,38 @@ def test_load_rejects_bad_json(tmp_path):
     target.write_text("{not json")
     with pytest.raises(ValueError):
         load_instance(target)
+
+
+def test_fractions_load_on_the_first_value_that_is_not_integral():
+    # model binds Fraction on first use: an integral quotient imports
+    # nothing, and the first fractional one, inside the averaged
+    # satisfaction duals, imports fractions and rebinds model._fraction to
+    # the class, so the duals are those pinned in the golden file
+    tests = Path(__file__).resolve().parent
+    probe = (
+        "import sys\n"
+        "from rcfilter import duality, model\n"
+        "from corpus import satisfaction_corpus\n"
+        "q = model._quotient(6, 3)\n"
+        "assert type(q) is int and q == 2, q\n"
+        "assert 'fractions' not in sys.modules\n"
+        "duals = [duality.averaged_satisfaction_dual(s)[1] for s in satisfaction_corpus(50)]\n"
+        "from fractions import Fraction\n"
+        "assert model._fraction is Fraction\n"
+        "q = model._quotient(7, 3)\n"
+        "assert type(q) is Fraction and q == Fraction(7, 3), q\n"
+        "x = model.exact(Fraction(4, 2))\n"
+        "assert type(x) is int and x == 2, x\n"
+        "from test_pinned_outputs import _dual_record\n"
+        "for k, dual in enumerate(duals):\n"
+        "    print(_dual_record(f'averaged {k}', dual))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])},
+    )
+    assert proc.returncode == 0, proc.stderr
+    golden = (tests / "golden" / "duals.txt").read_text().splitlines()
+    averaged = [line for line in golden if line.startswith("averaged ")]
+    assert len(averaged) == 50
+    assert proc.stdout.splitlines() == averaged
