@@ -5,7 +5,9 @@ path in a DAG) as a small LP whose dual solutions carry reduced costs.  One
 dual per set of pairwise-incompatible edges yields *exact* reduced costs on
 the whole set, so full arc consistency with respect to a cost bound takes at
 most one dual per variable.  Every dual the package returns is built from
-one combinatorial pass per instance and checked exactly; the LP
+one combinatorial pass per instance and checked exactly, except that the
+duals ``FilterResult.duals`` rebuilds, the filter's checked ones built again
+deterministically, are not checked again; the LP
 (``solve_primal``, ``solve_family_dual``) is the reference route, on no
 runtime path, and its exact simplex is imported on the first solve.
 Everything is rational arithmetic; every LP optimum is certified against its

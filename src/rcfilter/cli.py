@@ -210,8 +210,7 @@ def _verify_text(report: dict) -> str:
 
 def bound_cmd(instance: WeightedInstance, args: argparse.Namespace) -> tuple[int, dict]:
     """Print the exact optimum z*, read from one combinatorial pass with no LP solve."""
-    z_star = propagation.lower_bound(instance, args.strategy)
-    return EXIT_OK, {"command": "bound", "family": args.strategy, "z_star": _frac(z_star)}
+    return EXIT_OK, {"command": "bound", "z_star": _frac(propagation.lower_bound(instance))}
 
 
 def _bound_text(report: dict) -> str:
@@ -249,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sub.set_defaults(command=name, run=run, render=render)
         sub.add_argument("instance_file", metavar="INSTANCE_FILE")
-        if run is not oracle_cmd:
+        if run is filter_cmd or run is verify_cmd:  # z* needs no family
             sub.add_argument(
                 "--family", dest="strategy", choices=["domains", "layers"],
                 default="domains",

@@ -15,14 +15,16 @@ potentials as lists by tail and head position, and one routine
 tuples.  The filter's duals, ``shifted_cost_dual``'s and each part of
 ``averaged_satisfaction_dual`` all pass it; ``pass_family_dual`` keys the
 potentials by label, and ``checked_bounds`` reads a labelled dual back into
-the routine.  LP solves happen only where a caller asks
-for one by name: the support LP (``solve_primal``) and the family dual
-program (``solve_family_dual``), the paper's generic route, kept as the
-reference that tests, criteria and scripts compare the pass-built duals
-with.  Those functions import ``lp_core`` on their first call and read it by
-module attribute (``lp_core.solve``), so a wrapper set on the module sees
-every solve; nothing else here needs it.  z* is never solved for: it is the
-pass's ``z_star``, the least of the edges' restricted optima.  The pass answers
+the routine; the duals ``FilterResult.duals`` rebuilds are the filter's,
+built again deterministically, and are not checked again.  LP solves happen
+only where a caller asks for one by name: the support LP (``solve_primal``)
+and the family dual program (``solve_family_dual``), the paper's generic
+route, kept as the reference that tests, criteria and scripts compare the
+pass-built duals with.  Those functions import ``lp_core`` on their first
+call and read it by module attribute (``lp_core.solve``), so a wrapper set
+on the module sees every solve; nothing else here needs it.  z* is never
+solved for: it is the pass's ``z_star``, the least of the edges' restricted
+optima, read with its guards by ``lower_bound``.  The pass answers
 ``exact_reduced_cost``, whether a feasible dual is optimal (w = z*) and
 which satisfaction edges lie on no solution; ``formulations.find_support``
 decides whether a reduced cost is exact.
@@ -278,8 +280,12 @@ def pass_family_dual(
     The potentials of ``_pass_potentials``, keyed by label.  Each edge may
     be a plain ``(i, j)`` pair.  ValueError for an empty set, an edge not in
     the instance, an alldiff set on two variables, or an instance with an
-    edge on no support (``supported_optimum``).  The values are not trusted:
-    every caller checks the dual with ``checked_bounds``.
+    edge on no support (``lower_bound``).  The values are deterministic and
+    not checked here: the dual rebuilt for a set the filter used
+    (``FilterResult.duals``) is the one the filter checked, and is not
+    checked again.  The replay test ``test_pick_order_matches_a_recount``
+    checks every rebuilt dual with ``checked_bounds`` on both corpora and
+    the 714-arc DAG.
     """
     run = formulations.combinatorial_pass(instance)
     members = _positions(run, edge_set)
@@ -289,7 +295,7 @@ def pass_family_dual(
         raise ValueError("empty edge set")
     if instance.kind == ALLDIFF and len({run.tails[k] for k in members}) > 1:
         raise ValueError("an alldiff set must lie on one variable")
-    supported_optimum(instance)
+    lower_bound(instance)
     return _labelled(instance, *_pass_potentials(instance, members))
 
 
@@ -356,14 +362,18 @@ def _pass_potentials(instance: WeightedInstance, members: Sequence[int]) -> tupl
     return a, [-x for x in a], a[run.labels.index(instance.path.source)]
 
 
-def supported_optimum(instance: WeightedInstance) -> Optional[Number]:
-    """The pass's ``z_star``; ValueError naming its first ``unsupported`` edge, if any.
+def lower_bound(instance: WeightedInstance) -> Number:
+    """z*, the pass's ``z_star``, with no family built and no LP solve.
 
-    The guard of every pass-built dual: its constructions need a support on every edge.
+    The guard of every pass-built dual, whose constructions need a support
+    on every edge: ValueError naming the pass's first ``unsupported`` edge.
+    Then no support exists only without edges: InfeasibleConstraintError.
     """
     run = formulations.combinatorial_pass(instance)
     if run.unsupported:
         raise ValueError(f"edge {run.unsupported[0]} lies on no support")
+    if run.z_star is None:
+        raise InfeasibleConstraintError("no support: the instance has no edge")
     return run.z_star
 
 

@@ -21,10 +21,11 @@ cost and restricted optimum, the edge positions by tail, from which
 ``family`` builds its sets, and those potentials and distances, from which
 ``duality`` builds and checks the filter's duals.  Each edge's position and
 each position's label are its only maps between labels and positions.  It
-also keeps z*, the least optimum, and the edges without one, which
-``model.validate`` reports as the edges on no support: the package reads
-either nowhere else (``oracle`` and the LP solves are references that tests
-and cross-checks compare with it).
+also keeps z*, the least optimum, which ``duality.lower_bound`` reads with
+its guards, and the edges without one, which ``model.validate`` reports as
+the edges on no support: the package reads either nowhere else
+(``oracle`` and the LP solves are references that tests and cross-checks
+compare with it).
 """
 
 from __future__ import annotations
@@ -138,14 +139,6 @@ def edge_column(instance: WeightedInstance, e: EdgeId) -> dict:
 # incompatible-edge families
 
 
-def check_strategy(instance: WeightedInstance, strategy: str) -> None:
-    """ValueError unless ``family`` builds ``strategy`` for this instance's kind."""
-    if strategy not in ("domains", "layers"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "layers" and instance.kind != PATH:
-        raise ValueError("the layers strategy only applies to path instances")
-
-
 def family(
     instance: WeightedInstance, strategy: str = "domains"
 ) -> tuple[tuple[EdgeId, ...], ...]:
@@ -155,6 +148,7 @@ def family(
     ``layers`` (path only): arcs grouped by the longest-path depth of their
     tail; depth strictly increases along any path, hence incompatibility.
     Both read the edge positions by tail that ``combinatorial_pass`` keeps.
+    ValueError for any other strategy, or for ``layers`` off a path.
     """
     edges = instance.edges
     return tuple(tuple([edges[k] for k in ks]) for ks in _position_sets(instance, strategy))
@@ -162,7 +156,10 @@ def family(
 
 def _position_sets(instance: WeightedInstance, strategy: str) -> tuple[tuple[int, ...], ...]:
     """``family``'s sets as edge positions, in the same order; the filtering loop runs on them."""
-    check_strategy(instance, strategy)
+    if strategy not in ("domains", "layers"):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy == "layers" and instance.kind != PATH:
+        raise ValueError("the layers strategy only applies to path instances")
     run = combinatorial_pass(instance)
     if strategy == "domains":
         # tail positions follow ``variables()``, a path's sink aside; an

@@ -10,16 +10,16 @@ lists built from the instance's one combinatorial pass
 arithmetic over the pass's per-edge tuples by ``duality._checked_potentials``,
 whose bounds by position it marks from.  No dual is kept: the run records
 its sets, and ``FilterResult.duals`` builds each dual again on demand
-(``duality.pass_family_dual``).  The LP route,
+(``duality.pass_family_dual``): the dual the run checked, built again
+deterministically and not checked again.  The LP route,
 ``duality.solve_family_dual``, stays as the reference that tests compare
 with.  Requires every edge to lie on at least one support
-(``model.validate`` enforces this, and ``duality.supported_optimum`` raises
-otherwise).  The sets come from ``formulations.family``, by strategy name:
-only its sets are known to be pairwise incompatible.  Every dual is optimal
-(the check asserts w = z*), so before the first one is built the run takes
-z* from the pass (``duality.supported_optimum``; ``validate`` reads the same
-pass), and a bound below z* is refuted with no dual built.  ``lower_bound``
-reads z* the same way and builds no family.
+(``model.validate`` enforces this, and ``lower_bound`` raises otherwise).
+The sets come from ``formulations.family``, by strategy name: only its sets
+are known to be pairwise incompatible.  Every dual is optimal (the check
+asserts w = z*), so before the first one is built the run takes z* from
+``duality.lower_bound`` (``validate`` reads the same pass), and a bound
+below z* is refuted with no dual built.  z* takes no family.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from collections import namedtuple
 from typing import Iterator, Optional
 
 from . import duality, formulations
-from .duality import DualSolution
-from .model import EdgeId, InfeasibleConstraintError, Number, WeightedInstance
+from .duality import DualSolution, lower_bound
+from .model import EdgeId, InfeasibleConstraintError, WeightedInstance
 
 UNMARKED = "unmarked"
 CONSISTENT = "consistent"
@@ -115,10 +115,8 @@ def ac_by_lp(
         if budget < 0:
             raise ValueError(f"budget must be >= 0, got {budget}")
     sets = formulations._position_sets(instance, strategy)
-    z_star = duality.supported_optimum(instance)
+    z_star = lower_bound(instance)
     z_max = instance.z_max
-    if not instance.edges:
-        raise InfeasibleConstraintError(f"no support within the cost bound {z_max}")
     # the first pick builds a dual unless the budget is 0: the sets cover the edges
     z_lb = None if budget == 0 else z_star
     if z_lb is not None and z_lb > z_max:
@@ -161,15 +159,3 @@ def ac_by_lp(
         instance=instance,
     )
 
-
-def lower_bound(instance: WeightedInstance, strategy: str = "domains") -> Number:
-    """z*, read from the instance's combinatorial pass with no family built and no LP solve.
-
-    ValueError for a strategy ``formulations.family`` rejects, and as in
-    ``ac_by_lp`` for an edge on no support.  An instance without edges has
-    no support: InfeasibleConstraintError.
-    """
-    formulations.check_strategy(instance, strategy)
-    if not instance.edges:
-        raise InfeasibleConstraintError("no support: the instance has no edge")
-    return duality.supported_optimum(instance)

@@ -172,8 +172,8 @@ def test_bound_reports_optimum(costly_file, capsys):
 
 
 def test_bound_solves_no_lp(monkeypatch, tmp_path, capsys):
-    # z* comes from the combinatorial pass, under either format and family:
-    # no LP solve, and the oracle's optimum on every instance
+    # z* comes from the combinatorial pass, under either format: no LP
+    # solve, and the oracle's optimum on every instance
     solved, real_solve = [], lp_core.solve
     monkeypatch.setattr(lp_core, "solve", lambda lp: solved.append(lp) or real_solve(lp))
     files = sorted(INSTANCES.glob("*.json"))
@@ -183,12 +183,10 @@ def test_bound_solves_no_lp(monkeypatch, tmp_path, capsys):
     for path in files:
         inst = model.load_instance(path)
         z_star = str(oracle.enumerate(inst).z_star)
-        for family in ("domains", "layers") if inst.kind == "path" else ("domains",):
-            argv = ["bound", str(path), "--family", family]
-            assert main(argv) == 0
-            assert json.loads(capsys.readouterr().out)["z_star"] == z_star
-            assert main(argv + ["--format", "text"]) == 0
-            assert capsys.readouterr().out == f"z* = {z_star}\n"
+        assert main(["bound", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["z_star"] == z_star
+        assert main(["bound", str(path), "--format", "text"]) == 0
+        assert capsys.readouterr().out == f"z* = {z_star}\n"
     assert solved == []
 
 
@@ -207,8 +205,9 @@ def test_only_the_reference_routes_solve_an_lp(monkeypatch, tmp_path, capsys):
     for path in files:
         kind = model.load_instance(path).kind
         for family in ("domains", "layers") if kind == "path" else ("domains",):
-            for command in (["filter", "--emit-duals"], ["verify"], ["bound"]):
+            for command in (["filter", "--emit-duals"], ["verify"]):
                 assert main([command[0], str(path), "--family", family, *command[1:]]) in (0, 3)
+        assert main(["bound", str(path)]) in (0, 3)
         assert main(["oracle", str(path)]) in (0, 3)
     capsys.readouterr()
 
@@ -251,23 +250,33 @@ def test_only_the_reference_routes_solve_an_lp(monkeypatch, tmp_path, capsys):
 
 
 def test_bound_builds_no_family(monkeypatch, dag_file, assignment_file, capsys):
-    # z* does not depend on the family, so bound checks --family and reads
-    # the pass: the same answers, and layers on an alldiff still exits 1
+    # z* does not depend on the family: bound reads the pass and builds none
     def no_family(*args):
         raise AssertionError("an edge family was built")
 
     monkeypatch.setattr(formulations, "family", no_family)
     monkeypatch.setattr(formulations, "_position_sets", no_family)
-    for path, family in ((dag_file, "domains"), (dag_file, "layers"),
-                         (assignment_file, "domains")):
-        assert main(["bound", path, "--family", family]) == 0
+    for path in (dag_file, assignment_file):
+        assert main(["bound", path]) == 0
         assert json.loads(capsys.readouterr().out)["z_star"] == "0"
-    assert main(["bound", assignment_file, "--family", "layers"]) == 1
-    assert capsys.readouterr().err == (
-        "error: the layers strategy only applies to path instances\n"
-    )
-    with pytest.raises(ValueError, match="unknown strategy 'rainbow'"):
-        propagation.lower_bound(model.load_instance(dag_file), "rainbow")
+        assert propagation.lower_bound(model.load_instance(path)) == 0
+
+
+def test_bound_takes_no_family(dag_file, capsys):
+    # z* is the same under every family: --family is not a bound option,
+    # so argparse rejects it (exit 1, its usage line, no traceback), and
+    # the JSON report names no family
+    for family in ("domains", "layers"):
+        assert main(["bound", dag_file, "--family", family]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: rcfilter ")
+        assert captured.err.endswith(
+            f"error: unrecognized arguments: --family {family}\n"
+        )
+        assert "Traceback" not in captured.err
+    assert main(["bound", dag_file]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == ["command", "z_star"]
 
 
 def test_filter_infeasible_exit_code(costly_file, capsys):
@@ -280,7 +289,7 @@ def test_filter_infeasible_exit_code(costly_file, capsys):
 def test_commands_return_reports_without_printing(assignment_file, dag_file, capsys):
     for path, options in ((assignment_file, []), (dag_file, ["--family", "layers"])):
         for argv in (["filter", path, "--emit-duals", *options], ["oracle", path],
-                     ["verify", path, *options], ["bound", path, *options]):
+                     ["verify", path, *options], ["bound", path]):
             args = cli._build_parser().parse_args(argv)
             code, report = args.run(model.load_instance(path), args)
             assert capsys.readouterr().out == "", argv
@@ -322,7 +331,7 @@ def test_invalid_instance_exit_code(tmp_path, capsys):
 
 
 def test_layers_on_assignment_is_usage_error(assignment_file, capsys):
-    for command in ("filter", "verify", "bound"):
+    for command in ("filter", "verify"):
         assert main([command, assignment_file, "--family", "layers"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -689,8 +698,8 @@ def test_report_writer_matches_json_dumps(monkeypatch, tmp_path, capsys):
         save_instance(inst, path)
         for family in ("domains", "layers") if inst.kind == "path" else ("domains",):
             main(["filter", path, "--emit-duals", "--family", family])
-            main(["bound", path, "--family", family])
             main(["verify", path, "--family", family])
+        main(["bound", path])
         main(["oracle", path])
     capsys.readouterr()
     assert {r.get("status", r["command"]) for r in reports} == {
@@ -699,3 +708,6 @@ def test_report_writer_matches_json_dumps(monkeypatch, tmp_path, capsys):
         assert real(report) == json.dumps(report, indent=2)
     odd = {"": [], "e": {}, "x": [None, True, False, -3, "caf\u00e9 \"q\"\n"], "n": [[{}]]}
     assert real(odd) == json.dumps(odd, indent=2)
+    # a float would print inexactly: the writer refuses it
+    with pytest.raises(TypeError, match="^a report holds no float$"):
+        real({"z": [1.5]})

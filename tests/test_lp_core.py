@@ -196,6 +196,11 @@ def test_duplicate_tags_rejected():
         )
 
 
+def test_bad_sense_rejected():
+    with pytest.raises(ValueError, match="^bad sense 'minimise'$"):
+        LinearProgram(sense="minimise", columns=("x",), objective={"x": 1}, rows=())
+
+
 def test_row_referencing_unknown_column_rejected():
     with pytest.raises(ValueError, match="unknown column"):
         LinearProgram(
@@ -356,8 +361,21 @@ def test_phase_one_finds_a_scaled_row_infeasible():
     assert solve(lp).status == INFEASIBLE
 
 
-def test_pivot_guard_constant_exists():
+def test_pivot_guard_constant_exists(monkeypatch):
     assert lp_core._MAX_PIVOTS > 1000
+    # the tripwire fires on a phase that needs more pivots than it allows:
+    # this program's optimum (2, 2) takes two, one per column entering
+    lp = LinearProgram(
+        sense=MAX,
+        columns=("x", "y"),
+        objective={"x": 3, "y": 2},
+        rows=(Row({"x": 1, "y": 1}, LE, 4, "sum"), Row({"x": 1}, LE, 2, "xcap")),
+    )
+    monkeypatch.setattr(lp_core, "_MAX_PIVOTS", 1)
+    with pytest.raises(RuntimeError, match="^pivot limit hit; "):
+        solve(lp)
+    monkeypatch.setattr(lp_core, "_MAX_PIVOTS", 3)
+    assert solve(lp).primal == {"x": 2, "y": 2}
 
 
 def _dense_pivot(T, basis, r, enter):

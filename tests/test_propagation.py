@@ -169,8 +169,6 @@ def test_unknown_or_inapplicable_strategy_rejected(three_var_assignment):
             ac_by_lp(three_var_assignment, strategy)
         with pytest.raises(ValueError, match=message):
             ac_by_lp(three_var_assignment, strategy, budget=0)
-        with pytest.raises(ValueError, match=message):
-            lower_bound(three_var_assignment, strategy)
 
 
 def test_infeasible_bound_is_distinct_outcome():
@@ -447,6 +445,27 @@ def test_alldiff_without_a_square_value_side_has_no_support(values):
             run(inst)
 
 
+def test_one_guard_reads_zstar_for_the_filter_and_the_bound():
+    # duality.lower_bound reads z* with its guards for the filter (any
+    # budget), the bound and every pass-built dual: they raise alike
+    assert lower_bound is duality.lower_bound
+    no_edge = weighted_instance("alldiff", 1, [0], [], z_max=0)
+    arcless = weighted_instance("path", 1, [0, 1], [], z_max=5, source=0, sink=1)
+    assert validate(arcless) == []
+    for inst in (no_edge, arcless):
+        for run in (ac_by_lp, lambda i: ac_by_lp(i, budget=0), lower_bound):
+            with pytest.raises(InfeasibleConstraintError) as err:
+                run(inst)
+            assert str(err.value) == "no support: the instance has no edge"
+            assert err.value.z_lb is None
+    unsupported = weighted_instance("alldiff", 2, [0, 1, 2], [(0, 0, 1), (1, 1, 1)], z_max=9)
+    pass_dual = lambda i: duality.pass_family_dual(i, [(0, 0)])
+    for run in (ac_by_lp, lambda i: ac_by_lp(i, budget=0), lower_bound, pass_dual):
+        with pytest.raises(ValueError) as err:
+            run(unsupported)
+        assert str(err.value) == "edge EdgeId(i=0, j=0) lies on no support"
+
+
 def test_non_square_alldiff_costs_nothing_per_unused_variable():
     # 10**5 variables, two of them with an edge: the pass gives every unused
     # variable the one empty tuple and builds no per-variable list before it
@@ -600,7 +619,7 @@ def test_marks_never_flip(six_vertex_dag):
 def test_lower_bound_examples(three_var_assignment, five_vertex_dag, six_vertex_dag):
     assert lower_bound(three_var_assignment) == 0
     assert lower_bound(five_vertex_dag) == 0
-    assert lower_bound(six_vertex_dag, "layers") == 0
+    assert lower_bound(six_vertex_dag) == 0
 
 
 def test_lower_bound_shifts_with_uniform_variable_shift(three_var_assignment):
