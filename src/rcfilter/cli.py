@@ -3,6 +3,10 @@
 Reports are deterministic: the same command on the same file produces byte
 identical output.  All rationals are printed exactly (p/q, never floats).
 
+Arguments are parsed once: an argv that starts with a command goes straight
+to that command's subparser, and any other argv, or one with arguments left
+over, to the full parser, which prints the usage, help and errors.
+
 Each command is ``run(instance, args) -> (exit_code, report)`` and
 prints nothing.  ``main`` owns the exit codes and the rendering: it prints the
 report as JSON, or as text through the command's renderer, which reads only
@@ -232,18 +236,20 @@ def _budget(text: str) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built on first use, not at import; allow_abbrev=False on every parser:
-    # no option is matched by a prefix
+    # no option is matched by a prefix.  ``parser.commands`` maps each command
+    # name to its subparser, for ``_parse``
     parser = argparse.ArgumentParser(
         prog="rcfilter",
         description="Cost-based filtering for weighted constraints via exact dual solves.",
         allow_abbrev=False,
     )
+    parser.commands = {}
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
     for name, run, render in (("filter", filter_cmd, _filter_text),
                               ("oracle", oracle_cmd, _oracle_text),
                               ("verify", verify_cmd, _verify_text),
                               ("bound", bound_cmd, _bound_text)):
-        sub = commands.add_parser(
+        sub = parser.commands[name] = commands.add_parser(
             name, help=run.__doc__, description=run.__doc__, allow_abbrev=False
         )
         sub.set_defaults(command=name, run=run, render=render)
@@ -266,6 +272,23 @@ def _build_parser() -> argparse.ArgumentParser:
             help="Report format (default: %(default)s).",
         )
     return parser
+
+
+def _parse(argv: Optional[list]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, in one pass when argv starts with a command.
+
+    The top-level parser adds nothing to the namespace and hands all that
+    follows the command to its subparser, so that subparser runs alone.  Any
+    other argv, or arguments left over, go to the full parser and its errors.
+    """
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def _error(code: int, message: str) -> int:
@@ -303,9 +326,12 @@ def _write(text: Optional[str], code: int) -> int:
 
 
 def main(argv=None) -> int:
-    """Entry point returning the exit status (suitable for console_scripts)."""
+    """Entry point returning the exit status (suitable for console_scripts).
+
+    argv is parsed once, by ``_parse``, with the full parser as its fall-back.
+    """
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse has printed the help (status 0), still buffered, or a
         # usage error to stderr

@@ -217,7 +217,7 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
         for i in range(m):
             if M[m][basis[i]] != 0:
                 d = _pivot(M, basis, i, basis[i], d)
-        for _ in range(_MAX_PIVOTS):
+        for pivots in range(_MAX_PIVOTS + 1):
             z = M[m]
             enter = -1
             for j in range(ncols):
@@ -238,6 +238,8 @@ def _solve_std(lp: LinearProgram) -> LpSolution:
                         leave, num, den = i, b, a
             if leave < 0:
                 return UNBOUNDED
+            if pivots == _MAX_PIVOTS:  # one more pivot needed, none allowed
+                break
             d = _pivot(M, basis, leave, enter, d)
         raise RuntimeError("pivot limit hit; anti-cycling rule violated")
 

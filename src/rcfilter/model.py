@@ -204,10 +204,16 @@ def weighted_instance(
     values_t = tuple(_integer(x, "value") for x in values)
     cost: dict[EdgeId, int] = {}
     for i, j, c in edges:
-        e = EdgeId(_integer(i, "edge endpoint"), _integer(j, "edge endpoint"))
+        if not (type(i) is int and type(j) is int and type(c) is int):
+            # _integer raises on the first number that is not an integer:
+            # the endpoints, then the cost, after a repeated edge is reported
+            e = EdgeId(_integer(i, "edge endpoint"), _integer(j, "edge endpoint"))
+            if e not in cost:
+                _integer(c, "cost of edge {}", e)
+        e = EdgeId(i, j)
         if e in cost:
             raise ValueError(f"duplicate edge {e}")
-        cost[e] = _integer(c, "cost of edge {}", e)
+        cost[e] = c
     meta = None
     if kind == PATH:
         if source is None or sink is None:
@@ -367,16 +373,25 @@ def _json_object(pairs: list) -> dict:
 
 
 def load_instance(path: Union[str, Path]) -> WeightedInstance:
-    """Read an instance file: OSError if unreadable, ValueError if malformed or a key repeats."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh, object_pairs_hook=_json_object)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"not valid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"not UTF-8: {exc}") from exc
-        except RecursionError as exc:
-            raise ValueError("JSON nested too deeply") from exc
+    """Read an instance file: OSError if unreadable, ValueError if malformed or a key repeats.
+
+    The file is read as bytes and decoded as UTF-8 in one call.  A ``\\r\\n``
+    or lone ``\\r`` becomes ``\\n`` first, as a text-mode read would make it,
+    so a JSON error names the same line, column and character offset.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        raw = json.loads(text, object_pairs_hook=_json_object)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
     return instance_from_dict(raw)
 
 

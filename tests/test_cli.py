@@ -448,6 +448,109 @@ def test_command_help_exits_zero(capsys):
         assert option in out
 
 
+ARGV_SHAPES = [
+    # every command with each of its options
+    ["filter", "{file}"],
+    ["filter", "{file}", "--family", "domains"],
+    ["filter", "{file}", "--family", "layers"],
+    ["filter", "{file}", "--family=layers"],
+    ["filter", "{file}", "--budget", "0"],
+    ["filter", "{file}", "--budget", "3"],
+    ["filter", "{file}", "--emit-duals"],
+    ["filter", "{file}", "--format", "json"],
+    ["filter", "{file}", "--format", "text"],
+    ["filter", "--format", "text", "--budget", "2", "--emit-duals", "--family", "layers",
+     "{file}"],
+    ["verify", "{file}"],
+    ["verify", "{file}", "--family", "layers", "--format", "text"],
+    ["oracle", "{file}", "--format", "text"],
+    ["bound", "{file}"],
+    ["bound", "{file}", "--format", "text"],
+    # -h before and after the command
+    ["-h"],
+    ["--help"],
+    ["-h", "filter"],
+    ["filter", "-h"],
+    ["filter", "{file}", "--help"],
+    ["bound", "--help"],
+    # --
+    ["filter", "--", "{file}"],
+    ["filter", "{file}", "--"],
+    ["filter", "--", "--family"],
+    ["filter", "{file}", "--", "--format", "text"],
+    ["--", "filter", "{file}"],
+    # an option before the command
+    ["--format", "text", "filter", "{file}"],
+    ["--family", "layers", "filter", "{file}"],
+    # left over after the command: the fall-back to the top-level parser
+    ["filter", "{file}", "--bogus"],
+    ["filter", "--bogus", "{file}"],
+    ["filter", "{file}", "{file}"],
+    ["bound", "{file}", "--family", "domains"],
+    ["oracle", "{file}", "--budget", "1"],
+    ["verify", "{file}", "--emit-duals", "-x"],
+    # no command, an unknown or abbreviated one, a missing file or value
+    [],
+    ["nonsense", "{file}"],
+    ["filte", "{file}"],
+    ["FILTER", "{file}"],
+    ["filter"],
+    ["filter", "--format", "text"],
+    ["filter", "{file}", "--budget"],
+    # abbreviated options: never matched by a prefix
+    ["filter", "{file}", "--fam", "layers"],
+    ["filter", "{file}", "--emit"],
+    ["oracle", "{file}", "--form", "text"],
+    ["--hel"],
+    ["filter", "{file}", "--he"],
+    # a bad --family, --format or --budget
+    ["filter", "{file}", "--family", "bogus"],
+    ["verify", "{file}", "--family", ""],
+    ["filter", "{file}", "--format", "xml"],
+    ["bound", "{file}", "--format", "text", "--format", "yaml"],
+    ["filter", "{file}", "--budget", "-2"],
+    ["filter", "{file}", "--budget", "abc"],
+    ["filter", "{file}", "--budget", "\uff11"],
+]
+
+
+def _parse_outcome(parse, argv, capsys):
+    try:
+        outcome = parse(argv)
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return outcome, out, err
+
+
+@pytest.mark.parametrize("argv", ARGV_SHAPES, ids=" ".join)
+def test_one_pass_parse_matches_the_full_parser(argv, dag_file, capsys):
+    argv = [a.format(file=dag_file) for a in argv]
+    reference = _parse_outcome(cli._build_parser().parse_args, list(argv), capsys)
+    got = _parse_outcome(cli._parse, argv, capsys)
+    assert got == reference
+    if isinstance(reference[0], tuple):
+        assert reference[0][1] in (0, 2) and reference[1] + reference[2] != ""
+    else:  # the same fields in the same order
+        assert list(vars(got[0])) == list(vars(reference[0]))
+
+
+def test_a_command_first_argv_is_parsed_once(monkeypatch, dag_file, capsys):
+    # the top-level parser runs only for the fall-back: here it must not run
+    parser = cli._build_parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser ran")
+
+    monkeypatch.setattr(parser, "parse_known_args", refuse)
+    args = cli._parse(["filter", dag_file, "--format", "text"])
+    assert (args.command, args.instance_file, args.fmt) == ("filter", dag_file, "text")
+    assert main(["bound", dag_file, "--format", "text"]) == 0
+    assert capsys.readouterr().out == "z* = 0\n"
+    with pytest.raises(AssertionError, match="top-level parser ran"):
+        cli._parse(["filter", dag_file, "--bogus"])
+
+
 def _alldiff(n_vars, values, edges):
     return {"kind": "alldiff", "n_vars": n_vars, "values": values,
             "edges": edges, "z_max": 0}
@@ -527,6 +630,49 @@ def test_ingest_failures_exit_one(content, message, tmp_path, capsys):
     assert err.startswith("error: parse failure: ")
     assert message in err
     assert "Traceback" not in err
+
+
+def _text_mode_stderr(path) -> str:
+    # what main printed when it read the file through a text-mode json.load
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            json.load(fh)
+    except OSError as exc:
+        return f"error: cannot read {path}: {exc}\n"
+    except json.JSONDecodeError as exc:
+        return f"error: parse failure: not valid JSON: {exc}\n"
+    except UnicodeDecodeError as exc:
+        return f"error: parse failure: not UTF-8: {exc}\n"
+    raise AssertionError(f"{path} is well-formed JSON")
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        # the error after two line breaks: text mode reads each \r\n as one
+        # character, so the offset is 33, not 35
+        pytest.param(b'{\r\n "kind": "alldiff",\r\n  "n_vars":,\r\n}',
+                     "line 3 column 12 (char 33)", id="crlf"),
+        pytest.param(b'{\r "kind": "alldiff",\r  "n_vars":,\r}',
+                     "line 3 column 12 (char 33)", id="lone-cr"),
+        pytest.param(b'{\r\n\r "kind": "all\r\ndiff"\n}',
+                     "line 3 column 14 (char 16)", id="cr-inside-a-string"),
+        pytest.param(b'\xef\xbb\xbf{"kind": "alldiff"}', "Unexpected UTF-8 BOM",
+                     id="utf8-bom"),
+        pytest.param(b'{\r\n "kind": "\xff"}', "invalid start byte", id="not-utf8"),
+        pytest.param(None, "Is a directory", id="directory"),
+    ],
+)
+def test_ingest_errors_match_a_text_mode_read(content, expected, tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    if content is None:
+        p.mkdir()
+    else:
+        p.write_bytes(content)
+    reference = _text_mode_stderr(p)
+    assert expected in reference
+    assert main(["filter", str(p)]) == 1
+    assert capsys.readouterr().err == reference
 
 
 @pytest.mark.parametrize(

@@ -363,8 +363,9 @@ def test_phase_one_finds_a_scaled_row_infeasible():
 
 def test_pivot_guard_constant_exists(monkeypatch):
     assert lp_core._MAX_PIVOTS > 1000
-    # the tripwire fires on a phase that needs more pivots than it allows:
-    # this program's optimum (2, 2) takes two, one per column entering
+    # the tripwire fires on a phase that needs more pivots than it allows,
+    # and only then: this program's optimum (2, 2) takes two, one per column
+    # entering, so it solves at a limit of exactly two
     lp = LinearProgram(
         sense=MAX,
         columns=("x", "y"),
@@ -374,7 +375,7 @@ def test_pivot_guard_constant_exists(monkeypatch):
     monkeypatch.setattr(lp_core, "_MAX_PIVOTS", 1)
     with pytest.raises(RuntimeError, match="^pivot limit hit; "):
         solve(lp)
-    monkeypatch.setattr(lp_core, "_MAX_PIVOTS", 3)
+    monkeypatch.setattr(lp_core, "_MAX_PIVOTS", 2)
     assert solve(lp).primal == {"x": 2, "y": 2}
 
 
