@@ -6,7 +6,10 @@ Above the enumeration cap no oracle can vouch for the restricted optima of
 LP instead: for a seeded sample of edges, the one-edge family dual of the set
 {e} gives e's restricted optimum as w + r_e, and so must ``shifted_cost_dual``
 (built from the pass, with w = z*), and the pass's ``z_star`` must equal
-the support LP's optimum from ``solve_primal``.  Every set of
+the support LP's optimum from ``solve_primal``.  Under that shifted dual,
+``exactness_certificate`` must return a witness through e that costs e's
+restricted optimum, and for one other sampled edge f a witness exactly when
+w + r_f is f's restricted optimum.  Every set of
 each family (``domains``, and ``layers`` on the DAG) gets its dual from
 ``duality.pass_family_dual``, as the filter does: it must be feasible, with
 w = z*, and w + r_e must be the pass's restricted optimum on every member;
@@ -35,6 +38,7 @@ from pathlib import Path
 
 from rcfilter.duality import (
     averaged_satisfaction_dual,
+    exactness_certificate,
     is_dual_feasible,
     pass_family_dual,
     reduced_cost,
@@ -58,12 +62,17 @@ def check(inst, rng):
     pass_s = time.perf_counter() - start
     wrong = []
     sampled = rng.sample(inst.edges, min(SAMPLED_EDGES, len(inst.edges)))
-    for e in sampled:
+    for k, e in enumerate(sampled):
         d = solve_family_dual(inst, (e,))
         shifted = shifted_cost_dual(inst, e)
         lp_bound = d.w + reduced_cost(inst, d, e)
+        witness = exactness_certificate(inst, shifted, e)
+        f = sampled[k - 1]  # another sampled edge, unless the sample has one
+        exact_f = shifted.w + reduced_cost(inst, shifted, f) == run.optima[run.index[f]]
         if lp_bound != run.optima[run.index[e]] or shifted.w != run.z_star or (
             shifted.w + reduced_cost(inst, shifted, e) != lp_bound
+        ) or witness is None or witness.cost != lp_bound or (
+            (exactness_certificate(inst, shifted, f) is not None) != exact_f
         ):
             wrong.append(e)
     return pass_s, len(sampled), wrong, run.z_star, solve_primal(inst)[0]
@@ -159,7 +168,8 @@ def main(argv):
               f"{'ok' if z_pass == z_lp else 'wrong':>6} "
               f"{'ok' if not problems else 'wrong':>9} {sets:>5} {len(wrong_duals):>12}")
         if wrong:
-            print(f"error: the pass or shifted_cost_dual and the LP disagree on {wrong}",
+            print(f"error: the pass, shifted_cost_dual or exactness_certificate and the LP"
+                  f" disagree on {wrong}",
                   file=sys.stderr)
             failed = True
         if wrong_duals:

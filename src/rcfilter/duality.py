@@ -35,11 +35,10 @@ support LP's columns are the edges in instance order, and its "=" rows, one
 per primal row tag, each get an artificial column.  The family dual
 program's columns are the primal row tags, ``("u", i)`` then ``("v", j)``,
 each free and so split into a pair; its "<=" rows, one per edge in instance
-order, each get a slack column.  Each program is built once, with its final
-(shifted) objective, from ``formulations.row_rhs`` and ``edge_column``, and
-is integral: the family dual's objective is scaled by |S| to integers.  The
-rows of either program depend only on the instance, and are reused while
-the instance stays the same (``formulations.last_instance_memo``).
+order, each get a slack column.  Each program is built once, rows and final
+(shifted) objective alike, from ``formulations.row_rhs`` and
+``edge_column``, and is integral: the family dual's objective is scaled by
+|S| to integers.
 """
 
 from __future__ import annotations
@@ -165,26 +164,36 @@ def exactness_certificate(
 ) -> Optional[Support]:
     """The witness that kl's reduced cost under an optimal dual is exact, or None.
 
-    A feasible dual is optimal iff w = z* (the pass's ``z_star``);
-    InfeasibleConstraintError when no support exists.  A support through kl
-    inside the zero-reduced-cost edges plus kl, one support search, is the
-    witness that r_kl is exact; its cost then equals w + r_kl by
-    construction, which is checked.
+    The dual is read by position, as ``checked_bounds`` reads it: ValueError
+    unless a path's sink potential is 0, w is the potentials' objective and
+    no reduced cost is negative.  Such a dual is optimal iff w = z* (the
+    pass's ``z_star``), else ValueError; InfeasibleConstraintError when no
+    support exists.  A support through kl inside the zero-reduced-cost edges
+    plus kl, one support search, is the witness that r_kl is exact; its cost
+    then equals w + r_kl by construction, which is checked.
     """
     kl = EdgeId(*kl)
-    r = {e: reduced_cost(instance, dual, e) for e in instance.edges}
-    if any(x < 0 for x in r.values()):
+    run = formulations.combinatorial_pass(instance)
+    a, b = _by_position(instance, dual)
+    if run.sink is not None and a[run.sink] != 0:
+        raise ValueError(f"sink potential must be 0, got {a[run.sink]}")
+    objective = sum(a) + sum(b) if run.source is None else a[run.source]
+    if dual.w != objective:
+        raise ValueError(
+            f"dual solution is not optimal: w = {dual.w}, but its potentials give {objective}"
+        )
+    r = [c - a[t] - b[h] for t, h, c in zip(run.tails, run.heads, run.costs)]
+    if r and min(r) < 0:
         raise ValueError("dual solution is not feasible")
-    z_star = formulations.combinatorial_pass(instance).z_star
-    if z_star is None:
+    if run.z_star is None:
         raise InfeasibleConstraintError("support LP is infeasible")
-    if dual.w != z_star:
+    if dual.w != run.z_star:
         raise ValueError("dual solution is not optimal")
-    zero = {e for e, x in r.items() if x == 0}
+    zero = {e for e, x in zip(instance.edges, r) if x == 0}
     witness = formulations.find_support(instance, zero | {kl}, forced=kl)
     if witness is not None:
         # cost = w + sum of member reduced costs, and all but kl's vanish
-        assert witness.cost == dual.w + r[kl]
+        assert witness.cost == dual.w + r[run.index[kl]]
     return witness
 
 
@@ -236,20 +245,11 @@ def family_dual_program(
         sense=lp_core.MAX,
         columns=tuple(rhs),
         objective=objective,
-        rows=_family_dual_rows(instance),
+        rows=tuple(  # one "<=" row per edge
+            lp_core.Row(edge_column(instance, e), lp_core.LE, instance.cost[e], e)
+            for e in instance.edges
+        ),
         free=frozenset(rhs),
-    )
-
-
-@formulations.last_instance_memo
-def _family_dual_rows(instance: WeightedInstance) -> tuple[lp_core.Row, ...]:
-    # one "<=" row per edge, the same for every set: the sets of one
-    # ``ac_by_lp`` run share them
-    from . import lp_core
-
-    return tuple(
-        lp_core.Row(edge_column(instance, e), lp_core.LE, instance.cost[e], e)
-        for e in instance.edges
     )
 
 
@@ -359,7 +359,7 @@ def _pass_potentials(instance: WeightedInstance, members: Sequence[int]) -> tupl
         y if reached else 0 if x is None else z_star - x
         for reached, x, y in zip(reach, run.down, run.up)
     ]
-    return a, [-x for x in a], a[run.labels.index(instance.path.source)]
+    return a, [-x for x in a], a[run.source]
 
 
 def lower_bound(instance: WeightedInstance) -> Number:
@@ -391,14 +391,18 @@ def checked_bounds(
     if None in members:
         stray = EdgeId(*edge_set[members.index(None)])
         raise AssertionError(f"member {stray} of the set is not an edge of the instance")
-    if instance.kind == ALLDIFF:
-        a = [dual.u[i] for i in range(instance.n_vars)]
-        b = [dual.v[j] for j in run.labels]
-    else:
-        a = [dual.u[x] for x in run.labels]
-        b = [-x for x in a]
-    bounds = _checked_potentials(instance, members, a, b, dual.w)
+    bounds = _checked_potentials(instance, members, *_by_position(instance, dual), dual.w)
     return dict(zip(instance.edges, bounds))
+
+
+def _by_position(instance: WeightedInstance, dual: DualSolution) -> tuple:
+    # a labelled dual's potentials as lists by tail and head position, as
+    # ``_pass_potentials`` gives them
+    run = formulations.combinatorial_pass(instance)
+    if instance.kind == ALLDIFF:
+        return [dual.u[i] for i in range(instance.n_vars)], [dual.v[j] for j in run.labels]
+    a = [dual.u[x] for x in run.labels]
+    return a, [-x for x in a]
 
 
 def _checked_potentials(
@@ -415,13 +419,9 @@ def _checked_potentials(
     by edge position.  AssertionError if any fails.
     """
     run = formulations.combinatorial_pass(instance)
-    if instance.kind == ALLDIFF:
-        objective = sum(a) + sum(b)
-    else:
-        sink = a[run.labels.index(instance.path.sink)]
-        if sink != 0:
-            raise AssertionError(f"the sink's potential is {sink}, not 0")
-        objective = a[run.labels.index(instance.path.source)]
+    if run.sink is not None and a[run.sink] != 0:
+        raise AssertionError(f"the sink's potential is {a[run.sink]}, not 0")
+    objective = sum(a) + sum(b) if run.source is None else a[run.source]
     if objective != w or w != run.z_star:
         raise AssertionError(
             f"dual objective {w} ({objective} by its potentials) is not z* = {run.z_star}"

@@ -18,14 +18,14 @@ graph, or forward and backward shortest paths over a DAG's topological order.
 The pass runs on int positions (values by sorted label, path vertices in
 topological order) and keeps, as tuples by position, each edge's tail, head,
 cost and restricted optimum, the edge positions by tail, from which
-``family`` builds its sets, and those potentials and distances, from which
-``duality`` builds and checks the filter's duals.  Each edge's position and
-each position's label are its only maps between labels and positions.  It
-also keeps z*, the least optimum, which ``duality.lower_bound`` reads with
-its guards, and the edges without one, which ``model.validate`` reports as
-the edges on no support: the package reads either nowhere else
-(``oracle`` and the LP solves are references that tests and cross-checks
-compare with it).
+``family`` builds its sets, and those potentials and distances, with a
+path's end positions, from which ``duality`` builds and checks the filter's
+duals.  Each edge's position and each position's label are its only maps
+between labels and positions.  It also keeps z*, the least optimum, which
+``duality.lower_bound`` reads with its guards, and the edges without one,
+which ``model.validate`` reports as the edges on no support: the package
+reads either nowhere else (``oracle`` and the LP solves are references that
+tests and cross-checks compare with it).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .model import (
 )
 
 if TYPE_CHECKING:
-    from .lp_core import LinearProgram, Row
+    from .lp_core import LinearProgram
 
 
 class Support(namedtuple("Support", "edges cost")):
@@ -73,13 +73,12 @@ def row_rhs(instance: WeightedInstance) -> dict:
 def last_instance_memo(build: Callable[[WeightedInstance], Any]) -> Callable:
     """``build(instance)``, kept for the last instance passed, matched by ``is``.
 
-    For what depends only on the instance: the rows of a program kind, so
-    the programs built for one instance share one ``rows`` tuple, and the
-    combinatorial pass, so every exact reduced cost and every family dual
-    the filter builds for one instance come from one pass.  The memo holds
-    the instance itself, so its identity cannot be reused, and instances are
-    immutable: ``WeightedInstance`` makes its ``cost`` map read-only, so a
-    kept result never goes stale.
+    It keeps the combinatorial pass, the package's one per-instance record,
+    so every exact reduced cost and every dual the filter builds for one
+    instance come from one pass.  The memo holds the instance itself, so its
+    identity cannot be reused, and instances are immutable:
+    ``WeightedInstance`` makes its ``cost`` map read-only, so a kept result
+    never goes stale.
     """
     last: tuple = (None, None)
 
@@ -92,9 +91,11 @@ def last_instance_memo(build: Callable[[WeightedInstance], Any]) -> Callable:
     return cached
 
 
-@last_instance_memo
-def _support_rows(instance: WeightedInstance) -> tuple[Row, ...]:
-    # one pass over the edges; ``edge_column`` defines every coefficient
+def primal_program(instance: WeightedInstance, cost: Mapping) -> LinearProgram:
+    """Min-cost support LP: rows force one value per variable / unit s-t flow.
+
+    ``cost`` is the objective by edge: ``instance.cost``, or a shifted copy.
+    """
     from . import lp_core  # the LP stack loads on its first use
 
     rhs = row_rhs(instance)
@@ -104,22 +105,11 @@ def _support_rows(instance: WeightedInstance) -> tuple[Row, ...]:
             if tag not in coeffs:
                 raise ValueError(f"edge {e} meets no row of the support LP")
             coeffs[tag][e] = a
-    return tuple(lp_core.Row(coeffs[t], lp_core.EQ, b, t) for t, b in rhs.items())
-
-
-def primal_program(instance: WeightedInstance, cost: Mapping) -> LinearProgram:
-    """Min-cost support LP: rows force one value per variable / unit s-t flow.
-
-    ``cost`` is the objective by edge: ``instance.cost``, or a shifted copy.
-    The rows do not depend on it, so the programs of one instance share them.
-    """
-    from . import lp_core
-
     return lp_core.LinearProgram(
         sense=lp_core.MIN,
         columns=tuple(instance.edges),
         objective=cost,
-        rows=_support_rows(instance),
+        rows=tuple(lp_core.Row(coeffs[t], lp_core.EQ, b, t) for t, b in rhs.items()),
     )
 
 
@@ -164,10 +154,9 @@ def _position_sets(instance: WeightedInstance, strategy: str) -> tuple[tuple[int
     if strategy == "domains":
         # tail positions follow ``variables()``, a path's sink aside; an
         # isolated path vertex, which validate allows, has no set
-        sink = run.labels.index(instance.path.sink) if instance.kind == PATH else None
-        return tuple(ks for p, ks in enumerate(run.out) if ks and p != sink)
+        return tuple(ks for p, ks in enumerate(run.out) if ks and p != run.sink)
     depth: list = [None] * len(run.labels)
-    depth[run.labels.index(instance.path.source)] = 0
+    depth[run.source] = 0
     for x, ks in enumerate(run.out):  # in topological order
         if depth[x] is not None:
             for k in ks:
@@ -313,8 +302,8 @@ class CombinatorialPass(
     namedtuple(
         "CombinatorialPass",
         "optima z_star unsupported index tails heads costs labels out"
-        " value_of holder u v dists down up",
-        defaults=(None,) * 7,
+        " value_of holder u v dists source sink down up",
+        defaults=(None,) * 9,
     )
 ):
     """What the one pass per instance computes, kept read-only for every reader.
@@ -413,7 +402,7 @@ def _assignment_pass(instance: WeightedInstance) -> dict:
     value_of: list = [None] * n  # variable -> its value position in M
     holder: list = [None] * n  # value position -> its variable in M
     for root in range(n):
-        dist, via, free = _alternating_distances(adj, u, v, holder, root, True)
+        dist, via, free = _alternating_distances(adj, u, v, holder, root)
         if free is None:  # no perfect matching
             return fields
         far = dist[free]
@@ -443,7 +432,7 @@ def _assignment_pass(instance: WeightedInstance) -> dict:
     reduced = [[(heads[k], rs[k]) for k in ks] for ks in out]
     zero = [0] * n
     dists = tuple([
-        tuple(_alternating_distances(reduced, zero, zero, holder, k, False)[0])
+        tuple(_alternating_distances(reduced, zero, zero, holder, k)[0])
         for k in range(n)
     ])
     # an edge of M has r = 0 and distance 0 from its own variable
@@ -456,7 +445,7 @@ def _assignment_pass(instance: WeightedInstance) -> dict:
 
 
 def _alternating_distances(
-    adj: list, u: list, v: list, holder: list, root: int, stop: bool
+    adj: list, u: list, v: list, holder: list, root: int
 ) -> tuple[list, list, Optional[int]]:
     """Dijkstra from variable ``root`` to the values, along alternating paths.
 
@@ -467,8 +456,8 @@ def _alternating_distances(
     its matching edge (length 0), so a variable's distance is that of its
     value.  Heap entries are ``(distance, value)``.  Returns the settled
     values' distances and the variable each was reached from, as lists by
-    value with None elsewhere, and, with ``stop``, the first free value
-    settled (else None).
+    value with None elsewhere, and the first free value settled, where the
+    search stops (None when every value is held).
     """
     size = len(holder)
     dist: list = [None] * size
@@ -495,7 +484,7 @@ def _alternating_distances(
             return dist, via, None
         dist[j] = d
         i = holder[j]
-        if i is None and stop:
+        if i is None:
             return dist, via, j
 
 
@@ -505,12 +494,14 @@ def _path_pass(instance: WeightedInstance) -> dict:
     meta = instance.path
     assert meta is not None
     labels, edges = instance.topo_order, instance.edges
-    position = dict(zip(labels, range(len(labels)))).__getitem__
+    position = dict(zip(labels, range(len(labels))))
+    source, sink = position.get(meta.source), position.get(meta.sink)
+    if source is None or sink is None:
+        raise ValueError("source or sink not among the vertices")
     ends = zip(*edges) if edges else ((), ())
-    tails, heads = (tuple(map(position, side)) for side in ends)
+    tails, heads = (tuple(map(position.__getitem__, side)) for side in ends)
     costs = tuple(instance.cost.values())
     out = _positions_by_tail(tails, len(labels))
-    source, sink = position(meta.source), position(meta.sink)
     down: list = [None] * len(labels)  # d(s, v)
     down[source] = 0
     for x, ks in enumerate(out):
@@ -538,6 +529,8 @@ def _path_pass(instance: WeightedInstance) -> dict:
         "costs": costs,
         "labels": labels,
         "out": out,
+        "source": source,
+        "sink": sink,
         "down": tuple(down),
         "up": tuple(up),
     }

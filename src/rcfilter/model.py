@@ -335,10 +335,10 @@ def instance_to_dict(instance: WeightedInstance) -> dict:
     return d
 
 
-def _edge_triple(e) -> tuple:
+def _edge_triple(e):
     if len(e) != 3:
         raise ValueError(f"edge {e!r} is not [i, j, cost]")
-    return tuple(e)
+    return e
 
 
 def instance_from_dict(d: Mapping) -> WeightedInstance:

@@ -245,6 +245,22 @@ def test_certificate_requires_optimality(three_var_assignment):
         exactness_certificate(three_var_assignment, d, EdgeId(0, 0))
 
 
+@pytest.mark.parametrize("costs, w, objective", [
+    # z* = 3: w agrees with z*, but the zero potentials' objective is 0,
+    # and the witness of (1, 1) costs 3, not w + r = 6
+    ([(0, 0, 0), (0, 1, 3), (1, 0, 3), (1, 1, 3)], 3, 0),
+    # z* = 2: no edge has reduced cost 0, so no witness, yet w claims z*
+    ([(0, 0, 1), (0, 1, 3), (1, 0, 3), (1, 1, 1)], 2, 0),
+])
+def test_certificate_reads_w_from_the_potentials(costs, w, objective):
+    inst = weighted_instance("alldiff", 2, [0, 1], costs, 5)
+    dual = duality.DualSolution(u={0: 0, 1: 0}, v={0: 0, 1: 0}, w=w)
+    assert is_dual_feasible(inst, dual) and duality.lower_bound(inst) == w
+    message = f"^dual solution is not optimal: w = {w}, but its potentials give {objective}$"
+    with pytest.raises(ValueError, match=message):
+        exactness_certificate(inst, dual, EdgeId(1, 1))
+
+
 def test_certificate_requires_feasibility(three_var_assignment):
     # u_0 = 5 leaves edge (0, 0), of cost 0, a negative reduced cost
     d = dual_solution(three_var_assignment, {0: 5, 1: 0, 2: 0}, {0: 0, 1: 0, 2: 0})
@@ -562,11 +578,8 @@ def _shifted_primal_solves(inst):
         lp_core.solve(primal_program(inst, cost))
 
 
-def test_every_solve_is_certified_and_shares_its_rows(monkeypatch):
-    # shared rows skip no certificate: every solve runs the certificate
-    # check once, on the program it solved, and the programs of one kind
-    # built for one instance's family duals or one averaged dual share a
-    # single rows tuple
+def test_every_solve_is_certified_once(monkeypatch):
+    # every solve runs the certificate check once, on the program it solved
     real_solve, real_check = lp_core.solve, lp_core._assert_certificates
     solved, checked = [], []
 
@@ -589,7 +602,6 @@ def test_every_solve_is_certified_and_shares_its_rows(monkeypatch):
         for s in ("domains", "layers")
     ]
     jobs += [(_shifted_primal_solves, bg01_encode(sat)) for sat in satisfaction_corpus(20)]
-    shared = {lp_core.MIN: 0, lp_core.MAX: 0}
     for run, *args in jobs:
         solved.clear()
         checked.clear()
@@ -601,11 +613,6 @@ def test_every_solve_is_certified_and_shares_its_rows(monkeypatch):
         assert solved or raised
         assert len(checked) == len(solved)
         assert all(c is s for c, s in zip(checked, solved))
-        for sense in shared:
-            kind = [lp for lp in solved if lp.sense == sense]
-            assert all(lp.rows is kind[0].rows for lp in kind)
-            shared[sense] += len(kind) > 1
-    assert shared[lp_core.MIN] and shared[lp_core.MAX]
 
 
 def test_each_solve_gets_the_only_program_built_for_it(monkeypatch):

@@ -8,6 +8,7 @@ from rcfilter import EdgeId, lp_core, validate, weighted_instance
 from rcfilter import formulations, oracle
 from rcfilter.duality import (
     family_dual_program,
+    lower_bound,
     reduced_cost,
     solve_family_dual,
     solve_primal,
@@ -22,6 +23,7 @@ from rcfilter.formulations import (
     worst_case_alldiff,
 )
 from rcfilter.model import InfeasibleConstraintError, SatisfactionInstance
+from rcfilter.propagation import ac_by_lp
 
 from corpus import (
     alldiff_corpus,
@@ -463,18 +465,21 @@ def _assert_pass_matches_reference(inst):
     assert by_tail == ref["by_tail"]
     # only the kind's own fields default, to None, and the other kind's stay so
     assert type(run)._field_defaults == dict.fromkeys(
-        ("value_of", "holder", "u", "v", "dists", "down", "up")
+        ("value_of", "holder", "u", "v", "dists", "source", "sink", "down", "up")
     )
     tails = [labels[t] for t in run.tails] if inst.kind == "path" else list(run.tails)
     assert tails == [e.i for e in inst.edges]
     assert [labels[h] for h in run.heads] == [e.j for e in inst.edges]
     assert run.costs == tuple(inst.cost[e] for e in inst.edges)
     if inst.kind == "path":
+        assert (run.source, run.sink) == (
+            labels.index(inst.path.source), labels.index(inst.path.sink)
+        )
         assert _by_label(labels, run.down) == ref["down"]
         assert _by_label(labels, run.up) == ref["up"]
         assert run.value_of is run.holder is run.u is run.v is run.dists is None
         return
-    assert run.down is run.up is None
+    assert run.source is run.sink is run.down is run.up is None
     if "u" not in ref:  # no perfect matching
         assert run.value_of is run.holder is run.u is run.v is run.dists is None
         return
@@ -549,12 +554,13 @@ def test_list_pass_matches_the_dict_pass_on_label_edge_cases(n, values, triples,
 
 def _shift_augmenting_distances(monkeypatch, step, held_only):
     # the pass's augmenting searches, which set the potentials, return every
-    # distance (or each held value's) moved by step
+    # distance (or each held value's) moved by step; they are the searches
+    # that start with a value free
     real = formulations._alternating_distances
 
-    def shifted(adj, u, v, holder, root, stop):
-        dist, via, free = real(adj, u, v, holder, root, stop)
-        if stop:
+    def shifted(adj, u, v, holder, root):
+        dist, via, free = real(adj, u, v, holder, root)
+        if None in holder:
             dist = [
                 d if d is None or (held_only and holder[j] is None) else d + step
                 for j, d in enumerate(dist)
@@ -589,6 +595,16 @@ def test_path_pass_checks_its_distances(dist, message):
     formulations._assert_distances([0, 3], 0, [(0, 1, 3)])
     with pytest.raises(AssertionError, match=message):
         formulations._assert_distances(dist, 0, [(0, 1, 3)])
+
+
+@pytest.mark.parametrize("source, sink", [(0, 5), (7, 1)])
+def test_path_ends_off_the_vertices_are_rejected(source, sink):
+    # the pass reads its ends' positions once, for every reader, and an end
+    # that is not a vertex gets validate's message, not a KeyError
+    inst = weighted_instance("path", 1, [0, 1], [(0, 1, 1)], 1, source=source, sink=sink)
+    for reader in (combinatorial_pass, ac_by_lp, lower_bound, family):
+        with pytest.raises(ValueError, match="^source or sink not among the vertices$"):
+            reader(inst)
 
 
 def test_restricted_optima_are_shared_and_read_only(three_var_assignment):
