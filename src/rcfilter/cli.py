@@ -5,7 +5,10 @@ identical output.  All rationals are printed exactly (p/q, never floats).
 
 Arguments are parsed once: an argv that starts with a command goes straight
 to that command's subparser, and any other argv, or one with arguments left
-over, to the full parser, which prints the usage, help and errors.
+over, to the full parser, which prints the usage, help and errors.  An argv
+of just a command and a file, with no option, parses to that command's
+defaults plus the file: the parser keeps a copy of the first such namespace
+per command, and later ones are copies of it with the file replaced.
 
 Each command is ``run(instance, args) -> (exit_code, report)`` and
 prints nothing.  ``main`` owns the exit codes and the rendering: it prints the
@@ -237,13 +240,15 @@ def _budget(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     # built on first use, not at import; allow_abbrev=False on every parser:
     # no option is matched by a prefix.  ``parser.commands`` maps each command
-    # name to its subparser, for ``_parse``
+    # name to its subparser, and ``parser.kept`` each command to the fields of
+    # its first option-free namespace, both for ``_parse``
     parser = argparse.ArgumentParser(
         prog="rcfilter",
         description="Cost-based filtering for weighted constraints via exact dual solves.",
         allow_abbrev=False,
     )
     parser.commands = {}
+    parser.kept = {}
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
     for name, run, render in (("filter", filter_cmd, _filter_text),
                               ("oracle", oracle_cmd, _oracle_text),
@@ -280,13 +285,28 @@ def _parse(argv: Optional[list]) -> argparse.Namespace:
     The top-level parser adds nothing to the namespace and hands all that
     follows the command to its subparser, so that subparser runs alone.  Any
     other argv, or arguments left over, go to the full parser and its errors.
+
+    ``COMMAND FILE``, where FILE is a str that does not start with ``-``, has
+    no option, so its namespace is the command's defaults plus
+    ``instance_file``.  The first such argv of a command is parsed, and
+    ``parser.kept`` keeps a copy of its fields; every later one returns a new
+    namespace holding those fields, in the same order, with its own file.
     """
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     sub = parser.commands.get(argv[0]) if argv else None
     if sub is not None:
+        plain = len(argv) == 2 and isinstance(argv[1], str) and not argv[1].startswith("-")
+        kept = parser.kept.get(argv[0]) if plain else None
+        if kept is not None:
+            args = argparse.Namespace()
+            vars(args).update(kept)
+            args.instance_file = argv[1]
+            return args
         args, extras = sub.parse_known_args(argv[1:])
         if not extras:
+            if plain:
+                parser.kept[argv[0]] = dict(vars(args))
             return args
     return parser.parse_args(argv)
 

@@ -44,7 +44,7 @@ order, each get a slack column.  Each program is built once, rows and final
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import formulations
 from .formulations import Support, edge_column
@@ -165,7 +165,8 @@ def exactness_certificate(
     """The witness that kl's reduced cost under an optimal dual is exact, or None.
 
     The dual is read by position, as ``checked_bounds`` reads it: ValueError
-    unless a path's sink potential is 0, w is the potentials' objective and
+    if it lacks a variable's, value's or vertex's potential, or unless a
+    path's sink potential is 0, w is the potentials' objective and
     no reduced cost is negative.  Such a dual is optimal iff w = z* (the
     pass's ``z_star``), else ValueError; InfeasibleConstraintError when no
     support exists.  A support through kl inside the zero-reduced-cost edges
@@ -384,7 +385,8 @@ def checked_bounds(
 
     The dual's potentials, read by position, go through ``_checked_potentials``:
     AssertionError if any of its checks fails, or if a member of the set
-    (which may be a plain ``(i, j)`` pair) is not an edge of the instance.
+    (which may be a plain ``(i, j)`` pair) is not an edge of the instance;
+    ValueError if the dual lacks a variable's, value's or vertex's potential.
     """
     run = formulations.combinatorial_pass(instance)
     members = _positions(run, edge_set)
@@ -397,12 +399,20 @@ def checked_bounds(
 
 def _by_position(instance: WeightedInstance, dual: DualSolution) -> tuple:
     # a labelled dual's potentials as lists by tail and head position, as
-    # ``_pass_potentials`` gives them
+    # ``_pass_potentials`` gives them; ValueError names a missing potential
     run = formulations.combinatorial_pass(instance)
     if instance.kind == ALLDIFF:
-        return [dual.u[i] for i in range(instance.n_vars)], [dual.v[j] for j in run.labels]
-    a = [dual.u[x] for x in run.labels]
+        return (_potentials(dual.u, range(instance.n_vars), "variable"),
+                _potentials(dual.v, run.labels, "value"))
+    a = _potentials(dual.u, run.labels, "vertex")
     return a, [-x for x in a]
+
+
+def _potentials(potential: Mapping, keys: Iterable, what: str) -> list:
+    try:
+        return [potential[k] for k in keys]
+    except KeyError as exc:
+        raise ValueError(f"the dual has no potential for {what} {exc.args[0]}") from None
 
 
 def _checked_potentials(

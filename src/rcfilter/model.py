@@ -372,12 +372,18 @@ def _json_object(pairs: list) -> dict:
     return d
 
 
+# one decoder for every file; ``json.loads`` would build a new one per call
+_DECODER = json.JSONDecoder(object_pairs_hook=_json_object)
+
+
 def load_instance(path: Union[str, Path]) -> WeightedInstance:
     """Read an instance file: OSError if unreadable, ValueError if malformed or a key repeats.
 
     The file is read as bytes and decoded as UTF-8 in one call.  A ``\\r\\n``
     or lone ``\\r`` becomes ``\\n`` first, as a text-mode read would make it,
-    so a JSON error names the same line, column and character offset.
+    so a JSON error names the same line, column and character offset.  The
+    text goes to one module-level ``JSONDecoder``, after the byte-order-mark
+    check that ``json.loads`` makes and ``decode`` does not.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -385,7 +391,9 @@ def load_instance(path: Union[str, Path]) -> WeightedInstance:
         text = data.decode("utf-8")
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        raw = json.loads(text, object_pairs_hook=_json_object)
+        if text.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:

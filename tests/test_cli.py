@@ -466,6 +466,12 @@ ARGV_SHAPES = [
     ["oracle", "{file}", "--format", "text"],
     ["bound", "{file}"],
     ["bound", "{file}", "--format", "text"],
+    # COMMAND FILE, no option: the kept namespace once one is kept
+    ["oracle", "{file}"],
+    ["filter", "-"],
+    ["filter", ""],
+    ["filter", "-x.json"],
+    ["bound", "filter"],
     # -h before and after the command
     ["-h"],
     ["--help"],
@@ -525,14 +531,61 @@ def _parse_outcome(parse, argv, capsys):
 
 @pytest.mark.parametrize("argv", ARGV_SHAPES, ids=" ".join)
 def test_one_pass_parse_matches_the_full_parser(argv, dag_file, capsys):
+    # twice: an option-free argv is parsed the first time and read from the
+    # kept namespace the second, whichever test ran first
     argv = [a.format(file=dag_file) for a in argv]
     reference = _parse_outcome(cli._build_parser().parse_args, list(argv), capsys)
-    got = _parse_outcome(cli._parse, argv, capsys)
-    assert got == reference
-    if isinstance(reference[0], tuple):
-        assert reference[0][1] in (0, 2) and reference[1] + reference[2] != ""
-    else:  # the same fields in the same order
-        assert list(vars(got[0])) == list(vars(reference[0]))
+    for _ in range(2):
+        got = _parse_outcome(cli._parse, list(argv), capsys)
+        assert got == reference
+        if isinstance(reference[0], tuple):
+            assert reference[0][1] in (0, 2) and reference[1] + reference[2] != ""
+        else:  # the same fields in the same order
+            assert list(vars(got[0])) == list(vars(reference[0]))
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    # a parser of this test's own, so that no other test has kept a namespace in it
+    parser = cli._build_parser.__wrapped__()
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    return parser
+
+
+def test_a_fresh_parser_keeps_no_namespace(fresh_parser):
+    assert fresh_parser.kept == {}
+    assert set(fresh_parser.commands) == {"filter", "oracle", "verify", "bound"}
+
+
+def test_a_repeated_command_file_argv_is_not_parsed_again(
+    fresh_parser, monkeypatch, dag_file, assignment_file
+):
+    reference = fresh_parser.parse_args(["filter", assignment_file])  # keeps nothing
+    sub = fresh_parser.commands["filter"]
+    calls = []
+    parse = sub.parse_known_args
+    monkeypatch.setattr(sub, "parse_known_args", lambda *a: calls.append(a) or parse(*a))
+    first = cli._parse(["filter", dag_file])
+    assert len(calls) == 1 and list(fresh_parser.kept) == ["filter"]
+    second = cli._parse(["filter", assignment_file])
+    assert len(calls) == 1
+    assert second == reference and list(vars(second)) == list(vars(reference))
+    assert first.instance_file == dag_file
+    # an option, or a file that looks like one, is parsed as before
+    cli._parse(["filter", dag_file, "--format", "text"])
+    cli._parse(["filter", "-"])
+    assert len(calls) == 3
+
+
+def test_each_command_file_parse_is_a_new_namespace(fresh_parser, dag_file):
+    first = cli._parse(["filter", dag_file])  # argparse's own namespace, then kept
+    first.fmt, first.extra = "text", 1
+    second = cli._parse(["filter", dag_file])
+    second.strategy = "layers"
+    third = cli._parse(["filter", dag_file])
+    assert len({id(first), id(second), id(third)}) == 3
+    assert third == cli._build_parser().parse_args(["filter", dag_file])
+    assert (third.fmt, third.strategy, hasattr(third, "extra")) == ("json", "domains", False)
 
 
 def test_a_command_first_argv_is_parsed_once(monkeypatch, dag_file, capsys):

@@ -261,6 +261,24 @@ def test_certificate_reads_w_from_the_potentials(costs, w, objective):
         exactness_certificate(inst, dual, EdgeId(1, 1))
 
 
+_ALLDIFF_2X2 = weighted_instance("alldiff", 2, [0, 1], [(0, 0, 1), (0, 1, 3), (1, 0, 2), (1, 1, 1)], 9)
+_PATH_3 = weighted_instance("path", 2, [0, 1, 2], [(0, 1, 1), (1, 2, 1)], 9, source=0, sink=2)
+
+
+@pytest.mark.parametrize("inst, dual, missing", [
+    (_ALLDIFF_2X2, duality.DualSolution(u={0: 0}, v={}, w=0), "variable 1"),
+    (_ALLDIFF_2X2, duality.DualSolution(u={0: 0, 1: 0}, v={1: 0}, w=0), "value 0"),
+    (_PATH_3, duality.DualSolution(u={0: 2, 2: 0}, v={}, w=2), "vertex 1"),
+], ids=["variable", "value", "vertex"])
+def test_a_missing_potential_is_named(inst, dual, missing):
+    # a bare KeyError escaped both readers before
+    message = f"^the dual has no potential for {missing}$"
+    with pytest.raises(ValueError, match=message):
+        exactness_certificate(inst, dual, inst.edges[0])
+    with pytest.raises(ValueError, match=message):
+        duality.checked_bounds(inst, inst.edges[:1], dual)
+
+
 def test_certificate_requires_feasibility(three_var_assignment):
     # u_0 = 5 leaves edge (0, 0), of cost 0, a negative reduced cost
     d = dual_solution(three_var_assignment, {0: 5, 1: 0, 2: 0}, {0: 0, 1: 0, 2: 0})
