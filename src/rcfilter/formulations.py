@@ -14,7 +14,8 @@ variable), built once per ``find_support`` call.
 Every edge's restricted optimum, the cheapest support through it, comes from
 one pass per instance with no LP (``combinatorial_pass``): an optimal
 assignment with potentials and one Dijkstra per variable in its residual
-graph, or forward and backward shortest paths over a DAG's topological order.
+graph, whose rows are shared within a zero-cost component, or forward and
+backward shortest paths over a DAG's topological order.
 The pass runs on int positions (values by sorted label, path vertices in
 topological order) and keeps, as tuples by position, each edge's tail, head,
 cost and restricted optimum, the edge positions by tail, from which
@@ -329,8 +330,10 @@ class CombinatorialPass(
     the value position by variable, and ``holder``, the variable by value
     position), its potentials ``u`` (by variable) and ``v`` (by value
     position), with every reduced cost >= 0 and 0 on M, and ``dists[k]``,
-    the residual distance from variable k to each value position.  path:
-    the distances ``down`` (d(s, v)) and ``up`` (d(v, t)).
+    the residual distance from variable k to each value position.  Variables
+    that reach each other at distance 0, a zero-cost component of the
+    residual graph, have equal rows, and ``dists`` holds one shared tuple for
+    them.  path: the distances ``down`` (d(s, v)) and ``up`` (d(v, t)).
     """
 
     __slots__ = ()
@@ -343,24 +346,18 @@ def combinatorial_pass(instance: WeightedInstance) -> CombinatorialPass:
     alldiff: an optimal assignment M with potentials u, v (successive
     shortest paths), then one Dijkstra per variable over the residual graph
     on reduced costs r; an edge (i, j) outside M costs
-    z* + r_ij + dist(M^-1(j) -> M(i)) (Sellmann, CP 2002).  Values are
-    numbered by sorted label, so heap ties break by label.  path: forward
-    and backward shortest paths in topological order give
-    d(s, i) + c_ij + d(j, t).  Costs of either sign are allowed.  Before it
-    returns, the pass checks its own certificate and raises AssertionError
-    if it fails: r >= 0 on every edge, 0 on M and sum(u) + sum(v) = z*; or
-    each distance list's inequalities, tight along its shortest-path tree.
-    The result is shared while the instance stays the same, so it is read-only.
+    z* + r_ij + dist(M^-1(j) -> M(i)) (Sellmann, CP 2002).  Variables that
+    reach each other at distance 0 share one row, found by the later one's
+    search.  Values are numbered by sorted label, so heap ties break by
+    label.  path: forward and backward shortest paths in topological order
+    give d(s, i) + c_ij + d(j, t).  Costs of either sign are allowed.
+    Before it returns, the pass checks its own certificate and raises
+    AssertionError if it fails: r >= 0 on every edge, 0 on M and
+    sum(u) + sum(v) = z*; or each distance list's inequalities, tight along
+    its shortest-path tree.  The result is shared while the instance stays
+    the same, so it is read-only.
     """
-    fields = _assignment_pass(instance) if instance.kind == ALLDIFF else _path_pass(instance)
-    edges, optima = instance.edges, fields["optima"]
-    found = [z for z in optima if z is not None]
-    return CombinatorialPass(
-        z_star=exact(min(found)) if found else None,
-        unsupported=tuple(e for e, z in zip(edges, optima) if z is None),
-        index=MappingProxyType(dict(zip(edges, range(len(edges))))),
-        **fields,
-    )
+    return _assignment_pass(instance) if instance.kind == ALLDIFF else _path_pass(instance)
 
 
 def _positions_by_tail(tails: tuple, size: int) -> tuple:
@@ -372,8 +369,17 @@ def _positions_by_tail(tails: tuple, size: int) -> tuple:
     return tuple([tuple(grouped.get(t, ())) for t in range(size)])
 
 
-def _assignment_pass(instance: WeightedInstance) -> dict:
-    # the pass's fields but z_star, unsupported and index
+def _least_and_unsupported(edges: tuple, optima: tuple) -> tuple:
+    # z*, the least optimum or None when no edge has one, and the edges on no
+    # support, in instance order
+    if None not in optima:
+        return exact(min(optima)) if optima else None, ()
+    found = [z for z in optima if z is not None]
+    unsupported = tuple([e for e, z in zip(edges, optima) if z is None])
+    return exact(min(found)) if found else None, unsupported
+
+
+def _assignment_pass(instance: WeightedInstance) -> CombinatorialPass:
     n, edges = instance.n_vars, instance.edges
     labels = tuple(sorted(set(instance.values)))
     rank = dict(zip(labels, range(len(labels))))
@@ -385,16 +391,51 @@ def _assignment_pass(instance: WeightedInstance) -> dict:
                 raise ValueError(f"edge {e} meets no row of the support LP")
     costs = tuple(instance.cost.values())
     out = _positions_by_tail(tails, n)
-    fields = {
-        "optima": (None,) * len(edges),
-        "tails": tails,
-        "heads": heads,
-        "costs": costs,
-        "labels": labels,
-        "out": out,
-    }
-    if len(labels) != n:  # no matching covers both sides
-        return fields
+    index = MappingProxyType(dict(zip(edges, range(len(edges)))))
+    # no matching covers both sides unless they are the same size
+    matched = _optimal_assignment(out, heads, costs) if len(labels) == n else None
+    if matched is None:
+        return CombinatorialPass(
+            optima=(None,) * len(edges), z_star=None, unsupported=edges, index=index,
+            tails=tails, heads=heads, costs=costs, labels=labels, out=out,
+        )
+    u, v, value_of, holder = matched
+    # one reduced cost per edge serves the certificate, the residual rows
+    # and the edge's optimum
+    rs: list = []
+    z_star = 0
+    for t, h, c in zip(tails, heads, costs):
+        rs.append(c - u[t] - v[h])
+        if value_of[t] == h:
+            z_star += c
+    if sum(u) + sum(v) != z_star:
+        raise AssertionError("assignment potentials do not sum to the optimum")
+    if rs and min(rs) < 0:  # else r = 0 on M, as the potentials sum to z*
+        for k, (t, h, r) in enumerate(zip(tails, heads, rs)):
+            if r < 0 or (r != 0 and value_of[t] == h):
+                raise AssertionError(f"assignment potentials fail on edge {edges[k]}")
+    rows: list = []
+    for k in range(n):
+        rows.append(_residual_row(out, heads, rs, value_of, holder, rows, k))
+    # an edge of M has r = 0 and distance 0 from its own variable
+    optima = tuple([
+        None if (d := rows[holder[h]][value_of[t]]) is None else z_star + r + d
+        for t, h, r in zip(tails, heads, rs)
+    ])
+    least, unsupported = _least_and_unsupported(edges, optima)
+    return CombinatorialPass(
+        optima=optima, z_star=least, unsupported=unsupported, index=index,
+        tails=tails, heads=heads, costs=costs, labels=labels, out=out,
+        value_of=tuple(value_of), holder=tuple(holder), u=tuple(u), v=tuple(v),
+        dists=tuple(rows),
+    )
+
+
+def _optimal_assignment(out: tuple, heads: tuple, costs: tuple) -> Optional[tuple]:
+    # successive shortest paths (see _alternating_distances): the potentials
+    # u and v, and M as value_of and holder, or None when no perfect
+    # matching exists
+    n = len(out)
     adj = [[(heads[k], costs[k]) for k in ks] for ks in out]  # (value position, cost) by variable
     # u_i = min_j c_ij and v = 0 leave no reduced cost negative, whatever the signs
     u = [min([c for _, c in pairs]) if pairs else 0 for pairs in adj]
@@ -403,8 +444,8 @@ def _assignment_pass(instance: WeightedInstance) -> dict:
     holder: list = [None] * n  # value position -> its variable in M
     for root in range(n):
         dist, via, free = _alternating_distances(adj, u, v, holder, root)
-        if free is None:  # no perfect matching
-            return fields
+        if free is None:
+            return None
         far = dist[free]
         # potentials shifted by (distance - far) on the settled part keep
         # every reduced cost >= 0 and make the augmenting path tight
@@ -418,30 +459,7 @@ def _assignment_pass(instance: WeightedInstance) -> dict:
         while j is not None:
             i = via[j]
             holder[j], value_of[i], j = i, j, value_of[i]
-
-    z_star = sum([c for t, h, c in zip(tails, heads, costs) if value_of[t] == h])
-    if sum(u) + sum(v) != z_star:
-        raise AssertionError("assignment potentials do not sum to the optimum")
-    # one reduced cost per edge serves the certificate, the residual
-    # Dijkstras (on zero potentials) and the edge's optimum
-    rs = [c - u[t] - v[h] for t, h, c in zip(tails, heads, costs)]
-    if rs and min(rs) < 0:  # else r = 0 on M, as the potentials sum to z*
-        for k, (t, h, r) in enumerate(zip(tails, heads, rs)):
-            if r < 0 or (r != 0 and value_of[t] == h):
-                raise AssertionError(f"assignment potentials fail on edge {edges[k]}")
-    reduced = [[(heads[k], rs[k]) for k in ks] for ks in out]
-    zero = [0] * n
-    dists = tuple([
-        tuple(_alternating_distances(reduced, zero, zero, holder, k)[0])
-        for k in range(n)
-    ])
-    # an edge of M has r = 0 and distance 0 from its own variable
-    ds = [dists[holder[h]][value_of[t]] for t, h in zip(tails, heads)]
-    fields.update(
-        optima=tuple([None if d is None else z_star + r + d for r, d in zip(rs, ds)]),
-        value_of=tuple(value_of), holder=tuple(holder), u=tuple(u), v=tuple(v), dists=dists,
-    )
-    return fields
+    return u, v, value_of, holder
 
 
 def _alternating_distances(
@@ -488,9 +506,52 @@ def _alternating_distances(
             return dist, via, j
 
 
-def _path_pass(instance: WeightedInstance) -> dict:
-    # the pass's fields but z_star, unsupported and index; positions follow
-    # the topological order, so every arc runs to a higher position
+def _residual_row(
+    out: tuple, heads: tuple, rs: list, value_of: list, holder: list, rows: list, k: int
+) -> tuple:
+    """Residual distances from variable ``k`` to each value position, None where unreached.
+
+    ``_alternating_distances``'s Dijkstra over the optimal assignment, where
+    every value is held: a variable i at distance d steps to value
+    ``heads[e]`` by each edge position e of ``out[i]``, with length d + r_e
+    (``rs[e]``, the edge's reduced cost).  The root is scanned once, not
+    again when its own value settles.  ``rows`` holds the rows of the
+    variables before k.  When a value settles at 0 and its holder h < k
+    reaches k's value at 0, k and h reach each other at no cost, so their
+    rows are equal, and ``rows[h]`` itself is returned.
+    """
+    size = len(holder)
+    dist: list = [None] * size
+    best: list = [None] * size
+    heap: list = []
+    push, pop = heapq.heappush, heapq.heappop
+    mine = value_of[k]
+    i, d = k, 0
+    while True:
+        if i is not None:  # scan variable i, reached at distance d
+            for e in out[i]:
+                j = heads[e]
+                if dist[j] is None:
+                    nd = d + rs[e]
+                    if best[j] is None or nd < best[j]:
+                        best[j] = nd
+                        push(heap, (nd, j))
+        while heap:
+            d, j = pop(heap)
+            if dist[j] is None:
+                break
+        else:
+            return tuple(dist)
+        dist[j] = d
+        i = holder[j]
+        if i == k:  # the root, scanned first
+            i = None
+        elif d == 0 and i < k and rows[i][mine] == 0:
+            return rows[i]
+
+
+def _path_pass(instance: WeightedInstance) -> CombinatorialPass:
+    # positions follow the topological order, so every arc runs to a higher position
     meta = instance.path
     assert meta is not None
     labels, edges = instance.topo_order, instance.edges
@@ -519,21 +580,17 @@ def _path_pass(instance: WeightedInstance) -> dict:
                 up[x] = costs[k] + up[h]
     _assert_distances(down, source, zip(tails, heads, costs))
     _assert_distances(up, sink, zip(heads, tails, costs))
-    return {
-        "optima": tuple([
-            down[t] + c + up[h] if down[t] is not None and up[h] is not None else None
-            for t, h, c in zip(tails, heads, costs)
-        ]),
-        "tails": tails,
-        "heads": heads,
-        "costs": costs,
-        "labels": labels,
-        "out": out,
-        "source": source,
-        "sink": sink,
-        "down": tuple(down),
-        "up": tuple(up),
-    }
+    optima = tuple([
+        down[t] + c + up[h] if down[t] is not None and up[h] is not None else None
+        for t, h, c in zip(tails, heads, costs)
+    ])
+    z_star, unsupported = _least_and_unsupported(edges, optima)
+    return CombinatorialPass(
+        optima=optima, z_star=z_star, unsupported=unsupported,
+        index=MappingProxyType(dict(zip(edges, range(len(edges))))),
+        tails=tails, heads=heads, costs=costs, labels=labels, out=out,
+        source=source, sink=sink, down=tuple(down), up=tuple(up),
+    )
 
 
 def _assert_distances(dist: list, root: int, arcs: Iterable[tuple]) -> None:
@@ -562,8 +619,9 @@ def bg01_encode(sat: SatisfactionInstance) -> WeightedInstance:
     it lies on a zero-cost support of the encoding.  The n^2 costs are built
     straight into the instance: only ``n_vars``, ``values`` and the edges'
     endpoints are checked.  A non-integer among them, a repeated value, a
-    non-square instance or an edge outside the n^2 pairs raises ValueError;
-    an edge may be a plain ``(i, j)`` pair.
+    non-square instance, an edge outside the n^2 pairs or a repeated edge
+    raises ValueError, as ``weighted_instance`` does; an edge may be a plain
+    ``(i, j)`` pair.
     """
     n = _integer(sat.n_vars, "n_vars")
     values = tuple(_integer(x, "value") for x in sat.values)
@@ -577,8 +635,10 @@ def bg01_encode(sat: SatisfactionInstance) -> WeightedInstance:
         if type(i) is not int or type(j) is not int:  # checked, never coerced
             for x in e:
                 _integer(x, "edge {} endpoint", e)
-        if e not in cost:
-            raise ValueError(f"edge {EdgeId(*e)} not in the instance")
+        c = cost.get(e)  # 1 until the edge is set, None outside the n^2 pairs
+        if c != 1:
+            e = EdgeId(*e)
+            raise ValueError(f"duplicate edge {e}" if c == 0 else f"edge {e} not in the instance")
         cost[e] = 0  # the key stays the EdgeId already there
     return WeightedInstance(ALLDIFF, n, values, cost, z_max=0)
 

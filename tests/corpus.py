@@ -142,3 +142,18 @@ def tight_satisfaction(n, rng):
         choices = held if i in tight else range(n)
         edges.update((i, j) for j in choices if rng.random() < 3 / n)
     return SatisfactionInstance(n, tuple(range(n)), tuple(EdgeId(*e) for e in sorted(edges)))
+
+
+def sparse_satisfaction(n, rng):
+    """n variables with a seeded perfect matching and random other pairs, 4n edges in all.
+
+    At most n^2 edges, every pair, when n < 4.  The encoding of such an
+    instance is mostly non-edges, so its residual rows reach most values
+    at distance 1.
+    """
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = {(i, perm[i]) for i in range(n)}
+    while len(edges) < min(4 * n, n * n):
+        edges.add((rng.randrange(n), rng.randrange(n)))
+    return SatisfactionInstance(n, tuple(range(n)), tuple(EdgeId(*e) for e in sorted(edges)))

@@ -31,6 +31,7 @@ from corpus import (
     path_corpus,
     permutation_alldiff,
     satisfaction_corpus,
+    sparse_satisfaction,
     tight_satisfaction,
 )
 from reference_pass import reference_pass
@@ -490,6 +491,23 @@ def _assert_pass_matches_reference(inst):
     assert [_by_label(labels, d) for d in run.dists] == ref["dists"]
 
 
+def test_variables_that_reach_each_other_at_no_cost_share_one_row():
+    # with all n^2 pairs allowed every cost is 0, so every variable reaches
+    # every other at distance 0 and dists holds one tuple n times; with only
+    # a permutation allowed each variable reaches another at distance 1, so
+    # the n rows differ
+    n = 12
+    every = tuple(EdgeId(i, j) for i in range(n) for j in range(n))
+    perm = list(range(n))
+    random.Random(3).shuffle(perm)
+    lone = tuple(EdgeId(i, perm[i]) for i in range(n))
+    for edges, rows in ((every, 1), (lone, n)):
+        inst = bg01_encode(SatisfactionInstance(n, tuple(range(n)), edges))
+        run = combinatorial_pass(inst)
+        assert len({id(row) for row in run.dists}) == len(set(run.dists)) == rows
+        _assert_pass_matches_reference(inst)
+
+
 def _labelled_copy(inst, labels):
     # inst with its values renamed by labels, in that order, and each edge's value with them
     rename = dict(zip(inst.values, labels))
@@ -500,16 +518,18 @@ def _labelled_copy(inst, labels):
 def test_list_pass_matches_the_dict_pass_on_the_corpora():
     # every field of the pass, by position, equals the dict-keyed pass's by
     # label: corpora, costs of either sign, satisfaction encodings, and
-    # layered DAGs and dense alldiffs past the enumeration cap
+    # layered DAGs and dense alldiffs past the enumeration cap; the 0/1
+    # costs give zero-cost components, whose variables share one row
     rng = random.Random(20261021)
     instances = list(CORPUS)
     instances += [inst._replace(cost={e: -c for e, c in inst.cost.items()}) for inst in CORPUS[::7]]
     instances += [bg01_encode(sat) for sat in satisfaction_corpus(50)]
-    instances += [bg01_encode(tight_satisfaction(n, rng)) for n in (6, 12, 20)]
+    instances += [bg01_encode(tight_satisfaction(n, rng)) for n in (6, 12, 20, 60)]
+    instances += [bg01_encode(sparse_satisfaction(100, rng))]
     instances += [permutation_alldiff(30, seed=2), layered_dag(40, seed=0), layered_dag(12, seed=3)]
-    for seed in (1, 2):
+    for seed, top in ((1, 9), (2, 9), (3, 1)):
         dense = random.Random(seed)
-        triples = [(i, j, dense.randint(0, 9)) for i in range(40) for j in range(40)]
+        triples = [(i, j, dense.randint(0, top)) for i in range(40) for j in range(40)]
         instances.append(weighted_instance("alldiff", 40, range(40), triples, z_max=0))
     for inst in instances:
         _assert_pass_matches_reference(inst)
@@ -659,6 +679,18 @@ def test_satisfaction_encoding_rejects_bad_input(n_vars, values, message):
     sat = SatisfactionInstance(n_vars=n_vars, values=values, edges=(EdgeId(0, 0),))
     with pytest.raises(ValueError, match=message):
         bg01_encode(sat)
+
+
+def test_satisfaction_encoding_rejects_a_repeated_edge():
+    # as weighted_instance does: a repeat is malformed input, not collapsed
+    for edges in (((0, 0), (0, 0), (1, 1)), (EdgeId(0, 0), (1, 1), (0, 0))):
+        with pytest.raises(ValueError, match=r"^duplicate edge EdgeId\(i=0, j=0\)$"):
+            bg01_encode(SatisfactionInstance(2, (0, 1), edges))
+    with pytest.raises(ValueError, match=r"^duplicate edge EdgeId\(i=0, j=0\)$"):
+        weighted_instance("alldiff", 2, (0, 1), [(0, 0, 0), (0, 0, 0), (1, 1, 0)], z_max=0)
+    # an edge outside the n^2 pairs keeps its own message
+    with pytest.raises(ValueError, match=r"^edge EdgeId\(i=2, j=1\) not in the instance$"):
+        bg01_encode(SatisfactionInstance(2, (0, 1), ((0, 0), (2, 1))))
 
 
 def test_worst_case_shape():

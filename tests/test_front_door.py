@@ -74,11 +74,17 @@ def _mutate(rng: random.Random, text: str) -> bytes:
     return json.dumps(data).encode()
 
 
-def _fuzz(rng: random.Random, texts: list, cases: int, path: Path, capsys) -> set:
-    """Run ``cases`` mutations of the texts through every command; the exit codes seen."""
+def _fuzz(rng: random.Random, texts: list, cases: int, folder: Path, capsys) -> set:
+    """Run ``cases`` mutations of the texts through every command; the exit codes seen.
+
+    Case n is written to its own file, ``mutated-{n}.json`` in ``folder``:
+    writing a new file is far cheaper than replacing a file's contents on
+    some file systems.
+    """
     codes = set()
     for case in range(cases):
         content = _mutate(rng, rng.choice(texts))
+        path = folder / f"mutated-{case}.json"
         path.write_bytes(content)
         for command in COMMANDS:
             code = main([command, str(path)])
@@ -95,7 +101,7 @@ def _fuzz(rng: random.Random, texts: list, cases: int, path: Path, capsys) -> se
 
 def test_mutated_instances_exit_cleanly(tmp_path, capsys):
     texts = [p.read_text() for p in INSTANCES]
-    codes = _fuzz(random.Random(2022), texts, CASES, tmp_path / "mutated.json", capsys)
+    codes = _fuzz(random.Random(2022), texts, CASES, tmp_path, capsys)
     # the mutations reach the parser, validate and the solver paths alike
     assert {0, 1, 2, 3} <= codes, codes
 
@@ -118,5 +124,5 @@ def test_mutated_generated_instances_exit_cleanly(tmp_path, capsys):
     paths = sorted(path_corpus(100), key=lambda i: -len(i.edges))[:3]
     instances = alldiff + paths + [_above_cap_alldiff(rng)]
     texts = [json.dumps(instance_to_dict(i)) for i in instances]
-    codes = _fuzz(rng, texts, GENERATED_CASES, tmp_path / "mutated.json", capsys)
+    codes = _fuzz(rng, texts, GENERATED_CASES, tmp_path, capsys)
     assert {0, 1, 2, 3, EXIT_SIZE} <= codes, codes
